@@ -1,0 +1,58 @@
+"""Byte goldens: reproduce, extract and evaluate outputs on a committed corpus.
+
+``golden/corpus`` is a 40-document synthetic corpus (20 per label, folds by
+``cvNNN``) with a TSV lexicon trimmed to the words it uses, written by
+``python3 perfbench/corpusgen.py golden/corpus --seed 7 --docs 40``. The
+expected files were produced by the bag-based implementation that preceded
+the sparse-matrix core and must never be regenerated to make a refactor
+pass: any change to a feature, a vocabulary id, a count or a fold accuracy
+shows up here as a byte difference.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from polarity.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+CORPUS = GOLDEN / "corpus"
+LEXICON = ["--lexicon", str(CORPUS / "lexicon.tsv"), "--lexicon-format", "tsv"]
+
+
+def test_table2_csv(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code = main(["reproduce", "--corpus", str(CORPUS), *LEXICON, "--only", "table2",
+                 "--out-dir", str(out_dir), "--format", "json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["cells_run"] == 36
+    assert (out_dir / "table2.csv").read_bytes() == (GOLDEN / "table2.csv").read_bytes()
+
+
+def test_extract_union_files(tmp_path, capsys):
+    vectors, vocab = tmp_path / "vectors.svml", tmp_path / "vocab.tsv"
+    code = main(["extract", "--corpus", str(CORPUS), *LEXICON,
+                 "--features", "unigram+pb+3adjadv", "--rep", "frequency",
+                 "--out", str(vectors), "--vocab-out", str(vocab)])
+    assert code == 0
+    assert vectors.read_bytes() == (GOLDEN / "extract_unigram+pb+3adjadv.svml").read_bytes()
+    assert vocab.read_bytes() == (GOLDEN / "extract_unigram+pb+3adjadv.vocab.tsv").read_bytes()
+
+
+FOLD_SCOPE_CELLS = {
+    "unigram-presence-svm": ["--features", "unigram", "--rep", "presence", "--clf", "svm"],
+    "bigram+adj-frequency-nb": ["--features", "bigram+adj", "--rep", "frequency",
+                                "--clf", "nb"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_SCOPE_CELLS))
+def test_fold_scope_evaluate(name, capsys):
+    code = main(["evaluate", "--corpus", str(CORPUS), *FOLD_SCOPE_CELLS[name],
+                 "--format", "json"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    report.pop("wall_time")
+    got = json.dumps(report, sort_keys=True, indent=1) + "\n"
+    assert got == (GOLDEN / f"evaluate_{name}.json").read_text(encoding="utf-8")
