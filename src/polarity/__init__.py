@@ -28,7 +28,7 @@ from .lexicon import (
     load_transitions,
     polarity_of,
 )
-from .linear_svm import LinearSvmModel, default_C, predict_svm, train_svm
+from .linear_svm import LinearSvmModel, default_C, gram_matrix, predict_svm, train_svm
 from .naive_bayes import NaiveBayesModel, predict_nb, train_nb
 from .preprocess import (
     Document,
@@ -42,11 +42,14 @@ from .preprocess import (
 )
 from .tagging import PretaggedReader, RuleTagger, get_tagger
 from .vectorize import (
+    FeatureMatrix,
     Representation,
     SparseVector,
     Vocabulary,
     build_vocabulary,
+    column_mask,
     read_svmlight,
+    represent,
     vectorize,
     write_svmlight,
 )

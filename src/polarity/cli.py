@@ -14,6 +14,8 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .corpus import assign_folds, compute_stats, load_corpus
 from .errors import ConfigError, DataError
@@ -33,9 +35,10 @@ from .preprocess import PreprocessConfig
 from .tagging import get_tagger
 from .vectorize import (
     Representation,
-    build_vocabulary,
+    column_mask,
+    read_json_object,
     read_svmlight,
-    vectorize,
+    represent,
     write_svmlight,
     write_vocabulary,
 )
@@ -112,22 +115,19 @@ def cmd_extract(args) -> int:
     )
     if spec.needs_lexicon and pipeline.lexicon is None:
         raise ConfigError(f"feature spec {spec.canonical()!r} requires --lexicon")
-    bags = pipeline.bags_for_spec(spec)
-    vocab = build_vocabulary(bags, min_count=args.min_count)
-    rep = Representation(args.rep)
-    vectors = [
-        vectorize(bag, vocab, rep, label=doc.label.sign)
-        for bag, doc in zip(bags, corpus.documents)
-    ]
-    write_svmlight(vectors, args.out)
+    matrix = pipeline.matrix_for_spec(spec)
+    mask = column_mask(matrix.counts, args.min_count)
+    X = represent(matrix.counts[:, mask], Representation(args.rep))
+    write_svmlight(X, args.out, pipeline.labels())
     if args.vocab_out:
-        write_vocabulary(vocab, args.vocab_out)
-    summary = {"documents": len(vectors), "features": len(vocab),
+        write_vocabulary(matrix.vocabulary(mask, args.min_count), args.vocab_out)
+    documents, features = X.shape
+    summary = {"documents": documents, "features": features,
                "vectors_file": args.out, "vocabulary_file": args.vocab_out}
     if args.format == "json":
         print(json.dumps(summary))
     else:
-        print(f"wrote {len(vectors)} vectors over {len(vocab)} features to {args.out}",
+        print(f"wrote {documents} vectors over {features} features to {args.out}",
               file=sys.stderr)
     return 0
 
@@ -176,8 +176,7 @@ def _preprocess_config_for_eval(args) -> PreprocessConfig:
 
 
 def _sniff_model(path: str):
-    head = json.loads(Path(path).read_text(encoding="utf-8"))
-    fmt = head.get("format", "")
+    fmt = str(read_json_object(path).get("format", ""))
     if fmt.startswith("polarity-nb/"):
         return NaiveBayesModel.load(path)
     if fmt.startswith("polarity-svm/"):
@@ -186,14 +185,14 @@ def _sniff_model(path: str):
 
 
 def cmd_train(args) -> int:
-    vectors = read_svmlight(args.input)
+    X, labels = read_svmlight(args.input)
     if args.clf == "nb":
-        model = train_nb(vectors)
+        model = train_nb(X, labels)
         out = args.out if args.out.endswith(".json") else args.out + ".json"
         model.save(out)
         info = {"model": out, "classifier": "nb", "vocab_size": model.vocab_size}
     else:
-        model = train_svm(vectors, C=args.C, tol=args.tol, max_epochs=args.max_epochs)
+        model = train_svm(X, labels, C=args.C, tol=args.tol, max_epochs=args.max_epochs)
         meta_path, weights_path = model.save(args.out)
         info = {
             "model": str(meta_path), "weights": str(weights_path), "classifier": "svm",
@@ -213,12 +212,14 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = _sniff_model(args.model)
-    vectors = read_svmlight(args.input)
+    X, labels = read_svmlight(args.input)
     predict = predict_nb if isinstance(model, NaiveBayesModel) else predict_svm
-    results = [predict(model, v) for v in vectors]
-    labeled = [(r, v.label) for r, v in zip(results, vectors) if v.label is not None]
+    predicted, scores = predict(model, X)
+    results = list(zip(predicted.tolist(), scores.tolist()))
+    labeled = labels != 0
     accuracy = (
-        sum(pred == truth for (pred, _), truth in labeled) / len(labeled) if labeled else None
+        int(np.sum(predicted[labeled] == labels[labeled])) / int(labeled.sum())
+        if labeled.any() else None
     )
     if args.format == "json":
         print(json.dumps({

@@ -50,9 +50,6 @@ class Corpus:
     def by_label(self, label: Label) -> list[RawDocument]:
         return [d for d in self.documents if d.label == label]
 
-    def fold_ids(self, fold: int) -> list[str]:
-        return [d.id for d in self.documents if self.folds.get(d.id) == fold]
-
 
 @dataclass
 class LabelStats:

@@ -1,9 +1,12 @@
 """Cross-validated experiment harness over the feature/representation/classifier grid.
 
-A FeaturePipeline preprocesses the corpus once and caches per-family bags,
-so a grid of many configurations pays the extraction cost per family, not
-per cell. Reports carry per-fold and mean accuracy plus supplementary
-precision/recall.
+A FeaturePipeline preprocesses the corpus once and caches one sparse count
+matrix per feature family, so a grid of many configurations pays the
+extraction cost per family, not per cell. A cell takes the union of its
+families' columns, prunes them with a column mask (once over the corpus, or
+per fold over the training rows), and trains on row slices; under corpus
+scope the SVM Gram matrix is computed once per cell and sliced per fold.
+Reports carry per-fold and mean accuracy plus supplementary precision/recall.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import linear_svm, naive_bayes
 from .corpus import Corpus, N_FOLDS
 from .errors import ConfigError, DataError
@@ -25,7 +30,7 @@ from .features import extract_adjectives, extract_adjadv_bigrams, extract_adjadv
 from .features import extract_polarized_bigrams, extract_polarized_unigrams, extract_transitions
 from .lexicon import SubjectivityLexicon, TransitionList
 from .preprocess import Document, PreprocessConfig, preprocess_document
-from .vectorize import Representation, build_vocabulary, vectorize
+from .vectorize import FeatureMatrix, Representation, column_mask, represent
 
 CLASSIFIERS = ("nb", "svm")
 PRUNE_SCOPES = ("fold", "corpus")
@@ -112,11 +117,12 @@ class EvalReport:
 
 
 class FeaturePipeline:
-    """Shared preprocessing plus per-family feature-bag cache for one corpus.
+    """Shared preprocessing plus a per-family count-matrix cache for one corpus.
 
     Documents are preprocessed once with negation tagging on; the negated and
     plain unigram variants are both recoverable from the same tokens, so every
-    grid cell reuses the cache regardless of its negation flag.
+    grid cell reuses the cache regardless of its negation flag. A family's
+    feature bags live only while its matrix is built.
     """
 
     def __init__(self, corpus: Corpus,
@@ -131,7 +137,7 @@ class FeaturePipeline:
             cfg = replace(cfg, apply_negation=True)
         self.preprocess_cfg = cfg
         self._documents: list[Document] | None = None
-        self._family_bags: dict[tuple, list[FeatureBag]] = {}
+        self._matrices: dict[tuple, FeatureMatrix] = {}
 
     @property
     def documents(self) -> list[Document]:
@@ -144,91 +150,107 @@ class FeaturePipeline:
     def labels(self) -> list[int]:
         return [doc.label.sign for doc in self.corpus.documents]
 
-    def family_bags(self, family: FeatureFamily, negation_variant: bool = False) -> list[FeatureBag]:
+    def family_matrix(self, family: FeatureFamily, negation_variant: bool = False) -> FeatureMatrix:
+        """The cached count matrix of *family*; built from fresh bags on first use."""
         neg = negation_variant and family is FeatureFamily.UNIGRAM
         key = (family, neg)
-        if key in self._family_bags:
-            return self._family_bags[key]
+        if key not in self._matrices:
+            self._matrices[key] = FeatureMatrix.from_bags(self.family_bags(family, neg))
+        return self._matrices[key]
 
+    def family_bags(self, family: FeatureFamily, negation_variant: bool = False) -> list[FeatureBag]:
+        """One bag per document for *family*, extracted afresh (not cached)."""
+        neg = negation_variant and family is FeatureFamily.UNIGRAM
         docs = self.documents
         if family is FeatureFamily.UNIGRAM:
-            bags = [extract_ngrams(d, 1, keep_negation_prefix=neg) for d in docs]
-        elif family is FeatureFamily.BIGRAM:
-            bags = [extract_ngrams(d, 2) for d in docs]
-        elif family is FeatureFamily.TRIGRAM:
-            bags = [extract_ngrams(d, 3) for d in docs]
-        elif family is FeatureFamily.ADJECTIVE:
-            bags = [extract_adjectives(d) for d in docs]
-        elif family is FeatureFamily.ADJADV_BIGRAM:
-            bags = [extract_adjadv_bigrams(d) for d in docs]
-        elif family is FeatureFamily.ADJADV_TRIGRAM:
-            bags = [extract_adjadv_trigrams(d) for d in docs]
-        elif family is FeatureFamily.POLARIZED_UNIGRAM:
-            self._require_lexicon(family)
-            bags = [extract_polarized_unigrams(d, self.lexicon) for d in docs]
-        elif family is FeatureFamily.POLARIZED_BIGRAM:
-            self._require_lexicon(family)
-            bags = [extract_polarized_bigrams(d, self.lexicon) for d in docs]
-        elif family is FeatureFamily.TRANSITION:
-            self._require_lexicon(family)
-            if self.transitions is None:
-                raise ConfigError("transition features require a transition list")
-            bags = [extract_transitions(d, self.transitions, self.lexicon) for d in docs]
-        else:  # pragma: no cover
-            raise ConfigError(f"unhandled family {family}")
-        self._family_bags[key] = bags
-        return bags
-
-    def _require_lexicon(self, family: FeatureFamily) -> None:
+            return [extract_ngrams(d, 1, keep_negation_prefix=neg) for d in docs]
+        if family is FeatureFamily.BIGRAM:
+            return [extract_ngrams(d, 2) for d in docs]
+        if family is FeatureFamily.TRIGRAM:
+            return [extract_ngrams(d, 3) for d in docs]
+        if family is FeatureFamily.ADJECTIVE:
+            return [extract_adjectives(d) for d in docs]
+        if family is FeatureFamily.ADJADV_BIGRAM:
+            return [extract_adjadv_bigrams(d) for d in docs]
+        if family is FeatureFamily.ADJADV_TRIGRAM:
+            return [extract_adjadv_trigrams(d) for d in docs]
         if self.lexicon is None:
             raise ConfigError(f"{family.value} features require a subjectivity lexicon")
+        if family is FeatureFamily.POLARIZED_UNIGRAM:
+            return [extract_polarized_unigrams(d, self.lexicon) for d in docs]
+        if family is FeatureFamily.POLARIZED_BIGRAM:
+            return [extract_polarized_bigrams(d, self.lexicon) for d in docs]
+        if family is FeatureFamily.TRANSITION:
+            if self.transitions is None:
+                raise ConfigError("transition features require a transition list")
+            return [extract_transitions(d, self.transitions, self.lexicon) for d in docs]
+        raise ConfigError(f"unhandled family {family}")  # pragma: no cover
 
-    def bags_for_spec(self, spec: FeatureSpec) -> list[FeatureBag]:
-        per_family = [
-            self.family_bags(f, spec.negation_variant) for f in FeatureFamily if f in spec.families
-        ]
-        merged = []
-        for i in range(len(self.corpus.documents)):
-            bag: FeatureBag = FeatureBag()
-            for bags in per_family:
-                bag.update(bags[i])
-            merged.append(bag)
-        return merged
+    def matrix_for_spec(self, spec: FeatureSpec) -> FeatureMatrix:
+        """The union of the spec's family matrices, columns in lexicographic order."""
+        return FeatureMatrix.union([
+            self.family_matrix(f, spec.negation_variant) for f in FeatureFamily if f in spec.families
+        ])
 
 
-def _train_model(config: ExperimentConfig, train_vecs, vocab_size: int):
+def _train_model(config: ExperimentConfig, X, y, gram=None):
     caught: list[str] = []
     if config.classifier == "nb":
-        model = naive_bayes.train_nb(train_vecs, vocab_size=vocab_size)
+        model = naive_bayes.train_nb(X, y)
     else:
         with warnings.catch_warnings(record=True) as wlist:
             warnings.simplefilter("always")
             model = linear_svm.train_svm(
-                train_vecs, C=config.C, tol=config.tol,
-                max_epochs=config.max_epochs, n_features=vocab_size,
+                X, y, C=config.C, tol=config.tol, max_epochs=config.max_epochs, gram=gram,
             )
         caught = [str(w.message) for w in wlist]
     return model, caught
 
 
-def _predict(config: ExperimentConfig, model, vectors) -> list[int]:
+def _predict(config: ExperimentConfig, model, X) -> np.ndarray:
     predict = naive_bayes.predict_nb if config.classifier == "nb" else linear_svm.predict_svm
-    return [predict(model, v)[0] for v in vectors]
+    return predict(model, X)[0]
 
 
-def _fit_fold(config: ExperimentConfig, bags, labels, folds, fold, corpus_vocab=None):
-    """Build the fold's vocabulary and train on the other four folds."""
-    train_idx = [i for i, f in enumerate(folds) if f != fold]
-    test_idx = [i for i, f in enumerate(folds) if f == fold]
-    if not train_idx or not test_idx:
-        raise DataError(f"fold {fold} leaves an empty train or test split")
-    vocab = corpus_vocab or build_vocabulary(
-        (bags[i] for i in train_idx), min_count=config.min_count
-    )
-    rep = config.representation
-    train_vecs = [vectorize(bags[i], vocab, rep, label=labels[i]) for i in train_idx]
-    model, caught = _train_model(config, train_vecs, len(vocab))
-    return model, vocab, train_idx, test_idx, caught
+class _Cell:
+    """One configuration's matrix, split fold by fold into training and test rows.
+
+    Under prune_scope="corpus" the column mask, the represented matrix and
+    (for the SVM) the Gram matrix are computed once here and sliced per fold;
+    under "fold" each fold prunes on its own training rows. Nothing outlives
+    the cell.
+    """
+
+    def __init__(self, config: ExperimentConfig, matrix: FeatureMatrix, folds: np.ndarray):
+        self.config = config
+        self.matrix = matrix
+        self.folds = folds
+        self.mask = self.X = self.gram = None
+        if config.prune_scope == "corpus":
+            self.mask = column_mask(matrix.counts, config.min_count)
+            self.X = represent(matrix.counts[:, self.mask], config.representation)
+            if config.classifier == "svm":
+                self.gram = linear_svm.gram_matrix(self.X)
+
+    def split(self, fold: int):
+        """(train rows, column mask, X_train, X_test, training Gram or None)."""
+        train = self.folds != fold
+        if train.all() or not train.any():
+            raise DataError(f"fold {fold} leaves an empty train or test split")
+        if self.X is not None:
+            gram = None if self.gram is None else self.gram[np.ix_(train, train)]
+            return train, self.mask, self.X[train], self.X[~train], gram
+        counts, rep = self.matrix.counts, self.config.representation
+        train_counts = counts[train]
+        mask = column_mask(train_counts, self.config.min_count)
+        return (train, mask, represent(train_counts[:, mask], rep),
+                represent(counts[~train][:, mask], rep), None)
+
+
+def _fold_array(corpus: Corpus) -> np.ndarray:
+    if not corpus.folds:
+        raise ConfigError("corpus has no fold assignment; call assign_folds first")
+    return np.array([corpus.folds[doc.id] for doc in corpus.documents])
 
 
 def train_fold_model(corpus: Corpus, config: ExperimentConfig, fold: int,
@@ -240,18 +262,14 @@ def train_fold_model(corpus: Corpus, config: ExperimentConfig, fold: int,
     Returns (model, vocabulary). The held-out fold's documents contribute to
     neither (under prune_scope="fold"), which the no-leakage test asserts.
     """
-    if not corpus.folds:
-        raise ConfigError("corpus has no fold assignment; call assign_folds first")
+    folds = _fold_array(corpus)
     if pipeline is None:
         pipeline = FeaturePipeline(corpus, lexicon=lexicon, transitions=transitions)
-    bags = pipeline.bags_for_spec(config.spec())
-    labels = pipeline.labels()
-    folds = [corpus.folds[doc.id] for doc in corpus.documents]
-    corpus_vocab = None
-    if config.prune_scope == "corpus":
-        corpus_vocab = build_vocabulary(bags, min_count=config.min_count)
-    model, vocab, _, _, _ = _fit_fold(config, bags, labels, folds, fold, corpus_vocab)
-    return model, vocab
+    matrix = pipeline.matrix_for_spec(config.spec())
+    train, mask, X_train, _, gram = _Cell(config, matrix, folds).split(fold)
+    y = np.array(pipeline.labels())
+    model, _ = _train_model(config, X_train, y[train], gram)
+    return model, matrix.vocabulary(mask, config.min_count)
 
 
 def run_experiment(corpus: Corpus, config: ExperimentConfig,
@@ -265,45 +283,31 @@ def run_experiment(corpus: Corpus, config: ExperimentConfig,
     vocabulary is rebuilt from training documents only, with "corpus" it is
     counted once over all documents (the replication setting).
     """
-    if not corpus.folds:
-        raise ConfigError("corpus has no fold assignment; call assign_folds first")
+    folds = _fold_array(corpus)
     if pipeline is None:
         pipeline = FeaturePipeline(corpus, lexicon=lexicon, transitions=transitions)
 
     start = time.perf_counter()
-    spec = config.spec()
-    bags = pipeline.bags_for_spec(spec)
-    labels = list(labels_override) if labels_override is not None else pipeline.labels()
-    folds = [corpus.folds[doc.id] for doc in corpus.documents]
-    rep = config.representation
-
-    corpus_vocab = None
-    if config.prune_scope == "corpus":
-        corpus_vocab = build_vocabulary(bags, min_count=config.min_count)
+    matrix = pipeline.matrix_for_spec(config.spec())
+    y = np.array(labels_override if labels_override is not None else pipeline.labels())
+    cell = _Cell(config, matrix, folds)
 
     fold_accuracies: list[float] = []
     vocab_sizes: list[int] = []
     caught: list[str] = []
     tp = fp = fn = 0
     for k in range(N_FOLDS):
-        model, vocab, _, test_idx, fold_warnings = _fit_fold(
-            config, bags, labels, folds, k, corpus_vocab
-        )
-        vocab_sizes.append(len(vocab))
+        train, mask, X_train, X_test, gram = cell.split(k)
+        model, fold_warnings = _train_model(config, X_train, y[train], gram)
+        vocab_sizes.append(int(mask.sum()))
         caught += [f"fold {k}: {msg}" for msg in fold_warnings]
 
-        test_vecs = [vectorize(bags[i], vocab, rep, label=labels[i]) for i in test_idx]
-        predictions = _predict(config, model, test_vecs)
-
-        correct = sum(p == labels[i] for p, i in zip(predictions, test_idx))
-        fold_accuracies.append(correct / len(test_idx))
-        for p, i in zip(predictions, test_idx):
-            if p == 1 and labels[i] == 1:
-                tp += 1
-            elif p == 1:
-                fp += 1
-            elif labels[i] == 1:
-                fn += 1
+        predictions = _predict(config, model, X_test)
+        truth = y[~train]
+        fold_accuracies.append(int(np.sum(predictions == truth)) / len(truth))
+        tp += int(np.sum((predictions == 1) & (truth == 1)))
+        fp += int(np.sum((predictions == 1) & (truth != 1)))
+        fn += int(np.sum((predictions != 1) & (truth == 1)))
 
     mean_acc = sum(fold_accuracies) / len(fold_accuracies)
     precision = tp / (tp + fp) if tp + fp else 0.0
@@ -396,11 +400,13 @@ def _map_cells(corpus, configs, pipeline, jobs):
         except ValueError:
             ctx = None
         if ctx is not None:
-            # Warm the shared caches before forking so workers inherit them.
+            # Warm the matrix cache before forking so workers inherit it.
             for cfg in configs:
-                for family in FeatureFamily:
-                    if family in cfg.spec().families:
-                        pipeline.family_bags(family, cfg.negation)
+                for family in cfg.spec().families:
+                    try:
+                        pipeline.family_matrix(family, cfg.negation)
+                    except ConfigError:
+                        pass  # the cell reports it
             _FORK_STATE["corpus"] = corpus
             _FORK_STATE["pipeline"] = pipeline
             try:

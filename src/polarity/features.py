@@ -34,22 +34,6 @@ class FeatureFamily(Enum):
     ADJADV_TRIGRAM = "3adjadv"
     TRANSITION = "t"
 
-    @property
-    def namespace(self) -> str:
-        return _NAMESPACES[self]
-
-
-_NAMESPACES = {
-    FeatureFamily.UNIGRAM: "u",
-    FeatureFamily.BIGRAM: "b",
-    FeatureFamily.TRIGRAM: "t",
-    FeatureFamily.POLARIZED_UNIGRAM: "pu",
-    FeatureFamily.POLARIZED_BIGRAM: "pb",
-    FeatureFamily.ADJECTIVE: "adj",
-    FeatureFamily.ADJADV_BIGRAM: "aab",
-    FeatureFamily.ADJADV_TRIGRAM: "aat",
-    FeatureFamily.TRANSITION: "tr",
-}
 
 _SPEC_ALIASES = {
     "unigram": FeatureFamily.UNIGRAM,

@@ -10,6 +10,7 @@ constant feature.
 from __future__ import annotations
 
 import json
+import math
 import random
 import warnings
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError
-from .vectorize import SparseVector
+from .vectorize import fit_columns, read_json_object
 
 MODEL_FORMAT = "polarity-svm/1"
 
@@ -68,69 +69,80 @@ class LinearSvmModel:
     def load(cls, prefix: str | Path) -> "LinearSvmModel":
         prefix = Path(prefix)
         meta_path = prefix if prefix.suffix == ".json" else prefix.with_suffix(".json")
-        payload = json.loads(meta_path.read_text(encoding="utf-8"))
+        payload = read_json_object(meta_path)
         if payload.get("format") != MODEL_FORMAT:
             raise DataError(f"{meta_path}: not a {MODEL_FORMAT} model file")
-        weights = np.load(meta_path.parent / payload["weights_file"])
-        meta = SvmTrainingMeta(
-            iterations=payload["iterations"], converged=payload["converged"],
-            final_objective=payload["final_objective"],
-            dual_objective=payload["dual_objective"],
-            duality_gap=payload["duality_gap"],
-        )
-        return cls(weights=weights, bias=float(payload["bias"]), C=float(payload["C"]), meta=meta)
+        try:
+            weights_path = meta_path.parent / payload["weights_file"]
+            weights = np.asarray(np.load(weights_path), dtype=np.float64)
+            meta = SvmTrainingMeta(
+                iterations=payload["iterations"], converged=payload["converged"],
+                final_objective=payload["final_objective"],
+                dual_objective=payload["dual_objective"],
+                duality_gap=payload["duality_gap"],
+            )
+            model = cls(weights=weights, bias=float(payload["bias"]), C=float(payload["C"]),
+                        meta=meta)
+        except OSError as exc:
+            raise DataError(f"{meta_path}: cannot read the weights file "
+                            f"({exc.strerror or exc})") from None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{meta_path}: malformed {MODEL_FORMAT} model file ({exc!r})") from None
+        if (model.weights.ndim != 1 or not np.all(np.isfinite(model.weights))
+                or not math.isfinite(model.bias)):
+            raise DataError(f"{meta_path}: weights must be one finite vector and the bias finite")
+        return model
 
 
-def _to_csr(vectors: Sequence[SparseVector], n_features: int | None) -> sp.csr_matrix:
-    if n_features is None:
-        n_features = max((int(v.ids[-1]) + 1 for v in vectors if len(v.ids)), default=0)
-    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
-    for i, v in enumerate(vectors):
-        indptr[i + 1] = indptr[i] + len(v.ids)
-    indices = np.concatenate([v.ids for v in vectors]) if vectors else np.zeros(0, dtype=np.int64)
-    data = np.concatenate([v.values for v in vectors]) if vectors else np.zeros(0)
-    return sp.csr_matrix((data, indices, indptr), shape=(len(vectors), max(n_features, 1)))
+def gram_matrix(X: sp.csr_matrix) -> np.ndarray:
+    """Dense X X' of the rows of *X*."""
+    return (X @ X.T).toarray()
 
 
-def default_C(vectors: Sequence[SparseVector]) -> float:
-    """The referenced-solver default: 1 / mean squared norm of the training set."""
-    if not vectors:
+def default_C(X: sp.csr_matrix) -> float:
+    """The referenced-solver default: 1 / mean squared norm of the training rows."""
+    if X.shape[0] == 0:
         raise DataError("cannot derive C from an empty training set")
-    mean = sum(v.norm_sq() for v in vectors) / len(vectors)
+    mean = float(X.multiply(X).sum()) / X.shape[0]
     if mean == 0.0:
         raise DataError("cannot derive C: every training vector is zero")
     return 1.0 / mean
 
 
-def train_svm(vectors: Sequence[SparseVector], C: float | None = None,
+def train_svm(X: sp.csr_matrix, y: Sequence[int], C: float | None = None,
               tol: float = 1e-3, max_epochs: int = 1000,
-              n_features: int | None = None,
-              shuffle_seed: int | None = None) -> LinearSvmModel:
-    """Train to KKT tolerance *tol*; one epoch is n pair updates.
+              shuffle_seed: int | None = None,
+              gram: np.ndarray | None = None) -> LinearSvmModel:
+    """Train on the rows of *X* with +1/-1 labels *y* to KKT tolerance *tol*.
 
-    On hitting the epoch cap a warning is emitted and the best iterate is
-    returned with ``meta.converged`` False.
+    One epoch is n pair updates. *gram*, when given, must equal
+    ``gram_matrix(X)``; cross-validation passes the fold's slice of a Gram
+    computed once over the whole corpus. On hitting the epoch cap a warning
+    is emitted and the best iterate is returned with ``meta.converged`` False.
     """
-    labels = {v.label for v in vectors}
-    if None in labels:
+    y = np.asarray(y, dtype=np.float64)
+    labels = set(y.tolist())
+    if labels - {1.0, -1.0}:
         raise DataError("every training vector needs a label")
-    if labels != {1, -1}:
-        raise DataError(f"training set must contain both classes, got labels {sorted(labels)}")
+    if labels != {1.0, -1.0}:
+        raise DataError(f"training set must contain both classes, got labels "
+                        f"{sorted(int(v) for v in labels)}")
     if C is None:
-        C = default_C(vectors)
-    if C <= 0:
-        raise DataError(f"C must be positive, got {C}")
+        C = default_C(X)
+    if not C > 0 or not math.isfinite(C):
+        raise DataError(f"C must be positive and finite, got {C}")
+    if X.shape[1] == 0:
+        X = fit_columns(X, 1)
 
     if shuffle_seed is not None:
-        order = list(range(len(vectors)))
+        order = list(range(X.shape[0]))
         random.Random(shuffle_seed).shuffle(order)
-        vectors = [vectors[i] for i in order]
+        X, y = X[order], y[order]
+        if gram is not None:
+            gram = gram[np.ix_(order, order)]
 
-    X = _to_csr(vectors, n_features)
-    y = np.array([v.label for v in vectors], dtype=np.float64)
-    n = len(vectors)
-
-    K = (X @ X.T).toarray().astype(np.float64)
+    n = X.shape[0]
+    K = gram_matrix(X) if gram is None else gram
     diag = K.diagonal().copy()
 
     alpha = np.zeros(n)
@@ -207,21 +219,31 @@ def train_svm(vectors: Sequence[SparseVector], C: float | None = None,
     return LinearSvmModel(weights=w, bias=float(bias), C=float(C), meta=meta)
 
 
-def predict_svm(model: LinearSvmModel, vector: SparseVector) -> tuple[int, float]:
-    """(label, decision value); a score of exactly zero goes positive."""
-    ids = vector.ids
-    values = vector.values
-    if len(ids) and int(ids[-1]) >= len(model.weights):
-        keep = ids < len(model.weights)
-        ids, values = ids[keep], values[keep]
-    score = float(np.dot(values, model.weights[ids])) + model.bias
-    return (1 if score >= 0 else -1), score
+def predict_svm(model: LinearSvmModel, X: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, decision values) per row of *X*; a score of exactly zero goes positive.
+
+    Columns beyond the model's weights are ignored.
+    """
+    scores = _row_dots(fit_columns(X, len(model.weights)), model.weights) + model.bias
+    return np.where(scores >= 0, 1, -1), scores
 
 
-def margins(model: LinearSvmModel, vectors: Sequence[SparseVector]) -> np.ndarray:
-    """y_i * (w . x_i + b) for every labeled vector, for KKT checks."""
-    out = np.empty(len(vectors))
-    for k, vec in enumerate(vectors):
-        _, score = predict_svm(model, vec)
-        out[k] = vec.label * score
+def _row_dots(X: sp.csr_matrix, w: np.ndarray) -> np.ndarray:
+    """``X @ w``, each row summed by ``np.dot`` over its stored entries.
+
+    A sparse mat-vec adds the products in another order than the BLAS dot,
+    so decision values would differ in the last bits from those of the same
+    document scored alone; this keeps them identical.
+    """
+    gathered = w[X.indices]
+    bounds = X.indptr.tolist()
+    out = np.empty(X.shape[0])
+    for i in range(X.shape[0]):
+        lo, hi = bounds[i], bounds[i + 1]
+        out[i] = np.dot(X.data[lo:hi], gathered[lo:hi])
     return out
+
+
+def margins(model: LinearSvmModel, X: sp.csr_matrix, y: Sequence[int]) -> np.ndarray:
+    """y_i * (w . x_i + b) for every labeled row, for KKT checks."""
+    return np.asarray(y) * predict_svm(model, X)[1]

@@ -11,12 +11,13 @@ import json
 from dataclasses import dataclass
 from math import log
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DataError
-from .vectorize import SparseVector
+from .vectorize import fit_columns, read_json_object
 
 LABELS = (1, -1)
 
@@ -42,68 +43,66 @@ class NaiveBayesModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "NaiveBayesModel":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = read_json_object(path)
         if payload.get("format") != MODEL_FORMAT:
             raise DataError(f"{path}: not a {MODEL_FORMAT} model file")
-        return cls(
-            class_log_prior={int(c): float(p) for c, p in payload["class_log_prior"].items()},
-            feature_log_likelihood={
-                int(c): np.asarray(arr, dtype=np.float64)
-                for c, arr in payload["feature_log_likelihood"].items()
-            },
-            vocab_size=int(payload["vocab_size"]),
+        try:
+            model = cls(
+                class_log_prior={int(c): float(p) for c, p in payload["class_log_prior"].items()},
+                feature_log_likelihood={
+                    int(c): np.asarray(arr, dtype=np.float64)
+                    for c, arr in payload["feature_log_likelihood"].items()
+                },
+                vocab_size=int(payload["vocab_size"]),
+            )
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise DataError(f"{path}: malformed {MODEL_FORMAT} model file ({exc!r})") from None
+        shapes_ok = all(
+            model.feature_log_likelihood.get(c, np.zeros(0)).shape == (model.vocab_size,)
+            for c in LABELS
         )
+        if set(model.class_log_prior) != set(LABELS) or not shapes_ok:
+            raise DataError(f"{path}: model needs a prior and {model.vocab_size} "
+                            f"likelihoods for each of the classes {LABELS}")
+        return model
 
 
-def train_nb(vectors: Sequence[SparseVector], vocab_size: int | None = None) -> NaiveBayesModel:
-    """Fit priors and smoothed per-class feature likelihoods.
+def train_nb(X: sp.csr_matrix, y: Sequence[int]) -> NaiveBayesModel:
+    """Fit priors and smoothed per-class feature likelihoods from rows of *X*.
 
     P(c) is the class document fraction; P(f|c) = (count(f, c) + 1) /
-    (total feature mass in c + V). Presence vectors therefore contribute
-    binarized counts, frequency vectors raw ones.
+    (total feature mass in c + V), with V the number of columns. Presence
+    rows therefore contribute binarized counts, frequency rows raw ones.
     """
-    if vocab_size is None:
-        vocab_size = max((int(v.ids[-1]) + 1 for v in vectors if len(v.ids)), default=0)
-    labels = {v.label for v in vectors}
-    if None in labels:
+    y = np.asarray(y)
+    labels = set(y.tolist())
+    if labels - set(LABELS):
         raise DataError("every training vector needs a label")
     if labels != set(LABELS):
         raise DataError(f"training set must contain both classes, got labels {sorted(labels)}")
 
-    counts = {c: np.zeros(vocab_size, dtype=np.float64) for c in LABELS}
-    docs = {c: 0 for c in LABELS}
-    for vec in vectors:
-        docs[vec.label] += 1
-        np.add.at(counts[vec.label], vec.ids, vec.values)
-
-    total_docs = len(vectors)
-    prior = {c: log(docs[c] / total_docs) for c in LABELS}
+    vocab_size = X.shape[1]
+    indicator = np.column_stack([y == c for c in LABELS]).astype(np.float64)
+    counts = np.asarray(X.T @ indicator)  # column k: per-feature mass in class LABELS[k]
+    prior = {c: log(int(np.sum(y == c)) / len(y)) for c in LABELS}
     likelihood = {}
-    for c in LABELS:
+    for k, c in enumerate(LABELS):
         if vocab_size == 0:
             likelihood[c] = np.zeros(0, dtype=np.float64)
             continue
-        mass = counts[c].sum()
-        likelihood[c] = np.log(counts[c] + 1.0) - log(mass + vocab_size)
+        mass = counts[:, k].sum()
+        likelihood[c] = np.log(counts[:, k] + 1.0) - log(mass + vocab_size)
     return NaiveBayesModel(class_log_prior=prior, feature_log_likelihood=likelihood,
                            vocab_size=vocab_size)
 
 
-def _score(model: NaiveBayesModel, vector: SparseVector, label: int) -> float:
-    loglik = model.feature_log_likelihood[label]
-    ids = vector.ids
-    values = vector.values
-    if len(ids) and int(ids[-1]) >= model.vocab_size:
-        keep = ids < model.vocab_size
-        ids, values = ids[keep], values[keep]
-    return model.class_log_prior[label] + float(np.dot(values, loglik[ids]))
+def predict_nb(model: NaiveBayesModel, X: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, log-odds) per row of *X*; a tie goes to the positive class.
 
-
-def predict_nb(model: NaiveBayesModel, vector: SparseVector) -> tuple[int, float]:
-    """(label, log-odds) for one vector; a tie goes to the positive class."""
-    log_odds = _score(model, vector, 1) - _score(model, vector, -1)
-    return (1 if log_odds >= 0 else -1), log_odds
-
-
-def predict_many_nb(model: NaiveBayesModel, vectors: Iterable[SparseVector]) -> list[int]:
-    return [predict_nb(model, v)[0] for v in vectors]
+    Columns beyond the model's vocabulary are ignored.
+    """
+    loglik = np.column_stack([model.feature_log_likelihood[c] for c in LABELS])
+    scores = np.asarray(fit_columns(X, model.vocab_size) @ loglik)
+    log_odds = ((model.class_log_prior[1] + scores[:, 0])
+                - (model.class_log_prior[-1] + scores[:, 1]))
+    return np.where(log_odds >= 0, 1, -1), log_odds

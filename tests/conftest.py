@@ -7,7 +7,9 @@ import os
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from polarity.corpus import assign_folds, load_corpus
 from polarity.lexicon import LexiconEntry, Polarity, SubjectivityLexicon
@@ -52,6 +54,26 @@ requires_lexicon = pytest.mark.skipif(
     real_lexicon_path() is None,
     reason=f"subjectivity clues file not found; point ${LEXICON_ENV} at it",
 )
+
+
+def labeled_matrix(rows, n_features=None):
+    """(CSR matrix, label array) from ``[(pairs, label), ...]``.
+
+    ``pairs`` are (column, value) tuples; a None label becomes 0 (unlabeled).
+    The width defaults to the largest column plus one.
+    """
+    if n_features is None:
+        n_features = max((col + 1 for pairs, _ in rows for col, _ in pairs), default=0)
+    data, indices, indptr = [], [], [0]
+    for pairs, _ in rows:
+        for col, value in sorted(pairs):
+            indices.append(col)
+            data.append(float(value))
+        indptr.append(len(indices))
+    X = sp.csr_matrix((np.array(data, dtype=np.float64), np.array(indices, dtype=np.int64),
+                       np.array(indptr, dtype=np.int64)), shape=(len(rows), n_features))
+    y = np.array([0 if label is None else label for _, label in rows], dtype=np.int64)
+    return X, y
 
 
 def write_synthetic_corpus(root: Path, docs_per_label: int = 50, seed: int = 13) -> Path:

@@ -13,7 +13,6 @@ import shutil
 import time
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from conftest import (
@@ -23,6 +22,7 @@ from conftest import (
     real_lexicon_path,
     requires_dataset,
     requires_lexicon,
+    labeled_matrix,
     write_synthetic_corpus,
 )
 from polarity.cli import main
@@ -45,7 +45,6 @@ from polarity.linear_svm import margins, predict_svm, train_svm
 from polarity.naive_bayes import predict_nb, train_nb
 from polarity.preprocess import PreprocessConfig, preprocess_document
 from polarity.corpus import RawDocument
-from polarity.vectorize import SparseVector
 
 TABLE1 = {
     Label.POSITIVE: {"sentences": 31944, "words": 614970, "distinct": 35140},
@@ -166,12 +165,7 @@ def test_criterion5_worked_example_goldens():
 
 
 def _sv(pairs, label=None):
-    pairs = sorted(pairs)
-    return SparseVector(
-        ids=np.array([p[0] for p in pairs], dtype=np.int64),
-        values=np.array([float(p[1]) for p in pairs]),
-        label=label,
-    )
+    return sorted(pairs), label
 
 
 def test_criterion6_classifier_oracles(tmp_path):
@@ -179,11 +173,11 @@ def test_criterion6_classifier_oracles(tmp_path):
     # vocab: bad=0, dull=1, fun=2, good=3
     train = [_sv([(3, 1)], 1), _sv([(3, 1), (2, 1)], 1),
              _sv([(0, 1)], -1), _sv([(0, 1), (1, 1)], -1)]
-    model = train_nb(train, vocab_size=4)
+    model = train_nb(*labeled_matrix(train, 4))
     assert math.exp(model.feature_log_likelihood[1][3]) == pytest.approx(3 / 7, abs=1e-9)
     assert math.exp(model.feature_log_likelihood[1][2]) == pytest.approx(2 / 7, abs=1e-9)
     assert math.exp(model.feature_log_likelihood[-1][3]) == pytest.approx(1 / 7, abs=1e-9)
-    label, log_odds = predict_nb(model, _sv([(3, 1)]))
+    (label,), (log_odds,) = predict_nb(model, labeled_matrix([_sv([(3, 1)])])[0])
     posterior = 1.0 / (1.0 + math.exp(-log_odds))
     assert label == 1
     assert posterior == pytest.approx((0.5 * 3 / 7) / (0.5 * 3 / 7 + 0.5 * 1 / 7), abs=1e-9)
@@ -191,10 +185,10 @@ def test_criterion6_classifier_oracles(tmp_path):
     # Linear SVM on the symmetric separable pair: analytic separator + KKT.
     tol = 1e-3
     points = [_sv([(0, 2.0)], 1), _sv([(0, -2.0)], -1)]
-    svm = train_svm(points, C=1.0, tol=tol, n_features=2)
+    svm = train_svm(*labeled_matrix(points, 2), C=1.0, tol=tol)
     assert svm.weights[0] == pytest.approx(0.5, abs=tol)
     assert svm.bias == pytest.approx(0.0, abs=tol)
-    for alpha, margin in zip(svm.meta.alphas, margins(svm, points)):
+    for alpha, margin in zip(svm.meta.alphas, margins(svm, *labeled_matrix(points, 2))):
         if alpha <= 1e-9:
             assert margin >= 1 - tol
         elif alpha >= svm.C - 1e-9:

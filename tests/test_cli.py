@@ -162,6 +162,76 @@ class TestTrainPredict:
         assert main(["predict", "--model", str(bad), "--input", str(vector_file)]) == 3
 
 
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_svmlight_value_exits_3(self, tmp_path, capsys, value):
+        path = tmp_path / "v.svml"
+        path.write_text(f"+1 1:1 2:{value}\n-1 1:2\n", encoding="utf-8")
+        code = main(["train", "--input", str(path), "--clf", "svm", "--out", str(tmp_path / "m")])
+        assert code == 3
+        assert "not finite" in one_error_line(capsys)
+        assert not (tmp_path / "m.json").exists()
+
+    def test_non_finite_C_exits_3(self, vector_file, tmp_path, capsys):
+        code = main(["train", "--input", str(vector_file), "--clf", "svm", "--C", "nan",
+                     "--out", str(tmp_path / "m")])
+        assert code == 3
+        assert "C must be positive" in one_error_line(capsys)
+
+    def test_non_json_model_exits_3(self, vector_file, tmp_path, capsys):
+        bad = tmp_path / "model.json"
+        bad.write_text("this is not json\n", encoding="utf-8")
+        assert main(["predict", "--model", str(bad), "--input", str(vector_file)]) == 3
+        assert "not JSON" in one_error_line(capsys)
+
+    def test_binary_model_exits_3(self, vector_file, tmp_path, capsys):
+        bad = tmp_path / "model.json"
+        bad.write_bytes(b"\x93NUMPY\xff\xfe")
+        assert main(["predict", "--model", str(bad), "--input", str(vector_file)]) == 3
+        one_error_line(capsys)
+
+    def test_missing_model_exits_2(self, vector_file, tmp_path, capsys):
+        code = main(["predict", "--model", str(tmp_path / "absent.json"),
+                     "--input", str(vector_file)])
+        assert code == 2
+        assert "not found" in one_error_line(capsys)
+
+    def test_missing_input_exits_2(self, tmp_path, capsys):
+        code = main(["train", "--input", str(tmp_path / "absent.svml"), "--clf", "nb",
+                     "--out", str(tmp_path / "m")])
+        assert code == 2
+        assert "not found" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("payload", [
+        {"format": "polarity-nb/1"},
+        {"format": "polarity-nb/1", "vocab_size": 2, "class_log_prior": {"1": 0.0},
+         "feature_log_likelihood": {"1": [0.0, 0.0]}},
+        {"format": "polarity-svm/1", "bias": 0.0},
+        ["polarity-nb/1"],
+    ])
+    def test_malformed_model_exits_3(self, vector_file, tmp_path, capsys, payload):
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["predict", "--model", str(bad), "--input", str(vector_file)]) == 3
+        one_error_line(capsys)
+
+    def test_svm_model_without_weights_exits_3(self, vector_file, tmp_path, capsys):
+        model = tmp_path / "svm"
+        assert main(["train", "--input", str(vector_file), "--clf", "svm",
+                     "--out", str(model)]) == 0
+        (tmp_path / "svm.npy").unlink()
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model) + ".json",
+                     "--input", str(vector_file)]) == 3
+        assert "weights file" in one_error_line(capsys)
+
+
 class TestReproduce:
     def test_table2_subset(self, corpus_dir, lexicon_tsv, tmp_path, capsys):
         out_dir = tmp_path / "repro"

@@ -8,18 +8,22 @@ import pytest
 
 from conftest import write_synthetic_corpus
 from polarity.corpus import assign_folds, load_corpus
-from polarity.errors import ConfigError
+from polarity.errors import ConfigError, DataError
 from polarity.evaluation import (
     CSV_HEADER,
     ExperimentConfig,
     FeaturePipeline,
+    _Cell,
     emit_report,
     run_experiment,
     run_grid,
     run_label_shuffled_control,
     train_fold_model,
 )
+from polarity.features import FeatureFamily, extract_adjectives, extract_ngrams
 from polarity.lexicon import load_transitions
+from polarity.linear_svm import gram_matrix
+from polarity.vectorize import build_vocabulary
 
 
 def cfg(**kwargs):
@@ -135,6 +139,47 @@ class TestNoLeakage:
                 assert model_a.bias == model_b.bias
 
 
+class TestMatrixCore:
+    def test_family_matrix_built_once(self, synth_corpus):
+        pipeline = FeaturePipeline(synth_corpus)
+        first = pipeline.family_matrix(FeatureFamily.BIGRAM)
+        assert pipeline.family_matrix(FeatureFamily.BIGRAM) is first
+        # the negation variant only exists for unigrams
+        assert pipeline.family_matrix(FeatureFamily.BIGRAM, negation_variant=True) is first
+        assert (pipeline.family_matrix(FeatureFamily.UNIGRAM, negation_variant=True)
+                is not pipeline.family_matrix(FeatureFamily.UNIGRAM))
+
+    @pytest.mark.parametrize("min_count", [1, 3, 400])
+    def test_fold_mask_equals_bag_vocabulary(self, synth_corpus, min_count):
+        """Fold-scope column masks give build_vocabulary's result on the training bags."""
+        pipeline = FeaturePipeline(synth_corpus)
+        bags = [extract_ngrams(d, 1) + extract_adjectives(d) for d in pipeline.documents]
+        folds = [synth_corpus.folds[doc.id] for doc in synth_corpus.documents]
+        config = cfg(features="unigram+adj", prune_scope="fold", min_count=min_count)
+        for k in range(5):
+            training_bags = [bag for bag, f in zip(bags, folds) if f != k]
+            try:
+                expected = build_vocabulary(training_bags, min_count=min_count)
+            except DataError as exc:
+                with pytest.raises(DataError) as caught:
+                    train_fold_model(synth_corpus, config, k, pipeline=pipeline)
+                assert str(caught.value) == str(exc)
+                continue
+            _, vocab = train_fold_model(synth_corpus, config, k, pipeline=pipeline)
+            assert vocab.index == expected.index
+
+    @pytest.mark.parametrize("representation", ["presence", "frequency"])
+    def test_sliced_corpus_gram_equals_fold_gram(self, synth_corpus, representation):
+        pipeline = FeaturePipeline(synth_corpus)
+        config = cfg(features="unigram+bigram", representation=representation,
+                     classifier="svm", prune_scope="corpus")
+        folds = np.array([synth_corpus.folds[doc.id] for doc in synth_corpus.documents])
+        cell = _Cell(config, pipeline.matrix_for_spec(config.spec()), folds)
+        for k in range(5):
+            _, _, X_train, _, gram = cell.split(k)
+            assert np.array_equal(gram, gram_matrix(X_train))
+
+
 class TestLabelShuffledControl:
     def test_control_near_chance(self, tmp_path):
         root = write_synthetic_corpus(tmp_path / "big", docs_per_label=150, seed=21)
@@ -157,6 +202,12 @@ class TestRunGrid:
     def test_empty_config_list_rejected(self, synth_corpus):
         with pytest.raises(ConfigError, match="empty"):
             run_grid(synth_corpus, [])
+
+    def test_parallel_errors_isolated(self, synth_corpus):
+        # the cache warm-up before the fork must not abort on a cell's config error
+        reports, errors = run_grid(synth_corpus, [cfg(), cfg(features="pu")], jobs=2)
+        assert len(reports) == 1 and len(errors) == 1
+        assert "lexicon" in errors[0]["error"]
 
     def test_parallel_jobs_match_sequential(self, synth_corpus):
         configs = [cfg(), cfg(representation="frequency")]

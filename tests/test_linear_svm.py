@@ -6,29 +6,42 @@ import random
 import numpy as np
 import pytest
 
+from conftest import labeled_matrix
 from polarity.errors import DataError
 from polarity.linear_svm import (
     LinearSvmModel,
     default_C,
+    gram_matrix,
     margins,
     predict_svm,
     train_svm,
 )
-from polarity.vectorize import SparseVector
 
 
 def sv(pairs, label=None):
-    pairs = sorted(pairs)
-    return SparseVector(
-        ids=np.array([p[0] for p in pairs], dtype=np.int64),
-        values=np.array([p[1] for p in pairs], dtype=np.float64),
-        label=label,
-    )
+    return sorted(pairs), label
+
+
+def fit(vectors, n_features=None, **kwargs):
+    return train_svm(*labeled_matrix(vectors, n_features), **kwargs)
+
+
+def predict_one(model, vec):
+    labels, scores = predict_svm(model, labeled_matrix([vec])[0])
+    return int(labels[0]), float(scores[0])
+
+
+def margins_of(model, vectors):
+    return margins(model, *labeled_matrix(vectors))
+
+
+def label_of(vec):
+    return vec[1]
 
 
 def assert_kkt(model, vectors, tol):
     """alpha=0 -> margin >= 1-tol; 0<alpha<C -> |margin-1| <= tol; alpha=C -> margin <= 1+tol."""
-    m = margins(model, vectors)
+    m = margins_of(model, vectors)
     for alpha, margin in zip(model.meta.alphas, m):
         if alpha <= 1e-9:
             assert margin >= 1 - tol, (alpha, margin)
@@ -43,34 +56,34 @@ SEPARABLE_2D = [sv([(0, 2.0)], 1), sv([(0, -2.0)], -1)]
 
 class TestAnalyticSeparable:
     def test_recovers_max_margin_separator(self):
-        model = train_svm(SEPARABLE_2D, C=1.0, tol=1e-3, n_features=2)
+        model = fit(SEPARABLE_2D, C=1.0, tol=1e-3, n_features=2)
         assert model.weights[0] == pytest.approx(0.5, abs=1e-3)
         assert model.weights[1] == pytest.approx(0.0, abs=1e-9)
         assert model.bias == pytest.approx(0.0, abs=1e-3)
         # geometric margin 1/|w| = 2 on both sides
         for vec in SEPARABLE_2D:
-            _, score = predict_svm(model, vec)
+            _, score = predict_one(model, vec)
             assert abs(score) / np.linalg.norm(model.weights) == pytest.approx(2.0, rel=1e-3)
 
     def test_zero_training_error_and_unit_margins(self):
-        model = train_svm(SEPARABLE_2D, C=1.0, tol=1e-3, n_features=2)
-        m = margins(model, SEPARABLE_2D)
+        model = fit(SEPARABLE_2D, C=1.0, tol=1e-3, n_features=2)
+        m = margins_of(model, SEPARABLE_2D)
         assert np.all(m >= 1 - 1e-3)
         for vec in SEPARABLE_2D:
-            assert predict_svm(model, vec)[0] == vec.label
+            assert predict_one(model, vec)[0] == label_of(vec)
 
     def test_kkt_residuals_every_point(self):
         tol = 1e-3
-        model = train_svm(SEPARABLE_2D, C=1.0, tol=tol, n_features=2)
+        model = fit(SEPARABLE_2D, C=1.0, tol=tol, n_features=2)
         assert_kkt(model, SEPARABLE_2D, tol)
         # both points are interior support vectors at alpha=0.125: margin ~ 1
         assert np.allclose(model.meta.alphas, 0.125, atol=1e-6)
-        assert np.all(np.abs(margins(model, SEPARABLE_2D) - 1.0) <= tol)
+        assert np.all(np.abs(margins_of(model, SEPARABLE_2D) - 1.0) <= tol)
 
     def test_duplicates_leave_decision_unchanged(self):
-        model = train_svm(SEPARABLE_2D, C=1.0, tol=1e-4, n_features=2)
+        model = fit(SEPARABLE_2D, C=1.0, tol=1e-4, n_features=2)
         doubled = SEPARABLE_2D + [sv([(0, 2.0)], 1), sv([(0, -2.0)], -1)]
-        model2 = train_svm(doubled, C=1.0, tol=1e-4, n_features=2)
+        model2 = fit(doubled, C=1.0, tol=1e-4, n_features=2)
         assert model2.weights[0] == pytest.approx(model.weights[0], abs=1e-3)
         assert model2.bias == pytest.approx(model.bias, abs=1e-3)
 
@@ -84,28 +97,28 @@ class TestSoftMargin:
     ]
 
     def test_inseparable_completes_with_hinge_loss(self):
-        model = train_svm(self.XOR, C=0.1, tol=1e-3)
-        m = margins(model, self.XOR)
+        model = fit(self.XOR, C=0.1, tol=1e-3)
+        m = margins_of(model, self.XOR)
         hinge = np.maximum(0.0, 1.0 - m).sum()
         assert hinge > 0
         assert model.meta.converged
 
     def test_duality_gap_small_and_primal_dominates(self):
-        model = train_svm(self.XOR, C=0.1, tol=1e-3)
+        model = fit(self.XOR, C=0.1, tol=1e-3)
         assert model.meta.duality_gap >= -1e-9
         assert model.meta.duality_gap <= 1e-3 * (1 + abs(model.meta.final_objective)) + 1e-9
 
     def test_objective_monotone_over_epochs(self):
         pts = _random_instance(seed=5, n=30)
-        model = train_svm(pts, C=1.0, tol=1e-6)
+        model = fit(pts, C=1.0, tol=1e-6)
         history = model.meta.objective_history
         for earlier, later in zip(history, history[1:]):
             assert later <= earlier + 1e-9
 
     def test_separable_with_large_c_has_zero_error(self):
         pts = _random_instance(seed=9, n=40, separable=True)
-        model = train_svm(pts, C=100.0, tol=1e-3)
-        assert all(predict_svm(model, p)[0] == p.label for p in pts)
+        model = fit(pts, C=100.0, tol=1e-3)
+        assert all(predict_one(model, p)[0] == label_of(p) for p in pts)
 
 
 def _random_instance(seed, n, separable=False, dim=6):
@@ -133,7 +146,7 @@ class TestKktInvariant:
     def test_kkt_residuals_random_instances(self, seed, C):
         tol = 1e-3
         pts = _random_instance(seed=seed, n=50)
-        model = train_svm(pts, C=C, tol=tol)
+        model = fit(pts, C=C, tol=tol)
         assert model.meta.converged
         assert_kkt(model, pts, tol)
         gap = model.meta.duality_gap
@@ -141,77 +154,100 @@ class TestKktInvariant:
 
     def test_order_invariance_of_predictions(self):
         pts = _random_instance(seed=4, n=40)
-        model_a = train_svm(pts, C=0.5, tol=1e-5)
+        model_a = fit(pts, C=0.5, tol=1e-5)
         shuffled = list(pts)
         random.Random(99).shuffle(shuffled)
-        model_b = train_svm(shuffled, C=0.5, tol=1e-5)
+        model_b = fit(shuffled, C=0.5, tol=1e-5)
         test = _random_instance(seed=41, n=20)
         for vec in test:
-            _, sa = predict_svm(model_a, vec)
-            _, sb = predict_svm(model_b, vec)
+            _, sa = predict_one(model_a, vec)
+            _, sb = predict_one(model_b, vec)
             assert sa == pytest.approx(sb, abs=5e-3)
 
     def test_shuffle_seed_flag(self):
         pts = _random_instance(seed=4, n=30)
-        model_a = train_svm(pts, C=0.5, tol=1e-5, shuffle_seed=7)
-        model_b = train_svm(pts, C=0.5, tol=1e-5, shuffle_seed=7)
+        model_a = fit(pts, C=0.5, tol=1e-5, shuffle_seed=7)
+        model_b = fit(pts, C=0.5, tol=1e-5, shuffle_seed=7)
         assert np.array_equal(model_a.weights, model_b.weights)
+
+
+class TestGramInput:
+    def test_precomputed_gram_gives_identical_model(self):
+        X, y = labeled_matrix(_random_instance(seed=6, n=30))
+        plain = train_svm(X, y, C=0.5, tol=1e-4)
+        given = train_svm(X, y, C=0.5, tol=1e-4, gram=gram_matrix(X))
+        assert np.array_equal(plain.weights, given.weights)
+        assert plain.bias == given.bias and plain.meta.iterations == given.meta.iterations
+
+    def test_sliced_gram_equals_subset_gram(self):
+        X, _ = labeled_matrix(_random_instance(seed=8, n=25))
+        rows = np.arange(25) % 5 != 2
+        assert np.array_equal(gram_matrix(X)[np.ix_(rows, rows)], gram_matrix(X[rows]))
+
+    def test_scores_equal_single_document_dot(self):
+        pts = _random_instance(seed=12, n=20)
+        model = fit(pts, C=1.0)
+        _, scores = predict_svm(model, labeled_matrix(pts, len(model.weights))[0])
+        for (pairs, _), score in zip(pts, scores):
+            ids = np.array([i for i, _ in pairs], dtype=np.int64)
+            values = np.array([v for _, v in pairs])
+            assert score == float(np.dot(values, model.weights[ids])) + model.bias
 
 
 class TestPredict:
     def test_zero_vector_goes_with_bias(self):
-        model = train_svm(SEPARABLE_2D + [sv([(1, 1.0)], 1)], C=1.0, n_features=2)
-        label, score = predict_svm(model, sv([]))
+        model = fit(SEPARABLE_2D + [sv([(1, 1.0)], 1)], C=1.0, n_features=2)
+        label, score = predict_one(model, sv([]))
         assert score == pytest.approx(model.bias)
         assert label == (1 if model.bias >= 0 else -1)
 
     def test_linearity_in_input(self):
-        model = train_svm(SEPARABLE_2D, C=1.0, n_features=2)
-        _, s1 = predict_svm(model, sv([(0, 1.0)]))
-        _, s2 = predict_svm(model, sv([(0, 2.0)]))
+        model = fit(SEPARABLE_2D, C=1.0, n_features=2)
+        _, s1 = predict_one(model, sv([(0, 1.0)]))
+        _, s2 = predict_one(model, sv([(0, 2.0)]))
         assert s2 - model.bias == pytest.approx(2 * (s1 - model.bias), abs=1e-12)
 
     def test_tie_goes_positive(self):
-        model = train_svm(SEPARABLE_2D, C=1.0, n_features=2)
+        model = fit(SEPARABLE_2D, C=1.0, n_features=2)
         assert model.bias == pytest.approx(0.0, abs=1e-3)
-        label, _ = predict_svm(model, sv([]))
+        label, _ = predict_one(model, sv([]))
         assert label == 1
 
 
 class TestDefaultC:
     def test_unit_norm_gives_one(self):
         vecs = [sv([(0, 1.0)]), sv([(1, 1.0)])]
-        assert default_C(vecs) == pytest.approx(1.0)
+        assert default_C(labeled_matrix(vecs)[0]) == pytest.approx(1.0)
 
     def test_mixed_norms(self):
         vecs = [sv([(0, math.sqrt(2))]), sv([(0, 2.0)])]
-        assert default_C(vecs) == pytest.approx(1 / 3)
+        assert default_C(labeled_matrix(vecs)[0]) == pytest.approx(1 / 3)
 
     def test_all_zero_rejected(self):
         with pytest.raises(DataError, match="zero"):
-            default_C([sv([]), sv([])])
+            default_C(labeled_matrix([sv([]), sv([])], 2)[0])
 
     def test_used_when_c_omitted(self):
         pts = _random_instance(seed=11, n=20)
-        model = train_svm(pts, C=None)
-        assert model.C == pytest.approx(default_C(pts))
+        model = fit(pts, C=None)
+        assert model.C == pytest.approx(default_C(labeled_matrix(pts)[0]))
         assert model.C > 0 and math.isfinite(model.C)
 
 
 class TestErrorsAndMeta:
     def test_single_class_rejected(self):
         with pytest.raises(DataError, match="both classes"):
-            train_svm([sv([(0, 1.0)], 1), sv([(1, 1.0)], 1)])
+            fit([sv([(0, 1.0)], 1), sv([(1, 1.0)], 1)])
 
     def test_nonconvergence_warns_and_flags(self):
         pts = _random_instance(seed=3, n=60)
         with pytest.warns(RuntimeWarning, match="best iterate"):
-            model = train_svm(pts, C=10.0, tol=1e-12, max_epochs=1)
+            model = fit(pts, C=10.0, tol=1e-12, max_epochs=1)
         assert not model.meta.converged
         assert np.all(np.isfinite(model.weights))
 
     def test_model_save_load_round_trip(self, tmp_path):
-        model = train_svm(SEPARABLE_2D, C=1.0, n_features=2)
+        model = fit(SEPARABLE_2D, C=1.0, n_features=2)
         model.save(tmp_path / "svm")
         loaded = LinearSvmModel.load(tmp_path / "svm")
         assert np.array_equal(loaded.weights, model.weights)

@@ -6,18 +6,22 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import labeled_matrix
 from polarity.errors import DataError
 from polarity.naive_bayes import NaiveBayesModel, predict_nb, train_nb
-from polarity.vectorize import SparseVector
 
 
 def sv(pairs, label=None):
-    pairs = sorted(pairs)
-    return SparseVector(
-        ids=np.array([p[0] for p in pairs], dtype=np.int64),
-        values=np.array([p[1] for p in pairs], dtype=np.float64),
-        label=label,
-    )
+    return sorted(pairs), label
+
+
+def fit(vectors, vocab_size=None):
+    return train_nb(*labeled_matrix(vectors, vocab_size))
+
+
+def predict_one(model, vec):
+    labels, log_odds = predict_nb(model, labeled_matrix([vec])[0])
+    return int(labels[0]), float(log_odds[0])
 
 
 @pytest.fixture()
@@ -29,7 +33,7 @@ def toy_model():
         sv([(0, 1)], -1),
         sv([(0, 1), (1, 1)], -1),
     ]
-    return train_nb(train, vocab_size=4), train
+    return fit(train, vocab_size=4), train
 
 
 class TestTrain:
@@ -59,36 +63,36 @@ class TestTrain:
 
     def test_single_class_rejected(self):
         with pytest.raises(DataError, match="both classes"):
-            train_nb([sv([(0, 1)], 1), sv([(1, 1)], 1)])
+            fit([sv([(0, 1)], 1), sv([(1, 1)], 1)])
 
     def test_unlabeled_rejected(self):
         with pytest.raises(DataError, match="label"):
-            train_nb([sv([(0, 1)], 1), sv([(1, 1)], None)])
+            fit([sv([(0, 1)], 1), sv([(1, 1)], None)])
 
 
 class TestPredict:
     def test_good_goes_positive(self, toy_model):
         model, _ = toy_model
-        label, log_odds = predict_nb(model, sv([(3, 1)]))
+        label, log_odds = predict_one(model, sv([(3, 1)]))
         assert label == 1
         assert log_odds == pytest.approx(math.log(3 / 7) - math.log(1 / 7), abs=1e-9)
 
     def test_empty_vector_ties_to_positive(self, toy_model):
         model, _ = toy_model
-        label, log_odds = predict_nb(model, sv([]))
+        label, log_odds = predict_one(model, sv([]))
         assert label == 1 and log_odds == 0.0
 
     def test_training_points_recovered(self, toy_model):
         model, train = toy_model
         for vec in train:
-            assert predict_nb(model, vec)[0] == vec.label
+            assert predict_one(model, vec)[0] == vec[1]
 
     def test_score_additivity_against_loop(self, toy_model):
         model, _ = toy_model
         vec = sv([(0, 2), (2, 1), (3, 3)])
-        _, log_odds = predict_nb(model, vec)
+        _, log_odds = predict_one(model, vec)
         expected = model.class_log_prior[1] - model.class_log_prior[-1]
-        for fid, value in vec.pairs():
+        for fid, value in vec[0]:
             expected += value * (
                 model.feature_log_likelihood[1][fid] - model.feature_log_likelihood[-1][fid]
             )
@@ -99,7 +103,7 @@ class TestPredict:
         # good has higher likelihood under +, so more of it never lowers the odds
         previous = -math.inf
         for count in range(1, 6):
-            _, log_odds = predict_nb(model, sv([(3, count)]))
+            _, log_odds = predict_one(model, sv([(3, count)]))
             assert log_odds >= previous
             previous = log_odds
 
@@ -107,12 +111,30 @@ class TestPredict:
         train = [sv([(0, 1), (2, 2)], 1), sv([(1, 3)], -1),
                  sv([(0, 2)], 1), sv([(1, 1), (2, 1)], -1)]
         perm = {0: 2, 1: 0, 2: 1}
-        permuted = [sv([(perm[i], v) for i, v in vec.pairs()], vec.label) for vec in train]
-        model = train_nb(train, vocab_size=3)
-        model_p = train_nb(permuted, vocab_size=3)
+        permuted = [sv([(perm[i], v) for i, v in pairs], label) for pairs, label in train]
+        model = fit(train, vocab_size=3)
+        model_p = fit(permuted, vocab_size=3)
         test = sv([(0, 1), (1, 1)])
         test_p = sv([(perm[0], 1), (perm[1], 1)])
-        assert predict_nb(model, test) == pytest.approx(predict_nb(model_p, test_p))
+        assert predict_one(model, test) == pytest.approx(predict_one(model_p, test_p))
+
+
+def test_matrix_predict_matches_hand_oracle(toy_model):
+    """One call over several rows gives each row's hand-computed log-odds."""
+    model, _ = toy_model
+    rows = [sv([(3, 1)]), sv([(0, 2), (1, 1)]), sv([]), sv([(2, 1), (5, 4)])]
+    labels, log_odds = predict_nb(model, labeled_matrix(rows)[0])
+    # add-one over class mass 3 plus V = 4, for bad, dull, fun, good
+    pos = [1 / 7, 1 / 7, 2 / 7, 3 / 7]
+    neg = [3 / 7, 2 / 7, 1 / 7, 1 / 7]
+    expected = [
+        math.log(pos[3] / neg[3]),
+        2 * math.log(pos[0] / neg[0]) + math.log(pos[1] / neg[1]),
+        0.0,
+        math.log(pos[2] / neg[2]),  # id 5 lies outside the model's vocabulary
+    ]
+    assert log_odds == pytest.approx(expected, abs=1e-12)
+    assert labels.tolist() == [1, -1, 1, 1]
 
 
 small_instances = st.lists(
@@ -130,9 +152,9 @@ small_instances = st.lists(
 def test_posterior_matches_brute_force(rows, test_pairs):
     """exp-normalized scores equal P(c) prod P(f|c)^v / evidence, computed naively."""
     train = [sv(pairs, label) for pairs, label in rows]
-    model = train_nb(train, vocab_size=8)
+    model = fit(train, vocab_size=8)
     vec = sv(test_pairs)
-    _, log_odds = predict_nb(model, vec)
+    _, log_odds = predict_one(model, vec)
 
     def naive_joint(c):
         counts = [0.0] * 8

@@ -1,4 +1,4 @@
-"""Vocabulary pruning, sparse vectors, and the svmlight file format."""
+"""Vocabulary pruning, sparse vectors and count matrices, and the file formats."""
 
 from collections import Counter
 
@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from polarity.errors import DataError
+from conftest import labeled_matrix
+from polarity.errors import ConfigError, DataError
 from polarity.vectorize import (
+    FeatureMatrix,
     Representation,
-    SparseVector,
     build_vocabulary,
+    column_mask,
     read_svmlight,
     read_vocabulary,
+    represent,
     vectorize,
     write_svmlight,
     write_vocabulary,
@@ -97,43 +100,50 @@ def test_presence_equals_clamped_frequency(bag_dict):
     assert np.array_equal(presence.values, np.minimum(frequency.values, 1.0))
 
 
-vectors_strategy = st.lists(
-    st.builds(
-        lambda idx, label: SparseVector(
-            ids=np.array(sorted(idx), dtype=np.int64),
-            values=np.arange(1.0, len(idx) + 1.0),
-            label=label,
-        ),
-        st.sets(st.integers(min_value=0, max_value=40), max_size=6),
+rows_strategy = st.lists(
+    st.tuples(
+        st.sets(st.integers(min_value=0, max_value=40), max_size=6).map(
+            lambda idx: [(i, float(k + 1)) for k, i in enumerate(sorted(idx))]),
         st.sampled_from([1, -1, None]),
     ),
     max_size=6,
 )
 
 
-@given(vectors_strategy)
-def test_svmlight_round_trip(tmp_path_factory, vecs):
+def assert_same_rows(got, want):
+    (X, y), (X_want, y_want) = got, want
+    assert np.array_equal(y, y_want)
+    assert X.shape[0] == X_want.shape[0]
+    assert np.array_equal(X.indptr, X_want.indptr)
+    assert np.array_equal(X.indices, X_want.indices)
+    assert np.array_equal(X.data, X_want.data)
+
+
+@given(rows_strategy)
+def test_svmlight_round_trip(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("svml") / "v.svml"
-    write_svmlight(vecs, path)
-    assert read_svmlight(path) == vecs
+    X, y = labeled_matrix(rows)
+    write_svmlight(X, path, y)
+    assert_same_rows(read_svmlight(path), (X, y))
 
 
 class TestSvmlightFormat:
     def test_exact_lines(self, tmp_path):
-        vecs = [
-            SparseVector(np.array([0, 4]), np.array([1.0, 2.5]), 1),
-            SparseVector(np.array([2]), np.array([1.0]), -1),
-            SparseVector(np.array([], dtype=np.int64), np.array([]), None),
-        ]
+        X, y = labeled_matrix([
+            ([(0, 1.0), (4, 2.5)], 1),
+            ([(2, 1.0)], -1),
+            ([], None),
+        ])
         path = tmp_path / "v.svml"
-        write_svmlight(vecs, path)
+        write_svmlight(X, path, y)
         assert path.read_text() == "+1 1:1 5:2.5\n-1 3:1\n0\n"
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "v.svml"
         path.write_text("# header\n\n+1 1:1\n")
-        (vec,) = read_svmlight(path)
-        assert vec.label == 1 and vec.pairs() == [(0, 1.0)]
+        X, y = read_svmlight(path)
+        assert y.tolist() == [1]
+        assert X.indices.tolist() == [0] and X.data.tolist() == [1.0]
 
     def test_bad_pair_reports_location(self, tmp_path):
         path = tmp_path / "v.svml"
@@ -147,9 +157,102 @@ class TestSvmlightFormat:
         with pytest.raises(DataError, match="ascending"):
             read_svmlight(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_values_rejected(self, tmp_path, value):
+        path = tmp_path / "v.svml"
+        path.write_text(f"+1 1:1\n-1 2:{value}\n")
+        with pytest.raises(DataError, match=r"v.svml:2: .*not finite"):
+            read_svmlight(path)
+
+    def test_missing_file_is_a_usage_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="not found"):
+            read_svmlight(tmp_path / "absent.svml")
+
 
 def test_vocabulary_file_round_trip(tmp_path):
     vocab = build_vocabulary([Counter({"u:a": 1, "b:x_y": 2})], min_count=1)
     path = tmp_path / "vocab.tsv"
     write_vocabulary(vocab, path)
     assert read_vocabulary(path).index == vocab.index
+
+
+def test_vocabulary_bad_id_reports_location(tmp_path):
+    path = tmp_path / "vocab.tsv"
+    path.write_text("u:a\t0\nu:b\tone\n")
+    with pytest.raises(DataError, match=r"vocab.tsv:2: bad feature id 'one'"):
+        read_vocabulary(path)
+
+
+# --- count matrices against the bag reference ------------------------------
+
+bag_lists = st.lists(
+    st.dictionaries(st.sampled_from([f"u:w{i}" for i in range(10)] + ["b:x_y", "t:a_b_c"]),
+                    st.integers(min_value=1, max_value=4), max_size=6).map(Counter),
+    min_size=1, max_size=8,
+)
+
+
+@given(bag_lists, st.integers(min_value=-1, max_value=6), st.data())
+def test_column_mask_matches_build_vocabulary(bags, min_count, data):
+    """Pruning a row subset by column mask gives build_vocabulary's vocabulary."""
+    rows = data.draw(st.lists(st.booleans(), min_size=len(bags), max_size=len(bags)))
+    rows = np.array(rows, dtype=bool)
+    matrix = FeatureMatrix.from_bags(bags)
+    chosen = [bag for bag, keep in zip(bags, rows) if keep]
+    try:
+        expected = build_vocabulary(chosen, min_count=min_count)
+    except DataError as exc:
+        with pytest.raises(DataError, match="vocabulary is empty") as caught:
+            column_mask(matrix.counts[rows], min_count)
+        assert str(caught.value) == str(exc)
+        return
+    mask = column_mask(matrix.counts[rows], min_count)
+    assert matrix.vocabulary(mask, min_count).index == expected.index
+
+
+@given(bag_lists)
+def test_matrix_rows_match_vectorize(bags):
+    """Each masked, represented row holds exactly its bag's vectorized pairs."""
+    matrix = FeatureMatrix.from_bags(bags)
+    if not any(bags):
+        with pytest.raises(DataError, match="vocabulary is empty"):
+            column_mask(matrix.counts, 1)
+        return
+    mask = column_mask(matrix.counts, 1)
+    vocab = matrix.vocabulary(mask, 1)
+    for rep in Representation:
+        X = represent(matrix.counts[:, mask], rep)
+        for i, bag in enumerate(bags):
+            row = X[i]
+            assert list(zip(row.indices.tolist(), row.data.tolist())) == \
+                vectorize(bag, vocab, rep).pairs()
+
+
+def test_union_columns_in_lexicographic_order():
+    unigrams = FeatureMatrix.from_bags([Counter({"u:zeta": 1, "u:alpha": 2}), Counter({"u:mid": 1})])
+    trigrams = FeatureMatrix.from_bags([Counter({"t:a_b_c": 1}), Counter({"t:z_z_z": 3})])
+    transitions = FeatureMatrix.from_bags([Counter(), Counter({"tr:but_good": 1})])
+    empty = FeatureMatrix.from_bags([Counter(), Counter()])
+    union = FeatureMatrix.union([unigrams, empty, transitions, trigrams])
+    assert union.features == sorted(unigrams.features + trigrams.features
+                                    + transitions.features)
+    assert union.features == ["t:a_b_c", "t:z_z_z", "tr:but_good", "u:alpha", "u:mid", "u:zeta"]
+    dense = union.counts.toarray()
+    assert dense.tolist() == [[1, 0, 0, 2, 0, 1], [0, 3, 1, 0, 1, 0]]
+    for i in range(union.counts.shape[0]):
+        row = union.counts[i].indices.tolist()
+        assert row == sorted(row)
+
+
+def test_union_rejects_interleaved_features():
+    a = FeatureMatrix.from_bags([Counter({"u:a": 1, "u:c": 1})])
+    b = FeatureMatrix.from_bags([Counter({"u:b": 1})])
+    with pytest.raises(ValueError, match="overlap"):
+        FeatureMatrix.union([a, b])
+
+
+def test_presence_binarizes_a_copy():
+    matrix = FeatureMatrix.from_bags([Counter({"u:a": 3, "u:b": 1})])
+    presence = represent(matrix.counts, Representation.PRESENCE)
+    assert presence.data.tolist() == [1.0, 1.0]
+    assert matrix.counts.data.tolist() == [3.0, 1.0]
