@@ -26,19 +26,16 @@ from .lexicon import (
     TransitionList,
     load_lexicon,
     load_transitions,
-    polarity_of,
 )
 from .linear_svm import LinearSvmModel, default_C, gram_matrix, predict_svm, train_svm
 from .naive_bayes import NaiveBayesModel, predict_nb, train_nb
 from .preprocess import (
     Document,
-    PreprocessConfig,
-    Token,
+    Sentence,
     expand_contractions,
     preprocess_document,
     strip_punctuation,
     tag_negation,
-    tag_pos,
 )
 from .tagging import PretaggedReader, RuleTagger, get_tagger
 from .vectorize import (

@@ -31,7 +31,6 @@ from .features import parse_feature_spec
 from .lexicon import load_lexicon, load_transitions
 from .naive_bayes import NaiveBayesModel, predict_nb, train_nb
 from .linear_svm import LinearSvmModel, predict_svm, train_svm
-from .preprocess import PreprocessConfig
 from .tagging import get_tagger
 from .vectorize import (
     Representation,
@@ -60,13 +59,6 @@ def _corpus_root(args) -> Path:
     return Path(root)
 
 
-def _preprocess_config(args) -> PreprocessConfig:
-    return PreprocessConfig(
-        apply_negation=getattr(args, "negation", "off") == "on",
-        tagger=get_tagger(getattr(args, "tagger", "builtin")),
-    )
-
-
 def _load_folded_corpus(args):
     corpus = load_corpus(_corpus_root(args))
     return assign_folds(corpus, mode=getattr(args, "folds", "filename"),
@@ -93,7 +85,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 def cmd_stats(args) -> int:
     corpus = load_corpus(_corpus_root(args))
-    stats = compute_stats(corpus, _preprocess_config(args))
+    stats = compute_stats(corpus)
     payload = stats.to_json_dict()
     if args.format == "json":
         print(json.dumps(payload, indent=2))
@@ -111,7 +103,7 @@ def cmd_extract(args) -> int:
         corpus,
         lexicon=_maybe_lexicon(args),
         transitions=_maybe_transitions(args) if spec.needs_transitions else None,
-        preprocess_cfg=_preprocess_config(args),
+        tagger=get_tagger(args.tagger),
     )
     if spec.needs_lexicon and pipeline.lexicon is None:
         raise ConfigError(f"feature spec {spec.canonical()!r} requires --lexicon")
@@ -156,7 +148,7 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(f"feature spec {spec.canonical()!r} requires --lexicon")
     transitions = _maybe_transitions(args) if spec.needs_transitions else None
     pipeline = FeaturePipeline(corpus, lexicon=lexicon, transitions=transitions,
-                               preprocess_cfg=_preprocess_config_for_eval(args))
+                               tagger=get_tagger(args.tagger))
     report = run_experiment(corpus, config, pipeline=pipeline)
     for message in report.warnings:
         print(f"warning: {message}", file=sys.stderr)
@@ -167,12 +159,6 @@ def cmd_evaluate(args) -> int:
     else:
         print(f"{report.mean_accuracy:.4f}")
     return 0
-
-
-def _preprocess_config_for_eval(args) -> PreprocessConfig:
-    # Negation-tagged preprocessing serves both unigram variants; the config
-    # flag picks the variant at extraction time.
-    return PreprocessConfig(apply_negation=True, tagger=get_tagger(getattr(args, "tagger", "builtin")))
 
 
 def _sniff_model(path: str):
@@ -330,7 +316,7 @@ def cmd_reproduce(args) -> int:
         print(f"warning: {exc}; transition rows will be skipped", file=sys.stderr)
         transitions = None
     pipeline = FeaturePipeline(corpus, lexicon=lexicon, transitions=transitions,
-                               preprocess_cfg=_preprocess_config_for_eval(args))
+                               tagger=get_tagger(args.tagger))
 
     cells, skipped = _reproduce_configs(args, have_lexicon=lexicon is not None,
                                         have_transitions=transitions is not None)
@@ -379,6 +365,13 @@ def cmd_reproduce(args) -> int:
         print(f"ran {len(reports)} cells ({len(skipped)} skipped, {len(errors)} failed) "
               f"-> {out_dir}", file=sys.stderr)
     return 0
+
+
+def _positive_int(value: str) -> int:
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {number}")
+    return number
 
 
 def _add_corpus_options(p) -> None:
@@ -469,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(prune_scope="corpus")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--only", help=f"comma-separated subset of {','.join(_GRID_NAMES)}")
-    p.add_argument("--jobs", type=int, default=1, help="parallel grid cells (default 1)")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="parallel grid cells (default 1)")
     p.set_defaults(func=cmd_reproduce)
 
     return parser

@@ -164,17 +164,14 @@ def assign_folds(corpus: Corpus, mode: str = "filename", seed: int = 0) -> Corpu
     return Corpus(documents=list(corpus.documents), folds=folds)
 
 
-def compute_stats(corpus: Corpus, cfg=None) -> CorpusStats:
+def compute_stats(corpus: Corpus) -> CorpusStats:
     """Per-label sentence/word/distinct-word counts over the normalized token stream.
 
     Counting happens after contraction expansion and punctuation stripping
-    (one line = one sentence, whitespace tokens) but before negation tagging
-    and feature extraction. Lines left empty by stripping are dropped.
+    (one line = one sentence, the preprocessing tokenizer's words) but before
+    tagging and feature extraction. Lines left empty by stripping are dropped.
     """
-    from .preprocess import PreprocessConfig, expand_contractions, strip_punctuation
-
-    if cfg is None:
-        cfg = PreprocessConfig()
+    from .preprocess import expand_contractions, tokenize
 
     per_label: dict[Label, LabelStats] = {}
     for label in Label:
@@ -183,7 +180,7 @@ def compute_stats(corpus: Corpus, cfg=None) -> CorpusStats:
         distinct: set[str] = set()
         for doc in corpus.by_label(label):
             for line in expand_contractions(doc.text).splitlines():
-                tokens = strip_punctuation(line, cfg.punctuation_keep).lower().split()
+                tokens = tokenize(line)
                 if not tokens:
                     continue
                 sentences += 1

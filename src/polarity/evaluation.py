@@ -1,11 +1,13 @@
 """Cross-validated experiment harness over the feature/representation/classifier grid.
 
-A FeaturePipeline preprocesses the corpus once and caches one sparse count
-matrix per feature family, so a grid of many configurations pays the
-extraction cost per family, not per cell. A cell takes the union of its
-families' columns, prunes them with a column mask (once over the corpus, or
-per fold over the training rows), and trains on row slices; under corpus
-scope the SVM Gram matrix is computed once per cell and sliced per fold.
+A FeaturePipeline preprocesses the corpus once into ``Sentence`` tuples
+(words, tags, negation mask), extracts each family through the one
+``features.EXTRACTORS`` table, and caches one sparse count matrix per
+family, so a grid of many configurations pays the extraction cost per
+family, not per cell. A cell takes the union of its families' columns,
+prunes them with a column mask (once over the corpus, or per fold over the
+training rows), and trains on row slices; under corpus scope the SVM Gram
+matrix is computed once per cell and sliced per fold.
 Reports carry per-fold and mean accuracy plus supplementary precision/recall.
 """
 
@@ -16,7 +18,7 @@ import json
 import random
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -25,11 +27,11 @@ import numpy as np
 from . import linear_svm, naive_bayes
 from .corpus import Corpus, N_FOLDS
 from .errors import ConfigError, DataError
-from .features import FeatureBag, FeatureFamily, FeatureSpec, extract_ngrams, parse_feature_spec
-from .features import extract_adjectives, extract_adjadv_bigrams, extract_adjadv_trigrams
-from .features import extract_polarized_bigrams, extract_polarized_unigrams, extract_transitions
+from .features import EXTRACTORS, FeatureBag, FeatureFamily, FeatureSpec, check_resources
+from .features import parse_feature_spec
 from .lexicon import SubjectivityLexicon, TransitionList
-from .preprocess import Document, PreprocessConfig, preprocess_document
+from .preprocess import Document, preprocess_document
+from .tagging import RuleTagger
 from .vectorize import FeatureMatrix, Representation, column_mask, represent
 
 CLASSIFIERS = ("nb", "svm")
@@ -119,23 +121,22 @@ class EvalReport:
 class FeaturePipeline:
     """Shared preprocessing plus a per-family count-matrix cache for one corpus.
 
-    Documents are preprocessed once with negation tagging on; the negated and
-    plain unigram variants are both recoverable from the same tokens, so every
-    grid cell reuses the cache regardless of its negation flag. A family's
-    feature bags live only while its matrix is built.
+    Documents are preprocessed once with *tagger* (a RuleTagger by default).
+    Every Sentence carries its negation mask, so the negated and plain
+    unigram variants both come from the same documents and every grid cell
+    reuses the cache regardless of its negation flag. Bags are extracted
+    through ``features.EXTRACTORS``; a family's bags live only while its
+    matrix is built.
     """
 
     def __init__(self, corpus: Corpus,
                  lexicon: SubjectivityLexicon | None = None,
                  transitions: TransitionList | None = None,
-                 preprocess_cfg: PreprocessConfig | None = None):
+                 tagger=None):
         self.corpus = corpus
         self.lexicon = lexicon
         self.transitions = transitions
-        cfg = preprocess_cfg or PreprocessConfig()
-        if not cfg.apply_negation:
-            cfg = replace(cfg, apply_negation=True)
-        self.preprocess_cfg = cfg
+        self.tagger = tagger or RuleTagger()
         self._documents: list[Document] | None = None
         self._matrices: dict[tuple, FeatureMatrix] = {}
 
@@ -143,7 +144,7 @@ class FeaturePipeline:
     def documents(self) -> list[Document]:
         if self._documents is None:
             self._documents = [
-                preprocess_document(doc, self.preprocess_cfg) for doc in self.corpus.documents
+                preprocess_document(doc, self.tagger) for doc in self.corpus.documents
             ]
         return self._documents
 
@@ -160,31 +161,10 @@ class FeaturePipeline:
 
     def family_bags(self, family: FeatureFamily, negation_variant: bool = False) -> list[FeatureBag]:
         """One bag per document for *family*, extracted afresh (not cached)."""
-        neg = negation_variant and family is FeatureFamily.UNIGRAM
-        docs = self.documents
-        if family is FeatureFamily.UNIGRAM:
-            return [extract_ngrams(d, 1, keep_negation_prefix=neg) for d in docs]
-        if family is FeatureFamily.BIGRAM:
-            return [extract_ngrams(d, 2) for d in docs]
-        if family is FeatureFamily.TRIGRAM:
-            return [extract_ngrams(d, 3) for d in docs]
-        if family is FeatureFamily.ADJECTIVE:
-            return [extract_adjectives(d) for d in docs]
-        if family is FeatureFamily.ADJADV_BIGRAM:
-            return [extract_adjadv_bigrams(d) for d in docs]
-        if family is FeatureFamily.ADJADV_TRIGRAM:
-            return [extract_adjadv_trigrams(d) for d in docs]
-        if self.lexicon is None:
-            raise ConfigError(f"{family.value} features require a subjectivity lexicon")
-        if family is FeatureFamily.POLARIZED_UNIGRAM:
-            return [extract_polarized_unigrams(d, self.lexicon) for d in docs]
-        if family is FeatureFamily.POLARIZED_BIGRAM:
-            return [extract_polarized_bigrams(d, self.lexicon) for d in docs]
-        if family is FeatureFamily.TRANSITION:
-            if self.transitions is None:
-                raise ConfigError("transition features require a transition list")
-            return [extract_transitions(d, self.transitions, self.lexicon) for d in docs]
-        raise ConfigError(f"unhandled family {family}")  # pragma: no cover
+        check_resources(FeatureSpec(frozenset({family})), self.lexicon, self.transitions)
+        extractor = EXTRACTORS[family]
+        return [extractor(doc, self.lexicon, self.transitions, negation_variant)
+                for doc in self.documents]
 
     def matrix_for_spec(self, spec: FeatureSpec) -> FeatureMatrix:
         """The union of the spec's family matrices, columns in lexicographic order."""
@@ -392,7 +372,8 @@ def _run_cell_forked(config):
 
 
 def _map_cells(corpus, configs, pipeline, jobs):
-    if jobs > 1:
+    workers = min(jobs, len(configs))
+    if workers > 1:
         import multiprocessing as mp
 
         try:
@@ -410,7 +391,7 @@ def _map_cells(corpus, configs, pipeline, jobs):
             _FORK_STATE["corpus"] = corpus
             _FORK_STATE["pipeline"] = pipeline
             try:
-                with ctx.Pool(processes=jobs) as pool:
+                with ctx.Pool(processes=workers) as pool:
                     yield from pool.imap(_run_cell_forked, configs)
                 return
             finally:

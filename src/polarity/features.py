@@ -1,5 +1,12 @@
 """The nine linguistic feature families and their unions.
 
+Each extractor reads a preprocessed Document sentence by sentence through
+the parallel ``words``/``tags``/``negated`` fields of its ``Sentence``
+tuples. ``EXTRACTORS`` maps every family to its extractor; ``extract`` and
+the cross-validation pipeline both dispatch through it, after
+``check_resources`` has made sure a lexicon or transition list is present
+where the family needs one.
+
 Every emitted feature string carries its family's namespace prefix, so
 families never collide and a union is plain multiset addition. N-grams,
 polarized-bigram neighbors, and transition pairings never cross sentence
@@ -11,10 +18,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .errors import ConfigError
 from .lexicon import SubjectivityLexicon, TransitionList
-from .preprocess import Document, Token
+from .preprocess import NEGATION_PREFIX, Document
 from .tagging import ADJECTIVE_TAGS, ADVERB_TAGS
 
 FeatureBag = Counter
@@ -98,73 +106,69 @@ def parse_feature_spec(spec_string: str, negation: bool = False) -> FeatureSpec:
     return FeatureSpec(families=frozenset(families), negation_variant=negation)
 
 
-def _surface(token: Token, keep_negation_prefix: bool) -> str:
-    return token.surface if keep_negation_prefix else token.bare
-
-
 def extract_ngrams(doc: Document, n: int, keep_negation_prefix: bool = False) -> FeatureBag:
-    """Bag of within-sentence n-grams (n in 1..3), words joined by ``_``."""
+    """Bag of within-sentence n-grams (n in 1..3), words joined by ``_``.
+
+    With *keep_negation_prefix* every word inside a negation scope is
+    written as ``NOT_word``.
+    """
     ns = _NGRAM_NAMESPACE[n]
     bag: FeatureBag = Counter()
-    for sentence in doc.sentences:
-        words = [_surface(t, keep_negation_prefix) for t in sentence]
-        for i in range(len(words) - n + 1):
-            bag[f"{ns}:{'_'.join(words[i:i + n])}"] += 1
+    for words, _, negated in doc.sentences:
+        if keep_negation_prefix:
+            words = [NEGATION_PREFIX + w if neg else w for w, neg in zip(words, negated)]
+        bag.update(f"{ns}:{'_'.join(words[i:i + n])}" for i in range(len(words) - n + 1))
     return bag
 
 
 def extract_polarized_unigrams(doc: Document, lex: SubjectivityLexicon) -> FeatureBag:
-    """One Polarity/Tag feature per lexicon-matched token (e.g. ``pu:POS/VB``)."""
+    """One Polarity/Tag feature per lexicon-matched word (e.g. ``pu:POS/VB``)."""
     bag: FeatureBag = Counter()
-    for sentence in doc.sentences:
-        for token in sentence:
-            pol = lex.polarity_of(token.bare, token.pos)
+    for words, tags, _ in doc.sentences:
+        for word, tag in zip(words, tags):
+            pol = lex.polarity_of(word, tag)
             if pol is not None:
-                bag[f"pu:{pol}/{token.pos}"] += 1
+                bag[f"pu:{pol}/{tag}"] += 1
     return bag
 
 
 def extract_polarized_bigrams(doc: Document, lex: SubjectivityLexicon) -> FeatureBag:
     """Polarized unigrams paired with each neighbor's word and tag.
 
-    A polarized token yields up to four features; the predecessor pair is
+    A polarized word yields up to four features; the predecessor pair is
     omitted at sentence start and the successor pair at sentence end.
     """
     bag: FeatureBag = Counter()
-    for sentence in doc.sentences:
-        for i, token in enumerate(sentence):
-            pol = lex.polarity_of(token.bare, token.pos)
+    for words, tags, _ in doc.sentences:
+        last = len(words) - 1
+        for i, (word, tag) in enumerate(zip(words, tags)):
+            pol = lex.polarity_of(word, tag)
             if pol is None:
                 continue
-            core = f"{pol}/{token.pos}"
+            core = f"{pol}/{tag}"
             if i > 0:
-                prev = sentence[i - 1]
-                bag[f"pb:{prev.bare}_{core}"] += 1
-                bag[f"pb:{prev.pos}_{core}"] += 1
-            if i < len(sentence) - 1:
-                nxt = sentence[i + 1]
-                bag[f"pb:{core}_{nxt.bare}"] += 1
-                bag[f"pb:{core}_{nxt.pos}"] += 1
+                bag[f"pb:{words[i - 1]}_{core}"] += 1
+                bag[f"pb:{tags[i - 1]}_{core}"] += 1
+            if i < last:
+                bag[f"pb:{core}_{words[i + 1]}"] += 1
+                bag[f"pb:{core}_{tags[i + 1]}"] += 1
     return bag
 
 
 def extract_adjectives(doc: Document) -> FeatureBag:
     bag: FeatureBag = Counter()
-    for sentence in doc.sentences:
-        for token in sentence:
-            if token.pos in ADJECTIVE_TAGS:
-                bag[f"adj:{token.bare}"] += 1
+    for words, tags, _ in doc.sentences:
+        bag.update(f"adj:{w}" for w, t in zip(words, tags) if t in ADJECTIVE_TAGS)
     return bag
 
 
 def _extract_adjadv_window(doc: Document, n: int, namespace: str) -> FeatureBag:
     keep_tags = ADJECTIVE_TAGS | ADVERB_TAGS
     bag: FeatureBag = Counter()
-    for sentence in doc.sentences:
-        for i in range(len(sentence) - n + 1):
-            window = sentence[i:i + n]
-            if any(t.pos in keep_tags for t in window):
-                bag[f"{namespace}:{'_'.join(t.bare for t in window)}"] += 1
+    for words, tags, _ in doc.sentences:
+        for i in range(len(words) - n + 1):
+            if not keep_tags.isdisjoint(tags[i:i + n]):
+                bag[f"{namespace}:{'_'.join(words[i:i + n])}"] += 1
     return bag
 
 
@@ -181,14 +185,13 @@ def extract_adjadv_trigrams(doc: Document) -> FeatureBag:
 def extract_transitions(doc: Document, trans: TransitionList, lex: SubjectivityLexicon) -> FeatureBag:
     """Pair each transition phrase with every content word in its sentence.
 
-    Content words are the noun/verb/adjective/adverb tokens outside any
+    Content words are the noun/verb/adjective/adverb words outside any
     matched phrase; a lexicon-matched content word additionally yields the
     phrase paired with its Polarity/Tag form. Each distinct phrase in a
     sentence generates its own features.
     """
     bag: FeatureBag = Counter()
-    for sentence in doc.sentences:
-        words = [t.bare for t in sentence]
+    for words, tags, _ in doc.sentences:
         matches = trans.find_matches(words)
         if not matches:
             continue
@@ -197,50 +200,54 @@ def extract_transitions(doc: Document, trans: TransitionList, lex: SubjectivityL
             excluded.update(range(start, end))
         phrases = list(dict.fromkeys(m[0] for m in matches))
         content = [
-            (i, t) for i, t in enumerate(sentence)
-            if i not in excluded and t.pos[:1] in _CONTENT_PREFIXES
+            (word, tag) for i, (word, tag) in enumerate(zip(words, tags))
+            if i not in excluded and tag[:1] in _CONTENT_PREFIXES
         ]
         for phrase in phrases:
             key = phrase.replace(" ", "_")
-            for _, token in content:
-                bag[f"tr:{key}_{token.bare}"] += 1
-                pol = lex.polarity_of(token.bare, token.pos)
+            for word, tag in content:
+                bag[f"tr:{key}_{word}"] += 1
+                pol = lex.polarity_of(word, tag)
                 if pol is not None:
-                    bag[f"tr:{key}_{pol}/{token.pos}"] += 1
+                    bag[f"tr:{key}_{pol}/{tag}"] += 1
     return bag
+
+
+# The one dispatch table: family -> extractor(doc, lexicon, transitions,
+# negation_variant). Only the unigram extractor reads the negation variant.
+# The entries look the extractors up by module-level name at call time, so
+# a wrapper installed on a name (perfbench/tracer.py) sees every call.
+EXTRACTORS: dict[FeatureFamily, Callable[..., FeatureBag]] = {
+    FeatureFamily.UNIGRAM: lambda doc, lex, trans, neg: extract_ngrams(doc, 1, keep_negation_prefix=neg),
+    FeatureFamily.BIGRAM: lambda doc, lex, trans, neg: extract_ngrams(doc, 2),
+    FeatureFamily.TRIGRAM: lambda doc, lex, trans, neg: extract_ngrams(doc, 3),
+    FeatureFamily.POLARIZED_UNIGRAM: lambda doc, lex, trans, neg: extract_polarized_unigrams(doc, lex),
+    FeatureFamily.POLARIZED_BIGRAM: lambda doc, lex, trans, neg: extract_polarized_bigrams(doc, lex),
+    FeatureFamily.ADJECTIVE: lambda doc, lex, trans, neg: extract_adjectives(doc),
+    FeatureFamily.ADJADV_BIGRAM: lambda doc, lex, trans, neg: extract_adjadv_bigrams(doc),
+    FeatureFamily.ADJADV_TRIGRAM: lambda doc, lex, trans, neg: extract_adjadv_trigrams(doc),
+    FeatureFamily.TRANSITION: lambda doc, lex, trans, neg: extract_transitions(doc, trans, lex),
+}
+
+
+def check_resources(spec: FeatureSpec, lex: SubjectivityLexicon | None,
+                    trans: TransitionList | None) -> None:
+    """Raise ConfigError when a family of *spec* lacks its lexicon or transition list."""
+    if spec.needs_lexicon and lex is None:
+        raise ConfigError(f"feature spec {spec.canonical()!r} requires a subjectivity lexicon")
+    if spec.needs_transitions and trans is None:
+        raise ConfigError(f"feature spec {spec.canonical()!r} requires a transition list")
 
 
 def extract(doc: Document, spec: FeatureSpec,
             lex: SubjectivityLexicon | None = None,
             trans: TransitionList | None = None) -> FeatureBag:
     """Multiset union of every family in *spec* over one document."""
-    if spec.needs_lexicon and lex is None:
-        raise ConfigError(f"feature spec {spec.canonical()!r} requires a subjectivity lexicon")
-    if spec.needs_transitions and trans is None:
-        raise ConfigError(f"feature spec {spec.canonical()!r} requires a transition list")
-
+    check_resources(spec, lex, trans)
     bag: FeatureBag = Counter()
     for family in FeatureFamily:
-        if family not in spec.families:
-            continue
-        if family is FeatureFamily.UNIGRAM:
-            bag.update(extract_ngrams(doc, 1, keep_negation_prefix=spec.negation_variant))
-        elif family is FeatureFamily.BIGRAM:
-            bag.update(extract_ngrams(doc, 2))
-        elif family is FeatureFamily.TRIGRAM:
-            bag.update(extract_ngrams(doc, 3))
-        elif family is FeatureFamily.POLARIZED_UNIGRAM:
-            bag.update(extract_polarized_unigrams(doc, lex))
-        elif family is FeatureFamily.POLARIZED_BIGRAM:
-            bag.update(extract_polarized_bigrams(doc, lex))
-        elif family is FeatureFamily.ADJECTIVE:
-            bag.update(extract_adjectives(doc))
-        elif family is FeatureFamily.ADJADV_BIGRAM:
-            bag.update(extract_adjadv_bigrams(doc))
-        elif family is FeatureFamily.ADJADV_TRIGRAM:
-            bag.update(extract_adjadv_trigrams(doc))
-        elif family is FeatureFamily.TRANSITION:
-            bag.update(extract_transitions(doc, trans, lex))
+        if family in spec.families:
+            bag.update(EXTRACTORS[family](doc, lex, trans, spec.negation_variant))
     return bag
 
 

@@ -100,10 +100,6 @@ class SubjectivityLexicon:
         return entries[0].polarity
 
 
-def polarity_of(word: str, pos: str, lex: SubjectivityLexicon) -> Polarity | None:
-    return lex.polarity_of(word, pos)
-
-
 def _parse_tff_line(line: str, lineno: int) -> tuple[str, LexiconEntry] | None:
     fields = {}
     for part in line.split():

@@ -1,23 +1,33 @@
 """Text normalization pipeline: contraction expansion, punctuation removal,
-NOT_ negation tagging, and part-of-speech annotation.
+NOT_ negation scopes, and part-of-speech annotation.
 
 Pipeline order for a document: expand contractions, split into sentences
-(one per line), strip punctuation, tokenize and lowercase, tag negation
-scopes, tag part-of-speech.
+(one per line), strip punctuation, tokenize and lowercase, tag part-of-speech,
+mark negation scopes. A document is a list of ``Sentence(words, tags,
+negated)`` tuples: bare lowercased words, their tags, and a per-word flag that
+is true inside a negation scope. The ``NOT_`` prefix is never stored; the
+negated unigram variant adds it when it extracts.
 """
 
 from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import Label, RawDocument
-from .tagging import FALLBACK_TAG, PretaggedReader, RuleTagger
+from .tagging import PretaggedReader, RuleTagger
 
 NEGATION_PREFIX = "NOT_"
+NEGATION_TRIGGERS = frozenset({"not"})
+# Kept as standalone tokens; each one also ends a negation scope.
+KEPT_PUNCTUATION = frozenset({"!", "?"})
 
 _PUNCT = frozenset(string.punctuation)
+_PUNCT_TABLE = str.maketrans(
+    {ch: f" {ch} " if ch in KEPT_PUNCTUATION else None for ch in string.punctuation}
+)
 
 # The n't family only; possessives and auxiliaries ("it's", "i'm") stay put.
 _CONTRACTIONS = {
@@ -52,24 +62,12 @@ _CONTRACTION_RE = re.compile(
 _SPLIT_APOSTROPHE_RE = re.compile(r"\b([A-Za-z]+n) ' t\b", re.IGNORECASE)
 
 
-@dataclass(frozen=True)
-class Token:
-    """One word with its tag and negation state.
+class Sentence(NamedTuple):
+    """One line of a document as parallel per-word sequences."""
 
-    A negated token's surface carries the NOT_ prefix; ``bare`` recovers the
-    original form for lexicon lookups and non-negated feature variants.
-    """
-
-    surface: str
-    pos: str = ""
-    negated: bool = False
-
-    @property
-    def bare(self) -> str:
-        return self.surface[len(NEGATION_PREFIX):] if self.negated else self.surface
-
-
-Sentence = list[Token]
+    words: list[str]
+    tags: list[str]
+    negated: list[bool]
 
 
 @dataclass(frozen=True)
@@ -77,14 +75,6 @@ class Document:
     id: str
     label: Label
     sentences: list[Sentence]
-
-
-@dataclass
-class PreprocessConfig:
-    apply_negation: bool = True
-    negation_triggers: frozenset[str] = frozenset({"not"})
-    punctuation_keep: frozenset[str] = frozenset({"!", "?"})
-    tagger: object = field(default_factory=RuleTagger)
 
 
 def expand_contractions(text: str) -> str:
@@ -105,104 +95,67 @@ def expand_contractions(text: str) -> str:
     return _CONTRACTION_RE.sub(replace, text)
 
 
-def strip_punctuation(text: str, keep: frozenset[str] = frozenset({"!", "?"})) -> str:
-    """Delete punctuation characters except *keep*, which become standalone tokens."""
-    out: list[str] = []
-    for ch in text:
-        if ch in keep:
-            out.append(f" {ch} ")
-        elif ch in _PUNCT:
-            continue
-        else:
-            out.append(ch)
-    return " ".join("".join(out).split())
+def strip_punctuation(text: str) -> str:
+    """Delete punctuation characters except ``!`` and ``?``, which become standalone tokens."""
+    return " ".join(text.translate(_PUNCT_TABLE).split())
 
 
-def tag_negation(sentence: Sentence, triggers: frozenset[str] = frozenset({"not"}),
-                 terminators: frozenset[str] = frozenset({"!", "?"})) -> Sentence:
-    """Prefix NOT_ to every token after a trigger, up to the next kept
-    punctuation token or the end of the sentence.
+def tokenize(line: str) -> list[str]:
+    """The lowercased words of one contraction-expanded line, punctuation stripped."""
+    return strip_punctuation(line).lower().split()
 
-    The trigger itself stays untagged and already-tagged tokens are never
-    double-prefixed, so the operation is idempotent.
+
+def tag_negation(words: list[str]) -> list[bool]:
+    """Mark every word after a trigger, up to the next kept punctuation token
+    or the end of the sentence. The trigger itself is not marked.
     """
-    out: Sentence = []
+    mask: list[bool] = []
     in_scope = False
-    for token in sentence:
-        if token.surface in terminators:
+    for word in words:
+        if word in KEPT_PUNCTUATION:
             in_scope = False
-            out.append(token)
-        elif not in_scope and token.surface in triggers:
+            mask.append(False)
+        elif not in_scope and word in NEGATION_TRIGGERS:
             in_scope = True
-            out.append(token)
-        elif in_scope and not token.negated:
-            out.append(Token(surface=NEGATION_PREFIX + token.surface, pos=token.pos, negated=True))
+            mask.append(False)
         else:
-            out.append(token)
-    return out
+            mask.append(in_scope)
+    return mask
 
 
-def tag_pos(sentence: Sentence, tagger) -> Sentence:
-    """Attach a tag to every token, looking words up by their bare surface.
-
-    With a PretaggedReader the sentence must consist of ``word_TAG`` tokens,
-    which are split into surface and tag here.
-    """
-    if isinstance(tagger, PretaggedReader):
-        out = []
-        for i, token in enumerate(sentence):
-            word, tag = tagger.parse(token.bare, i)
-            surface = NEGATION_PREFIX + word if token.negated else word
-            out.append(Token(surface=surface, pos=tag, negated=token.negated))
-        return out
-    tags = tagger.tag([t.bare for t in sentence])
-    return [
-        Token(surface=t.surface, pos=tag or FALLBACK_TAG, negated=t.negated)
-        for t, tag in zip(sentence, tags)
-    ]
-
-
-def _tokenize_plain(line: str, cfg: PreprocessConfig) -> Sentence:
-    stripped = strip_punctuation(line, cfg.punctuation_keep)
-    return [Token(surface=w) for w in stripped.lower().split()]
-
-
-def _tokenize_pretagged(line: str, cfg: PreprocessConfig, reader: PretaggedReader) -> Sentence:
-    tokens: Sentence = []
+def _tokenize_pretagged(line: str, reader: PretaggedReader) -> tuple[list[str], list[str]]:
+    words: list[str] = []
+    tags: list[str] = []
     for i, raw in enumerate(line.split()):
         word, tag = reader.parse(raw, i)
         word = word.lower()
-        if all(ch in _PUNCT for ch in word):
-            if word in cfg.punctuation_keep:
-                tokens.append(Token(surface=word, pos=tag))
+        if word not in KEPT_PUNCTUATION and all(ch in _PUNCT for ch in word):
             continue
-        tokens.append(Token(surface=word, pos=tag))
-    return tokens
+        words.append(word)
+        tags.append(tag)
+    return words, tags
 
 
-def preprocess_document(doc: RawDocument, cfg: PreprocessConfig | None = None) -> Document:
+def preprocess_document(doc: RawDocument, tagger=None) -> Document:
     """Run the full normalization pipeline over one raw document.
 
-    Pre-tagged input skips contraction expansion and text-level punctuation
+    *tagger* defaults to a fresh RuleTagger. Pre-tagged input (a
+    PretaggedReader) skips contraction expansion and text-level punctuation
     stripping (the external tokenization is authoritative); punctuation is
     filtered token-wise instead and tags are taken from the annotations.
     """
-    if cfg is None:
-        cfg = PreprocessConfig()
-    pretagged = isinstance(cfg.tagger, PretaggedReader)
+    if tagger is None:
+        tagger = RuleTagger()
+    pretagged = isinstance(tagger, PretaggedReader)
 
     text = doc.text if pretagged else expand_contractions(doc.text)
     sentences: list[Sentence] = []
     for line in text.splitlines():
         if pretagged:
-            sentence = _tokenize_pretagged(line, cfg, cfg.tagger)
+            words, tags = _tokenize_pretagged(line, tagger)
         else:
-            sentence = _tokenize_plain(line, cfg)
-        if not sentence:
-            continue
-        if cfg.apply_negation:
-            sentence = tag_negation(sentence, cfg.negation_triggers, cfg.punctuation_keep)
-        if not pretagged:
-            sentence = tag_pos(sentence, cfg.tagger)
-        sentences.append(sentence)
+            words = tokenize(line)
+            tags = tagger.tag(words) if words else []
+        if words:
+            sentences.append(Sentence(words, tags, tag_negation(words)))
     return Document(id=doc.id, label=doc.label, sentences=sentences)

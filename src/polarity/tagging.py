@@ -1,8 +1,9 @@
 """Part-of-speech taggers.
 
-Two implementations behind one interface: a self-contained greedy
-lexicon-plus-suffix tagger, and a reader for corpora that already carry
-``word_TAG`` annotations from an external tagger.
+A self-contained greedy lexicon-plus-suffix tagger, and a reader for
+corpora that already carry ``word_TAG`` annotations from an external tagger.
+``get_tagger`` picks one by name; preprocessing calls ``RuleTagger.tag`` on
+each sentence's words, or ``PretaggedReader.parse`` on each raw token.
 """
 
 from __future__ import annotations
@@ -170,9 +171,6 @@ class PretaggedReader:
         if not word or not tag:
             raise DataError(f"malformed word_TAG token {token!r} at position {position}")
         return word, tag
-
-    def tag(self, words: list[str]) -> list[str]:
-        return [self.parse(token, i)[1] for i, token in enumerate(words)]
 
 
 def get_tagger(name: str):

@@ -31,6 +31,14 @@ import scipy.sparse as sp
 from .errors import ConfigError, DataError
 from .features import FeatureBag
 
+# Largest 1-based feature id read_svmlight accepts. A matrix is as wide as its
+# largest id, and training allocates dense per-feature arrays of that width,
+# so one stray huge id would ask for terabytes. The bound is 7x the 2.37M
+# features that ``extract`` writes for all nine families with --min-count 1
+# on the 2000-document seed-0 corpus of perfbench/corpusgen.py (Table-1
+# scale), and a float64 array of that width is 128 MiB.
+MAX_FEATURE_ID = 1 << 24
+
 
 class Representation(Enum):
     PRESENCE = "presence"
@@ -240,7 +248,8 @@ def read_json_object(path: str | Path) -> dict:
 def read_svmlight(path: str | Path) -> tuple[sp.csr_matrix, np.ndarray]:
     """(matrix, labels): labels are +1/-1, or 0 for an unlabeled line.
 
-    The matrix has one column per id up to the largest id in the file.
+    The matrix has one column per id up to the largest id in the file; an
+    id above MAX_FEATURE_ID is a DataError.
     """
     labels: list[int] = []
     indptr = array("q", [0])
@@ -268,6 +277,9 @@ def read_svmlight(path: str | Path) -> tuple[sp.csr_matrix, np.ndarray]:
                 raise DataError(f"{path}:{lineno}: value in {field!r} is not finite")
             if fid <= prev:
                 raise DataError(f"{path}:{lineno}: ids must be ascending and 1-based")
+            if fid > MAX_FEATURE_ID:
+                raise DataError(f"{path}:{lineno}: feature id {fid} exceeds the limit "
+                                f"of {MAX_FEATURE_ID}")
             prev = fid
             if val != 0.0:
                 ids.append(fid - 1)

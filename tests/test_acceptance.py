@@ -43,7 +43,7 @@ from polarity.lexicon import (
 )
 from polarity.linear_svm import margins, predict_svm, train_svm
 from polarity.naive_bayes import predict_nb, train_nb
-from polarity.preprocess import PreprocessConfig, preprocess_document
+from polarity.preprocess import preprocess_document
 from polarity.corpus import RawDocument
 
 TABLE1 = {
@@ -142,9 +142,9 @@ def test_criterion4_combination_boost(real_runner):
     assert boosted >= base + 0.01, f"3adjadv+pb {boosted:.3f} < 3adjadv {base:.3f} + 0.01"
 
 
-def _doc(text, negation=False):
+def _doc(text):
     raw = RawDocument(id="g", label=Label.POSITIVE, text=text)
-    return preprocess_document(raw, PreprocessConfig(apply_negation=negation))
+    return preprocess_document(raw)
 
 
 def test_criterion5_worked_example_goldens():

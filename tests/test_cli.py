@@ -178,6 +178,16 @@ class TestInputErrors:
         assert "not finite" in one_error_line(capsys)
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("clf", ["nb", "svm"])
+    def test_huge_feature_id_exits_3(self, tmp_path, capsys, clf):
+        # sized by its largest id, this matrix would need terabytes to train on
+        path = tmp_path / "v.svml"
+        path.write_text("+1 1:1 1099511627776:1\n-1 2:1\n", encoding="utf-8")
+        code = main(["train", "--input", str(path), "--clf", clf, "--out", str(tmp_path / "m")])
+        assert code == 3
+        assert "exceeds the limit" in one_error_line(capsys)
+        assert not (tmp_path / "m.json").exists()
+
     def test_non_finite_C_exits_3(self, vector_file, tmp_path, capsys):
         code = main(["train", "--input", str(vector_file), "--clf", "svm", "--C", "nan",
                      "--out", str(tmp_path / "m")])
@@ -264,6 +274,15 @@ class TestReproduce:
     def test_unknown_grid_exits_2(self, corpus_dir, tmp_path):
         assert main(["reproduce", "--corpus", str(corpus_dir),
                      "--out-dir", str(tmp_path / "x"), "--only", "table9"]) == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, corpus_dir, tmp_path, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "--corpus", str(corpus_dir), "--out-dir", str(tmp_path / "x"),
+                  "--only", "table2", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs: must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_missing_transitions_file_skips_transition_rows(self, corpus_dir, lexicon_tsv,
                                                             tmp_path, capsys):

@@ -209,6 +209,33 @@ class TestRunGrid:
         assert len(reports) == 1 and len(errors) == 1
         assert "lexicon" in errors[0]["error"]
 
+    def test_pool_never_larger_than_the_grid(self, synth_corpus, monkeypatch):
+        import multiprocessing
+
+        started = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, items):
+                return map(fn, items)
+
+        class RecordingContext:
+            Pool = RecordingPool
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: RecordingContext())
+        reports, _ = run_grid(synth_corpus, [cfg(), cfg(representation="frequency")], jobs=8)
+        assert started == [2] and len(reports) == 2
+        reports, _ = run_grid(synth_corpus, [cfg()], jobs=8)
+        assert started == [2] and len(reports) == 1  # one cell runs in-process
+
     def test_parallel_jobs_match_sequential(self, synth_corpus):
         configs = [cfg(), cfg(representation="frequency")]
         seq, _ = run_grid(synth_corpus, configs, jobs=1)

@@ -23,12 +23,12 @@ from polarity.features import (
     text_to_bag,
 )
 from polarity.lexicon import load_transitions
-from polarity.preprocess import PreprocessConfig, preprocess_document
+from polarity.preprocess import preprocess_document
 
 
-def doc_from(text, negation=False):
+def doc_from(text):
     raw = RawDocument(id="d", label=Label.POSITIVE, text=text)
-    return preprocess_document(raw, PreprocessConfig(apply_negation=negation))
+    return preprocess_document(raw)
 
 
 @pytest.fixture(scope="module")
@@ -45,12 +45,12 @@ class TestNgrams:
         assert extract_ngrams(doc_from("good"), 3) == Counter()
 
     def test_negation_variant_keeps_prefix(self):
-        doc = doc_from("it is not good", negation=True)
+        doc = doc_from("it is not good")
         bag = extract_ngrams(doc, 1, keep_negation_prefix=True)
         assert bag["u:NOT_good"] == 1 and "u:good" not in bag
 
     def test_plain_variant_strips_prefix(self):
-        doc = doc_from("it is not good", negation=True)
+        doc = doc_from("it is not good")
         bag = extract_ngrams(doc, 1)
         assert bag["u:good"] == 1 and "u:NOT_good" not in bag
 
@@ -73,7 +73,7 @@ class TestPolarizedUnigrams:
         assert bag["pu:POS/VB"] == 2
 
     def test_negated_token_looked_up_bare(self, tiny_lexicon):
-        doc = doc_from("it is not good", negation=True)
+        doc = doc_from("it is not good")
         bag = extract_polarized_unigrams(doc, tiny_lexicon)
         assert bag["pu:POS/JJ"] == 1
 
@@ -225,7 +225,7 @@ _SENTENCES = st.lists(
 
 
 def _doc_from_sentences(sentences):
-    return doc_from("\n".join(" ".join(s) for s in sentences), negation=True)
+    return doc_from("\n".join(" ".join(s) for s in sentences))
 
 
 @given(_SENTENCES)

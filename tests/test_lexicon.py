@@ -3,7 +3,7 @@
 import pytest
 
 from polarity.errors import ConfigError, DataError
-from polarity.lexicon import Polarity, load_lexicon, load_transitions, polarity_of
+from polarity.lexicon import Polarity, load_lexicon, load_transitions
 
 TFF_SAMPLE = """\
 type=weaksubj len=1 word1=abandon pos1=verb stemmed1=y priorpolarity=negative
@@ -67,10 +67,10 @@ class TestLoadLexicon:
 
 class TestPolarityOf:
     def test_paper_example_love_vb(self, tiny_lexicon):
-        assert polarity_of("love", "VB", tiny_lexicon) is Polarity.POS
+        assert tiny_lexicon.polarity_of("love", "VB") is Polarity.POS
 
     def test_function_word_absent(self, tiny_lexicon):
-        assert polarity_of("the", "DT", tiny_lexicon) is None
+        assert tiny_lexicon.polarity_of("the", "DT") is None
 
     def test_pos_constraint_disambiguates(self, tff_file):
         lex = load_lexicon(tff_file)
@@ -81,7 +81,7 @@ class TestPolarityOf:
         assert lex.polarity_of("love", "JJ") is Polarity.POS
 
     def test_pure_function(self, tiny_lexicon):
-        results = {polarity_of("good", "JJ", tiny_lexicon) for _ in range(5)}
+        results = {tiny_lexicon.polarity_of("good", "JJ") for _ in range(5)}
         assert results == {Polarity.POS}
 
 

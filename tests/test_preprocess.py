@@ -6,15 +6,31 @@ from hypothesis import given, strategies as st
 from polarity.corpus import Label, RawDocument
 from polarity.errors import DataError
 from polarity.preprocess import (
-    PreprocessConfig,
-    Token,
+    NEGATION_PREFIX,
     expand_contractions,
     preprocess_document,
     strip_punctuation,
     tag_negation,
-    tag_pos,
 )
 from polarity.tagging import PretaggedReader, RuleTagger, TAG_INVENTORY, get_tagger
+
+
+def _raw(text):
+    return RawDocument(id="d", label=Label.POSITIVE, text=text)
+
+
+def _sentence(text, tagger=None):
+    (sentence,) = preprocess_document(_raw(text), tagger).sentences
+    return sentence
+
+
+def _surfaces(words, negated):
+    """The words as the negated unigram variant writes them."""
+    return [NEGATION_PREFIX + w if neg else w for w, neg in zip(words, negated)]
+
+
+def _negate(*words):
+    return _surfaces(words, tag_negation(list(words)))
 
 
 class TestExpandContractions:
@@ -53,81 +69,66 @@ class TestStripPunctuation:
         assert strip_punctuation("no punctuation here") == "no punctuation here"
 
     def test_both_kept(self):
-        assert strip_punctuation("what ?!", frozenset({"!", "?"})) == "what ? !"
-
-    def test_empty_keep_removes_everything(self):
-        assert strip_punctuation("wow!?!", frozenset()) == "wow"
+        assert strip_punctuation("what ?!") == "what ? !"
 
     @given(st.text(alphabet=st.characters(codec="ascii"), max_size=80))
     def test_removed_chars_never_survive(self, text):
         import string
 
         keep = frozenset({"!", "?"})
-        out = strip_punctuation(text, keep)
+        out = strip_punctuation(text)
         removable = set(string.punctuation) - keep
         assert not (set(out) & removable)
 
 
-def _toks(*surfaces):
-    return [Token(surface=s, negated=s.startswith("NOT_")) for s in surfaces]
-
-
 class TestTagNegation:
     def test_scope_to_sentence_end(self):
-        out = tag_negation(_toks("it", "is", "not", "good", "at", "all"))
-        assert [t.surface for t in out] == ["it", "is", "not", "NOT_good", "NOT_at", "NOT_all"]
+        out = _negate("it", "is", "not", "good", "at", "all")
+        assert out == ["it", "is", "not", "NOT_good", "NOT_at", "NOT_all"]
 
     def test_no_trigger_unchanged(self):
-        sent = _toks("it", "is", "good")
-        assert tag_negation(sent) == sent
+        sent = ["it", "is", "good"]
+        assert _negate(*sent) == sent
 
     def test_scope_ends_at_kept_punctuation(self):
-        out = tag_negation(_toks("not", "bad", "!", "great"))
-        assert [t.surface for t in out] == ["not", "NOT_bad", "!", "great"]
+        assert _negate("not", "bad", "!", "great") == ["not", "NOT_bad", "!", "great"]
+        assert _negate("not", "bad", "?", "great") == ["not", "NOT_bad", "?", "great"]
 
     def test_negated_flag_set(self):
-        out = tag_negation(_toks("not", "bad"))
-        assert out[1].negated and not out[0].negated
-        assert out[1].bare == "bad"
-
-    def test_custom_trigger(self):
-        out = tag_negation(_toks("never", "works"), triggers=frozenset({"never"}))
-        assert [t.surface for t in out] == ["never", "NOT_works"]
+        out = _sentence("not bad")
+        assert out.negated[1] and not out.negated[0]
+        assert out.words[1] == "bad"
 
     words = st.lists(
         st.sampled_from(["not", "good", "bad", "movie", "!", "?", "fun"]), max_size=12
     )
 
     @given(words)
-    def test_idempotent(self, surfaces):
-        once = tag_negation(_toks(*surfaces))
-        assert tag_negation(once) == once
-
-    @given(words)
-    def test_token_count_preserved(self, surfaces):
-        assert len(tag_negation(_toks(*surfaces))) == len(surfaces)
+    def test_token_count_preserved(self, words):
+        assert len(tag_negation(words)) == len(words)
 
 
 class TestTagPos:
     def test_verb_class_for_love(self):
-        out = tag_pos(_toks("i", "love", "that", "movie"), RuleTagger())
-        assert [t.pos for t in out] == ["PRP", "VB", "DT", "NN"]
-        assert all(t.pos in TAG_INVENTORY for t in out)
+        out = _sentence("i love that movie")
+        assert out.tags == ["PRP", "VB", "DT", "NN"]
+        assert all(t in TAG_INVENTORY for t in out.tags)
 
     def test_empty_sentence(self):
-        assert tag_pos([], RuleTagger()) == []
+        assert RuleTagger().tag([]) == []
+        assert preprocess_document(_raw(",;: ...")).sentences == []
 
     def test_pretagged_parse(self):
-        (tok,) = tag_pos([Token(surface="famous_JJ")], PretaggedReader())
-        assert tok.surface == "famous" and tok.pos == "JJ"
+        out = _sentence("famous_JJ", PretaggedReader())
+        assert out.words == ["famous"] and out.tags == ["JJ"]
 
     def test_pretagged_malformed(self):
         with pytest.raises(DataError, match="position 1"):
-            tag_pos(_toks("fine_JJ", "broken"), PretaggedReader())
+            preprocess_document(_raw("fine_JJ broken"), PretaggedReader())
 
     def test_negated_token_tagged_by_bare_form(self):
-        (tok,) = tag_pos([Token(surface="NOT_love", negated=True)], RuleTagger())
-        assert tok.pos == "VB" and tok.surface == "NOT_love"
+        out = _sentence("not love")
+        assert out.tags[1] == "VB" and out.words[1] == "love" and out.negated[1]
 
     def test_suffix_rules(self):
         tags = RuleTagger().tag(["famous", "highly", "watchable", "colorful"])
@@ -137,38 +138,33 @@ class TestTagPos:
         assert RuleTagger().tag(["zyzzyva"]) == ["NN"]
 
     def test_token_count_preserved(self):
-        sent = _toks("a", "very", "fine", "film")
-        assert len(tag_pos(sent, RuleTagger())) == len(sent)
+        out = _sentence("a very fine film")
+        assert len(out.words) == len(out.tags) == len(out.negated) == 4
 
 
 class TestPreprocessDocument:
-    def _doc(self, text):
-        return RawDocument(id="d", label=Label.POSITIVE, text=text)
-
     def test_negation_off_still_expands(self):
-        out = preprocess_document(self._doc("It isn't good"), PreprocessConfig(apply_negation=False))
-        assert [t.surface for t in out.sentences[0]] == ["it", "is", "not", "good"]
-        assert not any(t.negated for s in out.sentences for t in s)
+        # The plain variant reads the words, which are expanded and never prefixed.
+        out = _sentence("It isn't good")
+        assert out.words == ["it", "is", "not", "good"]
 
     def test_negation_on(self):
-        out = preprocess_document(self._doc("It isn't good"), PreprocessConfig(apply_negation=True))
-        assert [t.surface for t in out.sentences[0]] == ["it", "is", "not", "NOT_good"]
+        out = _sentence("It isn't good")
+        assert _surfaces(out.words, out.negated) == ["it", "is", "not", "NOT_good"]
 
     def test_empty_document(self):
-        out = preprocess_document(self._doc(""))
+        out = preprocess_document(_raw(""))
         assert out.sentences == []
 
     def test_lines_become_sentences(self):
-        out = preprocess_document(self._doc("fine film\n\ngreat ending\n"))
+        out = preprocess_document(_raw("fine film\n\ngreat ending\n"))
         assert len(out.sentences) == 2
 
     def test_pretagged_pipeline(self):
-        cfg = PreprocessConfig(tagger=get_tagger("pretagged"))
-        out = preprocess_document(self._doc("i_PRP do_VBP not_RB like_VB it_PRP"), cfg)
-        surfaces = [t.surface for t in out.sentences[0]]
-        assert surfaces == ["i", "do", "not", "NOT_like", "NOT_it"]
-        assert [t.pos for t in out.sentences[0]] == ["PRP", "VBP", "RB", "VB", "PRP"]
+        out = _sentence("i_PRP do_VBP not_RB like_VB it_PRP", get_tagger("pretagged"))
+        assert _surfaces(out.words, out.negated) == ["i", "do", "not", "NOT_like", "NOT_it"]
+        assert out.tags == ["PRP", "VBP", "RB", "VB", "PRP"]
 
     def test_punctuation_tokens_kept(self):
-        out = preprocess_document(self._doc("good grief !"))
-        assert [t.surface for t in out.sentences[0]] == ["good", "grief", "!"]
+        out = _sentence("good grief !")
+        assert out.words == ["good", "grief", "!"]

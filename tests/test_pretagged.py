@@ -15,7 +15,6 @@ from polarity.corpus import load_corpus
 from polarity.evaluation import FeaturePipeline
 from polarity.features import FeatureFamily, FeatureSpec, bag_to_text, extract
 from polarity.lexicon import load_lexicon, load_transitions
-from polarity.preprocess import PreprocessConfig
 from polarity.tagging import get_tagger
 
 CORPUS = Path(__file__).parent / "golden" / "corpus"
@@ -25,11 +24,11 @@ VARIANTS = [(family, False) for family in FeatureFamily] + [(FeatureFamily.UNIGR
 def _pipeline(corpus, resources, tagger_name):
     lexicon, transitions = resources
     return FeaturePipeline(corpus, lexicon=lexicon, transitions=transitions,
-                           preprocess_cfg=PreprocessConfig(tagger=get_tagger(tagger_name)))
+                           tagger=get_tagger(tagger_name))
 
 
 def _word_tag_lines(document):
-    return "".join(" ".join(f"{t.bare}_{t.pos}" for t in sentence) + "\n"
+    return "".join(" ".join(f"{w}_{t}" for w, t in zip(sentence.words, sentence.tags)) + "\n"
                    for sentence in document.sentences)
 
 

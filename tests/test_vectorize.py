@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from conftest import labeled_matrix
 from polarity.errors import ConfigError, DataError
 from polarity.vectorize import (
+    MAX_FEATURE_ID,
     FeatureMatrix,
     Representation,
     build_vocabulary,
@@ -167,6 +168,15 @@ class TestSvmlightFormat:
     def test_missing_file_is_a_usage_error(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             read_svmlight(tmp_path / "absent.svml")
+
+    def test_feature_id_bound(self, tmp_path):
+        path = tmp_path / "v.svml"
+        path.write_text(f"+1 1:1 {MAX_FEATURE_ID}:1\n")
+        X, _ = read_svmlight(path)
+        assert X.shape == (1, MAX_FEATURE_ID)
+        path.write_text(f"+1 1:1\n-1 2:1 {MAX_FEATURE_ID + 1}:1\n")
+        with pytest.raises(DataError, match=r"v.svml:2: feature id .* exceeds the limit"):
+            read_svmlight(path)
 
 
 def test_vocabulary_file_round_trip(tmp_path):
