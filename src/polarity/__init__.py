@@ -41,7 +41,6 @@ from .tagging import PretaggedReader, RuleTagger, get_tagger
 from .vectorize import (
     FeatureMatrix,
     Representation,
-    SparseVector,
     Vocabulary,
     build_vocabulary,
     column_mask,

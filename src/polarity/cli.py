@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -27,7 +28,7 @@ from .evaluation import (
     run_experiment,
     run_grid,
 )
-from .features import parse_feature_spec
+from .features import check_resources, parse_feature_spec
 from .lexicon import load_lexicon, load_transitions
 from .naive_bayes import NaiveBayesModel, predict_nb, train_nb
 from .linear_svm import LinearSvmModel, predict_svm, train_svm
@@ -76,13 +77,6 @@ def _maybe_transitions(args):
     return load_transitions(path) if path else load_transitions()
 
 
-def _write_or_print(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        print(text)
-
-
 def cmd_stats(args) -> int:
     corpus = load_corpus(_corpus_root(args))
     stats = compute_stats(corpus)
@@ -105,14 +99,12 @@ def cmd_extract(args) -> int:
         transitions=_maybe_transitions(args) if spec.needs_transitions else None,
         tagger=get_tagger(args.tagger),
     )
-    if spec.needs_lexicon and pipeline.lexicon is None:
-        raise ConfigError(f"feature spec {spec.canonical()!r} requires --lexicon")
     matrix = pipeline.matrix_for_spec(spec)
     mask = column_mask(matrix.counts, args.min_count)
     X = represent(matrix.counts[:, mask], Representation(args.rep))
     write_svmlight(X, args.out, pipeline.labels())
     if args.vocab_out:
-        write_vocabulary(matrix.vocabulary(mask, args.min_count), args.vocab_out)
+        write_vocabulary(matrix.vocabulary(mask), args.vocab_out)
     documents, features = X.shape
     summary = {"documents": documents, "features": features,
                "vectors_file": args.out, "vocabulary_file": args.vocab_out}
@@ -144,8 +136,6 @@ def cmd_evaluate(args) -> int:
     corpus = _load_folded_corpus(args)
     spec = config.spec()
     lexicon = _maybe_lexicon(args)
-    if spec.needs_lexicon and lexicon is None:
-        raise ConfigError(f"feature spec {spec.canonical()!r} requires --lexicon")
     transitions = _maybe_transitions(args) if spec.needs_transitions else None
     pipeline = FeaturePipeline(corpus, lexicon=lexicon, transitions=transitions,
                                tagger=get_tagger(args.tagger))
@@ -188,7 +178,7 @@ def cmd_train(args) -> int:
             "duality_gap": model.meta.duality_gap,
         }
         if not model.meta.converged:
-            print("warning: solver hit the epoch cap before reaching tolerance", file=sys.stderr)
+            print(f"warning: {model.meta.warning}", file=sys.stderr)
     if args.format == "json":
         print(json.dumps(info, sort_keys=True))
     else:
@@ -229,8 +219,8 @@ def _combo_specs(base: str) -> list[str]:
     return specs
 
 
-def _reproduce_configs(args, have_lexicon: bool, have_transitions: bool = True):
-    """(grid name, config) cells plus a skipped list with reasons."""
+def _reproduce_configs(args, lexicon, transitions):
+    """(grid name, config) cells plus a skipped list, each with check_resources' reason."""
     common = dict(prune_scope=args.prune_scope, seed=args.seed, min_count=args.min_count,
                   C=args.C, tol=args.tol, max_epochs=args.max_epochs)
     only = set(args.only.split(",")) if args.only else set(_GRID_NAMES)
@@ -242,12 +232,11 @@ def _reproduce_configs(args, have_lexicon: bool, have_transitions: bool = True):
     skipped: list[dict] = []
 
     def add(grid: str, features: str, negation: bool) -> None:
-        spec = parse_feature_spec(features)
-        reason = None
-        if spec.needs_lexicon and not have_lexicon:
-            reason = "no subjectivity lexicon loaded"
-        elif spec.needs_transitions and not have_transitions:
-            reason = "no transition list loaded"
+        try:
+            check_resources(parse_feature_spec(features), lexicon, transitions)
+            reason = None
+        except ConfigError as exc:
+            reason = str(exc)
         for clf in ("nb", "svm"):
             for rep in ("presence", "frequency"):
                 cfg = ExperimentConfig(features=features, representation=rep,
@@ -318,9 +307,9 @@ def cmd_reproduce(args) -> int:
     pipeline = FeaturePipeline(corpus, lexicon=lexicon, transitions=transitions,
                                tagger=get_tagger(args.tagger))
 
-    cells, skipped = _reproduce_configs(args, have_lexicon=lexicon is not None,
-                                        have_transitions=transitions is not None)
-    configs = [cfg for _, cfg in cells]
+    cells, skipped = _reproduce_configs(args, lexicon, transitions)
+    # The combo grids repeat some table2 cells; each distinct config runs once.
+    configs = list(dict.fromkeys(cfg for _, cfg in cells))
     results_log = out_dir / "results.jsonl"
     results_log.unlink(missing_ok=True)
     reports, errors = run_grid(
@@ -335,6 +324,8 @@ def cmd_reproduce(args) -> int:
         report = by_hash.get(cfg.hash())
         if report:
             grids[grid].append(report)
+    cells_run = sum(map(len, grids.values()))
+    cells_failed = len(cells) - cells_run
 
     written = []
     for grid, grid_reports in grids.items():
@@ -355,14 +346,14 @@ def cmd_reproduce(args) -> int:
     written.append("skipped.json")
 
     summary = {
-        "out_dir": str(out_dir), "cells_run": len(reports),
-        "cells_skipped": len(skipped), "cells_failed": len(errors),
+        "out_dir": str(out_dir), "cells_run": cells_run,
+        "cells_skipped": len(skipped), "cells_failed": cells_failed,
         "files": sorted(written),
     }
     if args.format == "json":
         print(json.dumps(summary, sort_keys=True))
     else:
-        print(f"ran {len(reports)} cells ({len(skipped)} skipped, {len(errors)} failed) "
+        print(f"ran {cells_run} cells ({len(skipped)} skipped, {cells_failed} failed) "
               f"-> {out_dir}", file=sys.stderr)
     return 0
 
@@ -371,6 +362,13 @@ def _positive_int(value: str) -> int:
     number = int(value)
     if number < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {number}")
+    return number
+
+
+def _positive_float(value: str) -> float:
+    number = float(value)
+    if not (math.isfinite(number) and number > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and above 0, got {value}")
     return number
 
 
@@ -401,8 +399,9 @@ def _add_experiment_options(p) -> None:
                    help="term-removal threshold (default 5)")
     p.add_argument("--C", type=float, default=None,
                    help="SVM soft-margin penalty (default: 1/mean squared norm)")
-    p.add_argument("--tol", type=float, default=1e-3, help="SVM KKT tolerance (default 1e-3)")
-    p.add_argument("--max-epochs", type=int, default=1000,
+    p.add_argument("--tol", type=_positive_float, default=1e-3,
+                   help="SVM KKT tolerance (default 1e-3)")
+    p.add_argument("--max-epochs", type=_positive_int, default=1000,
                    help="SVM epoch cap (default 1000)")
 
 
@@ -443,8 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--clf", choices=["nb", "svm"], required=True)
     p.add_argument("--C", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--max-epochs", type=int, default=1000)
+    p.add_argument("--tol", type=_positive_float, default=1e-3)
+    p.add_argument("--max-epochs", type=_positive_int, default=1000)
     p.add_argument("--out", required=True, help="model path (nb: .json; svm: prefix for .json/.npy)")
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(func=cmd_train)

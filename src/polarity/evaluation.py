@@ -17,7 +17,6 @@ import hashlib
 import json
 import random
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -167,24 +166,21 @@ class FeaturePipeline:
                 for doc in self.documents]
 
     def matrix_for_spec(self, spec: FeatureSpec) -> FeatureMatrix:
-        """The union of the spec's family matrices, columns in lexicographic order."""
+        """The union of the spec's family matrices, columns in lexicographic order.
+
+        A missing lexicon or transition list fails before any family is built.
+        """
+        check_resources(spec, self.lexicon, self.transitions)
         return FeatureMatrix.union([
             self.family_matrix(f, spec.negation_variant) for f in FeatureFamily if f in spec.families
         ])
 
 
 def _train_model(config: ExperimentConfig, X, y, gram=None):
-    caught: list[str] = []
     if config.classifier == "nb":
-        model = naive_bayes.train_nb(X, y)
-    else:
-        with warnings.catch_warnings(record=True) as wlist:
-            warnings.simplefilter("always")
-            model = linear_svm.train_svm(
-                X, y, C=config.C, tol=config.tol, max_epochs=config.max_epochs, gram=gram,
-            )
-        caught = [str(w.message) for w in wlist]
-    return model, caught
+        return naive_bayes.train_nb(X, y)
+    return linear_svm.train_svm(X, y, C=config.C, tol=config.tol,
+                                max_epochs=config.max_epochs, gram=gram)
 
 
 def _predict(config: ExperimentConfig, model, X) -> np.ndarray:
@@ -248,8 +244,8 @@ def train_fold_model(corpus: Corpus, config: ExperimentConfig, fold: int,
     matrix = pipeline.matrix_for_spec(config.spec())
     train, mask, X_train, _, gram = _Cell(config, matrix, folds).split(fold)
     y = np.array(pipeline.labels())
-    model, _ = _train_model(config, X_train, y[train], gram)
-    return model, matrix.vocabulary(mask, config.min_count)
+    model = _train_model(config, X_train, y[train], gram)
+    return model, matrix.vocabulary(mask)
 
 
 def run_experiment(corpus: Corpus, config: ExperimentConfig,
@@ -274,13 +270,14 @@ def run_experiment(corpus: Corpus, config: ExperimentConfig,
 
     fold_accuracies: list[float] = []
     vocab_sizes: list[int] = []
-    caught: list[str] = []
+    fold_warnings: list[str] = []
     tp = fp = fn = 0
     for k in range(N_FOLDS):
         train, mask, X_train, X_test, gram = cell.split(k)
-        model, fold_warnings = _train_model(config, X_train, y[train], gram)
+        model = _train_model(config, X_train, y[train], gram)
         vocab_sizes.append(int(mask.sum()))
-        caught += [f"fold {k}: {msg}" for msg in fold_warnings]
+        if config.classifier == "svm" and not model.meta.converged:
+            fold_warnings.append(f"fold {k}: {model.meta.warning}")
 
         predictions = _predict(config, model, X_test)
         truth = y[~train]
@@ -300,7 +297,7 @@ def run_experiment(corpus: Corpus, config: ExperimentConfig,
         wall_time=time.perf_counter() - start,
         precision=precision,
         recall=recall,
-        warnings=caught,
+        warnings=fold_warnings,
     )
 
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -32,6 +30,7 @@ _SNAP = 1e-12
 class SvmTrainingMeta:
     iterations: int = 0
     converged: bool = True
+    warning: str = ""  # why the solver stopped short, when it did
     final_objective: float = 0.0  # primal
     dual_objective: float = 0.0
     duality_gap: float = 0.0
@@ -111,14 +110,14 @@ def default_C(X: sp.csr_matrix) -> float:
 
 def train_svm(X: sp.csr_matrix, y: Sequence[int], C: float | None = None,
               tol: float = 1e-3, max_epochs: int = 1000,
-              shuffle_seed: int | None = None,
               gram: np.ndarray | None = None) -> LinearSvmModel:
     """Train on the rows of *X* with +1/-1 labels *y* to KKT tolerance *tol*.
 
     One epoch is n pair updates. *gram*, when given, must equal
     ``gram_matrix(X)``; cross-validation passes the fold's slice of a Gram
-    computed once over the whole corpus. On hitting the epoch cap a warning
-    is emitted and the best iterate is returned with ``meta.converged`` False.
+    computed once over the whole corpus. On hitting the epoch cap the best
+    iterate is returned with ``meta.converged`` False and the reason in
+    ``meta.warning``.
     """
     y = np.asarray(y, dtype=np.float64)
     labels = set(y.tolist())
@@ -133,13 +132,6 @@ def train_svm(X: sp.csr_matrix, y: Sequence[int], C: float | None = None,
         raise DataError(f"C must be positive and finite, got {C}")
     if X.shape[1] == 0:
         X = fit_columns(X, 1)
-
-    if shuffle_seed is not None:
-        order = list(range(X.shape[0]))
-        random.Random(shuffle_seed).shuffle(order)
-        X, y = X[order], y[order]
-        if gram is not None:
-            gram = gram[np.ix_(order, order)]
 
     n = X.shape[0]
     K = gram_matrix(X) if gram is None else gram
@@ -161,12 +153,9 @@ def train_svm(X: sp.csr_matrix, y: Sequence[int], C: float | None = None,
         if m_val - M_val <= tol:
             break
         if it >= max_iterations:
-            warnings.warn(
-                f"SVM did not reach tol={tol} within {max_epochs} epochs "
-                f"(violation {m_val - M_val:.3e}); returning best iterate",
-                RuntimeWarning,
-            )
             meta.converged = False
+            meta.warning = (f"SVM did not reach tol={tol} within {max_epochs} epochs "
+                            f"(violation {m_val - M_val:.3e}); returning best iterate")
             break
 
         i = int(np.argmax(np.where(up, v, -np.inf)))

@@ -1,9 +1,11 @@
 """Sparse count matrices, vocabulary pruning as a column mask, and the file formats.
 
-Feature data lives in a CSR matrix with one row per document and one column
-per feature. A FeatureMatrix keeps its columns in lexicographic feature order,
-so after pruning (a boolean column mask, which keeps that order) a column
-index is the feature's vocabulary id.
+Feature data lives in CSR matrices only, with one row per document and one
+column per feature. A FeatureMatrix keeps its columns in lexicographic
+feature order, so after pruning (a boolean column mask, which keeps that
+order) a column index is the feature's vocabulary id. ``build_vocabulary``
+and ``vectorize`` (one bag to a one-row matrix) are the bag-at-a-time
+reference the matrix path is tested against.
 
 File formats:
   vectors   svmlight-compatible text, one document per line:
@@ -50,37 +52,12 @@ class Vocabulary:
     """Dense 0-based feature ids, lexicographically assigned."""
 
     index: dict[str, int]
-    min_count: int = 1
 
     def __len__(self) -> int:
         return len(self.index)
 
     def __contains__(self, feature: str) -> bool:
         return feature in self.index
-
-
-@dataclass
-class SparseVector:
-    """One document's sorted (id, value) pairs; zero values are never stored."""
-
-    ids: np.ndarray
-    values: np.ndarray
-    label: int | None = None
-
-    def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-
-    def pairs(self) -> list[tuple[int, float]]:
-        return list(zip(self.ids.tolist(), self.values.tolist()))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparseVector)
-            and self.label == other.label
-            and np.array_equal(self.ids, other.ids)
-            and np.array_equal(self.values, other.values)
-        )
 
 
 def build_vocabulary(train_bags: Iterable[FeatureBag], min_count: int = 5) -> Vocabulary:
@@ -95,19 +72,20 @@ def build_vocabulary(train_bags: Iterable[FeatureBag], min_count: int = 5) -> Vo
     kept = sorted(f for f, c in totals.items() if c >= min_count)
     if not kept:
         raise DataError(f"no feature reaches the count threshold {min_count}; vocabulary is empty")
-    return Vocabulary(index={f: i for i, f in enumerate(kept)}, min_count=min_count)
+    return Vocabulary(index={f: i for i, f in enumerate(kept)})
 
 
-def vectorize(bag: FeatureBag, vocab: Vocabulary, rep: Representation,
-              label: int | None = None) -> SparseVector:
-    """Map one bag to a sparse vector; out-of-vocabulary features drop silently."""
+def vectorize(bag: FeatureBag, vocab: Vocabulary, rep: Representation) -> sp.csr_matrix:
+    """Map one bag to a ``1 x len(vocab)`` CSR row with ascending column ids;
+    out-of-vocabulary features drop silently."""
     pairs = sorted((vocab.index[f], c) for f, c in bag.items() if f in vocab.index)
     ids = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
     if rep is Representation.PRESENCE:
         values = np.ones(len(pairs), dtype=np.float64)
     else:
         values = np.fromiter((p[1] for p in pairs), dtype=np.float64, count=len(pairs))
-    return SparseVector(ids=ids, values=values, label=label)
+    return sp.csr_matrix((values, ids, np.array([0, len(pairs)], dtype=np.int64)),
+                         shape=(1, len(vocab)))
 
 
 @dataclass
@@ -159,9 +137,9 @@ class FeatureMatrix:
         counts.sort_indices()
         return cls(counts=counts, features=[f for block in blocks for f in block.features])
 
-    def vocabulary(self, mask: np.ndarray, min_count: int) -> Vocabulary:
+    def vocabulary(self, mask: np.ndarray) -> Vocabulary:
         kept = [f for f, keep in zip(self.features, mask) if keep]
-        return Vocabulary(index={f: i for i, f in enumerate(kept)}, min_count=min_count)
+        return Vocabulary(index={f: i for i, f in enumerate(kept)})
 
 
 def column_mask(counts: sp.csr_matrix, min_count: int) -> np.ndarray:
@@ -298,7 +276,7 @@ def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
             fh.write(f"{feature}\t{fid}\n")
 
 
-def read_vocabulary(path: str | Path, min_count: int = 1) -> Vocabulary:
+def read_vocabulary(path: str | Path) -> Vocabulary:
     index: dict[str, int] = {}
     for lineno, line in enumerate(_read_lines(path), start=1):
         if not line.strip():
@@ -310,4 +288,4 @@ def read_vocabulary(path: str | Path, min_count: int = 1) -> Vocabulary:
             index[feature] = int(fid)
         except ValueError:
             raise DataError(f"{path}:{lineno}: bad feature id {fid!r}") from None
-    return Vocabulary(index=index, min_count=min_count)
+    return Vocabulary(index=index)

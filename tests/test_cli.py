@@ -1,11 +1,18 @@
 """CLI subcommands, exit codes, and output formats."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from polarity import evaluation
 from polarity.cli import main
-from conftest import NEGATIVE_WORDS, POSITIVE_WORDS, write_synthetic_corpus
+from polarity.evaluation import EvalReport
+from polarity.vectorize import write_svmlight
+from conftest import NEGATIVE_WORDS, POSITIVE_WORDS, labeled_matrix, write_synthetic_corpus
+from test_linear_svm import _random_instance
+
+GOLDEN_CORPUS = Path(__file__).parent / "golden" / "corpus"
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +163,18 @@ class TestTrainPredict:
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 50 and out[0].split()[0] in {"+1", "-1"}
 
+    def test_nonconvergence_is_one_warning_line(self, tmp_path, capsys):
+        path = tmp_path / "v.svml"
+        X, y = labeled_matrix(_random_instance(seed=3, n=60))
+        write_svmlight(X, path, y)
+        assert main(["train", "--input", str(path), "--clf", "svm", "--C", "10",
+                     "--tol", "1e-12", "--max-epochs", "1", "--out", str(tmp_path / "m"),
+                     "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["converged"] is False
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: SVM did not reach "), err
+
     def test_bad_model_file_exits_3(self, tmp_path, vector_file, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{}", encoding="utf-8")
@@ -241,6 +260,32 @@ class TestInputErrors:
                      "--input", str(vector_file)]) == 3
         assert "weights file" in one_error_line(capsys)
 
+    @pytest.mark.parametrize("command", ["evaluate", "reproduce", "train"])
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--tol", "nan", "must be finite and above 0"),
+        ("--tol", "inf", "must be finite and above 0"),
+        ("--tol", "-1", "must be finite and above 0"),
+        ("--tol", "0", "must be finite and above 0"),
+        ("--max-epochs", "0", "must be at least 1"),
+        ("--max-epochs", "-3", "must be at least 1"),
+    ])
+    def test_bad_solver_limits_exit_2(self, corpus_dir, tmp_path, capsys, command,
+                                      flag, value, message):
+        argv = {
+            "evaluate": ["evaluate", "--corpus", str(corpus_dir), "--features", "unigram",
+                         "--rep", "presence", "--clf", "svm"],
+            "reproduce": ["reproduce", "--corpus", str(corpus_dir),
+                          "--out-dir", str(tmp_path / "x"), "--only", "table2"],
+            "train": ["train", "--input", str(tmp_path / "absent.svml"), "--clf", "svm",
+                      "--out", str(tmp_path / "m")],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].endswith(f"{flag}: {message}, got {value}")
+        assert not (tmp_path / "x").exists()
+
 
 class TestReproduce:
     def test_table2_subset(self, corpus_dir, lexicon_tsv, tmp_path, capsys):
@@ -283,6 +328,27 @@ class TestReproduce:
         assert exc.value.code == 2
         assert "--jobs: must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_shared_cells_run_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def fake_run_experiment(corpus, config, pipeline=None):
+            calls.append(config)
+            return EvalReport(config=config, fold_accuracies=[0.5] * 5, mean_accuracy=0.5,
+                              feature_count=1, wall_time=0.0)
+
+        monkeypatch.setattr(evaluation, "run_experiment", fake_run_experiment)
+        out_dir = tmp_path / "out"
+        assert main(["reproduce", "--corpus", str(GOLDEN_CORPUS),
+                     "--lexicon", str(GOLDEN_CORPUS / "lexicon.tsv"), "--lexicon-format", "tsv",
+                     "--out-dir", str(out_dir), "--format", "json"]) == 0
+        assert len(calls) == len(set(calls)) == 120
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["cells_run"] == 132 and summary["cells_failed"] == 0
+        rows = {name: len((out_dir / f"{name}.csv").read_text().splitlines()) - 1
+                for name in ("table2", "unigram_combos", "3adjadv_combos")}
+        assert rows == {"table2": 36, "unigram_combos": 64, "3adjadv_combos": 32}
+        assert len((out_dir / "results.jsonl").read_text().splitlines()) == 120
 
     def test_missing_transitions_file_skips_transition_rows(self, corpus_dir, lexicon_tsv,
                                                             tmp_path, capsys):

@@ -20,7 +20,12 @@ from polarity.evaluation import (
     run_label_shuffled_control,
     train_fold_model,
 )
-from polarity.features import FeatureFamily, extract_adjectives, extract_ngrams
+from polarity.features import (
+    FeatureFamily,
+    extract_adjectives,
+    extract_ngrams,
+    parse_feature_spec,
+)
 from polarity.lexicon import load_transitions
 from polarity.linear_svm import gram_matrix
 from polarity.vectorize import build_vocabulary
@@ -77,6 +82,19 @@ class TestRunExperiment:
     def test_lexicon_required_for_polarized(self, synth_corpus):
         with pytest.raises(ConfigError, match="lexicon"):
             run_experiment(synth_corpus, cfg(features="unigram+pu"))
+
+    def test_missing_lexicon_fails_before_preprocessing(self, synth_corpus):
+        pipeline = FeaturePipeline(synth_corpus)
+        with pytest.raises(ConfigError, match="requires a subjectivity lexicon"):
+            pipeline.matrix_for_spec(parse_feature_spec("unigram+pu"))
+        assert pipeline._documents is None
+
+    def test_nonconverged_folds_reported(self, synth_corpus):
+        report = run_experiment(synth_corpus, cfg(classifier="svm", C=10.0, tol=1e-12,
+                                                  max_epochs=1))
+        assert len(report.warnings) == 5
+        for k, message in enumerate(report.warnings):
+            assert message.startswith(f"fold {k}: SVM did not reach tol=1e-12 within 1 epochs")
 
     def test_lexicon_features_run(self, synth_corpus, tiny_lexicon):
         report = run_experiment(

@@ -1,4 +1,4 @@
-"""Vocabulary pruning, sparse vectors and count matrices, and the file formats."""
+"""Vocabulary pruning, one-row vectors and count matrices, and the file formats."""
 
 from collections import Counter
 
@@ -48,6 +48,11 @@ class TestBuildVocabulary:
             build_vocabulary([Counter({"a": 1})], min_count=5)
 
 
+def pairs(row):
+    """(column, value) pairs of a one-row CSR matrix."""
+    return list(zip(row.indices.tolist(), row.data.tolist()))
+
+
 class TestVectorize:
     @pytest.fixture()
     def vocab(self):
@@ -55,19 +60,19 @@ class TestVectorize:
 
     def test_presence_binarizes(self, vocab):
         vec = vectorize(Counter({"u:good": 3}), vocab, Representation.PRESENCE)
-        assert vec.pairs() == [(vocab.index["u:good"], 1.0)]
+        assert pairs(vec) == [(vocab.index["u:good"], 1.0)]
 
     def test_frequency_keeps_counts(self, vocab):
         vec = vectorize(Counter({"u:good": 3}), vocab, Representation.FREQUENCY)
-        assert vec.pairs() == [(vocab.index["u:good"], 3.0)]
+        assert pairs(vec) == [(vocab.index["u:good"], 3.0)]
 
     def test_oov_dropped(self, vocab):
         vec = vectorize(Counter({"u:unseen": 2}), vocab, Representation.FREQUENCY)
-        assert len(vec.ids) == 0
+        assert len(vec.indices) == 0
 
     def test_ids_strictly_increasing(self, vocab):
         vec = vectorize(Counter({"u:good": 1, "u:fun": 2}), vocab, Representation.FREQUENCY)
-        assert list(vec.ids) == sorted(set(vec.ids.tolist()))
+        assert list(vec.indices) == sorted(set(vec.indices.tolist()))
 
 
 bags = st.dictionaries(
@@ -83,9 +88,9 @@ def test_adding_occurrences_never_drops_pairs(bag_dict):
     if not bag:
         return
     vocab = build_vocabulary([bag], min_count=1)
-    before = set(vectorize(bag, vocab, Representation.FREQUENCY).ids.tolist())
+    before = set(vectorize(bag, vocab, Representation.FREQUENCY).indices.tolist())
     grown = bag + Counter({next(iter(bag)): 1})
-    after = set(vectorize(grown, vocab, Representation.FREQUENCY).ids.tolist())
+    after = set(vectorize(grown, vocab, Representation.FREQUENCY).indices.tolist())
     assert before <= after
 
 
@@ -97,8 +102,8 @@ def test_presence_equals_clamped_frequency(bag_dict):
         return
     presence = vectorize(bag, vocab, Representation.PRESENCE)
     frequency = vectorize(bag, vocab, Representation.FREQUENCY)
-    assert np.array_equal(presence.ids, frequency.ids)
-    assert np.array_equal(presence.values, np.minimum(frequency.values, 1.0))
+    assert np.array_equal(presence.indices, frequency.indices)
+    assert np.array_equal(presence.data, np.minimum(frequency.data, 1.0))
 
 
 rows_strategy = st.lists(
@@ -217,7 +222,7 @@ def test_column_mask_matches_build_vocabulary(bags, min_count, data):
         assert str(caught.value) == str(exc)
         return
     mask = column_mask(matrix.counts[rows], min_count)
-    assert matrix.vocabulary(mask, min_count).index == expected.index
+    assert matrix.vocabulary(mask).index == expected.index
 
 
 @given(bag_lists)
@@ -229,13 +234,11 @@ def test_matrix_rows_match_vectorize(bags):
             column_mask(matrix.counts, 1)
         return
     mask = column_mask(matrix.counts, 1)
-    vocab = matrix.vocabulary(mask, 1)
+    vocab = matrix.vocabulary(mask)
     for rep in Representation:
         X = represent(matrix.counts[:, mask], rep)
         for i, bag in enumerate(bags):
-            row = X[i]
-            assert list(zip(row.indices.tolist(), row.data.tolist())) == \
-                vectorize(bag, vocab, rep).pairs()
+            assert pairs(X[i]) == pairs(vectorize(bag, vocab, rep))
 
 
 def test_union_columns_in_lexicographic_order():
