@@ -40,6 +40,18 @@ def test_extract_union_files(tmp_path, capsys):
     assert vocab.read_bytes() == (GOLDEN / "extract_unigram+pb+3adjadv.vocab.tsv").read_bytes()
 
 
+def test_extract_transition_files(tmp_path, capsys):
+    """The ``t`` family: 607 matches of the bundled list, among them prefix-sharing
+    phrases such as ``in spite of`` and ``in contrast``."""
+    vectors, vocab = tmp_path / "vectors.svml", tmp_path / "vocab.tsv"
+    code = main(["extract", "--corpus", str(CORPUS), *LEXICON,
+                 "--features", "t", "--rep", "frequency",
+                 "--out", str(vectors), "--vocab-out", str(vocab)])
+    assert code == 0
+    assert vectors.read_bytes() == (GOLDEN / "extract_t.svml").read_bytes()
+    assert vocab.read_bytes() == (GOLDEN / "extract_t.vocab.tsv").read_bytes()
+
+
 FOLD_SCOPE_CELLS = {
     "unigram-presence-svm": ["--features", "unigram", "--rep", "presence", "--clf", "svm"],
     "bigram+adj-frequency-nb": ["--features", "bigram+adj", "--rep", "frequency",
