@@ -66,6 +66,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown classifier {self.classifier!r} (expected 'nb' or 'svm')")
         if self.prune_scope not in PRUNE_SCOPES:
             raise ConfigError(f"unknown prune scope {self.prune_scope!r} (expected 'fold' or 'corpus')")
+        linear_svm.check_solver_limits(self.tol, self.max_epochs)
         object.__setattr__(self, "representation", parse_representation(self.representation))
         # Normalizes the family string and rejects unknown tokens up front.
         object.__setattr__(self, "features", self.spec().canonical())

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .vectorize import fit_columns, read_json_object
 
 MODEL_FORMAT = "polarity-svm/1"
@@ -108,6 +108,14 @@ def default_C(X: sp.csr_matrix) -> float:
     return 1.0 / mean
 
 
+def check_solver_limits(tol: float, max_epochs: int) -> None:
+    """Raise ConfigError unless *tol* is finite and above 0 and *max_epochs* at least 1."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tol must be finite and above 0, got {tol}")
+    if max_epochs < 1:
+        raise ConfigError(f"max_epochs must be at least 1, got {max_epochs}")
+
+
 def train_svm(X: sp.csr_matrix, y: Sequence[int], C: float | None = None,
               tol: float = 1e-3, max_epochs: int = 1000,
               gram: np.ndarray | None = None) -> LinearSvmModel:
@@ -119,6 +127,7 @@ def train_svm(X: sp.csr_matrix, y: Sequence[int], C: float | None = None,
     iterate is returned with ``meta.converged`` False and the reason in
     ``meta.warning``.
     """
+    check_solver_limits(tol, max_epochs)
     y = np.asarray(y, dtype=np.float64)
     labels = set(y.tolist())
     if labels - {1.0, -1.0}:

@@ -111,12 +111,22 @@ def _build_word_tags() -> dict[str, str]:
     return table
 
 
+# Memo value of an -ed word that no earlier rule tags: VBN after a
+# _VERB_FORMS word, else VBD. The only tag that depends on the previous word.
+_ED_FORM = "VBN|VBD"
+
+
 class RuleTagger:
     """Greedy word-lexicon tagger with suffix and -ed/-ing context rules.
 
     Lookup order: word lexicon, punctuation/number checks, adjective
-    suffixes, verb-inflection rules, then the NN/NNS fallback. Read-only
-    after construction, so instances are safe to share.
+    suffixes, verb-inflection rules, then the NN/NNS fallback. ``tag``
+    memoizes the rules per word. A word's tag depends on the previous word
+    only through the -ed rule, so the memo is keyed on the word alone and
+    stores ``_ED_FORM`` for the words that rule decides; ``tag`` resolves
+    those against the previous word on every use. The memo only ever adds
+    the tag the rules give, so sharing an instance stays safe, also across
+    forked workers, which each copy it on write.
     """
 
     name = "builtin"
@@ -124,16 +134,28 @@ class RuleTagger:
     def __init__(self) -> None:
         self._words = _build_word_tags()
         self._verbs = set(_VERBS) | {"be", "have", "do"}
+        self._memo: dict[str, str] = {}
 
     def tag(self, words: list[str]) -> list[str]:
+        memo = self._memo
         tags: list[str] = []
         prev = ""
         for word in words:
-            tags.append(self._tag_one(word, prev))
+            tag = memo.get(word)
+            if tag is None:
+                tag = memo[word] = self._tag_word(word)
+            if tag is _ED_FORM:
+                tag = _ed_tag(prev)
+            tags.append(tag)
             prev = word
         return tags
 
     def _tag_one(self, word: str, prev: str) -> str:
+        """The tag of *word* after *prev*, without the memo."""
+        tag = self._tag_word(word)
+        return _ed_tag(prev) if tag is _ED_FORM else tag
+
+    def _tag_word(self, word: str) -> str:
         known = self._words.get(word)
         if known is not None:
             return known
@@ -149,12 +171,16 @@ class RuleTagger:
         if word.endswith("ing") and len(word) > 4:
             return "VBG"
         if word.endswith("ed") and len(word) > 3:
-            return "VBN" if prev in _VERB_FORMS else "VBD"
+            return _ED_FORM
         if word.endswith("s") and not word.endswith("ss") and len(word) > 3:
             if word[:-1] in self._verbs:
                 return "VBZ"
             return "NNS"
         return FALLBACK_TAG
+
+
+def _ed_tag(prev: str) -> str:
+    return "VBN" if prev in _VERB_FORMS else "VBD"
 
 
 class PretaggedReader:

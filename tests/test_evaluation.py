@@ -50,6 +50,16 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             cfg(prune_scope="global")
 
+    @pytest.mark.parametrize("limits, message", [
+        (dict(tol=float("nan")), "tol must be finite and above 0"),
+        (dict(tol=-1.0), "tol must be finite and above 0"),
+        (dict(max_epochs=-3), "max_epochs must be at least 1"),
+        (dict(tol=float("nan"), max_epochs=0), "tol must be finite and above 0"),
+    ])
+    def test_rejects_bad_solver_limits(self, limits, message):
+        with pytest.raises(ConfigError, match=message):
+            cfg(classifier="svm", **limits)
+
     def test_hash_stable_and_sensitive(self):
         assert cfg().hash() == cfg().hash()
         assert cfg().hash() != cfg(classifier="svm").hash()

@@ -1,9 +1,10 @@
 """Subjectivity lexicon loading and polarity queries; transition lists."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from polarity.errors import ConfigError, DataError
-from polarity.lexicon import Polarity, load_lexicon, load_transitions
+from polarity.lexicon import Polarity, TransitionList, load_lexicon, load_transitions
 
 TFF_SAMPLE = """\
 type=weaksubj len=1 word1=abandon pos1=verb stemmed1=y priorpolarity=negative
@@ -111,3 +112,59 @@ class TestTransitions:
         path.write_text("# only a comment\n", encoding="utf-8")
         with pytest.raises(DataError, match="empty"):
             load_transitions(path)
+
+
+def _scan_all_phrases(trans, words):
+    """The reference matcher: every phrase, in list order, at every free position."""
+    matches = []
+    i = 0
+    n = len(words)
+    while i < n:
+        for phrase in trans.phrases:
+            tokens = tuple(phrase.split())
+            k = len(tokens)
+            if i + k <= n and tuple(words[i:i + k]) == tokens:
+                matches.append((phrase, i, i + k))
+                i += k
+                break
+        else:
+            i += 1
+    return matches
+
+
+BUNDLED = load_transitions()
+PHRASE_WORDS = sorted({w for p in BUNDLED.phrases for w in p.split()})
+FILLER = ["the", "film", "was", "good", "not", "!"]
+
+
+class TestIndexedMatching:
+    @given(st.lists(st.sampled_from(PHRASE_WORDS + FILLER), max_size=30))
+    def test_random_words_match_reference(self, words):
+        assert BUNDLED.find_matches(words) == _scan_all_phrases(BUNDLED, words)
+
+    def test_prefix_of_longer_phrases(self):
+        trans = TransitionList(["in spite of", "in contrast", "in"])
+        for text, expected in [
+            ("in spite of it", [("in spite of", 0, 3)]),
+            ("in contrast to", [("in contrast", 0, 2)]),
+            ("in spite", [("in", 0, 1)]),
+            ("in in contrast", [("in", 0, 1), ("in contrast", 1, 3)]),
+        ]:
+            words = text.split()
+            assert trans.find_matches(words) == expected == _scan_all_phrases(trans, words)
+
+    @pytest.mark.parametrize("text", ["it was fine on the other hand",
+                                      "it was fine except that", "even so"])
+    def test_phrase_ending_the_sentence(self, text):
+        words = text.split()
+        matches = BUNDLED.find_matches(words)
+        assert matches and matches[-1][2] == len(words)
+        assert matches == _scan_all_phrases(BUNDLED, words)
+
+    @given(st.permutations(["in", "in spite of", "spite of", "on the other hand",
+                            "the other", "hand", "of"]),
+           st.lists(st.sampled_from(["in", "spite", "of", "on", "the", "other", "hand",
+                                     "film"]), max_size=20))
+    def test_unsorted_list_keeps_list_order(self, phrases, words):
+        trans = TransitionList(list(phrases))
+        assert trans.find_matches(words) == _scan_all_phrases(trans, words)

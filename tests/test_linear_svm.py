@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import labeled_matrix
-from polarity.errors import DataError
+from polarity.errors import ConfigError, DataError
 from polarity.linear_svm import (
     LinearSvmModel,
     default_C,
@@ -232,6 +232,15 @@ class TestErrorsAndMeta:
     def test_single_class_rejected(self):
         with pytest.raises(DataError, match="both classes"):
             fit([sv([(0, 1.0)], 1), sv([(1, 1.0)], 1)])
+
+    @pytest.mark.parametrize("limits, message", [
+        (dict(tol=float("nan")), "tol must be finite and above 0"),
+        (dict(tol=-1.0), "tol must be finite and above 0"),
+        (dict(max_epochs=-3), "max_epochs must be at least 1"),
+    ])
+    def test_bad_solver_limits_rejected(self, limits, message):
+        with pytest.raises(ConfigError, match=message):
+            fit(SEPARABLE_2D, C=1.0, **limits)
 
     def test_nonconvergence_warns_and_flags(self):
         pts = _random_instance(seed=3, n=60)

@@ -1,9 +1,11 @@
 """Normalization chain: contractions, punctuation, negation scope, POS tags."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
-from polarity.corpus import Label, RawDocument
+from polarity.corpus import Label, RawDocument, load_corpus
 from polarity.errors import DataError
 from polarity.preprocess import (
     NEGATION_PREFIX,
@@ -12,7 +14,9 @@ from polarity.preprocess import (
     strip_punctuation,
     tag_negation,
 )
-from polarity.tagging import PretaggedReader, RuleTagger, TAG_INVENTORY, get_tagger
+from polarity.tagging import _VERB_FORMS, PretaggedReader, RuleTagger, TAG_INVENTORY, get_tagger
+
+GOLDEN_CORPUS = Path(__file__).parent / "golden" / "corpus"
 
 
 def _raw(text):
@@ -136,6 +140,31 @@ class TestTagPos:
 
     def test_fallback_nn(self):
         assert RuleTagger().tag(["zyzzyva"]) == ["NN"]
+
+    def test_memo_matches_rules_on_golden_corpus(self):
+        # The corpus has -ed words tagged both VBN (after a verb form) and VBD.
+        tagger = RuleTagger()
+        seen = set()
+        for doc in load_corpus(GOLDEN_CORPUS).documents:
+            for words, tags, _ in preprocess_document(doc, tagger).sentences:
+                prevs = [""] + words[:-1]
+                assert tags == [tagger._tag_one(w, p) for w, p in zip(words, prevs)]
+                seen.update(tags)
+        assert {"VBN", "VBD"} <= seen
+
+    def test_ed_word_after_every_verb_form(self):
+        tagger = RuleTagger()
+        for form in _VERB_FORMS:
+            assert tagger.tag([form, "stunned"])[1] == "VBN" == tagger._tag_one("stunned", form)
+        assert tagger.tag(["stunned"]) == ["VBD"]
+
+    def test_ed_word_context_on_warm_tagger(self):
+        tagger = RuleTagger()
+        words = ["was", "stunned", "she", "stunned", "had", "stunned"]
+        assert tagger.tag(words)[1::2] == ["VBN", "VBD", "VBN"]
+        assert tagger.tag(["stunned", "been", "stunned"]) == ["VBD", "VBN", "VBN"]
+        prevs = [""] + words[:-1]
+        assert tagger.tag(words) == [tagger._tag_one(w, p) for w, p in zip(words, prevs)]
 
     def test_token_count_preserved(self):
         out = _sentence("a very fine film")
