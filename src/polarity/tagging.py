@@ -156,6 +156,7 @@ class RuleTagger:
         return _ed_tag(prev) if tag is _ED_FORM else tag
 
     def _tag_word(self, word: str) -> str:
+        """The tag the rules give *word* alone, or ``_ED_FORM``."""
         known = self._words.get(word)
         if known is not None:
             return known

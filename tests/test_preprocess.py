@@ -142,15 +142,15 @@ class TestTagPos:
         assert RuleTagger().tag(["zyzzyva"]) == ["NN"]
 
     def test_memo_matches_rules_on_golden_corpus(self):
-        # The corpus has -ed words tagged both VBN (after a verb form) and VBD.
         tagger = RuleTagger()
-        seen = set()
+        context_tags = set()  # tags of words whose tag the previous word decides
         for doc in load_corpus(GOLDEN_CORPUS).documents:
             for words, tags, _ in preprocess_document(doc, tagger).sentences:
                 prevs = [""] + words[:-1]
                 assert tags == [tagger._tag_one(w, p) for w, p in zip(words, prevs)]
-                seen.update(tags)
-        assert {"VBN", "VBD"} <= seen
+                context_tags.update(tag for word, tag in zip(words, tags)
+                                    if tagger._tag_one(word, "") != tagger._tag_one(word, "was"))
+        assert context_tags == {"VBN", "VBD"}
 
     def test_ed_word_after_every_verb_form(self):
         tagger = RuleTagger()
