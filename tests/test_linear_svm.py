@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import labeled_matrix
 from polarity.errors import ConfigError, DataError
@@ -256,3 +257,165 @@ class TestErrorsAndMeta:
         loaded = LinearSvmModel.load(tmp_path / "svm")
         assert np.array_equal(loaded.weights, model.weights)
         assert loaded.bias == model.bias and loaded.C == model.C
+
+
+def _reference_train(X, y, C, tol=1e-3, max_epochs=1000, gram=None):
+    """The solver loop as first written: masks rebuilt and maxima taken by
+    copy on every step, columns read from the Gram as given. The lean loop
+    in ``train_svm`` must follow the same iterate path bit for bit.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    n = X.shape[0]
+    K = gram_matrix(X) if gram is None else gram
+    diag = K.diagonal().copy()
+    alpha = np.zeros(n)
+    G = -np.ones(n)
+    history = []
+    warning = ""
+    max_iterations = max_epochs * n
+    pos = y > 0
+    it = 0
+    while True:
+        v = -(y * G)
+        up = (pos & (alpha < C)) | (~pos & (alpha > 0))
+        low = (~pos & (alpha < C)) | (pos & (alpha > 0))
+        m_val = np.max(v[up]) if up.any() else -np.inf
+        M_val = np.min(v[low]) if low.any() else np.inf
+        if m_val - M_val <= tol:
+            break
+        if it >= max_iterations:
+            warning = (f"SVM did not reach tol={tol} within {max_epochs} epochs "
+                       f"(violation {m_val - M_val:.3e}); returning best iterate")
+            break
+        i = int(np.argmax(np.where(up, v, -np.inf)))
+        j = int(np.argmin(np.where(low, v, np.inf)))
+        a = diag[i] + diag[j] - 2.0 * K[i, j]
+        if a <= 1e-12:
+            a = 1e-12
+        t = (v[i] - v[j]) / a
+        t_max = (C - alpha[i]) if pos[i] else alpha[i]
+        t_max = min(t_max, alpha[j] if pos[j] else (C - alpha[j]))
+        t = min(t, t_max)
+        alpha[i] += y[i] * t
+        alpha[j] -= y[j] * t
+        for k in (i, j):
+            if alpha[k] < 1e-12:
+                alpha[k] = 0.0
+            elif alpha[k] > C - 1e-12:
+                alpha[k] = C
+        G += t * y * (K[:, i] - K[:, j])
+        it += 1
+        if it % n == 0:
+            history.append(0.5 * float(alpha @ (G - 1.0)))
+    dual = 0.5 * float(alpha @ (G - 1.0))
+    history.append(dual)
+
+    w = np.asarray(X.T @ (alpha * y)).ravel()
+    v = y - np.asarray(X @ w).ravel()
+    up = (pos & (alpha < C)) | (~pos & (alpha > 0))
+    low = (~pos & (alpha < C)) | (pos & (alpha > 0))
+    m_val = np.max(v[up]) if up.any() else None
+    M_val = np.min(v[low]) if low.any() else None
+    if m_val is not None and M_val is not None:
+        bias = 0.5 * (m_val + M_val)
+    else:
+        bias = m_val if m_val is not None else (M_val if M_val is not None else 0.0)
+    return dict(alphas=alpha, iterations=it, objective_history=history, weights=w,
+                bias=float(bias), warning=warning, dual_objective=dual)
+
+
+def _count_instance(seed, n_docs=60, n_features=40):
+    """Integer term counts with a planted label signal, as the families produce."""
+    rng = np.random.default_rng(seed)
+    y = np.where(np.arange(n_docs) % 2 == 0, 1, -1)
+    rates = rng.uniform(0.05, 0.8, size=n_features)
+    counts = rng.poisson(np.outer(np.ones(n_docs), rates))
+    counts[:, :4] += rng.poisson(0.8, size=(n_docs, 4)) * (y[:, None] > 0)
+    return sp.csr_matrix(counts.astype(np.float64)), y
+
+
+class TestLeanLoopEquivalence:
+    """``train_svm`` against ``_reference_train``: every output bit-equal."""
+
+    @staticmethod
+    def assert_same_path(X, y, C, **kwargs):
+        model = train_svm(X, y, C=C, **kwargs)
+        ref = _reference_train(X, y, C, **kwargs)
+        assert np.array_equal(model.meta.alphas, ref["alphas"])
+        assert model.meta.iterations == ref["iterations"]
+        assert model.meta.objective_history == ref["objective_history"]
+        assert model.meta.dual_objective == ref["dual_objective"]
+        assert np.array_equal(model.weights, ref["weights"])
+        assert model.bias == ref["bias"]
+        assert model.meta.warning == ref["warning"]
+        assert model.meta.converged == (ref["warning"] == "")
+        return model
+
+    @pytest.mark.parametrize("seed,C", [(21, 0.05), (22, 1.0), (23, 10.0)])
+    def test_signed_float_values(self, seed, C):
+        X, y = labeled_matrix(_random_instance(seed=seed, n=50))
+        assert (X.data < 0).any() and (X.data > 0).any()
+        self.assert_same_path(X, y, C, tol=1e-5)
+
+    @pytest.mark.parametrize("presence", [False, True])
+    def test_counts_with_sliced_corpus_gram(self, presence):
+        X, y = _count_instance(seed=31)
+        if presence:
+            X.data[:] = 1.0
+        K = gram_matrix(X)
+        folds = np.arange(X.shape[0]) % 5
+        for fold in range(5):
+            train = folds != fold
+            gram = K[np.ix_(train, train)]
+            self.assert_same_path(X[train], y[train], 0.05, gram=gram)
+
+    def test_epoch_capped_run(self):
+        X, y = labeled_matrix(_random_instance(seed=3, n=60))
+        model = self.assert_same_path(X, y, 10.0, tol=1e-12, max_epochs=1)
+        assert not model.meta.converged and model.meta.iterations == 60
+
+    def test_single_example_of_one_class(self):
+        pts = _random_instance(seed=24, n=30)
+        pts = [(pairs, -1) for pairs, _ in pts[1:]] + [(pts[0][0], 1)]
+        X, y = labeled_matrix(pts)
+        self.assert_same_path(X, y, 1.0)
+
+
+class TestDualOracle:
+    """SMO's dual objective against scipy's SLSQP on the same dual.
+
+    Both minimize f(a) = (1/2) a'Qa - e'a, Q = (y y') * K, subject to
+    y'a = 0 and 0 <= a <= C. SMO stops when the maximal violation
+    m - M <= tol. With the bias b = (m + M) / 2, each example then adds at
+    most C * tol / 2 to the duality gap (its residual is at most tol / 2
+    and its weight alpha or C - alpha at most C), so
+    f_smo - f* <= n * C * tol / 2. SLSQP's feasible point sits above f*,
+    which bounds the difference from one side; from the other, SMO may
+    undercut SLSQP only by SLSQP's own inaccuracy.
+    """
+
+    @pytest.mark.parametrize("seed,n,C", [
+        (51, 12, 0.1), (52, 16, 1.0), (53, 20, 10.0),
+        (54, 24, 0.5), (55, 28, 2.0), (56, 30, 0.05),
+    ])
+    def test_matches_slsqp(self, seed, n, C):
+        from scipy.optimize import minimize
+
+        tol = 1e-3
+        X, y = labeled_matrix(_random_instance(seed=seed, n=n))
+        model = train_svm(X, y, C=C, tol=tol)
+        assert model.meta.converged
+        yf = y.astype(np.float64)
+        Q = np.outer(yf, yf) * gram_matrix(X)
+        result = minimize(
+            lambda a: 0.5 * a @ Q @ a - a.sum(), np.zeros(n), jac=lambda a: Q @ a - 1.0,
+            method="SLSQP", bounds=[(0.0, C)] * n,
+            constraints=[{"type": "eq", "fun": lambda a: yf @ a, "jac": lambda a: yf}],
+            options={"ftol": 1e-12, "maxiter": 1000},
+        )
+        assert result.success, result.message
+        assert abs(yf @ result.x) <= 1e-8
+        assert np.all(result.x >= -1e-10) and np.all(result.x <= C + 1e-10)
+        bound = n * C * tol / 2
+        assert model.meta.dual_objective - result.fun <= bound
+        assert result.fun - model.meta.dual_objective <= 1e-6 * (1 + abs(result.fun))
