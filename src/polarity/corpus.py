@@ -171,7 +171,7 @@ def compute_stats(corpus: Corpus) -> CorpusStats:
     (one line = one sentence, the preprocessing tokenizer's words) but before
     tagging and feature extraction. Lines left empty by stripping are dropped.
     """
-    from .preprocess import expand_contractions, tokenize
+    from .preprocess import tokenize
 
     per_label: dict[Label, LabelStats] = {}
     for label in Label:
@@ -179,7 +179,7 @@ def compute_stats(corpus: Corpus) -> CorpusStats:
         words = 0
         distinct: set[str] = set()
         for doc in corpus.by_label(label):
-            for line in expand_contractions(doc.text).splitlines():
+            for line in doc.text.splitlines():
                 tokens = tokenize(line)
                 if not tokens:
                     continue

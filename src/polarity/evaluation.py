@@ -215,7 +215,9 @@ class _Cell:
         if train.all() or not train.any():
             raise DataError(f"fold {fold} leaves an empty train or test split")
         if self.X is not None:
-            gram = None if self.gram is None else self.gram[np.ix_(train, train)]
+            # Slicing the transpose and transposing back keeps the fold's
+            # Gram column-major, as train_svm reads it, without a second copy.
+            gram = None if self.gram is None else self.gram.T[np.ix_(train, train)].T
             return train, self.mask, self.X[train], self.X[~train], gram
         counts, rep = self.matrix.counts, self.config.representation
         train_counts = counts[train]

@@ -1,10 +1,13 @@
 """Linear soft-margin SVM trained by sequential minimal optimization.
 
 Solves the L1-loss dual with the bias equality constraint, picking the
-maximal violating pair at each step (gradient kept up to date in O(n)).
-The Gram matrix is materialized densely, which is comfortable up to a few
-thousand training documents. The intercept is explicit, not an appended
-constant feature.
+maximal violating pair at each step (Keerthi et al. 2001). A step changes
+two multipliers, so the index sets of examples that may still rise or fall
+are updated in place at those two entries, and the gradient is kept up to
+date from two Gram columns in O(n). The Gram matrix is materialized densely
+and column-major, so those columns are contiguous; that is comfortable up
+to a few thousand training documents. The intercept is explicit, not an
+appended constant feature.
 """
 
 from __future__ import annotations
@@ -94,8 +97,8 @@ class LinearSvmModel:
 
 
 def gram_matrix(X: sp.csr_matrix) -> np.ndarray:
-    """Dense X X' of the rows of *X*."""
-    return (X @ X.T).toarray()
+    """Dense X X' of the rows of *X*, column-major so that columns are contiguous."""
+    return (X @ X.T).toarray(order="F")
 
 
 def default_C(X: sp.csr_matrix) -> float:
@@ -143,66 +146,69 @@ def train_svm(X: sp.csr_matrix, y: Sequence[int], C: float | None = None,
         X = fit_columns(X, 1)
 
     n = X.shape[0]
-    K = gram_matrix(X) if gram is None else gram
+    K = gram_matrix(X) if gram is None else np.asfortranarray(gram)
     diag = K.diagonal().copy()
 
+    # v = -y * G, where G is the gradient of (1/2) a'Qa - e'a. As y = +-1,
+    # stepping v by t * (K_i - K_j) rounds exactly as stepping G would.
     alpha = np.zeros(n)
-    G = -np.ones(n)  # gradient of (1/2) a'Qa - e'a
+    v = y.copy()
+    # The index sets: y_k * alpha_k can rise in up and fall in low. At
+    # alpha = 0 that is every positive and every negative example.
+    up = y > 0
+    low = ~up
+    pos = up.tolist()
     meta = SvmTrainingMeta()
     max_iterations = max_epochs * n
 
-    pos = y > 0
     it = 0
     while True:
-        v = -(y * G)
-        up = (pos & (alpha < C)) | (~pos & (alpha > 0))
-        low = (~pos & (alpha < C)) | (pos & (alpha > 0))
-        m_val = np.max(v[up]) if up.any() else -np.inf
-        M_val = np.min(v[low]) if low.any() else np.inf
-        if m_val - M_val <= tol:
+        v_up = np.where(up, v, -np.inf)
+        v_low = np.where(low, v, np.inf)
+        i = int(v_up.argmax())
+        j = int(v_low.argmin())
+        violation = v_up[i] - v_low[j]
+        if violation <= tol:
             break
         if it >= max_iterations:
             meta.converged = False
             meta.warning = (f"SVM did not reach tol={tol} within {max_epochs} epochs "
-                            f"(violation {m_val - M_val:.3e}); returning best iterate")
+                            f"(violation {violation:.3e}); returning best iterate")
             break
-
-        i = int(np.argmax(np.where(up, v, -np.inf)))
-        j = int(np.argmin(np.where(low, v, np.inf)))
 
         a = diag[i] + diag[j] - 2.0 * K[i, j]
         if a <= _SNAP:
             a = _SNAP
-        t = (v[i] - v[j]) / a
+        t = violation / a
         # Box feasibility along the pair direction.
         t_max = (C - alpha[i]) if pos[i] else alpha[i]
         t_max = min(t_max, alpha[j] if pos[j] else (C - alpha[j]))
         t = min(t, t_max)
 
-        alpha[i] += y[i] * t
-        alpha[j] -= y[j] * t
-        for k in (i, j):
-            if alpha[k] < _SNAP:
-                alpha[k] = 0.0
-            elif alpha[k] > C - _SNAP:
-                alpha[k] = C
-        G += t * y * (K[:, i] - K[:, j])
+        for k, step in ((i, t), (j, -t)):  # alpha_k += y_k * step
+            a_k = alpha[k] + step if pos[k] else alpha[k] - step
+            if a_k < _SNAP:
+                a_k = 0.0
+            elif a_k > C - _SNAP:
+                a_k = C
+            alpha[k] = a_k
+            up[k] = a_k < C if pos[k] else a_k > 0.0
+            low[k] = a_k > 0.0 if pos[k] else a_k < C
+        v -= t * (K[:, i] - K[:, j])
 
         it += 1
         if it % n == 0:
-            meta.objective_history.append(0.5 * float(alpha @ (G - 1.0)))
+            meta.objective_history.append(_dual_objective(alpha, y, v))
 
     meta.iterations = it
-    meta.dual_objective = 0.5 * float(alpha @ (G - 1.0))
+    meta.dual_objective = _dual_objective(alpha, y, v)
     meta.objective_history.append(meta.dual_objective)
 
     w = np.asarray(X.T @ (alpha * y)).ravel()
     s = np.asarray(X @ w).ravel()
-    v = y - s
-    up = (pos & (alpha < C)) | (~pos & (alpha > 0))
-    low = (~pos & (alpha < C)) | (pos & (alpha > 0))
-    m_val = np.max(v[up]) if up.any() else None
-    M_val = np.min(v[low]) if low.any() else None
+    r = y - s
+    m_val = np.max(r[up]) if up.any() else None
+    M_val = np.min(r[low]) if low.any() else None
     if m_val is not None and M_val is not None:
         bias = 0.5 * (m_val + M_val)
     else:
@@ -215,6 +221,11 @@ def train_svm(X: sp.csr_matrix, y: Sequence[int], C: float | None = None,
     meta.alphas = alpha
 
     return LinearSvmModel(weights=w, bias=float(bias), C=float(C), meta=meta)
+
+
+def _dual_objective(alpha: np.ndarray, y: np.ndarray, v: np.ndarray) -> float:
+    """(1/2) a'Qa - e'a, from the gradient G = -y * v."""
+    return 0.5 * float(alpha @ (-(y * v) - 1.0))
 
 
 def predict_svm(model: LinearSvmModel, X: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:

@@ -1,12 +1,13 @@
 """Text normalization pipeline: contraction expansion, punctuation removal,
 NOT_ negation scopes, and part-of-speech annotation.
 
-Pipeline order for a document: expand contractions, split into sentences
-(one per line), strip punctuation, tokenize and lowercase, tag part-of-speech,
-mark negation scopes. A document is a list of ``Sentence(words, tags,
-negated)`` tuples: bare lowercased words, their tags, and a per-word flag that
-is true inside a negation scope. The ``NOT_`` prefix is never stored; the
-negated unigram variant adds it when it extracts.
+Pipeline order for a document: split into sentences (one per line), expand
+contractions on the lines that hold an apostrophe, strip punctuation,
+tokenize and lowercase, tag part-of-speech, mark negation scopes. A document
+is a list of ``Sentence(words, tags, negated)`` tuples: bare lowercased
+words, their tags, and a per-word flag that is true inside a negation scope.
+The ``NOT_`` prefix is never stored; the negated unigram variant adds it
+when it extracts.
 """
 
 from __future__ import annotations
@@ -61,6 +62,10 @@ _CONTRACTION_RE = re.compile(
 # Tokenized corpora split the apostrophe off ("isn ' t"); rejoin before lookup.
 _SPLIT_APOSTROPHE_RE = re.compile(r"\b([A-Za-z]+n) ' t\b", re.IGNORECASE)
 
+# Shared by every call that names no tagger; its per-word memo only ever
+# adds the tag the rules give, so sharing it is safe.
+_DEFAULT_TAGGER = RuleTagger()
+
 
 class Sentence(NamedTuple):
     """One line of a document as parallel per-word sequences."""
@@ -101,7 +106,14 @@ def strip_punctuation(text: str) -> str:
 
 
 def tokenize(line: str) -> list[str]:
-    """The lowercased words of one contraction-expanded line, punctuation stripped."""
+    """The lowercased words of one line: contractions expanded, punctuation stripped.
+
+    Both contraction patterns need an apostrophe and neither crosses a line
+    break, so expanding only the lines that hold one gives the words that
+    expanding the whole text first would.
+    """
+    if "'" in line:
+        line = expand_contractions(line)
     return strip_punctuation(line).lower().split()
 
 
@@ -139,18 +151,18 @@ def _tokenize_pretagged(line: str, reader: PretaggedReader) -> tuple[list[str], 
 def preprocess_document(doc: RawDocument, tagger=None) -> Document:
     """Run the full normalization pipeline over one raw document.
 
-    *tagger* defaults to a fresh RuleTagger. Pre-tagged input (a
-    PretaggedReader) skips contraction expansion and text-level punctuation
-    stripping (the external tokenization is authoritative); punctuation is
-    filtered token-wise instead and tags are taken from the annotations.
+    *tagger* defaults to one RuleTagger shared by every such call. Pre-tagged
+    input (a PretaggedReader) skips contraction expansion and text-level
+    punctuation stripping (the external tokenization is authoritative);
+    punctuation is filtered token-wise instead and tags are taken from the
+    annotations.
     """
     if tagger is None:
-        tagger = RuleTagger()
+        tagger = _DEFAULT_TAGGER
     pretagged = isinstance(tagger, PretaggedReader)
 
-    text = doc.text if pretagged else expand_contractions(doc.text)
     sentences: list[Sentence] = []
-    for line in text.splitlines():
+    for line in doc.text.splitlines():
         if pretagged:
             words, tags = _tokenize_pretagged(line, tagger)
         else:

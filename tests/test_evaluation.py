@@ -206,6 +206,7 @@ class TestMatrixCore:
         for k in range(5):
             _, _, X_train, _, gram = cell.split(k)
             assert np.array_equal(gram, gram_matrix(X_train))
+            assert gram.flags.f_contiguous  # train_svm reads it without a copy
 
 
 class TestLabelShuffledControl:

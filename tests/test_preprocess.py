@@ -7,12 +7,14 @@ from hypothesis import given, strategies as st
 
 from polarity.corpus import Label, RawDocument, load_corpus
 from polarity.errors import DataError
+from polarity import preprocess
 from polarity.preprocess import (
     NEGATION_PREFIX,
     expand_contractions,
     preprocess_document,
     strip_punctuation,
     tag_negation,
+    tokenize,
 )
 from polarity.tagging import _VERB_FORMS, PretaggedReader, RuleTagger, TAG_INVENTORY, get_tagger
 
@@ -83,6 +85,25 @@ class TestStripPunctuation:
         out = strip_punctuation(text)
         removable = set(string.punctuation) - keep
         assert not (set(out) & removable)
+
+
+class TestTokenize:
+    pieces = st.sampled_from([
+        "isn't", "Isn't", "ISN'T", "won't", "Can't", "DOESN'T", "n't", "sn't", "isn ' t",
+        "Wasn ' t", "it's", "don", "n", "t", "'", " ' ", " ", "film", "Not", "!", ".",
+        "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+        "\u2028", "\u2029",
+    ])
+
+    @given(st.lists(pieces, max_size=30).map("".join))
+    def test_per_line_equals_whole_text_expansion(self, text):
+        whole = [strip_punctuation(line).lower().split()
+                 for line in expand_contractions(text).splitlines()]
+        assert [tokenize(line) for line in text.splitlines()] == whole
+
+    def test_expands_contractions(self):
+        assert tokenize("It isn't, it WON'T") == ["it", "is", "not", "it", "will", "not"]
+        assert tokenize("wasn ' t") == ["was", "not"]
 
 
 class TestTagNegation:
@@ -184,6 +205,12 @@ class TestPreprocessDocument:
     def test_empty_document(self):
         out = preprocess_document(_raw(""))
         assert out.sentences == []
+
+    def test_default_tagger_is_shared_and_equals_a_fresh_one(self):
+        docs = load_corpus(GOLDEN_CORPUS).documents
+        for doc in docs + docs:
+            assert preprocess_document(doc) == preprocess_document(doc, RuleTagger())
+        assert "film" in preprocess._DEFAULT_TAGGER._memo
 
     def test_lines_become_sentences(self):
         out = preprocess_document(_raw("fine film\n\ngreat ending\n"))
