@@ -130,7 +130,8 @@ def train_svm(X: sp.csr_matrix, y: Sequence[int], C: float | None = None,
 
     One epoch is n pair updates. *gram*, when given, must equal
     ``gram_matrix(X)``; cross-validation passes the fold's slice of a Gram
-    computed once over the whole corpus. On hitting the epoch cap the best
+    computed once over the whole corpus. A row-major *gram* is copied once
+    into column order. On hitting the epoch cap the best
     iterate is returned with ``meta.converged`` False and the reason in
     ``meta.warning``.
     """
@@ -158,7 +159,7 @@ def train_svm(X: sp.csr_matrix, y: Sequence[int], C: float | None = None,
     alpha = np.zeros(n)
     v = y.copy()
     # The index sets: y_k * alpha_k can rise in up and fall in low. At
-    # alpha = 0 that is every positive and every negative example.
+    # alpha = 0, up holds every positive example and low every negative one.
     up = y > 0
     low = ~up
     pos = up.tolist()
