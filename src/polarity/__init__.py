@@ -16,8 +16,6 @@ from .evaluation import (
     emit_report,
     run_experiment,
     run_grid,
-    run_label_shuffled_control,
-    train_fold_model,
 )
 from .features import FeatureFamily, FeatureSpec, extract, parse_feature_spec
 from .lexicon import (

@@ -139,7 +139,7 @@ def cmd_evaluate(args) -> int:
     transitions = _maybe_transitions(args) if spec.needs_transitions else None
     pipeline = FeaturePipeline(corpus, lexicon=lexicon, transitions=transitions,
                                tagger=get_tagger(args.tagger))
-    report = run_experiment(corpus, config, pipeline=pipeline)
+    report = run_experiment(pipeline, config)
     for message in report.warnings:
         print(f"warning: {message}", file=sys.stderr)
     if args.out:
@@ -190,7 +190,11 @@ def cmd_predict(args) -> int:
     model = _sniff_model(args.model)
     X, labels = read_svmlight(args.input)
     predict = predict_nb if isinstance(model, NaiveBayesModel) else predict_svm
-    predicted, scores = predict(model, X)
+    # Finite weights can still overflow a score; that is reported as one error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        predicted, scores = predict(model, X)
+    if not np.isfinite(scores).all():
+        raise DataError(f"{args.model}: scores overflow on {args.input}")
     results = list(zip(predicted.tolist(), scores.tolist()))
     labeled = labels != 0
     accuracy = (
@@ -313,7 +317,7 @@ def cmd_reproduce(args) -> int:
     results_log = out_dir / "results.jsonl"
     results_log.unlink(missing_ok=True)
     reports, errors = run_grid(
-        corpus, configs, pipeline=pipeline,
+        pipeline, configs,
         results_path=results_log,
         progress=lambda line: print(line, file=sys.stderr),
         jobs=args.jobs,

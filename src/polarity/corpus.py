@@ -7,7 +7,6 @@ file names like ``cv000_29416.txt``.
 
 from __future__ import annotations
 
-import json
 import random
 import re
 from dataclasses import dataclass, field
@@ -71,9 +70,6 @@ class CorpusStats:
             }
             for label, stats in sorted(self.per_label.items(), key=lambda kv: kv[0].value, reverse=True)
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def _read_text(path: Path) -> str:

@@ -8,6 +8,9 @@ family, not per cell. A cell takes the union of its families' columns,
 prunes them with a column mask (once over the corpus, or per fold over the
 training rows), and trains on row slices; under corpus scope the SVM Gram
 matrix is computed once per cell and sliced per fold.
+The pipeline is the harness's one handle: ``run_experiment(pipeline, config)``
+and ``run_grid(pipeline, configs)`` read the corpus, its folds, the lexicon,
+the transitions and the tagger from it and from nowhere else.
 Reports carry per-fold and mean accuracy plus supplementary precision/recall.
 """
 
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -177,20 +179,8 @@ class FeaturePipeline:
         ])
 
 
-def _train_model(config: ExperimentConfig, X, y, gram=None):
-    if config.classifier == "nb":
-        return naive_bayes.train_nb(X, y)
-    return linear_svm.train_svm(X, y, C=config.C, tol=config.tol,
-                                max_epochs=config.max_epochs, gram=gram)
-
-
-def _predict(config: ExperimentConfig, model, X) -> np.ndarray:
-    predict = naive_bayes.predict_nb if config.classifier == "nb" else linear_svm.predict_svm
-    return predict(model, X)[0]
-
-
 class _Cell:
-    """One configuration's matrix, split fold by fold into training and test rows.
+    """One configuration over a pipeline's corpus, trained fold by fold.
 
     Under prune_scope="corpus" the column mask, the represented matrix and
     (for the SVM) the Gram matrix are computed once here and sliced per fold;
@@ -198,14 +188,18 @@ class _Cell:
     the cell.
     """
 
-    def __init__(self, config: ExperimentConfig, matrix: FeatureMatrix, folds: np.ndarray):
+    def __init__(self, pipeline: FeaturePipeline, config: ExperimentConfig):
+        corpus = pipeline.corpus
+        if not corpus.folds:
+            raise ConfigError("corpus has no fold assignment; call assign_folds first")
         self.config = config
-        self.matrix = matrix
-        self.folds = folds
+        self.folds = np.array([corpus.folds[doc.id] for doc in corpus.documents])
+        self.matrix = pipeline.matrix_for_spec(config.spec())
+        self.y = np.array(pipeline.labels())
         self.mask = self.X = self.gram = None
         if config.prune_scope == "corpus":
-            self.mask = column_mask(matrix.counts, config.min_count)
-            self.X = represent(matrix.counts[:, self.mask], config.representation)
+            self.mask = column_mask(self.matrix.counts, config.min_count)
+            self.X = represent(self.matrix.counts[:, self.mask], config.representation)
             if config.classifier == "svm":
                 self.gram = linear_svm.gram_matrix(self.X)
 
@@ -225,65 +219,45 @@ class _Cell:
         return (train, mask, represent(train_counts[:, mask], rep),
                 represent(counts[~train][:, mask], rep), None)
 
+    def train_fold(self, fold: int):
+        """(model, train rows, column mask, X_test) with *fold* held out.
 
-def _fold_array(corpus: Corpus) -> np.ndarray:
-    if not corpus.folds:
-        raise ConfigError("corpus has no fold assignment; call assign_folds first")
-    return np.array([corpus.folds[doc.id] for doc in corpus.documents])
-
-
-def train_fold_model(corpus: Corpus, config: ExperimentConfig, fold: int,
-                     lexicon: SubjectivityLexicon | None = None,
-                     transitions: TransitionList | None = None,
-                     pipeline: FeaturePipeline | None = None):
-    """Train the model a cross-validation run would use for one held-out fold.
-
-    Returns (model, vocabulary). The held-out fold's documents contribute to
-    neither (under prune_scope="fold"), which the no-leakage test asserts.
-    """
-    folds = _fold_array(corpus)
-    if pipeline is None:
-        pipeline = FeaturePipeline(corpus, lexicon=lexicon, transitions=transitions)
-    matrix = pipeline.matrix_for_spec(config.spec())
-    train, mask, X_train, _, gram = _Cell(config, matrix, folds).split(fold)
-    y = np.array(pipeline.labels())
-    model = _train_model(config, X_train, y[train], gram)
-    return model, matrix.vocabulary(mask)
+        Under prune_scope="fold" the held-out documents contribute to neither
+        the model nor the mask, which the no-leakage test asserts.
+        """
+        train, mask, X_train, X_test, gram = self.split(fold)
+        config = self.config
+        if config.classifier == "nb":
+            model = naive_bayes.train_nb(X_train, self.y[train])
+        else:
+            model = linear_svm.train_svm(X_train, self.y[train], C=config.C, tol=config.tol,
+                                         max_epochs=config.max_epochs, gram=gram)
+        return model, train, mask, X_test
 
 
-def run_experiment(corpus: Corpus, config: ExperimentConfig,
-                   lexicon: SubjectivityLexicon | None = None,
-                   transitions: TransitionList | None = None,
-                   pipeline: FeaturePipeline | None = None,
-                   labels_override: Sequence[int] | None = None) -> EvalReport:
-    """Five-fold cross-validate one configuration.
+def run_experiment(pipeline: FeaturePipeline, config: ExperimentConfig) -> EvalReport:
+    """Five-fold cross-validate one configuration over ``pipeline.corpus``.
 
     Each fold trains on the other four; with prune_scope="fold" the
     vocabulary is rebuilt from training documents only, with "corpus" it is
     counted once over all documents (the replication setting).
     """
-    folds = _fold_array(corpus)
-    if pipeline is None:
-        pipeline = FeaturePipeline(corpus, lexicon=lexicon, transitions=transitions)
-
     start = time.perf_counter()
-    matrix = pipeline.matrix_for_spec(config.spec())
-    y = np.array(labels_override if labels_override is not None else pipeline.labels())
-    cell = _Cell(config, matrix, folds)
+    cell = _Cell(pipeline, config)
+    predict = naive_bayes.predict_nb if config.classifier == "nb" else linear_svm.predict_svm
 
     fold_accuracies: list[float] = []
     vocab_sizes: list[int] = []
     fold_warnings: list[str] = []
     tp = fp = fn = 0
     for k in range(N_FOLDS):
-        train, mask, X_train, X_test, gram = cell.split(k)
-        model = _train_model(config, X_train, y[train], gram)
+        model, train, mask, X_test = cell.train_fold(k)
         vocab_sizes.append(int(mask.sum()))
         if config.classifier == "svm" and not model.meta.converged:
             fold_warnings.append(f"fold {k}: {model.meta.warning}")
 
-        predictions = _predict(config, model, X_test)
-        truth = y[~train]
+        predictions = predict(model, X_test)[0]
+        truth = cell.y[~train]
         fold_accuracies.append(int(np.sum(predictions == truth)) / len(truth))
         tp += int(np.sum((predictions == 1) & (truth == 1)))
         fp += int(np.sum((predictions == 1) & (truth != 1)))
@@ -304,40 +278,23 @@ def run_experiment(corpus: Corpus, config: ExperimentConfig,
     )
 
 
-def run_label_shuffled_control(corpus: Corpus, config: ExperimentConfig,
-                               lexicon: SubjectivityLexicon | None = None,
-                               transitions: TransitionList | None = None,
-                               pipeline: FeaturePipeline | None = None) -> EvalReport:
-    """Re-run an experiment with labels permuted by config.seed (chance baseline)."""
-    if pipeline is None:
-        pipeline = FeaturePipeline(corpus, lexicon=lexicon, transitions=transitions)
-    labels = pipeline.labels()
-    random.Random(config.seed).shuffle(labels)
-    return run_experiment(corpus, config, pipeline=pipeline, labels_override=labels)
-
-
-def run_grid(corpus: Corpus, configs: Sequence[ExperimentConfig],
-             lexicon: SubjectivityLexicon | None = None,
-             transitions: TransitionList | None = None,
-             pipeline: FeaturePipeline | None = None,
+def run_grid(pipeline: FeaturePipeline, configs: Sequence[ExperimentConfig],
              results_path: str | Path | None = None,
              progress: Callable[[str], None] | None = None,
              jobs: int = 1) -> tuple[list[EvalReport], list[dict]]:
-    """Run every configuration, isolating per-cell failures.
+    """Run every configuration over the one shared *pipeline*, isolating per-cell failures.
 
     Completed reports are appended to *results_path* (JSON lines) as they
     finish, so partial grids survive interruption. Returns (reports, errors).
     """
     if not configs:
         raise ConfigError("empty configuration list")
-    if pipeline is None:
-        pipeline = FeaturePipeline(corpus, lexicon=lexicon, transitions=transitions)
 
     reports: list[EvalReport] = []
     errors: list[dict] = []
     sink = open(results_path, "a", encoding="utf-8") if results_path else None
     try:
-        for result in _map_cells(corpus, configs, pipeline, jobs):
+        for result in _map_cells(pipeline, configs, jobs):
             cfg, report, error = result
             if progress:
                 status = f"{report.mean_accuracy:.3f}" if report else f"error: {error}"
@@ -356,9 +313,9 @@ def run_grid(corpus: Corpus, configs: Sequence[ExperimentConfig],
     return reports, errors
 
 
-def _run_cell(corpus, config, pipeline):
+def _run_cell(pipeline, config):
     try:
-        return config, run_experiment(corpus, config, pipeline=pipeline), None
+        return config, run_experiment(pipeline, config), None
     except (ConfigError, DataError) as exc:
         return config, None, str(exc)
 
@@ -368,10 +325,10 @@ _FORK_STATE: dict = {}
 
 
 def _run_cell_forked(config):
-    return _run_cell(_FORK_STATE["corpus"], config, _FORK_STATE["pipeline"])
+    return _run_cell(_FORK_STATE["pipeline"], config)
 
 
-def _map_cells(corpus, configs, pipeline, jobs):
+def _map_cells(pipeline, configs, jobs):
     workers = min(jobs, len(configs))
     if workers > 1:
         import multiprocessing as mp
@@ -388,7 +345,6 @@ def _map_cells(corpus, configs, pipeline, jobs):
                         pipeline.family_matrix(family, cfg.negation)
                     except ConfigError:
                         pass  # the cell reports it
-            _FORK_STATE["corpus"] = corpus
             _FORK_STATE["pipeline"] = pipeline
             try:
                 with ctx.Pool(processes=workers) as pool:
@@ -397,7 +353,7 @@ def _map_cells(corpus, configs, pipeline, jobs):
             finally:
                 _FORK_STATE.clear()
     for config in configs:
-        yield _run_cell(corpus, config, pipeline)
+        yield _run_cell(pipeline, config)
 
 
 def emit_report(reports: Sequence[EvalReport], format: str = "json",

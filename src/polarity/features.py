@@ -249,18 +249,3 @@ def extract(doc: Document, spec: FeatureSpec,
         if family in spec.families:
             bag.update(EXTRACTORS[family](doc, lex, trans, spec.negation_variant))
     return bag
-
-
-def bag_to_text(bag: FeatureBag) -> str:
-    """Serialize a bag as sorted ``feature<TAB>count`` lines (golden-file format)."""
-    return "\n".join(f"{feature}\t{count}" for feature, count in sorted(bag.items()))
-
-
-def text_to_bag(text: str) -> FeatureBag:
-    bag: FeatureBag = Counter()
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        feature, _, count = line.rpartition("\t")
-        bag[feature] = int(count)
-    return bag

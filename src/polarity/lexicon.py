@@ -213,7 +213,10 @@ def load_transitions(path: str | Path | None = None) -> TransitionList:
         path = Path(path)
         if not path.is_file():
             raise ConfigError(f"transition list {path} does not exist")
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"transition list {path}: not UTF-8 text ({exc.reason})") from None
 
     seen: set[str] = set()
     phrases: list[str] = []

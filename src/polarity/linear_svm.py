@@ -88,7 +88,7 @@ class LinearSvmModel:
         except OSError as exc:
             raise DataError(f"{meta_path}: cannot read the weights file "
                             f"({exc.strerror or exc})") from None
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{meta_path}: malformed {MODEL_FORMAT} model file ({exc!r})") from None
         if (model.weights.ndim != 1 or not np.all(np.isfinite(model.weights))
                 or not math.isfinite(model.bias)):
@@ -256,8 +256,3 @@ def _row_dots(X: sp.csr_matrix, w: np.ndarray) -> np.ndarray:
         lo, hi = bounds[i], bounds[i + 1]
         out[i] = np.dot(X.data[lo:hi], gathered[lo:hi])
     return out
-
-
-def margins(model: LinearSvmModel, X: sp.csr_matrix, y: Sequence[int]) -> np.ndarray:
-    """y_i * (w . x_i + b) for every labeled row, for KKT checks."""
-    return np.asarray(y) * predict_svm(model, X)[1]

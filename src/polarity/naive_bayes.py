@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import log
+from math import isfinite, log
 from pathlib import Path
 from typing import Sequence
 
@@ -55,15 +55,15 @@ class NaiveBayesModel:
                 },
                 vocab_size=int(payload["vocab_size"]),
             )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise DataError(f"{path}: malformed {MODEL_FORMAT} model file ({exc!r})") from None
-        shapes_ok = all(
-            model.feature_log_likelihood.get(c, np.zeros(0)).shape == (model.vocab_size,)
-            for c in LABELS
-        )
-        if set(model.class_log_prior) != set(LABELS) or not shapes_ok:
+        prior, loglik = model.class_log_prior, model.feature_log_likelihood
+        if set(prior) != set(LABELS) or not all(
+                c in loglik and loglik[c].shape == (model.vocab_size,) for c in LABELS):
             raise DataError(f"{path}: model needs a prior and {model.vocab_size} "
                             f"likelihoods for each of the classes {LABELS}")
+        if not all(isfinite(prior[c]) and np.isfinite(loglik[c]).all() for c in LABELS):
+            raise DataError(f"{path}: priors and likelihoods must be finite")
         return model
 
 

@@ -274,18 +274,3 @@ def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for feature, fid in sorted(vocab.index.items(), key=lambda kv: kv[1]):
             fh.write(f"{feature}\t{fid}\n")
-
-
-def read_vocabulary(path: str | Path) -> Vocabulary:
-    index: dict[str, int] = {}
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        if not line.strip():
-            continue
-        feature, _, fid = line.rstrip("\n").rpartition("\t")
-        if not feature:
-            raise DataError(f"{path}:{lineno}: bad vocabulary line")
-        try:
-            index[feature] = int(fid)
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: bad feature id {fid!r}") from None
-    return Vocabulary(index=index)

@@ -3,6 +3,7 @@ lexicon, and helpers for locating the real dataset when available."""
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from polarity.corpus import assign_folds, load_corpus
+from polarity.corpus import Corpus, assign_folds, load_corpus
 from polarity.lexicon import LexiconEntry, Polarity, SubjectivityLexicon
 
 DATASET_ENV = "POLARITY_DATA_DIR"
@@ -74,6 +75,15 @@ def labeled_matrix(rows, n_features=None):
                        np.array(indptr, dtype=np.int64)), shape=(len(rows), n_features))
     y = np.array([0 if label is None else label for _, label in rows], dtype=np.int64)
     return X, y
+
+
+def shuffle_labels(corpus: Corpus, seed: int) -> Corpus:
+    """The same documents and folds with the labels permuted by *seed* (chance baseline)."""
+    labels = [doc.label for doc in corpus.documents]
+    random.Random(seed).shuffle(labels)
+    documents = [dataclasses.replace(doc, label=label)
+                 for doc, label in zip(corpus.documents, labels)]
+    return Corpus(documents=documents, folds=dict(corpus.folds))
 
 
 def write_synthetic_corpus(root: Path, docs_per_label: int = 50, seed: int = 13) -> Path:

@@ -23,6 +23,7 @@ from conftest import (
     requires_dataset,
     requires_lexicon,
     labeled_matrix,
+    shuffle_labels,
     write_synthetic_corpus,
 )
 from polarity.cli import main
@@ -31,7 +32,6 @@ from polarity.evaluation import (
     ExperimentConfig,
     FeaturePipeline,
     run_experiment,
-    run_label_shuffled_control,
 )
 from polarity.features import extract_polarized_bigrams, extract_transitions
 from polarity.lexicon import (
@@ -41,7 +41,7 @@ from polarity.lexicon import (
     load_lexicon,
     load_transitions,
 )
-from polarity.linear_svm import margins, predict_svm, train_svm
+from polarity.linear_svm import predict_svm, train_svm
 from polarity.naive_bayes import predict_nb, train_nb
 from polarity.preprocess import preprocess_document
 from polarity.corpus import RawDocument
@@ -67,7 +67,7 @@ def real_runner():
                 features=features, representation=rep, classifier=clf,
                 negation=negation, prune_scope="corpus", min_count=5,
             )
-            cache[key] = run_experiment(corpus, config, pipeline=pipeline)
+            cache[key] = run_experiment(pipeline, config)
         return cache[key]
 
     run.corpus = corpus
@@ -184,11 +184,11 @@ def test_criterion6_classifier_oracles(tmp_path):
 
     # Linear SVM on the symmetric separable pair: analytic separator + KKT.
     tol = 1e-3
-    points = [_sv([(0, 2.0)], 1), _sv([(0, -2.0)], -1)]
-    svm = train_svm(*labeled_matrix(points, 2), C=1.0, tol=tol)
+    X, y = labeled_matrix([_sv([(0, 2.0)], 1), _sv([(0, -2.0)], -1)], 2)
+    svm = train_svm(X, y, C=1.0, tol=tol)
     assert svm.weights[0] == pytest.approx(0.5, abs=tol)
     assert svm.bias == pytest.approx(0.0, abs=tol)
-    for alpha, margin in zip(svm.meta.alphas, margins(svm, *labeled_matrix(points, 2))):
+    for alpha, margin in zip(svm.meta.alphas, y * predict_svm(svm, X)[1]):
         if alpha <= 1e-9:
             assert margin >= 1 - tol
         elif alpha >= svm.C - 1e-9:
@@ -202,8 +202,8 @@ def test_criterion6_classifier_oracles(tmp_path):
         root = write_synthetic_corpus(tmp_path / "control", docs_per_label=500, seed=11)
     corpus = assign_folds(load_corpus(root))
     config = ExperimentConfig(features="unigram", representation="presence",
-                              classifier="nb", prune_scope="corpus", min_count=5, seed=2)
-    control = run_label_shuffled_control(corpus, config)
+                              classifier="nb", prune_scope="corpus", min_count=5)
+    control = run_experiment(FeaturePipeline(shuffle_labels(corpus, seed=2)), config)
     assert abs(control.mean_accuracy - 0.5) <= 0.04, (
         f"shuffled-label control at {control.mean_accuracy:.3f}"
     )

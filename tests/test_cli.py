@@ -1,9 +1,15 @@
 """CLI subcommands, exit codes, and output formats."""
 
+import contextlib
+import io
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from polarity import evaluation
 from polarity.cli import main
@@ -243,6 +249,21 @@ class TestInputErrors:
          "feature_log_likelihood": {"1": [0.0, 0.0]}},
         {"format": "polarity-svm/1", "bias": 0.0},
         ["polarity-nb/1"],
+        {"format": "polarity-nb/1", "vocab_size": 2,
+         "class_log_prior": {"1": float("nan"), "-1": -0.7},
+         "feature_log_likelihood": {"1": [-0.7, -0.7], "-1": [-0.7, -0.7]}},
+        {"format": "polarity-nb/1", "vocab_size": 2,
+         "class_log_prior": {"1": -0.7, "-1": -0.7},
+         "feature_log_likelihood": {"1": [-0.7, float("inf")], "-1": [-0.7, -0.7]}},
+        {"format": "polarity-nb/1", "vocab_size": 2,  # finite, but the log-odds overflow
+         "class_log_prior": {"1": 1.7e308, "-1": -1.7e308},
+         "feature_log_likelihood": {"1": [-0.7, -0.7], "-1": [-0.7, -0.7]}},
+        {"format": "polarity-nb/1", "vocab_size": 0,
+         "class_log_prior": {"1": -0.7, "-1": -0.7}, "feature_log_likelihood": {}},
+        {"format": "polarity-nb/1", "vocab_size": float("inf"),
+         "class_log_prior": {"1": -0.7, "-1": -0.7}, "feature_log_likelihood": {}},
+        {"format": "polarity-nb/1", "vocab_size": 0,  # no float64 holds 10**400
+         "class_log_prior": {"1": -0.7, "-1": 10**400}, "feature_log_likelihood": {}},
     ])
     def test_malformed_model_exits_3(self, vector_file, tmp_path, capsys, payload):
         bad = tmp_path / "model.json"
@@ -259,6 +280,19 @@ class TestInputErrors:
         assert main(["predict", "--model", str(model) + ".json",
                      "--input", str(vector_file)]) == 3
         assert "weights file" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["extract", "evaluate"])
+    def test_non_utf8_transitions_exits_3(self, corpus_dir, tmp_path, capsys, command):
+        transitions = tmp_path / "transitions.txt"
+        transitions.write_bytes(b"\xff\xfe however\n")
+        argv = {
+            "extract": ["extract", "--out", str(tmp_path / "v.svml")],
+            "evaluate": ["evaluate", "--rep", "presence", "--clf", "nb"],
+        }[command]
+        code = main(argv + ["--corpus", str(corpus_dir), "--features", "unigram+t",
+                            "--transitions", str(transitions)])
+        assert code == 3
+        assert "not UTF-8 text" in one_error_line(capsys)
 
     @pytest.mark.parametrize("command", ["evaluate", "reproduce", "train"])
     @pytest.mark.parametrize("flag,value,message", [
@@ -332,7 +366,7 @@ class TestReproduce:
     def test_shared_cells_run_once(self, tmp_path, capsys, monkeypatch):
         calls = []
 
-        def fake_run_experiment(corpus, config, pipeline=None):
+        def fake_run_experiment(pipeline, config):
             calls.append(config)
             return EvalReport(config=config, fold_accuracies=[0.5] * 5, mean_accuracy=0.5,
                               feature_count=1, wall_time=0.0)
@@ -350,19 +384,32 @@ class TestReproduce:
         assert rows == {"table2": 36, "unigram_combos": 64, "3adjadv_combos": 32}
         assert len((out_dir / "results.jsonl").read_text().splitlines()) == 120
 
-    def test_missing_transitions_file_skips_transition_rows(self, corpus_dir, lexicon_tsv,
-                                                            tmp_path, capsys):
-        out_dir = tmp_path / "repro"
+    @staticmethod
+    def _transition_rows_skipped(corpus_dir, lexicon_tsv, transitions, out_dir, capsys):
         code = main([
             "reproduce", "--corpus", str(corpus_dir), "--out-dir", str(out_dir),
             "--lexicon", str(lexicon_tsv), "--lexicon-format", "tsv",
-            "--transitions", str(tmp_path / "missing.txt"),
+            "--transitions", str(transitions),
             "--min-count", "1", "--only", "3adjadv-combos", "--format", "json",
         ])
         assert code == 0
-        summary = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out)
         # half of the 8 combo specs include transition features
         assert summary["cells_run"] == 16 and summary["cells_skipped"] == 16
+        assert "transition rows will be skipped" in captured.err
+
+    def test_missing_transitions_file_skips_transition_rows(self, corpus_dir, lexicon_tsv,
+                                                            tmp_path, capsys):
+        self._transition_rows_skipped(corpus_dir, lexicon_tsv, tmp_path / "missing.txt",
+                                      tmp_path / "repro", capsys)
+
+    def test_non_utf8_transitions_file_skips_transition_rows(self, corpus_dir, lexicon_tsv,
+                                                             tmp_path, capsys):
+        transitions = tmp_path / "transitions.txt"
+        transitions.write_bytes(b"\xff\xfe however\n")
+        self._transition_rows_skipped(corpus_dir, lexicon_tsv, transitions,
+                                      tmp_path / "repro", capsys)
 
     def test_seeded_runs_are_byte_identical(self, corpus_dir, lexicon_tsv, tmp_path):
         outputs = []
@@ -377,3 +424,71 @@ class TestReproduce:
             outputs.append({p.name: p.read_bytes() for p in out_dir.glob("*.csv")})
         assert outputs[0].keys() == outputs[1].keys() and len(outputs[0]) > 0
         assert outputs[0] == outputs[1]
+
+
+# --- fuzzing the model loaders through predict ------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+# 10**400 is a JSON integer that no float64 holds; sums of +-1.7e308 overflow.
+numbers = st.floats() | st.integers() | st.sampled_from([10**400, 1.7e308, -1.7e308])
+
+
+def per_class(values):
+    return st.fixed_dictionaries({"1": values, "-1": values}) | json_values
+
+
+nb_payloads = st.fixed_dictionaries({
+    "format": st.just("polarity-nb/1"),
+    "vocab_size": st.integers(min_value=0, max_value=3) | numbers | json_values,
+    "class_log_prior": per_class(numbers),
+    "feature_log_likelihood": per_class(st.lists(numbers, max_size=3)),
+})
+
+svm_payloads = st.fixed_dictionaries({
+    "format": st.just("polarity-svm/1"),
+    "weights_file": st.just("model.npy") | json_values,
+    "bias": numbers | json_values,
+    "C": numbers | json_values,
+    **{key: json_values for key in ("iterations", "converged", "final_objective",
+                                    "dual_objective", "duality_gap")},
+})
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=nb_payloads | svm_payloads,
+       weights=arrays(np.float64, array_shapes(min_dims=0, max_dims=2, max_side=4)))
+def test_model_loaders_fail_cleanly_or_score_finitely(tmp_path_factory, payload, weights):
+    """Any model file either exits 2 or 3 with one error line or predicts finite scores."""
+    root = tmp_path_factory.getbasetemp() / "model-fuzz"
+    root.mkdir(exist_ok=True)
+    vectors = root / "v.svml"
+    vectors.write_text("+1 1:1 2:3\n-1 2:1 3:0.5\n0 1:2\n", encoding="utf-8")
+    np.save(root / "model.npy", weights)
+    model = root / "model.json"
+    model.write_text(json.dumps(payload), encoding="utf-8")
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["predict", "--model", str(model), "--input", str(vectors),
+                     "--format", "json"])
+    if code == 0:
+        predictions = _strict_json(out.getvalue())["predictions"]
+        assert len(predictions) == 3
+        assert all(math.isfinite(p["score"]) for p in predictions)
+    else:
+        assert code in (2, 3)
+        lines = err.getvalue().strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -1,7 +1,5 @@
 """Corpus loading, fold assignment, and statistics."""
 
-import json
-
 import pytest
 
 from polarity.corpus import (
@@ -138,7 +136,7 @@ class TestComputeStats:
             assert row.distinct <= row.words
 
     def test_json_shape(self, synth_corpus):
-        payload = json.loads(compute_stats(synth_corpus).to_json())
+        payload = compute_stats(synth_corpus).to_json_dict()
         assert set(payload) == {"pos", "neg"}
         assert set(payload["pos"]) == {"sentences", "words", "distinct"}
 

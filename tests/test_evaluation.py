@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from conftest import write_synthetic_corpus
+from conftest import shuffle_labels, write_synthetic_corpus
 from polarity.corpus import assign_folds, load_corpus
 from polarity.errors import ConfigError, DataError
 from polarity.evaluation import (
@@ -17,8 +17,6 @@ from polarity.evaluation import (
     emit_report,
     run_experiment,
     run_grid,
-    run_label_shuffled_control,
-    train_fold_model,
 )
 from polarity.features import (
     FeatureFamily,
@@ -68,7 +66,7 @@ class TestExperimentConfig:
 class TestRunExperiment:
     @pytest.mark.parametrize("classifier", ["nb", "svm"])
     def test_separates_synthetic_corpus(self, synth_corpus, classifier):
-        report = run_experiment(synth_corpus, cfg(classifier=classifier))
+        report = run_experiment(FeaturePipeline(synth_corpus), cfg(classifier=classifier))
         assert len(report.fold_accuracies) == 5
         assert all(0.0 <= a <= 1.0 for a in report.fold_accuracies)
         assert report.mean_accuracy >= 0.8
@@ -78,8 +76,8 @@ class TestRunExperiment:
         assert report.feature_count > 0
 
     def test_deterministic_reports(self, synth_corpus):
-        first = run_experiment(synth_corpus, cfg(classifier="svm"))
-        second = run_experiment(synth_corpus, cfg(classifier="svm"))
+        first = run_experiment(FeaturePipeline(synth_corpus), cfg(classifier="svm"))
+        second = run_experiment(FeaturePipeline(synth_corpus), cfg(classifier="svm"))
         a, b = first.to_json_dict(), second.to_json_dict()
         a.pop("wall_time"), b.pop("wall_time")
         assert a == b
@@ -87,11 +85,11 @@ class TestRunExperiment:
     def test_requires_folds(self, synth_corpus_dir):
         corpus = load_corpus(synth_corpus_dir)
         with pytest.raises(ConfigError, match="fold"):
-            run_experiment(corpus, cfg())
+            run_experiment(FeaturePipeline(corpus), cfg())
 
     def test_lexicon_required_for_polarized(self, synth_corpus):
         with pytest.raises(ConfigError, match="lexicon"):
-            run_experiment(synth_corpus, cfg(features="unigram+pu"))
+            run_experiment(FeaturePipeline(synth_corpus), cfg(features="unigram+pu"))
 
     def test_missing_lexicon_fails_before_preprocessing(self, synth_corpus):
         pipeline = FeaturePipeline(synth_corpus)
@@ -100,26 +98,25 @@ class TestRunExperiment:
         assert pipeline._documents is None
 
     def test_nonconverged_folds_reported(self, synth_corpus):
-        report = run_experiment(synth_corpus, cfg(classifier="svm", C=10.0, tol=1e-12,
-                                                  max_epochs=1))
+        report = run_experiment(FeaturePipeline(synth_corpus),
+                                cfg(classifier="svm", C=10.0, tol=1e-12, max_epochs=1))
         assert len(report.warnings) == 5
         for k, message in enumerate(report.warnings):
             assert message.startswith(f"fold {k}: SVM did not reach tol=1e-12 within 1 epochs")
 
     def test_lexicon_features_run(self, synth_corpus, tiny_lexicon):
-        report = run_experiment(
-            synth_corpus, cfg(features="unigram+pu+pb+t", classifier="nb"),
-            lexicon=tiny_lexicon, transitions=load_transitions(),
-        )
+        pipeline = FeaturePipeline(synth_corpus, lexicon=tiny_lexicon,
+                                   transitions=load_transitions())
+        report = run_experiment(pipeline, cfg(features="unigram+pu+pb+t", classifier="nb"))
         assert report.mean_accuracy >= 0.8
 
     def test_corpus_scope_uses_fixed_vocabulary(self, synth_corpus):
-        fold_scope = run_experiment(synth_corpus, cfg(prune_scope="fold"))
-        corpus_scope = run_experiment(synth_corpus, cfg(prune_scope="corpus"))
+        fold_scope = run_experiment(FeaturePipeline(synth_corpus), cfg(prune_scope="fold"))
+        corpus_scope = run_experiment(FeaturePipeline(synth_corpus), cfg(prune_scope="corpus"))
         assert corpus_scope.feature_count >= fold_scope.feature_count
 
     def test_precision_recall_supplementary(self, synth_corpus):
-        report = run_experiment(synth_corpus, cfg())
+        report = run_experiment(FeaturePipeline(synth_corpus), cfg())
         assert 0.0 <= report.precision <= 1.0
         assert 0.0 <= report.recall <= 1.0
 
@@ -133,7 +130,7 @@ class TestRunExperiment:
                     "the same words every time\n", encoding="utf-8"
                 )
         corpus = assign_folds(load_corpus(tmp_path))
-        report = run_experiment(corpus, cfg(min_count=1))
+        report = run_experiment(FeaturePipeline(corpus), cfg(min_count=1))
         assert report.mean_accuracy == pytest.approx(0.5, abs=1e-12)
 
 
@@ -154,9 +151,11 @@ class TestNoLeakage:
         corpus_b = assign_folds(load_corpus(perturbed_dir))
         for classifier in ("nb", "svm"):
             config = cfg(classifier=classifier, prune_scope="fold")
-            model_a, vocab_a = train_fold_model(corpus_a, config, fold=0)
-            model_b, vocab_b = train_fold_model(corpus_b, config, fold=0)
-            assert vocab_a.index == vocab_b.index
+            cell_a = _Cell(FeaturePipeline(corpus_a), config)
+            cell_b = _Cell(FeaturePipeline(corpus_b), config)
+            model_a, _, mask_a, _ = cell_a.train_fold(0)
+            model_b, _, mask_b, _ = cell_b.train_fold(0)
+            assert cell_a.matrix.vocabulary(mask_a).index == cell_b.matrix.vocabulary(mask_b).index
             if classifier == "nb":
                 assert model_a.class_log_prior == model_b.class_log_prior
                 for c in (1, -1):
@@ -183,26 +182,26 @@ class TestMatrixCore:
         pipeline = FeaturePipeline(synth_corpus)
         bags = [extract_ngrams(d, 1) + extract_adjectives(d) for d in pipeline.documents]
         folds = [synth_corpus.folds[doc.id] for doc in synth_corpus.documents]
-        config = cfg(features="unigram+adj", prune_scope="fold", min_count=min_count)
+        cell = _Cell(pipeline, cfg(features="unigram+adj", prune_scope="fold",
+                                   min_count=min_count))
         for k in range(5):
             training_bags = [bag for bag, f in zip(bags, folds) if f != k]
             try:
                 expected = build_vocabulary(training_bags, min_count=min_count)
             except DataError as exc:
                 with pytest.raises(DataError) as caught:
-                    train_fold_model(synth_corpus, config, k, pipeline=pipeline)
+                    cell.train_fold(k)
                 assert str(caught.value) == str(exc)
                 continue
-            _, vocab = train_fold_model(synth_corpus, config, k, pipeline=pipeline)
-            assert vocab.index == expected.index
+            _, _, mask, _ = cell.train_fold(k)
+            assert cell.matrix.vocabulary(mask).index == expected.index
 
     @pytest.mark.parametrize("representation", ["presence", "frequency"])
     def test_sliced_corpus_gram_equals_fold_gram(self, synth_corpus, representation):
         pipeline = FeaturePipeline(synth_corpus)
         config = cfg(features="unigram+bigram", representation=representation,
                      classifier="svm", prune_scope="corpus")
-        folds = np.array([synth_corpus.folds[doc.id] for doc in synth_corpus.documents])
-        cell = _Cell(config, pipeline.matrix_for_spec(config.spec()), folds)
+        cell = _Cell(pipeline, config)
         for k in range(5):
             _, _, X_train, _, gram = cell.split(k)
             assert np.array_equal(gram, gram_matrix(X_train))
@@ -213,7 +212,7 @@ class TestLabelShuffledControl:
     def test_control_near_chance(self, tmp_path):
         root = write_synthetic_corpus(tmp_path / "big", docs_per_label=150, seed=21)
         corpus = assign_folds(load_corpus(root))
-        report = run_label_shuffled_control(corpus, cfg(seed=1))
+        report = run_experiment(FeaturePipeline(shuffle_labels(corpus, seed=1)), cfg())
         assert abs(report.mean_accuracy - 0.5) < 0.1
 
 
@@ -221,7 +220,7 @@ class TestRunGrid:
     def test_errors_isolated_and_log_written(self, synth_corpus, tmp_path):
         configs = [cfg(), cfg(features="pu"), cfg(classifier="svm")]  # pu lacks lexicon
         log = tmp_path / "results.jsonl"
-        reports, errors = run_grid(synth_corpus, configs, results_path=log)
+        reports, errors = run_grid(FeaturePipeline(synth_corpus), configs, results_path=log)
         assert len(reports) == 2 and len(errors) == 1
         assert "lexicon" in errors[0]["error"]
         lines = [json.loads(line) for line in log.read_text().splitlines()]
@@ -230,11 +229,12 @@ class TestRunGrid:
 
     def test_empty_config_list_rejected(self, synth_corpus):
         with pytest.raises(ConfigError, match="empty"):
-            run_grid(synth_corpus, [])
+            run_grid(FeaturePipeline(synth_corpus), [])
 
     def test_parallel_errors_isolated(self, synth_corpus):
         # the cache warm-up before the fork must not abort on a cell's config error
-        reports, errors = run_grid(synth_corpus, [cfg(), cfg(features="pu")], jobs=2)
+        pipeline = FeaturePipeline(synth_corpus)
+        reports, errors = run_grid(pipeline, [cfg(), cfg(features="pu")], jobs=2)
         assert len(reports) == 1 and len(errors) == 1
         assert "lexicon" in errors[0]["error"]
 
@@ -260,22 +260,23 @@ class TestRunGrid:
             Pool = RecordingPool
 
         monkeypatch.setattr(multiprocessing, "get_context", lambda method: RecordingContext())
-        reports, _ = run_grid(synth_corpus, [cfg(), cfg(representation="frequency")], jobs=8)
+        pipeline = FeaturePipeline(synth_corpus)
+        reports, _ = run_grid(pipeline, [cfg(), cfg(representation="frequency")], jobs=8)
         assert started == [2] and len(reports) == 2
-        reports, _ = run_grid(synth_corpus, [cfg()], jobs=8)
+        reports, _ = run_grid(pipeline, [cfg()], jobs=8)
         assert started == [2] and len(reports) == 1  # one cell runs in-process
 
     def test_parallel_jobs_match_sequential(self, synth_corpus):
         configs = [cfg(), cfg(representation="frequency")]
-        seq, _ = run_grid(synth_corpus, configs, jobs=1)
-        par, _ = run_grid(synth_corpus, configs, jobs=2)
+        seq, _ = run_grid(FeaturePipeline(synth_corpus), configs, jobs=1)
+        par, _ = run_grid(FeaturePipeline(synth_corpus), configs, jobs=2)
         assert [r.mean_accuracy for r in seq] == [r.mean_accuracy for r in par]
 
 
 class TestEmitReport:
     @pytest.fixture()
     def one_report(self, synth_corpus):
-        return run_experiment(synth_corpus, cfg())
+        return run_experiment(FeaturePipeline(synth_corpus), cfg())
 
     def test_json_schema(self, one_report):
         payload = json.loads(emit_report([one_report], format="json"))
@@ -298,8 +299,8 @@ class TestEmitReport:
         assert "**" in text  # the only cell is the row best
 
     def test_markdown_bolds_best(self, synth_corpus):
-        nb = run_experiment(synth_corpus, cfg())
-        svm = run_experiment(synth_corpus, cfg(classifier="svm"))
+        nb = run_experiment(FeaturePipeline(synth_corpus), cfg())
+        svm = run_experiment(FeaturePipeline(synth_corpus), cfg(classifier="svm"))
         text = emit_report([nb, svm], format="markdown")
         best = max(nb.mean_accuracy, svm.mean_accuracy)
         assert f"**{best:.3f}**" in text

@@ -10,7 +10,6 @@ from polarity.errors import ConfigError
 from polarity.features import (
     FeatureFamily,
     FeatureSpec,
-    bag_to_text,
     extract,
     extract_adjadv_bigrams,
     extract_adjadv_trigrams,
@@ -20,7 +19,6 @@ from polarity.features import (
     extract_polarized_unigrams,
     extract_transitions,
     parse_feature_spec,
-    text_to_bag,
 )
 from polarity.lexicon import load_transitions
 from polarity.preprocess import preprocess_document
@@ -281,8 +279,3 @@ def test_polarized_bigram_core_matches_unigram(sentences):
         assert any(
             body.startswith(f"{c}_") or body.endswith(f"_{c}") for c in pu
         ), (feature, pu)
-
-
-def test_bag_text_round_trip():
-    bag = Counter({"u:good": 3, "b:good_movie": 1, "tr:although_famous": 2})
-    assert text_to_bag(bag_to_text(bag)) == bag

@@ -13,7 +13,6 @@ from polarity.linear_svm import (
     LinearSvmModel,
     default_C,
     gram_matrix,
-    margins,
     predict_svm,
     train_svm,
 )
@@ -33,7 +32,9 @@ def predict_one(model, vec):
 
 
 def margins_of(model, vectors):
-    return margins(model, *labeled_matrix(vectors))
+    """y_i * (w . x_i + b) for every labeled vector, for KKT checks."""
+    X, y = labeled_matrix(vectors)
+    return y * predict_svm(model, X)[1]
 
 
 def label_of(vec):

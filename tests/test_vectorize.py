@@ -4,10 +4,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import labeled_matrix
-from polarity.errors import ConfigError, DataError
+from polarity.errors import ConfigError, DataError, PolarityError
 from polarity.vectorize import (
     MAX_FEATURE_ID,
     FeatureMatrix,
@@ -15,11 +15,9 @@ from polarity.vectorize import (
     build_vocabulary,
     column_mask,
     read_svmlight,
-    read_vocabulary,
     represent,
     vectorize,
     write_svmlight,
-    write_vocabulary,
 )
 
 
@@ -184,18 +182,29 @@ class TestSvmlightFormat:
             read_svmlight(path)
 
 
-def test_vocabulary_file_round_trip(tmp_path):
-    vocab = build_vocabulary([Counter({"u:a": 1, "b:x_y": 2})], min_count=1)
-    path = tmp_path / "vocab.tsv"
-    write_vocabulary(vocab, path)
-    assert read_vocabulary(path).index == vocab.index
+svmlight_fields = st.one_of(
+    st.sampled_from(["+1", "-1", "0", "7", "#", "1:", ":1"]),
+    st.builds("{}:{}".format,
+              st.integers() | st.just(MAX_FEATURE_ID) | st.just(MAX_FEATURE_ID + 1),
+              st.floats() | st.integers() | st.text(max_size=3)),
+    st.text(max_size=5),
+)
+svmlight_texts = st.lists(st.lists(svmlight_fields, max_size=5).map(" ".join),
+                          max_size=5).map("\n".join).map(str.encode)
 
 
-def test_vocabulary_bad_id_reports_location(tmp_path):
-    path = tmp_path / "vocab.tsv"
-    path.write_text("u:a\t0\nu:b\tone\n")
-    with pytest.raises(DataError, match=r"vocab.tsv:2: bad feature id 'one'"):
-        read_vocabulary(path)
+@settings(max_examples=300, deadline=None)
+@given(svmlight_texts | st.binary(max_size=30))
+def test_read_svmlight_fails_cleanly_or_reads_finite_values(tmp_path_factory, content):
+    path = tmp_path_factory.getbasetemp() / "fuzz.svml"
+    path.write_bytes(content)
+    try:
+        X, labels = read_svmlight(path)
+    except PolarityError:
+        return
+    assert X.shape == (len(labels), X.shape[1]) and X.shape[1] <= MAX_FEATURE_ID
+    assert set(labels.tolist()) <= {-1, 0, 1}
+    assert np.isfinite(X.data).all() and np.all(X.data != 0)
 
 
 # --- count matrices against the bag reference ------------------------------
