@@ -16,6 +16,7 @@ from polarity.evaluation import FeaturePipeline
 from polarity.features import FeatureFamily, FeatureSpec, extract
 from polarity.lexicon import load_lexicon, load_transitions
 from polarity.tagging import get_tagger
+from polarity.vectorize import column_mask
 
 CORPUS = Path(__file__).parent / "golden" / "corpus"
 VARIANTS = [(family, False) for family in FeatureFamily] + [(FeatureFamily.UNIGRAM, True)]
@@ -73,3 +74,19 @@ def test_extract_matches_pipeline_bags(builtin, resources, negation):
     every = FeatureSpec(families=frozenset(FeatureFamily), negation_variant=negation)
     for doc, total in zip(builtin.documents, merged):
         assert extract(doc, every, lexicon, transitions) == total
+
+
+def test_underscore_words_merge_into_one_feature(tmp_path):
+    """``("a_b", "c")`` and ``("a", "b_c")`` both write ``b:a_b_c``: one column
+    whose count is their sum, kept at a floor that neither key reaches alone."""
+    (tmp_path / "pos").mkdir()
+    (tmp_path / "neg").mkdir()
+    (tmp_path / "pos" / "cv000_1.txt").write_text("a_b_JJ c_NN\n", encoding="utf-8")
+    (tmp_path / "neg" / "cv001_2.txt").write_text("a_JJ b_c_NN\na_JJ b_c_NN\n", encoding="utf-8")
+    pipeline = FeaturePipeline(load_corpus(tmp_path), tagger=get_tagger("pretagged"))
+    for family, namespace in [(FeatureFamily.BIGRAM, "b"), (FeatureFamily.ADJADV_BIGRAM, "aab")]:
+        matrix = pipeline.family_matrix(family)
+        assert matrix.features == [f"{namespace}:a_b_c"]
+        assert matrix.counts.toarray().tolist() == [[1.0], [2.0]]
+        mask = column_mask(matrix.counts, 3)
+        assert mask.tolist() == [True]
