@@ -99,7 +99,7 @@ def cmd_extract(args) -> int:
         transitions=_maybe_transitions(args) if spec.needs_transitions else None,
         tagger=get_tagger(args.tagger),
     )
-    matrix = pipeline.matrix_for_spec(spec)
+    matrix = pipeline.matrix_for_spec(spec, args.min_count)
     mask = column_mask(matrix.counts, args.min_count)
     X = represent(matrix.counts[:, mask], Representation(args.rep))
     write_svmlight(X, args.out, pipeline.labels())

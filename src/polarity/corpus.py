@@ -72,7 +72,8 @@ class CorpusStats:
         }
 
 
-def _read_text(path: Path) -> str:
+def read_text(path: Path) -> str:
+    """The file's text as UTF-8, or as Latin-1 when it is not valid UTF-8."""
     try:
         raw = path.read_bytes()
     except OSError as exc:
@@ -105,7 +106,7 @@ def load_corpus(root_dir: str | Path) -> Corpus:
             if doc_id in seen:
                 raise DataError(f"duplicate document id {doc_id!r} ({seen[doc_id].value} and {label.value})")
             seen[doc_id] = label
-            documents.append(RawDocument(id=doc_id, label=label, text=_read_text(path)))
+            documents.append(RawDocument(id=doc_id, label=label, text=read_text(path)))
 
     documents.sort(key=lambda d: d.id)
     return Corpus(documents=documents)

@@ -1,13 +1,16 @@
 """Cross-validated experiment harness over the feature/representation/classifier grid.
 
 A FeaturePipeline preprocesses the corpus once into ``Sentence`` tuples
-(words, tags, negation mask), extracts each family through the one
-``features.EXTRACTORS`` table, and caches one sparse count matrix per
-family, so a grid of many configurations pays the extraction cost per
-family, not per cell. A cell takes the union of its families' columns,
-prunes them with a column mask (once over the corpus, or per fold over the
-training rows), and trains on row slices; under corpus scope the SVM Gram
-matrix is computed once per cell and sliced per fold.
+(words, tags, negation mask) and caches one sparse count matrix per family,
+so a grid of many configurations pays the extraction cost per family, not
+per cell. The six word/tag families of ``features.WINDOW_FAMILIES`` are
+counted from one token stream of integer word ids, and their matrices hold
+only the columns whose corpus total reaches the ``min_count`` floor (at
+least 1); ``pu``, ``pb`` and ``t`` are extracted as bags through
+``features.EXTRACTORS`` and keep every column. A cell takes the union of its
+families' columns, prunes them with a column mask (once over the corpus, or
+per fold over the training rows), and trains on row slices; under corpus
+scope the SVM Gram matrix is computed once per cell and sliced per fold.
 The pipeline is the harness's one handle: ``run_experiment(pipeline, config)``
 and ``run_grid(pipeline, configs)`` read the corpus, its folds, the lexicon,
 the transitions and the tagger from it and from nowhere else.
@@ -19,6 +22,8 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -28,10 +33,10 @@ import numpy as np
 from . import linear_svm, naive_bayes
 from .corpus import Corpus, N_FOLDS
 from .errors import ConfigError, DataError
-from .features import EXTRACTORS, FeatureBag, FeatureFamily, FeatureSpec, check_resources
-from .features import parse_feature_spec
+from .features import EXTRACTORS, TAG_BITS, WINDOW_FAMILIES, FeatureBag, FeatureFamily
+from .features import FeatureSpec, Window, check_resources, parse_feature_spec
 from .lexicon import SubjectivityLexicon, TransitionList
-from .preprocess import Document, preprocess_document
+from .preprocess import NEGATION_PREFIX, Document, preprocess_document
 from .tagging import RuleTagger
 from .vectorize import FeatureMatrix, Representation, column_mask, represent
 
@@ -120,15 +125,137 @@ class EvalReport:
         }
 
 
+# Window keys are built as base-V numbers over the word ids; a product that
+# could pass this bound is renumbered densely first.
+_MAX_KEY = np.iinfo(np.int64).max
+
+
+class _TokenStream:
+    """The corpus as flat per-token buffers, built once from the documents.
+
+    ``ids`` holds an int32 word id per token (``words[id]`` is the word),
+    ``starts`` marks each sentence's first token, ``tag_bits`` the token's
+    ``features.TAG_BITS`` and ``negated`` its negation flag; ``doc_lengths``
+    holds the tokens of each document.
+    """
+
+    def __init__(self, documents: Sequence[Document]):
+        index: defaultdict[str, int] = defaultdict()
+        index.default_factory = index.__len__  # a new word gets the next id
+        bits = defaultdict(int, TAG_BITS)
+        ids, tag_bits, negated = array("i"), bytearray(), bytearray()
+        sentence_lengths, doc_lengths = array("q"), array("q")
+        for doc in documents:
+            before = len(ids)
+            for words, tags, neg in doc.sentences:
+                ids.extend(map(index.__getitem__, words))
+                tag_bits.extend(map(bits.__getitem__, tags))
+                negated.extend(neg)
+                sentence_lengths.append(len(words))
+            doc_lengths.append(len(ids) - before)
+        self.words = list(index)
+        self.ids = np.frombuffer(ids, dtype=np.intc)
+        self.tag_bits = np.frombuffer(tag_bits, dtype=np.uint8)
+        self.negated = np.frombuffer(negated, dtype=np.uint8)
+        self.doc_lengths = np.frombuffer(doc_lengths, dtype=np.int64)
+        lengths = np.frombuffer(sentence_lengths, dtype=np.int64)
+        starts = np.zeros(len(ids) + 1, dtype=bool)
+        starts[np.cumsum(lengths) - lengths] = True
+        self.starts = starts[:-1]
+
+    def window_matrix(self, window: Window, negation_variant: bool, floor: int) -> FeatureMatrix:
+        """The count matrix of *window*'s features whose corpus total is >= *floor*.
+
+        Each window becomes an int64 key over its word ids (and, for the
+        negated unigram variant, its negation flag); keys are totalled over
+        the corpus, and feature strings are built for the survivors only.
+        Distinct keys with ``_`` inside a word can spell one feature
+        (``a_b c`` and ``a b_c``), so those are totalled by string.
+        """
+        n, vocab = window.n, len(self.words)
+        size = max(len(self.ids) - n + 1, 0)
+        keep = np.ones(size, dtype=bool)
+        for k in range(1, n):
+            keep &= ~self.starts[k:k + size]
+        if window.tag_bits:
+            tagged = np.zeros(size, dtype=bool)
+            for k in range(n):
+                tagged |= (self.tag_bits[k:k + size] & window.tag_bits) != 0
+            keep &= tagged
+        pos = np.flatnonzero(keep)
+
+        keys, span = self.ids[pos].astype(np.int64), vocab
+        if negation_variant:
+            keys, span = 2 * keys + self.negated[pos], 2 * vocab
+        for k in range(1, n):
+            if span * vocab > _MAX_KEY:
+                _, keys = np.unique(keys, return_inverse=True)
+                span = int(keys.max()) + 1
+            keys, span = keys * vocab + self.ids[pos + k], span * vocab
+
+        # Windows sorted by key form one run per distinct key: its total is
+        # the run's length, and the run's first window spells its feature.
+        # Each large temporary is dropped as soon as it is used, which keeps
+        # the build's peak memory below that of per-document bags.
+        order = np.argsort(keys)
+        keys = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        del keys
+        runs = np.flatnonzero(first)
+        del first
+        totals = np.diff(runs, append=len(order))
+        spelled_at = pos[order[runs]]
+
+        def names(chosen: np.ndarray) -> list[str]:
+            at = spelled_at[chosen]
+            columns = [[self.words[i] for i in self.ids[at + k].tolist()] for k in range(n)]
+            if negation_variant:
+                columns[0] = [NEGATION_PREFIX + w if neg else w
+                              for w, neg in zip(columns[0], self.negated[at].tolist())]
+            return [f"{window.namespace}:{'_'.join(parts)}" for parts in zip(*columns)]
+
+        survives = totals >= floor
+        if n > 1:
+            underscored = np.array(["_" in w for w in self.words], dtype=bool)
+            merged = np.zeros(len(totals), dtype=bool)
+            for k in range(n):
+                merged |= underscored[self.ids[spelled_at + k]]
+            chosen = np.flatnonzero(merged)
+            if chosen.size:
+                spelled = names(chosen)
+                by_name: Counter = Counter()
+                for name, total in zip(spelled, totals[chosen].tolist()):
+                    by_name[name] += total
+                survives[chosen] = [by_name[name] >= floor for name in spelled]
+
+        chosen = np.flatnonzero(survives)
+        spelled = names(chosen)
+        features = sorted(set(spelled))
+        column = {feature: j for j, feature in enumerate(features)}
+        column_of_key = np.full(len(totals), -1, dtype=np.int32)
+        column_of_key[chosen] = [column[name] for name in spelled]
+        columns = np.empty(len(pos), dtype=np.int32)  # per window, in token order
+        columns[order] = np.repeat(column_of_key, totals)
+        del order
+        hit = columns >= 0
+        pos, columns = pos[hit], columns[hit]
+        doc_bounds = np.concatenate(([0], np.cumsum(self.doc_lengths)))
+        return FeatureMatrix.from_occurrences(np.searchsorted(pos, doc_bounds), columns,
+                                              features)
+
+
 class FeaturePipeline:
     """Shared preprocessing plus a per-family count-matrix cache for one corpus.
 
     Documents are preprocessed once with *tagger* (a RuleTagger by default).
     Every Sentence carries its negation mask, so the negated and plain
     unigram variants both come from the same documents and every grid cell
-    reuses the cache regardless of its negation flag. Bags are extracted
-    through ``features.EXTRACTORS``; a family's bags live only while its
-    matrix is built.
+    reuses the cache regardless of its negation flag. The six families of
+    ``features.WINDOW_FAMILIES`` are counted from one token stream of word
+    ids and keep only the columns that reach the requested floor; ``pu``,
+    ``pb`` and ``t`` are extracted as bags through ``features.EXTRACTORS``,
+    which live only while their matrix is built.
     """
 
     def __init__(self, corpus: Corpus,
@@ -140,6 +267,7 @@ class FeaturePipeline:
         self.transitions = transitions
         self.tagger = tagger or RuleTagger()
         self._documents: list[Document] | None = None
+        self._tokens: _TokenStream | None = None
         self._matrices: dict[tuple, FeatureMatrix] = {}
 
     @property
@@ -153,12 +281,26 @@ class FeaturePipeline:
     def labels(self) -> list[int]:
         return [doc.label.sign for doc in self.corpus.documents]
 
-    def family_matrix(self, family: FeatureFamily, negation_variant: bool = False) -> FeatureMatrix:
-        """The cached count matrix of *family*; built from fresh bags on first use."""
+    def family_matrix(self, family: FeatureFamily, negation_variant: bool = False,
+                      min_count: int = 1) -> FeatureMatrix:
+        """The cached count matrix of *family*, built on first use.
+
+        A window family keeps only the columns whose corpus total reaches
+        ``max(min_count, 1)``. That is exact for either prune scope, since
+        no fold's training total exceeds the corpus total. ``pu``, ``pb``
+        and ``t`` keep every column.
+        """
         neg = negation_variant and family is FeatureFamily.UNIGRAM
-        key = (family, neg)
+        window = WINDOW_FAMILIES.get(family)
+        floor = max(min_count, 1) if window else 1
+        key = (family, neg, floor)
         if key not in self._matrices:
-            self._matrices[key] = FeatureMatrix.from_bags(self.family_bags(family, neg))
+            if window is None:
+                self._matrices[key] = FeatureMatrix.from_bags(self.family_bags(family, neg))
+            else:
+                if self._tokens is None:
+                    self._tokens = _TokenStream(self.documents)
+                self._matrices[key] = self._tokens.window_matrix(window, neg, floor)
         return self._matrices[key]
 
     def family_bags(self, family: FeatureFamily, negation_variant: bool = False) -> list[FeatureBag]:
@@ -168,14 +310,16 @@ class FeaturePipeline:
         return [extractor(doc, self.lexicon, self.transitions, negation_variant)
                 for doc in self.documents]
 
-    def matrix_for_spec(self, spec: FeatureSpec) -> FeatureMatrix:
+    def matrix_for_spec(self, spec: FeatureSpec, min_count: int = 1) -> FeatureMatrix:
         """The union of the spec's family matrices, columns in lexicographic order.
 
-        A missing lexicon or transition list fails before any family is built.
+        Columns below *min_count* may be left out (see ``family_matrix``). A
+        missing lexicon or transition list fails before any family is built.
         """
         check_resources(spec, self.lexicon, self.transitions)
         return FeatureMatrix.union([
-            self.family_matrix(f, spec.negation_variant) for f in FeatureFamily if f in spec.families
+            self.family_matrix(f, spec.negation_variant, min_count)
+            for f in FeatureFamily if f in spec.families
         ])
 
 
@@ -194,7 +338,7 @@ class _Cell:
             raise ConfigError("corpus has no fold assignment; call assign_folds first")
         self.config = config
         self.folds = np.array([corpus.folds[doc.id] for doc in corpus.documents])
-        self.matrix = pipeline.matrix_for_spec(config.spec())
+        self.matrix = pipeline.matrix_for_spec(config.spec(), config.min_count)
         self.y = np.array(pipeline.labels())
         self.mask = self.X = self.gram = None
         if config.prune_scope == "corpus":
@@ -342,7 +486,7 @@ def _map_cells(pipeline, configs, jobs):
             for cfg in configs:
                 for family in cfg.spec().families:
                     try:
-                        pipeline.family_matrix(family, cfg.negation)
+                        pipeline.family_matrix(family, cfg.negation, cfg.min_count)
                     except ConfigError:
                         pass  # the cell reports it
             _FORK_STATE["pipeline"] = pipeline

@@ -2,10 +2,11 @@
 
 Each extractor reads a preprocessed Document sentence by sentence through
 the parallel ``words``/``tags``/``negated`` fields of its ``Sentence``
-tuples. ``EXTRACTORS`` maps every family to its extractor; ``extract`` and
-the cross-validation pipeline both dispatch through it, after
-``check_resources`` has made sure a lexicon or transition list is present
-where the family needs one.
+tuples. ``EXTRACTORS`` maps every family to its extractor; ``extract``
+dispatches through it, after ``check_resources`` has made sure a lexicon or
+transition list is present where the family needs one. The cross-validation
+pipeline extracts ``pu``, ``pb`` and ``t`` through it too, and counts the
+six families of ``WINDOW_FAMILIES`` from integer word ids instead.
 
 Every emitted feature string carries its family's namespace prefix, so
 families never collide and a union is plain multiset addition. N-grams,
@@ -18,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import ConfigError
 from .lexicon import SubjectivityLexicon, TransitionList
@@ -227,6 +228,36 @@ EXTRACTORS: dict[FeatureFamily, Callable[..., FeatureBag]] = {
     FeatureFamily.ADJADV_BIGRAM: lambda doc, lex, trans, neg: extract_adjadv_bigrams(doc),
     FeatureFamily.ADJADV_TRIGRAM: lambda doc, lex, trans, neg: extract_adjadv_trigrams(doc),
     FeatureFamily.TRANSITION: lambda doc, lex, trans, neg: extract_transitions(doc, trans, lex),
+}
+
+
+# Tag classes as bits, one per token in FeaturePipeline's token stream.
+ADJECTIVE_BIT = 1
+ADVERB_BIT = 2
+TAG_BITS = {**dict.fromkeys(ADJECTIVE_TAGS, ADJECTIVE_BIT), **dict.fromkeys(ADVERB_TAGS, ADVERB_BIT)}
+
+
+class Window(NamedTuple):
+    """A family of within-sentence windows of *n* words, ``namespace:w1_..._wn``.
+
+    A window counts when some word's tag bits meet *tag_bits*, or always
+    when *tag_bits* is 0.
+    """
+
+    namespace: str
+    n: int
+    tag_bits: int = 0
+
+
+# The six word/tag families as windows. FeaturePipeline builds their matrices
+# from integer word ids; their extractors above stay the bag reference.
+WINDOW_FAMILIES: dict[FeatureFamily, Window] = {
+    FeatureFamily.UNIGRAM: Window("u", 1),
+    FeatureFamily.BIGRAM: Window("b", 2),
+    FeatureFamily.TRIGRAM: Window("t", 3),
+    FeatureFamily.ADJECTIVE: Window("adj", 1, ADJECTIVE_BIT),
+    FeatureFamily.ADJADV_BIGRAM: Window("aab", 2, ADJECTIVE_BIT | ADVERB_BIT),
+    FeatureFamily.ADJADV_TRIGRAM: Window("aat", 3, ADJECTIVE_BIT | ADVERB_BIT),
 }
 
 

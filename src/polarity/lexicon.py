@@ -7,11 +7,13 @@ after loading and safe to share across workers.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 
+from .corpus import read_text
 from .errors import ConfigError, DataError
 
 
@@ -135,7 +137,8 @@ def load_lexicon(path: str | Path, format: str = "tff") -> SubjectivityLexicon:
     """Load a subjectivity lexicon from the clues (tff) or two-column tsv format.
 
     Neutral and both-polarity entries are excluded; duplicate (word, polarity,
-    constraint) rows collapse to one entry.
+    constraint) rows collapse to one entry. The file is decoded as the
+    corpus is: UTF-8, or Latin-1 when it is not valid UTF-8.
     """
     path = Path(path)
     if format not in ("tff", "tsv"):
@@ -145,7 +148,7 @@ def load_lexicon(path: str | Path, format: str = "tff") -> SubjectivityLexicon:
     parse = _parse_tff_line if format == "tff" else _parse_tsv_line
 
     entries: dict[str, list[LexiconEntry]] = {}
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    with io.StringIO(read_text(path), newline=None) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip() or line.lstrip().startswith("#"):
                 continue

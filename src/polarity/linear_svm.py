@@ -76,7 +76,10 @@ class LinearSvmModel:
             raise DataError(f"{meta_path}: not a {MODEL_FORMAT} model file")
         try:
             weights_path = meta_path.parent / payload["weights_file"]
-            weights = np.asarray(np.load(weights_path), dtype=np.float64)
+            weights = np.load(weights_path)
+            if weights.dtype.kind not in "iuf":
+                raise DataError(f"{meta_path}: weights must be real numbers, not {weights.dtype}")
+            weights = np.asarray(weights, dtype=np.float64)
             meta = SvmTrainingMeta(
                 iterations=payload["iterations"], converged=payload["converged"],
                 final_objective=payload["final_objective"],

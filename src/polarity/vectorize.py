@@ -117,6 +117,16 @@ class FeatureMatrix:
         return cls(counts=counts, features=features)
 
     @classmethod
+    def from_occurrences(cls, indptr: np.ndarray, columns: np.ndarray,
+                         features: list[str]) -> "FeatureMatrix":
+        """Row i counts each column among ``columns[indptr[i]:indptr[i + 1]]``;
+        *features* names the columns, in sorted order."""
+        counts = sp.csr_matrix((np.ones(len(columns)), columns, indptr),
+                               shape=(len(indptr) - 1, len(features)))
+        counts.sum_duplicates()
+        return cls(counts=counts, features=features)
+
+    @classmethod
     def union(cls, parts: Sequence["FeatureMatrix"]) -> "FeatureMatrix":
         """Side-by-side columns of *parts*, in lexicographic feature order.
 

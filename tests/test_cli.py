@@ -91,6 +91,22 @@ class TestExtract:
         prefixes = {line.split(":", 1)[0] for line in vocab_out.read_text().splitlines()}
         assert {"u", "pu", "pb"} <= prefixes
 
+    @pytest.mark.parametrize("encoding", ["utf-8", "latin-1"])
+    def test_latin1_corpus_meets_lexicon_in_either_encoding(self, tmp_path, encoding):
+        corpus = tmp_path / "corpus"
+        for label, text in [("pos", b"the caf\xe9 was bad\n"), ("neg", b"a caf\xe9 is awful\n")]:
+            (corpus / label).mkdir(parents=True)
+            (corpus / label / f"cv000_{label}.txt").write_bytes(text)  # Latin-1 bytes
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_bytes("caf\xe9\tPOS\nbad\tNEG\n".encode(encoding))
+        vocab_out = tmp_path / "vocab.tsv"
+        code = main(["extract", "--corpus", str(corpus), "--features", "pu",
+                     "--lexicon", str(lexicon), "--lexicon-format", "tsv", "--min-count", "1",
+                     "--out", str(tmp_path / "v.svml"), "--vocab-out", str(vocab_out)])
+        assert code == 0
+        features = [line.split("\t")[0] for line in vocab_out.read_text().splitlines()]
+        assert features == ["pu:NEG/JJ", "pu:POS/NN"]
+
     def test_unknown_family_exits_2(self, corpus_dir, tmp_path, capsys):
         code = main(["extract", "--corpus", str(corpus_dir), "--features", "bogus+pb",
                      "--out", str(tmp_path / "v.svml")])
@@ -280,6 +296,18 @@ class TestInputErrors:
         assert main(["predict", "--model", str(model) + ".json",
                      "--input", str(vector_file)]) == 3
         assert "weights file" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("dtype", [complex, "U3"])
+    def test_svm_weights_not_real_exit_3(self, vector_file, tmp_path, capsys, dtype):
+        model = tmp_path / "svm"
+        assert main(["train", "--input", str(vector_file), "--clf", "svm",
+                     "--out", str(model)]) == 0
+        weights = np.load(tmp_path / "svm.npy")
+        np.save(tmp_path / "svm.npy", weights.astype(dtype))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model) + ".json",
+                     "--input", str(vector_file)]) == 3
+        assert "weights must be real numbers" in one_error_line(capsys)
 
     @pytest.mark.parametrize("command", ["extract", "evaluate"])
     def test_non_utf8_transitions_exits_3(self, corpus_dir, tmp_path, capsys, command):

@@ -18,8 +18,9 @@ import pytest
 
 from polarity.corpus import load_corpus
 from polarity.errors import DataError
+from polarity import evaluation
 from polarity.evaluation import FeaturePipeline
-from polarity.features import FeatureFamily
+from polarity.features import WINDOW_FAMILIES, FeatureFamily
 from polarity.tagging import get_tagger
 from polarity.vectorize import FeatureMatrix, column_mask
 
@@ -67,10 +68,14 @@ def pretagged_pipeline(tmp_path_factory):
 
 
 def pruned_family_matrix(pipeline, family, negation, min_count):
-    """(features, counts) of the family's matrix over the columns reaching *min_count*."""
-    matrix = pipeline.family_matrix(family, negation)
+    """(features, counts) of the family's matrix over the columns reaching *min_count*.
+
+    The cached matrix holds those columns only.
+    """
+    matrix = pipeline.family_matrix(family, negation, min_count)
     mask = column_mask(matrix.counts, min_count)
-    return [f for f, keep in zip(matrix.features, mask) if keep], matrix.counts[:, mask]
+    assert mask.all()
+    return matrix.features, matrix.counts
 
 
 def assert_matches_bags(pipeline, family, negation, min_count):
@@ -112,3 +117,15 @@ def test_pretagged_corpus_shape(pretagged_pipeline):
     assert any(len(s.words) == 1 for doc in documents for s in doc.sentences)
     assert any("_" in w for doc in documents for s in doc.sentences for w in s.words)
     assert any(any(s.negated) for doc in documents for s in doc.sentences)
+
+
+def test_renumbered_keys_give_the_same_matrix(golden_pipeline, monkeypatch):
+    """Keys that would pass the int64 bound are renumbered densely first."""
+    expected = {n: golden_pipeline.family_matrix(family, min_count=2)
+                for n, family in [(2, FeatureFamily.BIGRAM), (3, FeatureFamily.TRIGRAM)]}
+    monkeypatch.setattr(evaluation, "_MAX_KEY", len(golden_pipeline._tokens.words) ** 2 - 1)
+    for n, family in [(2, FeatureFamily.BIGRAM), (3, FeatureFamily.TRIGRAM)]:
+        window = WINDOW_FAMILIES[family]
+        matrix = golden_pipeline._tokens.window_matrix(window, False, 2)
+        assert matrix.features == expected[n].features
+        assert (matrix.counts != expected[n].counts).nnz == 0

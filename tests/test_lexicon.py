@@ -45,6 +45,15 @@ class TestLoadLexicon:
         assert len(lex) == 1
         assert lex.polarity_of("good", "JJ") is Polarity.POS
 
+    @pytest.mark.parametrize("encoding", ["utf-8", "latin-1"])
+    def test_non_ascii_word_in_either_encoding(self, tmp_path, encoding):
+        """A Latin-1 lexicon is decoded as the corpus is, not with its
+        non-ASCII words replaced."""
+        path = tmp_path / "lex.tsv"
+        path.write_bytes("caf\xe9\tPOS\n".encode(encoding))
+        lex = load_lexicon(path, format="tsv")
+        assert lex.polarity_of("caf\xe9", "NN") is Polarity.POS
+
     def test_unparseable_line_reports_number(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text("good\tPOS\nbroken line\n", encoding="utf-8")

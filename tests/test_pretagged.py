@@ -16,7 +16,6 @@ from polarity.evaluation import FeaturePipeline
 from polarity.features import FeatureFamily, FeatureSpec, extract
 from polarity.lexicon import load_lexicon, load_transitions
 from polarity.tagging import get_tagger
-from polarity.vectorize import column_mask
 
 CORPUS = Path(__file__).parent / "golden" / "corpus"
 VARIANTS = [(family, False) for family in FeatureFamily] + [(FeatureFamily.UNIGRAM, True)]
@@ -85,8 +84,7 @@ def test_underscore_words_merge_into_one_feature(tmp_path):
     (tmp_path / "neg" / "cv001_2.txt").write_text("a_JJ b_c_NN\na_JJ b_c_NN\n", encoding="utf-8")
     pipeline = FeaturePipeline(load_corpus(tmp_path), tagger=get_tagger("pretagged"))
     for family, namespace in [(FeatureFamily.BIGRAM, "b"), (FeatureFamily.ADJADV_BIGRAM, "aab")]:
-        matrix = pipeline.family_matrix(family)
+        matrix = pipeline.family_matrix(family, min_count=3)
         assert matrix.features == [f"{namespace}:a_b_c"]
         assert matrix.counts.toarray().tolist() == [[1.0], [2.0]]
-        mask = column_mask(matrix.counts, 3)
-        assert mask.tolist() == [True]
+        assert pipeline.family_matrix(family, min_count=4).features == []
