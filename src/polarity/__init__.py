@@ -17,7 +17,7 @@ from .evaluation import (
     run_experiment,
     run_grid,
 )
-from .features import FeatureFamily, FeatureSpec, extract, parse_feature_spec
+from .features import FeatureFamily, FeatureSpec, parse_feature_spec
 from .lexicon import (
     Polarity,
     SubjectivityLexicon,

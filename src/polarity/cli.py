@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from importlib import resources
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -104,7 +105,7 @@ def cmd_extract(args) -> int:
     X = represent(matrix.counts[:, mask], Representation(args.rep))
     write_svmlight(X, args.out, pipeline.labels())
     if args.vocab_out:
-        write_vocabulary(matrix.vocabulary(mask), args.vocab_out)
+        write_vocabulary(compress(matrix.features, mask), args.vocab_out)
     documents, features = X.shape
     summary = {"documents": documents, "features": features,
                "vectors_file": args.out, "vocabulary_file": args.vocab_out}

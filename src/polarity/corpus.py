@@ -73,13 +73,14 @@ class CorpusStats:
 
 
 def read_text(path: Path) -> str:
-    """The file's text as UTF-8, or as Latin-1 when it is not valid UTF-8."""
+    """The file's text as UTF-8 (a leading byte-order mark dropped), or as
+    Latin-1 when it is not valid UTF-8."""
     try:
         raw = path.read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     try:
-        return raw.decode("utf-8")
+        return raw.decode("utf-8-sig")
     except UnicodeDecodeError:
         return raw.decode("latin-1")
 

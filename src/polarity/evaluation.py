@@ -3,14 +3,15 @@
 A FeaturePipeline preprocesses the corpus once into ``Sentence`` tuples
 (words, tags, negation mask) and caches one sparse count matrix per family,
 so a grid of many configurations pays the extraction cost per family, not
-per cell. The six word/tag families of ``features.WINDOW_FAMILIES`` are
-counted from one token stream of integer word ids, and their matrices hold
-only the columns whose corpus total reaches the ``min_count`` floor (at
-least 1); ``pu``, ``pb`` and ``t`` are extracted as bags through
-``features.EXTRACTORS`` and keep every column. A cell takes the union of its
-families' columns, prunes them with a column mask (once over the corpus, or
-per fold over the training rows), and trains on row slices; under corpus
-scope the SVM Gram matrix is computed once per cell and sliced per fold.
+per cell. Each family's row of ``features.FAMILIES`` says how: the six
+``Window`` families are counted from one token stream of integer word ids,
+and their matrices hold only the columns whose corpus total reaches the
+``min_count`` floor (at least 1); ``pu``, ``pb`` and ``t`` are extracted as
+bags by their rows' extractors and keep every column. A cell takes the
+union of its families' columns, prunes them with a column mask (once over
+the corpus, or per fold over the training rows), and trains on row slices;
+under corpus scope the SVM Gram matrix is computed once per cell and sliced
+per fold.
 The pipeline is the harness's one handle: ``run_experiment(pipeline, config)``
 and ``run_grid(pipeline, configs)`` read the corpus, its folds, the lexicon,
 the transitions and the tagger from it and from nowhere else.
@@ -33,8 +34,8 @@ import numpy as np
 from . import linear_svm, naive_bayes
 from .corpus import Corpus, N_FOLDS
 from .errors import ConfigError, DataError
-from .features import EXTRACTORS, TAG_BITS, WINDOW_FAMILIES, FeatureBag, FeatureFamily
-from .features import FeatureSpec, Window, check_resources, parse_feature_spec
+from .features import FAMILIES, TAG_BITS, FeatureBag, FeatureFamily, FeatureSpec, Window
+from .features import check_resources, extract_window, parse_feature_spec
 from .lexicon import SubjectivityLexicon, TransitionList
 from .preprocess import NEGATION_PREFIX, Document, preprocess_document
 from .tagging import RuleTagger
@@ -251,11 +252,11 @@ class FeaturePipeline:
     Documents are preprocessed once with *tagger* (a RuleTagger by default).
     Every Sentence carries its negation mask, so the negated and plain
     unigram variants both come from the same documents and every grid cell
-    reuses the cache regardless of its negation flag. The six families of
-    ``features.WINDOW_FAMILIES`` are counted from one token stream of word
-    ids and keep only the columns that reach the requested floor; ``pu``,
-    ``pb`` and ``t`` are extracted as bags through ``features.EXTRACTORS``,
-    which live only while their matrix is built.
+    reuses the cache regardless of its negation flag. The ``Window``
+    families of ``features.FAMILIES`` are counted from one token stream of
+    word ids and keep only the columns that reach the requested floor;
+    ``pu``, ``pb`` and ``t`` are extracted as bags by their rows'
+    extractors, which live only while their matrix is built.
     """
 
     def __init__(self, corpus: Corpus,
@@ -290,25 +291,27 @@ class FeaturePipeline:
         no fold's training total exceeds the corpus total. ``pu``, ``pb``
         and ``t`` keep every column.
         """
+        row = FAMILIES[family]
         neg = negation_variant and family is FeatureFamily.UNIGRAM
-        window = WINDOW_FAMILIES.get(family)
-        floor = max(min_count, 1) if window else 1
+        floor = max(min_count, 1) if isinstance(row, Window) else 1
         key = (family, neg, floor)
         if key not in self._matrices:
-            if window is None:
-                self._matrices[key] = FeatureMatrix.from_bags(self.family_bags(family, neg))
-            else:
+            if isinstance(row, Window):
                 if self._tokens is None:
                     self._tokens = _TokenStream(self.documents)
-                self._matrices[key] = self._tokens.window_matrix(window, neg, floor)
+                self._matrices[key] = self._tokens.window_matrix(row, neg, floor)
+            else:
+                self._matrices[key] = FeatureMatrix.from_bags(self.family_bags(family))
         return self._matrices[key]
 
     def family_bags(self, family: FeatureFamily, negation_variant: bool = False) -> list[FeatureBag]:
         """One bag per document for *family*, extracted afresh (not cached)."""
+        row = FAMILIES[family]
+        if isinstance(row, Window):
+            neg = negation_variant and family is FeatureFamily.UNIGRAM
+            return [extract_window(doc, row, neg) for doc in self.documents]
         check_resources(FeatureSpec(frozenset({family})), self.lexicon, self.transitions)
-        extractor = EXTRACTORS[family]
-        return [extractor(doc, self.lexicon, self.transitions, negation_variant)
-                for doc in self.documents]
+        return [row(doc, self.lexicon, self.transitions) for doc in self.documents]
 
     def matrix_for_spec(self, spec: FeatureSpec, min_count: int = 1) -> FeatureMatrix:
         """The union of the spec's family matrices, columns in lexicographic order.

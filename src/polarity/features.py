@@ -1,12 +1,14 @@
 """The nine linguistic feature families and their unions.
 
-Each extractor reads a preprocessed Document sentence by sentence through
-the parallel ``words``/``tags``/``negated`` fields of its ``Sentence``
-tuples. ``EXTRACTORS`` maps every family to its extractor; ``extract``
-dispatches through it, after ``check_resources`` has made sure a lexicon or
-transition list is present where the family needs one. The cross-validation
-pipeline extracts ``pu``, ``pb`` and ``t`` through it too, and counts the
-six families of ``WINDOW_FAMILIES`` from integer word ids instead.
+``FAMILIES`` is the one family table. Each word/tag family (``unigram``,
+``bigram``, ``trigram``, ``adj``, ``adjadv``, ``3adjadv``) is a ``Window``:
+its features are the within-sentence windows of *n* words, or only those
+where some word is an adjective or adverb. The cross-validation pipeline
+counts these from integer word ids, and ``extract_window`` is their bag
+reference. ``pu``, ``pb`` and ``t`` consult the subjectivity lexicon (``t``
+the transition list too); their rows are bag extractors, which read a
+preprocessed Document sentence by sentence through the parallel
+``words``/``tags``/``negated`` fields of its ``Sentence`` tuples.
 
 Every emitted feature string carries its family's namespace prefix, so
 families never collide and a union is plain multiset addition. N-grams,
@@ -28,7 +30,6 @@ from .tagging import ADJECTIVE_TAGS, ADVERB_TAGS
 
 FeatureBag = Counter
 
-_NGRAM_NAMESPACE = {1: "u", 2: "b", 3: "t"}
 _CONTENT_PREFIXES = ("N", "V", "J", "R")
 
 
@@ -62,11 +63,6 @@ _SPEC_ALIASES = {
     "transition": FeatureFamily.TRANSITION,
 }
 
-# Families that consult the subjectivity lexicon / transition list.
-LEXICON_FAMILIES = frozenset(
-    {FeatureFamily.POLARIZED_UNIGRAM, FeatureFamily.POLARIZED_BIGRAM, FeatureFamily.TRANSITION}
-)
-
 
 @dataclass(frozen=True)
 class FeatureSpec:
@@ -81,7 +77,7 @@ class FeatureSpec:
 
     @property
     def needs_lexicon(self) -> bool:
-        return bool(self.families & LEXICON_FAMILIES)
+        return any(not isinstance(FAMILIES[f], Window) for f in self.families)
 
     @property
     def needs_transitions(self) -> bool:
@@ -107,18 +103,39 @@ def parse_feature_spec(spec_string: str, negation: bool = False) -> FeatureSpec:
     return FeatureSpec(families=frozenset(families), negation_variant=negation)
 
 
-def extract_ngrams(doc: Document, n: int, keep_negation_prefix: bool = False) -> FeatureBag:
-    """Bag of within-sentence n-grams (n in 1..3), words joined by ``_``.
+# Tag classes as bits, one per token in FeaturePipeline's token stream.
+ADJECTIVE_BIT = 1
+ADVERB_BIT = 2
+TAG_BITS = {**dict.fromkeys(ADJECTIVE_TAGS, ADJECTIVE_BIT), **dict.fromkeys(ADVERB_TAGS, ADVERB_BIT)}
 
-    With *keep_negation_prefix* every word inside a negation scope is
-    written as ``NOT_word``.
+
+class Window(NamedTuple):
+    """A family of within-sentence windows of *n* words, ``namespace:w1_..._wn``.
+
+    A window counts when some word's tag bits meet *tag_bits*, or always
+    when *tag_bits* is 0.
     """
-    ns = _NGRAM_NAMESPACE[n]
+
+    namespace: str
+    n: int
+    tag_bits: int = 0
+
+
+def extract_window(doc: Document, window: Window, negation_variant: bool = False) -> FeatureBag:
+    """Bag of *window*'s features over one document.
+
+    With *negation_variant* every word inside a negation scope is written
+    as ``NOT_word``.
+    """
+    n = window.n
     bag: FeatureBag = Counter()
-    for words, _, negated in doc.sentences:
-        if keep_negation_prefix:
+    for words, tags, negated in doc.sentences:
+        if negation_variant:
             words = [NEGATION_PREFIX + w if neg else w for w, neg in zip(words, negated)]
-        bag.update(f"{ns}:{'_'.join(words[i:i + n])}" for i in range(len(words) - n + 1))
+        tagged = [TAG_BITS.get(t, 0) & window.tag_bits for t in tags]
+        for i in range(len(words) - n + 1):
+            if not window.tag_bits or any(tagged[i:i + n]):
+                bag[f"{window.namespace}:{'_'.join(words[i:i + n])}"] += 1
     return bag
 
 
@@ -156,33 +173,6 @@ def extract_polarized_bigrams(doc: Document, lex: SubjectivityLexicon) -> Featur
     return bag
 
 
-def extract_adjectives(doc: Document) -> FeatureBag:
-    bag: FeatureBag = Counter()
-    for words, tags, _ in doc.sentences:
-        bag.update(f"adj:{w}" for w, t in zip(words, tags) if t in ADJECTIVE_TAGS)
-    return bag
-
-
-def _extract_adjadv_window(doc: Document, n: int, namespace: str) -> FeatureBag:
-    keep_tags = ADJECTIVE_TAGS | ADVERB_TAGS
-    bag: FeatureBag = Counter()
-    for words, tags, _ in doc.sentences:
-        for i in range(len(words) - n + 1):
-            if not keep_tags.isdisjoint(tags[i:i + n]):
-                bag[f"{namespace}:{'_'.join(words[i:i + n])}"] += 1
-    return bag
-
-
-def extract_adjadv_bigrams(doc: Document) -> FeatureBag:
-    """Bigrams containing at least one adjective or adverb."""
-    return _extract_adjadv_window(doc, 2, "aab")
-
-
-def extract_adjadv_trigrams(doc: Document) -> FeatureBag:
-    """Trigrams containing at least one adjective or adverb."""
-    return _extract_adjadv_window(doc, 3, "aat")
-
-
 def extract_transitions(doc: Document, trans: TransitionList, lex: SubjectivityLexicon) -> FeatureBag:
     """Pair each transition phrase with every content word in its sentence.
 
@@ -214,50 +204,20 @@ def extract_transitions(doc: Document, trans: TransitionList, lex: SubjectivityL
     return bag
 
 
-# The one dispatch table: family -> extractor(doc, lexicon, transitions,
-# negation_variant). Only the unigram extractor reads the negation variant.
-# The entries look the extractors up by module-level name at call time, so
-# a wrapper installed on a name (perfbench/tracer.py) sees every call.
-EXTRACTORS: dict[FeatureFamily, Callable[..., FeatureBag]] = {
-    FeatureFamily.UNIGRAM: lambda doc, lex, trans, neg: extract_ngrams(doc, 1, keep_negation_prefix=neg),
-    FeatureFamily.BIGRAM: lambda doc, lex, trans, neg: extract_ngrams(doc, 2),
-    FeatureFamily.TRIGRAM: lambda doc, lex, trans, neg: extract_ngrams(doc, 3),
-    FeatureFamily.POLARIZED_UNIGRAM: lambda doc, lex, trans, neg: extract_polarized_unigrams(doc, lex),
-    FeatureFamily.POLARIZED_BIGRAM: lambda doc, lex, trans, neg: extract_polarized_bigrams(doc, lex),
-    FeatureFamily.ADJECTIVE: lambda doc, lex, trans, neg: extract_adjectives(doc),
-    FeatureFamily.ADJADV_BIGRAM: lambda doc, lex, trans, neg: extract_adjadv_bigrams(doc),
-    FeatureFamily.ADJADV_TRIGRAM: lambda doc, lex, trans, neg: extract_adjadv_trigrams(doc),
-    FeatureFamily.TRANSITION: lambda doc, lex, trans, neg: extract_transitions(doc, trans, lex),
-}
-
-
-# Tag classes as bits, one per token in FeaturePipeline's token stream.
-ADJECTIVE_BIT = 1
-ADVERB_BIT = 2
-TAG_BITS = {**dict.fromkeys(ADJECTIVE_TAGS, ADJECTIVE_BIT), **dict.fromkeys(ADVERB_TAGS, ADVERB_BIT)}
-
-
-class Window(NamedTuple):
-    """A family of within-sentence windows of *n* words, ``namespace:w1_..._wn``.
-
-    A window counts when some word's tag bits meet *tag_bits*, or always
-    when *tag_bits* is 0.
-    """
-
-    namespace: str
-    n: int
-    tag_bits: int = 0
-
-
-# The six word/tag families as windows. FeaturePipeline builds their matrices
-# from integer word ids; their extractors above stay the bag reference.
-WINDOW_FAMILIES: dict[FeatureFamily, Window] = {
+# The one family table: a Window for each word/tag family, an extractor
+# (doc, lexicon, transitions) for each lexicon family. The extractor entries
+# look the extractors up by module-level name at call time, so a wrapper
+# installed on a name (perfbench/tracer.py) sees every call.
+FAMILIES: dict[FeatureFamily, Window | Callable[..., FeatureBag]] = {
     FeatureFamily.UNIGRAM: Window("u", 1),
     FeatureFamily.BIGRAM: Window("b", 2),
     FeatureFamily.TRIGRAM: Window("t", 3),
+    FeatureFamily.POLARIZED_UNIGRAM: lambda doc, lex, trans: extract_polarized_unigrams(doc, lex),
+    FeatureFamily.POLARIZED_BIGRAM: lambda doc, lex, trans: extract_polarized_bigrams(doc, lex),
     FeatureFamily.ADJECTIVE: Window("adj", 1, ADJECTIVE_BIT),
     FeatureFamily.ADJADV_BIGRAM: Window("aab", 2, ADJECTIVE_BIT | ADVERB_BIT),
     FeatureFamily.ADJADV_TRIGRAM: Window("aat", 3, ADJECTIVE_BIT | ADVERB_BIT),
+    FeatureFamily.TRANSITION: lambda doc, lex, trans: extract_transitions(doc, trans, lex),
 }
 
 
@@ -268,15 +228,3 @@ def check_resources(spec: FeatureSpec, lex: SubjectivityLexicon | None,
         raise ConfigError(f"feature spec {spec.canonical()!r} requires a subjectivity lexicon")
     if spec.needs_transitions and trans is None:
         raise ConfigError(f"feature spec {spec.canonical()!r} requires a transition list")
-
-
-def extract(doc: Document, spec: FeatureSpec,
-            lex: SubjectivityLexicon | None = None,
-            trans: TransitionList | None = None) -> FeatureBag:
-    """Multiset union of every family in *spec* over one document."""
-    check_resources(spec, lex, trans)
-    bag: FeatureBag = Counter()
-    for family in FeatureFamily:
-        if family in spec.families:
-            bag.update(EXTRACTORS[family](doc, lex, trans, spec.negation_variant))
-    return bag

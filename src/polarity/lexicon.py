@@ -208,7 +208,8 @@ class TransitionList:
 def load_transitions(path: str | Path | None = None) -> TransitionList:
     """Load a transition list (one phrase per line, ``#`` comments allowed).
 
-    With no path, the bundled default list of 27 phrases is used.
+    With no path, the bundled default list of 27 phrases is used. A file is
+    read as UTF-8, without a leading byte-order mark.
     """
     if path is None:
         text = resources.files("polarity").joinpath("data/transitions.txt").read_text("utf-8")
@@ -217,7 +218,7 @@ def load_transitions(path: str | Path | None = None) -> TransitionList:
         if not path.is_file():
             raise ConfigError(f"transition list {path} does not exist")
         try:
-            text = path.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:
             raise DataError(f"transition list {path}: not UTF-8 text ({exc.reason})") from None
 

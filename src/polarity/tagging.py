@@ -129,8 +129,6 @@ class RuleTagger:
     forked workers, which each copy it on write.
     """
 
-    name = "builtin"
-
     def __init__(self) -> None:
         self._words = _build_word_tags()
         self._verbs = set(_VERBS) | {"be", "have", "do"}
@@ -186,8 +184,6 @@ def _ed_tag(prev: str) -> str:
 
 class PretaggedReader:
     """Parses tokens already annotated as ``word_TAG`` by an external tagger."""
-
-    name = "pretagged"
 
     def parse(self, token: str, position: int) -> tuple[str, str]:
         if "_" not in token:

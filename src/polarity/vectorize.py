@@ -56,9 +56,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.index)
 
-    def __contains__(self, feature: str) -> bool:
-        return feature in self.index
-
 
 def build_vocabulary(train_bags: Iterable[FeatureBag], min_count: int = 5) -> Vocabulary:
     """Keep every feature whose summed count over *train_bags* is >= min_count.
@@ -146,10 +143,6 @@ class FeatureMatrix:
         counts = sp.hstack([block.counts for block in blocks], format="csr")
         counts.sort_indices()
         return cls(counts=counts, features=[f for block in blocks for f in block.features])
-
-    def vocabulary(self, mask: np.ndarray) -> Vocabulary:
-        kept = [f for f, keep in zip(self.features, mask) if keep]
-        return Vocabulary(index={f: i for i, f in enumerate(kept)})
 
 
 def column_mask(counts: sp.csr_matrix, min_count: int) -> np.ndarray:
@@ -280,7 +273,8 @@ def read_svmlight(path: str | Path) -> tuple[sp.csr_matrix, np.ndarray]:
     return X, np.array(labels, dtype=np.int64)
 
 
-def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
+def write_vocabulary(features: Iterable[str], path: str | Path) -> None:
+    """One ``feature<TAB>id`` line per feature, ids counting from 0."""
     with open(path, "w", encoding="utf-8") as fh:
-        for feature, fid in sorted(vocab.index.items(), key=lambda kv: kv[1]):
+        for fid, feature in enumerate(features):
             fh.write(f"{feature}\t{fid}\n")

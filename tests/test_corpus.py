@@ -11,6 +11,7 @@ from polarity.corpus import (
     load_corpus,
 )
 from polarity.errors import ConfigError, DataError
+from polarity.preprocess import preprocess_document
 
 
 def _write_tree(root, pos=(), neg=()):
@@ -64,6 +65,15 @@ class TestLoadCorpus:
         corpus = load_corpus(tmp_path)
         doc = [d for d in corpus.documents if d.id == "a"][0]
         assert "café" in doc.text
+
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        (tmp_path / "pos").mkdir()
+        (tmp_path / "pos" / "a.txt").write_bytes("fine film\n".encode("utf-8-sig"))
+        _write_tree(tmp_path, neg=[("b.txt", "x")])
+        corpus = load_corpus(tmp_path)
+        doc = [d for d in corpus.documents if d.id == "a"][0]
+        assert preprocess_document(doc).sentences[0].words[0] == "fine"
 
 
 class TestAssignFolds:

@@ -1,13 +1,13 @@
 """The cached family matrices against the bag reference, at every pruning floor.
 
-For each of the six word/tag families (and the negated unigram variant),
-``FeaturePipeline.family_matrix`` restricted to the columns that reach
-``min_count`` must equal ``FeatureMatrix.from_bags`` over the family's bags
-restricted the same way: same features in the same order, same counts. When
-no feature reaches the floor, both paths raise the same "vocabulary is
-empty" DataError. The corpora are the golden corpus under the built-in
-tagger and a pretagged corpus with ``_`` inside words, an empty document
-and one-word sentences.
+For each ``Window`` row of ``features.FAMILIES`` (and the negated unigram
+variant), ``FeaturePipeline.family_matrix`` restricted to the columns that
+reach ``min_count`` must equal ``FeatureMatrix.from_bags`` over the family's
+``extract_window`` bags restricted the same way: same features in the same
+order, same counts. When no feature reaches the floor, both paths raise the
+same "vocabulary is empty" DataError. The corpora are the golden corpus
+under the built-in tagger and a pretagged corpus with ``_`` inside words,
+an empty document and one-word sentences.
 """
 
 import random
@@ -20,14 +20,13 @@ from polarity.corpus import load_corpus
 from polarity.errors import DataError
 from polarity import evaluation
 from polarity.evaluation import FeaturePipeline
-from polarity.features import WINDOW_FAMILIES, FeatureFamily
+from polarity.features import FAMILIES, FeatureFamily, Window
 from polarity.tagging import get_tagger
 from polarity.vectorize import FeatureMatrix, column_mask
 
 CORPUS = Path(__file__).parent / "golden" / "corpus"
-WORD_FAMILIES = [FeatureFamily.UNIGRAM, FeatureFamily.BIGRAM, FeatureFamily.TRIGRAM,
-                 FeatureFamily.ADJECTIVE, FeatureFamily.ADJADV_BIGRAM, FeatureFamily.ADJADV_TRIGRAM]
-VARIANTS = [(family, False) for family in WORD_FAMILIES] + [(FeatureFamily.UNIGRAM, True)]
+VARIANTS = ([(family, False) for family, row in FAMILIES.items() if isinstance(row, Window)]
+            + [(FeatureFamily.UNIGRAM, True)])
 MIN_COUNTS = [1, 2, 5, 400]
 
 # Words with "_" make features whose strings collide across keys:
@@ -125,7 +124,6 @@ def test_renumbered_keys_give_the_same_matrix(golden_pipeline, monkeypatch):
                 for n, family in [(2, FeatureFamily.BIGRAM), (3, FeatureFamily.TRIGRAM)]}
     monkeypatch.setattr(evaluation, "_MAX_KEY", len(golden_pipeline._tokens.words) ** 2 - 1)
     for n, family in [(2, FeatureFamily.BIGRAM), (3, FeatureFamily.TRIGRAM)]:
-        window = WINDOW_FAMILIES[family]
-        matrix = golden_pipeline._tokens.window_matrix(window, False, 2)
+        matrix = golden_pipeline._tokens.window_matrix(FAMILIES[family], False, 2)
         assert matrix.features == expected[n].features
         assert (matrix.counts != expected[n].counts).nnz == 0

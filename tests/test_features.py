@@ -5,28 +5,39 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from polarity.corpus import Label, RawDocument
+from polarity.corpus import Corpus, Label, RawDocument
 from polarity.errors import ConfigError
+from polarity.evaluation import FeaturePipeline
 from polarity.features import (
+    FAMILIES,
     FeatureFamily,
     FeatureSpec,
-    extract,
-    extract_adjadv_bigrams,
-    extract_adjadv_trigrams,
-    extract_adjectives,
-    extract_ngrams,
+    Window,
+    check_resources,
     extract_polarized_bigrams,
     extract_polarized_unigrams,
     extract_transitions,
+    extract_window,
     parse_feature_spec,
 )
 from polarity.lexicon import load_transitions
 from polarity.preprocess import preprocess_document
 
 
+def raw_from(text):
+    return RawDocument(id="d", label=Label.POSITIVE, text=text)
+
+
 def doc_from(text):
-    raw = RawDocument(id="d", label=Label.POSITIVE, text=text)
-    return preprocess_document(raw)
+    return preprocess_document(raw_from(text))
+
+
+def window_bag(family, text, negation_variant=False):
+    return extract_window(doc_from(text), FAMILIES[family], negation_variant)
+
+
+def pipeline_from(text, lexicon=None):
+    return FeaturePipeline(Corpus(documents=[raw_from(text)]), lexicon=lexicon)
 
 
 @pytest.fixture(scope="module")
@@ -36,24 +47,22 @@ def transitions():
 
 class TestNgrams:
     def test_bigrams(self):
-        bag = extract_ngrams(doc_from("i love it"), 2)
+        bag = window_bag(FeatureFamily.BIGRAM, "i love it")
         assert bag == Counter({"b:i_love": 1, "b:love_it": 1})
 
     def test_too_short_for_trigram(self):
-        assert extract_ngrams(doc_from("good"), 3) == Counter()
+        assert window_bag(FeatureFamily.TRIGRAM, "good") == Counter()
 
     def test_negation_variant_keeps_prefix(self):
-        doc = doc_from("it is not good")
-        bag = extract_ngrams(doc, 1, keep_negation_prefix=True)
+        bag = window_bag(FeatureFamily.UNIGRAM, "it is not good", negation_variant=True)
         assert bag["u:NOT_good"] == 1 and "u:good" not in bag
 
     def test_plain_variant_strips_prefix(self):
-        doc = doc_from("it is not good")
-        bag = extract_ngrams(doc, 1)
+        bag = window_bag(FeatureFamily.UNIGRAM, "it is not good")
         assert bag["u:good"] == 1 and "u:NOT_good" not in bag
 
     def test_ngrams_stay_within_sentences(self):
-        bag = extract_ngrams(doc_from("good movie\nbad film"), 2)
+        bag = window_bag(FeatureFamily.BIGRAM, "good movie\nbad film")
         assert "b:movie_bad" not in bag
         assert bag == Counter({"b:good_movie": 1, "b:bad_film": 1})
 
@@ -100,34 +109,35 @@ class TestPolarizedBigrams:
 
 class TestAdjectiveFamilies:
     def test_adjectives_by_tag(self):
-        bag = extract_adjectives(doc_from("a famous director"))
+        bag = window_bag(FeatureFamily.ADJECTIVE, "a famous director")
         assert bag == Counter({"adj:famous": 1})
 
     def test_comparative_included(self):
-        assert extract_adjectives(doc_from("a better film"))["adj:better"] == 1
+        assert window_bag(FeatureFamily.ADJECTIVE, "a better film")["adj:better"] == 1
 
     def test_no_adjectives(self):
-        assert extract_adjectives(doc_from("the movie")) == Counter()
+        assert window_bag(FeatureFamily.ADJECTIVE, "the movie") == Counter()
 
     def test_adjadv_bigram_adverb(self):
-        bag = extract_adjadv_bigrams(doc_from("highly recommend"))
+        bag = window_bag(FeatureFamily.ADJADV_BIGRAM, "highly recommend")
         assert bag == Counter({"aab:highly_recommend": 1})
 
     def test_adjadv_bigram_neither(self):
-        assert extract_adjadv_bigrams(doc_from("the movie")) == Counter()
+        assert window_bag(FeatureFamily.ADJADV_BIGRAM, "the movie") == Counter()
 
     def test_adjadv_bigram_both(self):
-        assert extract_adjadv_bigrams(doc_from("really really"))["aab:really_really"] == 1
+        bag = window_bag(FeatureFamily.ADJADV_BIGRAM, "really really")
+        assert bag["aab:really_really"] == 1
 
     def test_adjadv_trigram_kept(self):
-        bag = extract_adjadv_trigrams(doc_from("recommend staying away"))
+        bag = window_bag(FeatureFamily.ADJADV_TRIGRAM, "recommend staying away")
         assert bag == Counter({"aat:recommend_staying_away": 1})
 
     def test_adjadv_trigram_all_nouns(self):
-        assert extract_adjadv_trigrams(doc_from("plot movie director")) == Counter()
+        assert window_bag(FeatureFamily.ADJADV_TRIGRAM, "plot movie director") == Counter()
 
     def test_adjadv_trigram_too_short(self):
-        assert extract_adjadv_trigrams(doc_from("fine film")) == Counter()
+        assert window_bag(FeatureFamily.ADJADV_TRIGRAM, "fine film") == Counter()
 
 
 class TestTransitions:
@@ -165,18 +175,19 @@ class TestTransitions:
 
 class TestExtractUnion:
     def test_singleton_union_is_family(self, tiny_lexicon):
-        doc = doc_from("a good movie")
+        pipeline = pipeline_from("a good movie")
         spec = FeatureSpec(families=frozenset({FeatureFamily.UNIGRAM}))
-        assert extract(doc, spec) == extract_ngrams(doc, 1)
+        matrix = pipeline.matrix_for_spec(spec)
+        assert matrix is pipeline.family_matrix(FeatureFamily.UNIGRAM)
+        assert matrix.features == sorted(window_bag(FeatureFamily.UNIGRAM, "a good movie"))
 
     def test_disjoint_namespaces_sum_sizes(self, tiny_lexicon):
-        doc = doc_from("i highly recommend this movie")
-        u = extract_ngrams(doc, 1)
-        pb = extract_polarized_bigrams(doc, tiny_lexicon)
-        spec = parse_feature_spec("unigram+pb")
-        combined = extract(doc, spec, lex=tiny_lexicon)
-        assert len(combined) == len(u) + len(pb)
-        assert sum(combined.values()) == sum(u.values()) + sum(pb.values())
+        pipeline = pipeline_from("i highly recommend this movie", tiny_lexicon)
+        u = pipeline.family_matrix(FeatureFamily.UNIGRAM)
+        pb = pipeline.family_matrix(FeatureFamily.POLARIZED_BIGRAM)
+        combined = pipeline.matrix_for_spec(parse_feature_spec("unigram+pb"))
+        assert len(combined.features) == len(u.features) + len(pb.features)
+        assert combined.counts.sum() == u.counts.sum() + pb.counts.sum()
 
     def test_empty_family_set_rejected(self):
         with pytest.raises(ConfigError):
@@ -184,11 +195,11 @@ class TestExtractUnion:
 
     def test_lexicon_required(self, transitions):
         with pytest.raises(ConfigError, match="lexicon"):
-            extract(doc_from("x"), parse_feature_spec("pu"))
+            check_resources(parse_feature_spec("pu"), None, transitions)
 
     def test_transitions_required(self, tiny_lexicon):
         with pytest.raises(ConfigError, match="transition"):
-            extract(doc_from("x"), parse_feature_spec("unigram+t"), lex=tiny_lexicon)
+            check_resources(parse_feature_spec("unigram+t"), tiny_lexicon, None)
 
     def test_paper_combination_spec(self):
         spec = parse_feature_spec("3adjadv+pb+t")
@@ -239,16 +250,10 @@ def test_namespace_disjointness(sentences):
     })
     trans = load_transitions()
     supports = [
-        set(extract_ngrams(doc, 1)),
-        set(extract_ngrams(doc, 2)),
-        set(extract_ngrams(doc, 3)),
-        set(extract_polarized_unigrams(doc, lex)),
-        set(extract_polarized_bigrams(doc, lex)),
-        set(extract_adjectives(doc)),
-        set(extract_adjadv_bigrams(doc)),
-        set(extract_adjadv_trigrams(doc)),
-        set(extract_transitions(doc, trans, lex)),
+        set(extract_window(doc, row) if isinstance(row, Window) else row(doc, lex, trans))
+        for row in FAMILIES.values()
     ]
+    assert len(supports) == len(FeatureFamily)
     for i in range(len(supports)):
         for j in range(i + 1, len(supports)):
             assert not (supports[i] & supports[j])
@@ -256,11 +261,15 @@ def test_namespace_disjointness(sentences):
 
 @given(_SENTENCES)
 def test_union_is_monotone_and_deterministic(sentences):
-    doc = _doc_from_sentences(sentences)
-    small = extract(doc, parse_feature_spec("unigram"))
-    large = extract(doc, parse_feature_spec("unigram+bigram+adj"))
-    assert set(small) <= set(large)
-    assert extract(doc, parse_feature_spec("unigram+bigram+adj")) == large
+    text = "\n".join(" ".join(s) for s in sentences)
+    small = pipeline_from(text).matrix_for_spec(parse_feature_spec("unigram"))
+    spec = parse_feature_spec("unigram+bigram+adj")
+    large = pipeline_from(text).matrix_for_spec(spec)
+    columns = [large.features.index(f) for f in small.features]
+    assert (large.counts[:, columns] != small.counts).nnz == 0
+    again = pipeline_from(text).matrix_for_spec(spec)
+    assert again.features == large.features
+    assert (again.counts != large.counts).nnz == 0
 
 
 @given(_SENTENCES)

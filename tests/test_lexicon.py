@@ -45,14 +45,22 @@ class TestLoadLexicon:
         assert len(lex) == 1
         assert lex.polarity_of("good", "JJ") is Polarity.POS
 
-    @pytest.mark.parametrize("encoding", ["utf-8", "latin-1"])
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig", "latin-1"])
     def test_non_ascii_word_in_either_encoding(self, tmp_path, encoding):
         """A Latin-1 lexicon is decoded as the corpus is, not with its
-        non-ASCII words replaced."""
+        non-ASCII words replaced; a byte-order mark does not stick to the
+        first word."""
         path = tmp_path / "lex.tsv"
         path.write_bytes("caf\xe9\tPOS\n".encode(encoding))
         lex = load_lexicon(path, format="tsv")
         assert lex.polarity_of("caf\xe9", "NN") is Polarity.POS
+
+    def test_tff_byte_order_mark_dropped(self, tmp_path):
+        """The mark sits on the first key of line 1, here ``word1``."""
+        path = tmp_path / "clues.tff"
+        path.write_bytes("word1=good pos1=adj priorpolarity=positive\n".encode("utf-8-sig"))
+        lex = load_lexicon(path, format="tff")
+        assert lex.polarity_of("good", "JJ") is Polarity.POS
 
     def test_unparseable_line_reports_number(self, tmp_path):
         path = tmp_path / "lex.tsv"
@@ -104,6 +112,11 @@ class TestTransitions:
         path.write_text("However\nhowever\n", encoding="utf-8")
         trans = load_transitions(path)
         assert trans.phrases == ["however"]
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes("but\nhowever\n".encode("utf-8-sig"))
+        assert sorted(load_transitions(path).phrases) == ["but", "however"]
 
     def test_multiword_phrase_matches_as_unit(self):
         trans = load_transitions()

@@ -1,5 +1,6 @@
-"""The pretagged reader against the built-in tagger, and extract against the
-pipeline: both paths into the nine feature families must give the same bags.
+"""The pretagged reader against the built-in tagger, and the union matrix
+against the family bags: both paths into the nine feature families must give
+the same bags.
 
 The golden corpus is tagged by the built-in pipeline and written back out as
 ``word_TAG`` lines; reading that copy with ``--tagger pretagged`` must yield
@@ -13,9 +14,10 @@ import pytest
 
 from polarity.corpus import load_corpus
 from polarity.evaluation import FeaturePipeline
-from polarity.features import FeatureFamily, FeatureSpec, extract
+from polarity.features import FeatureFamily, FeatureSpec
 from polarity.lexicon import load_lexicon, load_transitions
 from polarity.tagging import get_tagger
+from polarity.vectorize import FeatureMatrix
 
 CORPUS = Path(__file__).parent / "golden" / "corpus"
 VARIANTS = [(family, False) for family in FeatureFamily] + [(FeatureFamily.UNIGRAM, True)]
@@ -61,18 +63,18 @@ def test_pretagged_bags_match_builtin(builtin, pretagged, family, negation):
 
 
 @pytest.mark.parametrize("negation", [False, True])
-def test_extract_matches_pipeline_bags(builtin, resources, negation):
-    lexicon, transitions = resources
+def test_extract_matches_pipeline_bags(builtin, negation):
+    """What ``polarity extract`` counts for all nine families, the union of
+    their matrices, is the per-document sum of their bags."""
     merged = [Counter() for _ in builtin.documents]
     for family in FeatureFamily:
-        spec = FeatureSpec(families=frozenset({family}), negation_variant=negation)
-        bags = builtin.family_bags(family, negation)
-        for doc, bag, total in zip(builtin.documents, bags, merged):
-            assert extract(doc, spec, lexicon, transitions) == bag
+        for total, bag in zip(merged, builtin.family_bags(family, negation)):
             total.update(bag)
+    expected = FeatureMatrix.from_bags(merged)
     every = FeatureSpec(families=frozenset(FeatureFamily), negation_variant=negation)
-    for doc, total in zip(builtin.documents, merged):
-        assert extract(doc, every, lexicon, transitions) == total
+    union = builtin.matrix_for_spec(every)
+    assert union.features == expected.features
+    assert (union.counts != expected.counts).nnz == 0
 
 
 def test_underscore_words_merge_into_one_feature(tmp_path):

@@ -1,6 +1,7 @@
 """Vocabulary pruning, one-row vectors and count matrices, and the file formats."""
 
 from collections import Counter
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from polarity.vectorize import (
     MAX_FEATURE_ID,
     FeatureMatrix,
     Representation,
+    Vocabulary,
     build_vocabulary,
     column_mask,
     read_svmlight,
@@ -25,12 +27,12 @@ class TestBuildVocabulary:
     def test_boundary_count_five_included(self):
         bags = [Counter({"u:rare": 1})] * 5
         vocab = build_vocabulary(bags, min_count=5)
-        assert "u:rare" in vocab
+        assert "u:rare" in vocab.index
 
     def test_count_four_excluded(self):
         bags = [Counter({"u:rare": 1})] * 4 + [Counter({"u:common": 5})]
         vocab = build_vocabulary(bags, min_count=5)
-        assert "u:rare" not in vocab and "u:common" in vocab
+        assert "u:rare" not in vocab.index and "u:common" in vocab.index
 
     def test_min_count_one_keeps_everything(self):
         bags = [Counter({"a": 1, "b": 2}), Counter({"c": 1})]
@@ -231,7 +233,7 @@ def test_column_mask_matches_build_vocabulary(bags, min_count, data):
         assert str(caught.value) == str(exc)
         return
     mask = column_mask(matrix.counts[rows], min_count)
-    assert matrix.vocabulary(mask).index == expected.index
+    assert list(compress(matrix.features, mask)) == list(expected.index)
 
 
 @given(bag_lists)
@@ -243,7 +245,7 @@ def test_matrix_rows_match_vectorize(bags):
             column_mask(matrix.counts, 1)
         return
     mask = column_mask(matrix.counts, 1)
-    vocab = matrix.vocabulary(mask)
+    vocab = Vocabulary(index={f: i for i, f in enumerate(compress(matrix.features, mask))})
     for rep in Representation:
         X = represent(matrix.counts[:, mask], rep)
         for i, bag in enumerate(bags):
