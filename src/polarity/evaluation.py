@@ -1,17 +1,22 @@
 """Cross-validated experiment harness over the feature/representation/classifier grid.
 
-A FeaturePipeline preprocesses the corpus once into ``Sentence`` tuples
-(words, tags, negation mask) and caches one sparse count matrix per family,
-so a grid of many configurations pays the extraction cost per family, not
-per cell. Each family's row of ``features.FAMILIES`` says how: the six
-``Window`` families are counted from one token stream of integer word ids,
-and their matrices hold only the columns whose corpus total reaches the
-``min_count`` floor (at least 1); ``pu``, ``pb`` and ``t`` are extracted as
-bags by their rows' extractors and keep every column. A cell takes the
-union of its families' columns, prunes them with a column mask (once over
-the corpus, or per fold over the training rows), and trains on row slices;
-under corpus scope the SVM Gram matrix is computed once per cell and sliced
-per fold.
+A FeaturePipeline preprocesses the corpus once, straight from the raw text,
+into one token stream: int32 word and tag ids, sentence starts and negation
+flags in flat NumPy buffers. That stream is the pipeline's document
+representation; ``documents`` (``Sentence`` tuples, as
+``preprocess.preprocess_document`` gives them) is derived from it only for
+``t`` and for ``family_bags``. The pipeline caches one sparse count matrix
+per family, so a grid of many configurations pays the extraction cost per
+family, not per cell. Each family's row of ``features.FAMILIES`` says how:
+the six ``Window`` families are counted from integer window keys, and their
+matrices hold only the columns whose corpus total reaches the ``min_count``
+floor (at least 1); ``pu`` and ``pb`` are counted from keys over each
+polarized token's ``POL/TAG`` core and its neighbors' ids, and ``t`` is
+extracted as bags by its row's extractor; these three keep every column. A
+cell takes the union of its families' columns, prunes them with a column
+mask (once over the corpus, or per fold over the training rows), and trains
+on row slices; under corpus scope the SVM Gram matrix is computed once per
+cell and sliced per fold.
 The pipeline is the harness's one handle: ``run_experiment(pipeline, config)``
 and ``run_grid(pipeline, configs)`` read the corpus, its folds, the lexicon,
 the transitions and the tagger from it and from nowhere else.
@@ -32,13 +37,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linear_svm, naive_bayes
-from .corpus import Corpus, N_FOLDS
+from .corpus import Corpus, N_FOLDS, RawDocument
 from .errors import ConfigError, DataError
-from .features import FAMILIES, TAG_BITS, FeatureBag, FeatureFamily, FeatureSpec, Window
-from .features import check_resources, extract_window, parse_feature_spec
+from .features import FAMILIES, TAG_BITS, FeatureBag, FeatureFamily, FeatureSpec, Polarized, Window
+from .features import check_resources, extract_polarized_bigrams, extract_polarized_unigrams
+from .features import extract_window, parse_feature_spec
 from .lexicon import SubjectivityLexicon, TransitionList
-from .preprocess import NEGATION_PREFIX, Document, preprocess_document
-from .tagging import RuleTagger
+from .preprocess import NEGATION_PREFIX, Document, Sentence, negation_scopes, tokenize
+from .preprocess import tokenize_pretagged
+from .tagging import PretaggedReader, RuleTagger
 from .vectorize import FeatureMatrix, Representation, column_mask, represent
 
 CLASSIFIERS = ("nb", "svm")
@@ -132,37 +139,69 @@ _MAX_KEY = np.iinfo(np.int64).max
 
 
 class _TokenStream:
-    """The corpus as flat per-token buffers, built once from the documents.
+    """The corpus as flat per-token buffers, built in one pass from the raw text.
 
-    ``ids`` holds an int32 word id per token (``words[id]`` is the word),
-    ``starts`` marks each sentence's first token, ``tag_bits`` the token's
-    ``features.TAG_BITS`` and ``negated`` its negation flag; ``doc_lengths``
-    holds the tokens of each document.
+    ``ids`` holds an int32 word id per token (``words[id]`` is the word) and
+    ``tag_ids`` an int32 tag id (``tags[id]`` is the tag); ``starts`` marks
+    each sentence's first token, ``tag_bits`` the token's
+    ``features.TAG_BITS`` and ``negated`` its negation flag. Document *i*
+    holds tokens ``doc_bounds[i]:doc_bounds[i + 1]``. Each line goes
+    through ``preprocess.tokenize`` (or ``tokenize_pretagged``) and only its
+    words' ids are kept; tags and negation scopes are computed over the
+    whole stream, and no per-token object outlives its line.
     """
 
-    def __init__(self, documents: Sequence[Document]):
+    def __init__(self, documents: Sequence[RawDocument], tagger):
         index: defaultdict[str, int] = defaultdict()
         index.default_factory = index.__len__  # a new word gets the next id
-        bits = defaultdict(int, TAG_BITS)
-        ids, tag_bits, negated = array("i"), bytearray(), bytearray()
+        pretagged = isinstance(tagger, PretaggedReader)
+        tag_index: defaultdict[str, int] = defaultdict()
+        tag_index.default_factory = tag_index.__len__
+        ids, tag_ids = array("i"), array("i")
         sentence_lengths, doc_lengths = array("q"), array("q")
         for doc in documents:
             before = len(ids)
-            for words, tags, neg in doc.sentences:
-                ids.extend(map(index.__getitem__, words))
-                tag_bits.extend(map(bits.__getitem__, tags))
-                negated.extend(neg)
-                sentence_lengths.append(len(words))
+            for line in doc.text.splitlines():
+                if pretagged:
+                    words, tags = tokenize_pretagged(line, tagger)
+                    tag_ids.extend(map(tag_index.__getitem__, tags))
+                else:
+                    words = tokenize(line)
+                if words:
+                    ids.extend(map(index.__getitem__, words))
+                    sentence_lengths.append(len(words))
             doc_lengths.append(len(ids) - before)
         self.words = list(index)
         self.ids = np.frombuffer(ids, dtype=np.intc)
-        self.tag_bits = np.frombuffer(tag_bits, dtype=np.uint8)
-        self.negated = np.frombuffer(negated, dtype=np.uint8)
-        self.doc_lengths = np.frombuffer(doc_lengths, dtype=np.int64)
         lengths = np.frombuffer(sentence_lengths, dtype=np.int64)
         starts = np.zeros(len(ids) + 1, dtype=bool)
         starts[np.cumsum(lengths) - lengths] = True
         self.starts = starts[:-1]
+        self.doc_bounds = np.concatenate(([0], np.cumsum(np.frombuffer(doc_lengths, np.int64))))
+        if pretagged:
+            self.tags, self.tag_ids = list(tag_index), np.frombuffer(tag_ids, dtype=np.intc)
+        else:
+            self.tags, self.tag_ids = tagger.tag_stream(self.words, self.ids, self.starts)
+        bits = np.array([TAG_BITS.get(tag, 0) for tag in self.tags], dtype=np.uint8)
+        self.tag_bits = bits[self.tag_ids]
+        self.negated = negation_scopes(self.words, self.ids, self.starts)
+        self._polarity: tuple | None = None
+
+    def documents(self, raw: Sequence[RawDocument]) -> list[Document]:
+        """The stream as ``preprocess_document`` gives *raw*, sharing the vocabulary's strings."""
+        words = list(map(self.words.__getitem__, self.ids.tolist()))
+        tags = list(map(self.tags.__getitem__, self.tag_ids.tolist()))
+        negated = self.negated.tolist()
+        sentence_starts = np.flatnonzero(self.starts)
+        bounds = np.append(sentence_starts, len(words)).tolist()
+        first = np.searchsorted(sentence_starts, self.doc_bounds).tolist()
+        return [
+            Document(id=doc.id, label=doc.label, sentences=[
+                Sentence(words[a:b], tags[a:b], negated[a:b])
+                for a, b in zip(bounds[lo:hi], bounds[lo + 1:hi + 1])
+            ])
+            for doc, lo, hi in zip(raw, first, first[1:])
+        ]
 
     def window_matrix(self, window: Window, negation_variant: bool, floor: int) -> FeatureMatrix:
         """The count matrix of *window*'s features whose corpus total is >= *floor*.
@@ -171,9 +210,12 @@ class _TokenStream:
         negated unigram variant, its negation flag); keys are totalled over
         the corpus, and feature strings are built for the survivors only.
         Distinct keys with ``_`` inside a word can spell one feature
-        (``a_b c`` and ``a b_c``), so those are totalled by string.
+        (``a_b c`` and ``a b_c``), so those are totalled by string. The key
+        holds one negation flag, so the negated variant is for ``n == 1``.
         """
         n, vocab = window.n, len(self.words)
+        if negation_variant and n > 1:
+            raise ValueError(f"the negation variant is for one-word windows, not {n}-word ones")
         size = max(len(self.ids) - n + 1, 0)
         keep = np.ones(size, dtype=bool)
         for k in range(1, n):
@@ -241,22 +283,86 @@ class _TokenStream:
         del order
         hit = columns >= 0
         pos, columns = pos[hit], columns[hit]
-        doc_bounds = np.concatenate(([0], np.cumsum(self.doc_lengths)))
-        return FeatureMatrix.from_occurrences(np.searchsorted(pos, doc_bounds), columns,
+        return FeatureMatrix.from_occurrences(np.searchsorted(pos, self.doc_bounds), columns,
                                               features)
+
+    def polarized_matrix(self, row: Polarized, lexicon: SubjectivityLexicon) -> FeatureMatrix:
+        """The count matrix of *row*'s features (``pu`` or ``pb``), every column kept.
+
+        Each occurrence is keyed by its polarized token's ``POL/TAG`` core
+        and, for ``pb``, the neighbor's word or tag id. Strings are built
+        for distinct keys only and a column is a distinct string, so keys
+        that spell one feature (a pretagged word ``jj`` and the tag ``jj``)
+        share it, as the bag path totals them.
+        """
+        pos, core, cores = self._polarized(lexicon)
+        ns, spans = row.namespace, len(cores)
+        # (occurrence positions, keys, neighbor names or None, neighbor offset)
+        if not row.neighbors:
+            parts = [(pos, core.astype(np.int64), None, 0)]
+        else:
+            continues = np.append(~self.starts[1:], False)  # the next token is in the sentence
+            parts = []
+            for step, sel in [(-1, ~self.starts[pos]), (1, continues[pos])]:
+                at, cored = pos[sel], core[sel].astype(np.int64)
+                for names, of in [(self.words, self.ids), (self.tags, self.tag_ids)]:
+                    parts.append((at, of[at + step].astype(np.int64) * spans + cored, names, step))
+
+        spelled, inverses = [], []
+        for _, keys, names, step in parts:
+            distinct, inverse = np.unique(keys, return_inverse=True)
+            if names is None:
+                spelled.append([f"{ns}:{cores[k]}" for k in distinct.tolist()])
+            else:
+                pairs = [divmod(k, spans) for k in distinct.tolist()]
+                spelled.append([f"{ns}:{names[n]}_{cores[c]}" if step < 0 else
+                                f"{ns}:{cores[c]}_{names[n]}" for n, c in pairs])
+            inverses.append(inverse)
+        features = sorted(set().union(*spelled))
+        column = {feature: j for j, feature in enumerate(features)}
+        at = np.concatenate([p[0] for p in parts])
+        columns = np.concatenate([
+            np.array([column[name] for name in strings], dtype=np.int32)[inverse]
+            for strings, inverse in zip(spelled, inverses)])
+        order = np.argsort(at, kind="stable")
+        return FeatureMatrix.from_occurrences(np.searchsorted(at[order], self.doc_bounds),
+                                              columns[order], features)
+
+    def _polarized(self, lexicon: SubjectivityLexicon) -> tuple[np.ndarray, np.ndarray, list[str]]:
+        """(positions, core ids, cores): each polarized token and its ``POL/TAG`` core.
+
+        The lexicon is asked once per distinct (word, tag) pair, and the
+        answer is kept for the next call with the same lexicon.
+        """
+        if self._polarity is None or self._polarity[0] is not lexicon:
+            listed = np.array([word in lexicon.entries for word in self.words], dtype=bool)
+            pos = np.flatnonzero(listed[self.ids])
+            pairs = self.ids[pos].astype(np.int64) * len(self.tags) + self.tag_ids[pos]
+            distinct, inverse = np.unique(pairs, return_inverse=True)
+            cores: dict[str, int] = {}
+            core_of_pair = []
+            for pair in distinct.tolist():
+                word, tag = divmod(pair, len(self.tags))
+                pol = lexicon.polarity_of(self.words[word], self.tags[tag])
+                core_of_pair.append(-1 if pol is None else
+                                    cores.setdefault(f"{pol}/{self.tags[tag]}", len(cores)))
+            core = np.array(core_of_pair, dtype=np.intc)[inverse]
+            hit = core >= 0
+            self._polarity = (lexicon, pos[hit], core[hit], list(cores))
+        return self._polarity[1:]
 
 
 class FeaturePipeline:
-    """Shared preprocessing plus a per-family count-matrix cache for one corpus.
+    """One token stream plus a per-family count-matrix cache for one corpus.
 
-    Documents are preprocessed once with *tagger* (a RuleTagger by default).
-    Every Sentence carries its negation mask, so the negated and plain
-    unigram variants both come from the same documents and every grid cell
-    reuses the cache regardless of its negation flag. The ``Window``
-    families of ``features.FAMILIES`` are counted from one token stream of
-    word ids and keep only the columns that reach the requested floor;
-    ``pu``, ``pb`` and ``t`` are extracted as bags by their rows'
-    extractors, which live only while their matrix is built.
+    The corpus is preprocessed once with *tagger* (a RuleTagger by default)
+    into a token stream of word ids, tag ids and negation flags, so the
+    negated and plain unigram variants come from the same stream and every
+    grid cell reuses the cache regardless of its negation flag. The
+    ``Window`` families of ``features.FAMILIES`` keep only the columns that
+    reach the requested floor; ``pu`` and ``pb`` are counted from the same
+    stream and keep every column. ``t`` is extracted as bags from
+    ``documents``, which are derived from the stream on first use.
     """
 
     def __init__(self, corpus: Corpus,
@@ -271,12 +377,16 @@ class FeaturePipeline:
         self._tokens: _TokenStream | None = None
         self._matrices: dict[tuple, FeatureMatrix] = {}
 
+    def _stream(self) -> _TokenStream:
+        if self._tokens is None:
+            self._tokens = _TokenStream(self.corpus.documents, self.tagger)
+        return self._tokens
+
     @property
     def documents(self) -> list[Document]:
+        """The preprocessed documents, equal to ``preprocess_document`` of each."""
         if self._documents is None:
-            self._documents = [
-                preprocess_document(doc, self.tagger) for doc in self.corpus.documents
-            ]
+            self._documents = self._stream().documents(self.corpus.documents)
         return self._documents
 
     def labels(self) -> list[int]:
@@ -297,9 +407,10 @@ class FeaturePipeline:
         key = (family, neg, floor)
         if key not in self._matrices:
             if isinstance(row, Window):
-                if self._tokens is None:
-                    self._tokens = _TokenStream(self.documents)
-                self._matrices[key] = self._tokens.window_matrix(row, neg, floor)
+                self._matrices[key] = self._stream().window_matrix(row, neg, floor)
+            elif isinstance(row, Polarized):
+                check_resources(FeatureSpec(frozenset({family})), self.lexicon, self.transitions)
+                self._matrices[key] = self._stream().polarized_matrix(row, self.lexicon)
             else:
                 self._matrices[key] = FeatureMatrix.from_bags(self.family_bags(family))
         return self._matrices[key]
@@ -311,6 +422,9 @@ class FeaturePipeline:
             neg = negation_variant and family is FeatureFamily.UNIGRAM
             return [extract_window(doc, row, neg) for doc in self.documents]
         check_resources(FeatureSpec(frozenset({family})), self.lexicon, self.transitions)
+        if isinstance(row, Polarized):
+            extract = extract_polarized_bigrams if row.neighbors else extract_polarized_unigrams
+            return [extract(doc, self.lexicon) for doc in self.documents]
         return [row(doc, self.lexicon, self.transitions) for doc in self.documents]
 
     def matrix_for_spec(self, spec: FeatureSpec, min_count: int = 1) -> FeatureMatrix:

@@ -3,12 +3,15 @@
 ``FAMILIES`` is the one family table. Each word/tag family (``unigram``,
 ``bigram``, ``trigram``, ``adj``, ``adjadv``, ``3adjadv``) is a ``Window``:
 its features are the within-sentence windows of *n* words, or only those
-where some word is an adjective or adverb. The cross-validation pipeline
-counts these from integer word ids, and ``extract_window`` is their bag
-reference. ``pu``, ``pb`` and ``t`` consult the subjectivity lexicon (``t``
-the transition list too); their rows are bag extractors, which read a
+where some word is an adjective or adverb. ``pu`` and ``pb`` are
+``Polarized`` rows: the lexicon-matched words, alone or paired with their
+neighbors. The cross-validation pipeline counts both kinds of row from its
+token stream of integer word and tag ids, the corpus's one document
+representation. ``extract_window``, ``extract_polarized_unigrams`` and
+``extract_polarized_bigrams`` are their bag references, which read a
 preprocessed Document sentence by sentence through the parallel
-``words``/``tags``/``negated`` fields of its ``Sentence`` tuples.
+``words``/``tags``/``negated`` fields of its ``Sentence`` tuples. ``t``
+consults the transition list too, and its row is still a bag extractor.
 
 Every emitted feature string carries its family's namespace prefix, so
 families never collide and a union is plain multiset addition. N-grams,
@@ -121,6 +124,19 @@ class Window(NamedTuple):
     tag_bits: int = 0
 
 
+class Polarized(NamedTuple):
+    """A family of lexicon-matched words, each written ``POL/TAG``.
+
+    ``namespace:POL/TAG`` alone, or with *neighbors* paired with the
+    previous word and tag (``namespace:word_POL/TAG``, ``namespace:TAG_POL/TAG``)
+    and the next ones (``namespace:POL/TAG_word``, ``namespace:POL/TAG_TAG``)
+    within the sentence.
+    """
+
+    namespace: str
+    neighbors: bool
+
+
 def extract_window(doc: Document, window: Window, negation_variant: bool = False) -> FeatureBag:
     """Bag of *window*'s features over one document.
 
@@ -204,16 +220,16 @@ def extract_transitions(doc: Document, trans: TransitionList, lex: SubjectivityL
     return bag
 
 
-# The one family table: a Window for each word/tag family, an extractor
-# (doc, lexicon, transitions) for each lexicon family. The extractor entries
-# look the extractors up by module-level name at call time, so a wrapper
-# installed on a name (perfbench/tracer.py) sees every call.
-FAMILIES: dict[FeatureFamily, Window | Callable[..., FeatureBag]] = {
+# The one family table: a Window for each word/tag family, a Polarized row
+# for pu and pb, and an extractor (doc, lexicon, transitions) for t. The
+# extractor looks extract_transitions up by module-level name at call time,
+# so a wrapper installed on the name (perfbench/tracer.py) sees every call.
+FAMILIES: dict[FeatureFamily, Window | Polarized | Callable[..., FeatureBag]] = {
     FeatureFamily.UNIGRAM: Window("u", 1),
     FeatureFamily.BIGRAM: Window("b", 2),
     FeatureFamily.TRIGRAM: Window("t", 3),
-    FeatureFamily.POLARIZED_UNIGRAM: lambda doc, lex, trans: extract_polarized_unigrams(doc, lex),
-    FeatureFamily.POLARIZED_BIGRAM: lambda doc, lex, trans: extract_polarized_bigrams(doc, lex),
+    FeatureFamily.POLARIZED_UNIGRAM: Polarized("pu", neighbors=False),
+    FeatureFamily.POLARIZED_BIGRAM: Polarized("pb", neighbors=True),
     FeatureFamily.ADJECTIVE: Window("adj", 1, ADJECTIVE_BIT),
     FeatureFamily.ADJADV_BIGRAM: Window("aab", 2, ADJECTIVE_BIT | ADVERB_BIT),
     FeatureFamily.ADJADV_TRIGRAM: Window("aat", 3, ADJECTIVE_BIT | ADVERB_BIT),

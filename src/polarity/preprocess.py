@@ -3,11 +3,17 @@ NOT_ negation scopes, and part-of-speech annotation.
 
 Pipeline order for a document: split into sentences (one per line), expand
 contractions on the lines that hold an apostrophe, strip punctuation,
-tokenize and lowercase, tag part-of-speech, mark negation scopes. A document
-is a list of ``Sentence(words, tags, negated)`` tuples: bare lowercased
-words, their tags, and a per-word flag that is true inside a negation scope.
-The ``NOT_`` prefix is never stored; the negated unigram variant adds it
-when it extracts.
+tokenize and lowercase, tag part-of-speech, mark negation scopes. The ``NOT_``
+prefix is never stored; the negated unigram variant adds it when it extracts.
+
+The cross-validation pipeline's document representation is one token
+stream for the whole corpus (``evaluation._TokenStream``): each line goes
+through ``tokenize`` (or ``tokenize_pretagged``) and its words become int32
+ids; tags come from ``RuleTagger.tag_stream`` and negation scopes from
+``negation_scopes``, both computed over the whole stream with NumPy.
+``preprocess_document``, which gives a document as a list of
+``Sentence(words, tags, negated)`` tuples, and ``tag_negation`` are the
+per-document references the stream is tested against.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ import re
 import string
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .corpus import Label, RawDocument
 from .tagging import PretaggedReader, RuleTagger
@@ -26,9 +34,10 @@ NEGATION_TRIGGERS = frozenset({"not"})
 KEPT_PUNCTUATION = frozenset({"!", "?"})
 
 _PUNCT = frozenset(string.punctuation)
-_PUNCT_TABLE = str.maketrans(
-    {ch: f" {ch} " if ch in KEPT_PUNCTUATION else None for ch in string.punctuation}
-)
+# Deletes the punctuation that is not kept. A table of deletions only keeps
+# str.translate on its fast path, which a one-to-many mapping (such as
+# "!" -> " ! ") leaves; the kept marks are spaced out by str.replace after it.
+_PUNCT_TABLE = str.maketrans(dict.fromkeys(_PUNCT - KEPT_PUNCTUATION))
 
 # The n't family only; possessives and auxiliaries ("it's", "i'm") stay put.
 _CONTRACTIONS = {
@@ -102,7 +111,14 @@ def expand_contractions(text: str) -> str:
 
 def strip_punctuation(text: str) -> str:
     """Delete punctuation characters except ``!`` and ``?``, which become standalone tokens."""
-    return " ".join(text.translate(_PUNCT_TABLE).split())
+    return " ".join(_drop_punctuation(text).split())
+
+
+def _drop_punctuation(text: str) -> str:
+    text = text.translate(_PUNCT_TABLE)
+    for mark in KEPT_PUNCTUATION:
+        text = text.replace(mark, f" {mark} ")
+    return text
 
 
 def tokenize(line: str) -> list[str]:
@@ -114,7 +130,7 @@ def tokenize(line: str) -> list[str]:
     """
     if "'" in line:
         line = expand_contractions(line)
-    return strip_punctuation(line).lower().split()
+    return _drop_punctuation(line).lower().split()
 
 
 def tag_negation(words: list[str]) -> list[bool]:
@@ -135,7 +151,27 @@ def tag_negation(words: list[str]) -> list[bool]:
     return mask
 
 
-def _tokenize_pretagged(line: str, reader: PretaggedReader) -> tuple[list[str], list[str]]:
+def negation_scopes(words: list[str], ids: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``tag_negation`` over a whole token stream: a bool per token.
+
+    *words* is the stream's vocabulary, *ids* its word id per token and
+    *starts* flags each sentence's first token. A token is in scope when
+    the last trigger or kept punctuation token before it in its sentence is
+    a trigger, unless it is kept punctuation itself.
+    """
+    trigger = np.array([word in NEGATION_TRIGGERS for word in words], dtype=bool)[ids]
+    kept = np.array([word in KEPT_PUNCTUATION for word in words], dtype=bool)[ids]
+    position = np.arange(len(ids))
+    last_mark = np.maximum.accumulate(np.where(trigger | kept, position, -1))
+    sentence_start = np.maximum.accumulate(np.where(starts, position, 0))
+    opens = (last_mark >= sentence_start) & trigger[last_mark]  # scope open after the token
+    scoped = np.zeros(len(ids), dtype=bool)
+    scoped[1:] = opens[:-1] & ~starts[1:]
+    return scoped & ~kept
+
+
+def tokenize_pretagged(line: str, reader: PretaggedReader) -> tuple[list[str], list[str]]:
+    """The lowercased words of one ``word_TAG`` line and their tags, punctuation dropped."""
     words: list[str] = []
     tags: list[str] = []
     for i, raw in enumerate(line.split()):
@@ -164,7 +200,7 @@ def preprocess_document(doc: RawDocument, tagger=None) -> Document:
     sentences: list[Sentence] = []
     for line in doc.text.splitlines():
         if pretagged:
-            words, tags = _tokenize_pretagged(line, tagger)
+            words, tags = tokenize_pretagged(line, tagger)
         else:
             words = tokenize(line)
             tags = tagger.tag(words) if words else []

@@ -2,13 +2,18 @@
 
 A self-contained greedy lexicon-plus-suffix tagger, and a reader for
 corpora that already carry ``word_TAG`` annotations from an external tagger.
-``get_tagger`` picks one by name; preprocessing calls ``RuleTagger.tag`` on
-each sentence's words, or ``PretaggedReader.parse`` on each raw token.
+``get_tagger`` picks one by name. The cross-validation pipeline tags its
+whole token stream at once with ``RuleTagger.tag_stream``, or reads each
+raw token's tag with ``PretaggedReader.parse``; ``RuleTagger.tag`` tags one
+sentence's words and is the per-document reference that
+``preprocess.preprocess_document`` calls.
 """
 
 from __future__ import annotations
 
 import re
+
+import numpy as np
 
 from .errors import ConfigError, DataError
 
@@ -148,6 +153,30 @@ class RuleTagger:
             prev = word
         return tags
 
+    def tag_stream(self, words: list[str], ids: np.ndarray,
+                   starts: np.ndarray) -> tuple[list[str], np.ndarray]:
+        """(tag names, an int32 tag id per token) for a whole token stream.
+
+        *words* is the stream's vocabulary, *ids* its int32 word id per
+        token and *starts* flags each sentence's first token. Each distinct
+        word goes through the rules once; an -ed word that they leave to
+        context is then VBN right after a ``_VERB_FORMS`` word of its
+        sentence and VBD elsewhere, as ``tag`` gives it.
+        """
+        names: dict[str, int] = {}
+        rules = [self._tag_word(word) for word in words]
+        tag_of_word = np.array(
+            [names.setdefault("VBD" if tag is _ED_FORM else tag, len(names)) for tag in rules],
+            dtype=np.intc)
+        tag_ids = tag_of_word[ids]
+        ed_form = np.array([tag is _ED_FORM for tag in rules], dtype=bool)[ids]
+        verb_form = np.array([word in _VERB_FORMS for word in words], dtype=bool)[ids]
+        vbn = np.zeros(len(ids), dtype=bool)
+        vbn[1:] = ed_form[1:] & verb_form[:-1] & ~starts[1:]
+        if vbn.any():
+            tag_ids[vbn] = names.setdefault("VBN", len(names))
+        return list(names), tag_ids
+
     def _tag_one(self, word: str, prev: str) -> str:
         """The tag of *word* after *prev*, without the memo."""
         tag = self._tag_word(word)
@@ -164,9 +193,10 @@ class RuleTagger:
             return "CD"
         if word.endswith("ly") and len(word) > 3:
             return "RB"
-        for suffix in _JJ_SUFFIXES:
-            if word.endswith(suffix) and len(word) > len(suffix) + 1:
-                return "JJ"
+        if word.endswith(_JJ_SUFFIXES):
+            for suffix in _JJ_SUFFIXES:
+                if word.endswith(suffix) and len(word) > len(suffix) + 1:
+                    return "JJ"
         if word.endswith("ing") and len(word) > 4:
             return "VBG"
         if word.endswith("ed") and len(word) > 3:

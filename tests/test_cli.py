@@ -16,6 +16,7 @@ from polarity.cli import main
 from polarity.evaluation import EvalReport
 from polarity.vectorize import write_svmlight
 from conftest import NEGATIVE_WORDS, POSITIVE_WORDS, labeled_matrix, write_synthetic_corpus
+from test_lexicon import lexicon_files, transition_files
 from test_linear_svm import _random_instance
 
 GOLDEN_CORPUS = Path(__file__).parent / "golden" / "corpus"
@@ -520,3 +521,58 @@ def test_model_loaders_fail_cleanly_or_score_finitely(tmp_path_factory, payload,
         assert code in (2, 3)
         lines = err.getvalue().strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def _extract_exit(argv):
+    """(exit code, stderr lines) of ``polarity extract`` with *argv* appended."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["extract", *argv])
+    return code, err.getvalue().strip().splitlines()
+
+
+def _fuzz_root(tmp_path_factory):
+    """A two-review corpus whose words meet common lexicon entries."""
+    root = tmp_path_factory.getbasetemp() / "loader-fuzz"
+    for label, text in [("pos", "a good film\nnot bad at all , but fine\n"),
+                        ("neg", "a bad film\ngood cast ; however caf\xe9 plot\n")]:
+        (root / "corpus" / label).mkdir(parents=True, exist_ok=True)
+        (root / "corpus" / label / f"cv00{len(label)}_{label}.txt").write_text(text)
+    return root
+
+
+def _assert_clean_exit(code, err):
+    assert code in (0, 2, 3), (code, err)
+    assert len([line for line in err if line.startswith("error:")]) <= 1, err
+    if code:
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+@settings(max_examples=100, deadline=None)
+@given(lexicon_files)
+def test_extract_with_any_lexicon_exits_cleanly(tmp_path_factory, case):
+    """``extract --features pu`` exits 0, 2 or 3 with at most one error line,
+    whatever the lexicon file holds."""
+    fmt, payload = case
+    root = _fuzz_root(tmp_path_factory)
+    lexicon = root / f"lexicon.{fmt}"
+    lexicon.write_bytes(payload)
+    _assert_clean_exit(*_extract_exit([
+        "--corpus", str(root / "corpus"), "--lexicon", str(lexicon), "--lexicon-format", fmt,
+        "--features", "pu", "--min-count", "1", "--out", str(root / "v.svml")]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(transition_files)
+def test_extract_with_any_transition_list_exits_cleanly(tmp_path_factory, payload):
+    """``extract --features pu+t`` exits 0, 2 or 3 with at most one error
+    line, whatever the transition list holds (``pu`` alone reads none)."""
+    root = _fuzz_root(tmp_path_factory)
+    lexicon = root / "lexicon.tsv"
+    lexicon.write_text("good\tpositive\nbad\tnegative\tadj\nfine\tpositive\n")
+    transitions = root / "transitions.txt"
+    transitions.write_bytes(payload)
+    _assert_clean_exit(*_extract_exit([
+        "--corpus", str(root / "corpus"), "--lexicon", str(lexicon), "--lexicon-format", "tsv",
+        "--transitions", str(transitions), "--features", "pu+t", "--min-count", "1",
+        "--out", str(root / "v.svml")]))

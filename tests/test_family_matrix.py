@@ -8,19 +8,30 @@ order, same counts. When no feature reaches the floor, both paths raise the
 same "vocabulary is empty" DataError. The corpora are the golden corpus
 under the built-in tagger and a pretagged corpus with ``_`` inside words,
 an empty document and one-word sentences.
+
+The ``Polarized`` rows (``pu`` and ``pb``) keep every column, and their
+matrices must equal ``FeatureMatrix.from_bags`` over the
+``extract_polarized_*`` bags, on the golden corpus and on a pretagged corpus
+where a lowercase tag spells a word (``jj_NN`` beside ``good_jj``), so that
+a word key and a tag key spell one ``pb`` feature. Both rows together ask
+the lexicon once per distinct (word, tag) pair.
 """
 
 import random
+from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polarity.corpus import load_corpus
+from polarity.corpus import Corpus, Label, RawDocument, load_corpus
 from polarity.errors import DataError
 from polarity import evaluation
 from polarity.evaluation import FeaturePipeline
-from polarity.features import FAMILIES, FeatureFamily, Window
+from polarity.features import FAMILIES, FeatureFamily, Window, extract_window
+from polarity.lexicon import ANYPOS, LexiconEntry, Polarity, SubjectivityLexicon, load_lexicon
+from polarity.preprocess import preprocess_document
 from polarity.tagging import get_tagger
 from polarity.vectorize import FeatureMatrix, column_mask
 
@@ -127,3 +138,101 @@ def test_renumbered_keys_give_the_same_matrix(golden_pipeline, monkeypatch):
         matrix = golden_pipeline._tokens.window_matrix(FAMILIES[family], False, 2)
         assert matrix.features == expected[n].features
         assert (matrix.counts != expected[n].counts).nnz == 0
+
+
+def test_negated_windows_wider_than_one_word_are_refused():
+    """The key holds one negation flag, so a negated bigram would come out
+    as ``b:NOT_very_good`` where the bag reference has ``b:NOT_very_NOT_good``."""
+    raw = RawDocument(id="cv000_0", label=Label.POSITIVE, text="it is not very good at all")
+    bigram = FAMILIES[FeatureFamily.BIGRAM]
+    assert "b:NOT_very_NOT_good" in extract_window(preprocess_document(raw), bigram, True)
+    pipeline = FeaturePipeline(Corpus(documents=[raw]))
+    pipeline.family_matrix(FeatureFamily.UNIGRAM, negation_variant=True)
+    for row in FAMILIES.values():
+        if isinstance(row, Window) and row.n > 1:
+            with pytest.raises(ValueError):
+                pipeline._tokens.window_matrix(row, True, 1)
+
+
+POLARIZED = [FeatureFamily.POLARIZED_UNIGRAM, FeatureFamily.POLARIZED_BIGRAM]
+
+# A word that spells a lowercase tag ("jj_NN" beside "good_jj"), words with
+# "_", and a word whose polarity depends on its tag ("fine").
+_POLARIZED_LINES = ["jj_NN good_jj very_RB", "x_jj good_jj not_RB bad_JJ !", "good_jj jj_NN",
+                    "bad_JJ x_jj", "new_york_NN fine_JJ a_b_jj", "fine_NN good_jj", "good_jj",
+                    "..."]
+POLARIZED_LEXICON = SubjectivityLexicon(entries={
+    "good": [LexiconEntry(Polarity.POS, ANYPOS)],
+    "bad": [LexiconEntry(Polarity.NEG, "adj")],
+    "fine": [LexiconEntry(Polarity.POS, "adj"), LexiconEntry(Polarity.NEG, "noun")],
+    "new_york": [LexiconEntry(Polarity.POS, "noun")],
+    "jj": [LexiconEntry(Polarity.NEG, ANYPOS)],
+})
+
+
+@dataclass
+class CountingLexicon(SubjectivityLexicon):
+    """Counts ``polarity_of`` calls per (word, tag) pair."""
+
+    calls: Counter = field(default_factory=Counter)
+
+    def polarity_of(self, word, pos):
+        self.calls[word, pos] += 1
+        return super().polarity_of(word, pos)
+
+
+def write_polarized_corpus(root: Path) -> Path:
+    rng = random.Random(11)
+    for i in range(8):
+        label = "pos" if i % 2 else "neg"
+        lines = _POLARIZED_LINES[:2] if i == 0 else rng.sample(_POLARIZED_LINES, 3)
+        path = root / label / f"cv{i:03d}_{i}.txt"
+        path.parent.mkdir(exist_ok=True)
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return root
+
+
+@pytest.fixture(scope="module")
+def polarized_corpora(tmp_path_factory):
+    root = write_polarized_corpus(tmp_path_factory.mktemp("pretagged_polarized"))
+    return {
+        "golden": (load_corpus(CORPUS), load_lexicon(CORPUS / "lexicon.tsv", format="tsv"),
+                   get_tagger("builtin")),
+        "pretagged": (load_corpus(root), POLARIZED_LEXICON, get_tagger("pretagged")),
+    }
+
+
+@pytest.mark.parametrize("corpus_name", ["golden", "pretagged"])
+@pytest.mark.parametrize("family", POLARIZED, ids=[f.value for f in POLARIZED])
+def test_polarized_family_matrix_matches_bags(polarized_corpora, corpus_name, family):
+    corpus, lexicon, tagger = polarized_corpora[corpus_name]
+    pipeline = FeaturePipeline(corpus, lexicon=lexicon, tagger=tagger)
+    matrix = pipeline.family_matrix(family, min_count=5)
+    expected = FeatureMatrix.from_bags(pipeline.family_bags(family))
+    assert expected.features
+    assert matrix.features == expected.features
+    assert matrix.counts.dtype == np.float64
+    assert matrix.counts.shape == expected.counts.shape
+    assert (matrix.counts != expected.counts).nnz == 0
+
+
+def test_word_and_tag_that_spell_one_pb_feature_merge(polarized_corpora):
+    """In the first document, ``jj_NN good_jj`` (the word ``jj``) and
+    ``x_jj good_jj`` (the tag ``jj``) both give ``pb:jj_POS/jj``."""
+    corpus, lexicon, tagger = polarized_corpora["pretagged"]
+    pipeline = FeaturePipeline(corpus, lexicon=lexicon, tagger=tagger)
+    matrix = pipeline.family_matrix(FeatureFamily.POLARIZED_BIGRAM)
+    column = matrix.features.index("pb:jj_POS/jj")
+    assert corpus.documents[0].text.startswith("jj_NN good_jj")
+    assert matrix.counts[0, column] == 2
+
+
+@pytest.mark.parametrize("corpus_name", ["golden", "pretagged"])
+def test_polarity_looked_up_once_per_word_and_tag(polarized_corpora, corpus_name):
+    corpus, lexicon, tagger = polarized_corpora[corpus_name]
+    counting = CountingLexicon(entries=lexicon.entries)
+    pipeline = FeaturePipeline(corpus, lexicon=counting, tagger=tagger)
+    for family in POLARIZED:
+        pipeline.family_matrix(family)
+    assert counting.calls
+    assert max(counting.calls.values()) == 1

@@ -12,6 +12,7 @@ from polarity.features import (
     FAMILIES,
     FeatureFamily,
     FeatureSpec,
+    Polarized,
     Window,
     check_resources,
     extract_polarized_bigrams,
@@ -249,10 +250,15 @@ def test_namespace_disjointness(sentences):
         "recommend": [LexiconEntry(Polarity.POS, "verb")],
     })
     trans = load_transitions()
-    supports = [
-        set(extract_window(doc, row) if isinstance(row, Window) else row(doc, lex, trans))
-        for row in FAMILIES.values()
-    ]
+
+    def bag(row):
+        if isinstance(row, Window):
+            return extract_window(doc, row)
+        if isinstance(row, Polarized):
+            return (extract_polarized_bigrams if row.neighbors else extract_polarized_unigrams)(doc, lex)
+        return row(doc, lex, trans)
+
+    supports = [set(bag(row)) for row in FAMILIES.values()]
     assert len(supports) == len(FeatureFamily)
     for i in range(len(supports)):
         for j in range(i + 1, len(supports)):

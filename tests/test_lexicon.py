@@ -1,10 +1,11 @@
 """Subjectivity lexicon loading and polarity queries; transition lists."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from polarity.errors import ConfigError, DataError
-from polarity.lexicon import Polarity, TransitionList, load_lexicon, load_transitions
+from polarity.lexicon import (Polarity, SubjectivityLexicon, TransitionList, load_lexicon,
+                              load_transitions)
 
 TFF_SAMPLE = """\
 type=weaksubj len=1 word1=abandon pos1=verb stemmed1=y priorpolarity=negative
@@ -190,3 +191,60 @@ class TestIndexedMatching:
     def test_unsorted_list_keeps_list_order(self, phrases, words):
         trans = TransitionList(list(phrases))
         assert trans.find_matches(words) == _scan_all_phrases(trans, words)
+
+
+# Loader fuzzing: lexicon and transition files built from the formats' own
+# fields and values, from free text, or from arbitrary bytes.
+_TFF_KEYS = ["type", "len", "word1", "pos1", "stemmed1", "priorpolarity", "mpqapolarity", ""]
+_VALUES = ["positive", "negative", "neutral", "both", "weakneg", "POS", "neg", "+", "-",
+           "adj", "adverb", "noun", "verb", "anypos", "ADJ", "good", "caf\xe9", "\ufeff", ""]
+_values = st.sampled_from(_VALUES) | st.text(max_size=6)
+_tff_lines = st.lists(st.tuples(st.sampled_from(_TFF_KEYS), _values), max_size=6).map(
+    lambda fields: " ".join(f"{key}={value}" for key, value in fields))
+_tsv_lines = st.lists(_values, max_size=4).map("\t".join)
+_comments = st.sampled_from(["# comment", "", "   ", "#", "\ufeff"])
+_phrases = st.sampled_from(["but", "however", "on the other hand", "in spite of", "# only",
+                            "yet # trailing", "\ufeffbut", "BUT", "", "  "]) | st.text(max_size=12)
+_newlines = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\u2028"])
+
+
+def _files(lines):
+    texts = st.lists(st.tuples(lines, _newlines), max_size=6).map(
+        lambda parts: "".join(line + newline for line, newline in parts))
+    return (st.tuples(texts, st.sampled_from(["utf-8", "utf-8-sig", "latin-1", "utf-16"]))
+            .map(lambda pair: pair[0].encode(pair[1], errors="replace"))
+            | st.binary(max_size=60))
+
+
+lexicon_files = st.one_of(
+    st.tuples(st.just("tff"), _files(_tff_lines | _comments | st.text(max_size=20))),
+    st.tuples(st.just("tsv"), _files(_tsv_lines | _comments | st.text(max_size=20))),
+)
+transition_files = _files(_phrases | _comments)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lexicon_files)
+def test_lexicon_loader_loads_or_fails_cleanly(tmp_path_factory, case):
+    """Any lexicon file either loads or raises ConfigError/DataError."""
+    fmt, payload = case
+    path = tmp_path_factory.getbasetemp() / f"fuzz-lexicon.{fmt}"
+    path.write_bytes(payload)
+    try:
+        lexicon = load_lexicon(path, format=fmt)
+    except (ConfigError, DataError):
+        return
+    assert isinstance(lexicon, SubjectivityLexicon) and len(lexicon) > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(transition_files)
+def test_transition_loader_loads_or_fails_cleanly(tmp_path_factory, payload):
+    """Any transition file either loads or raises ConfigError/DataError."""
+    path = tmp_path_factory.getbasetemp() / "fuzz-transitions.txt"
+    path.write_bytes(payload)
+    try:
+        transitions = load_transitions(path)
+    except (ConfigError, DataError):
+        return
+    assert transitions.phrases and all(p == p.strip().lower() for p in transitions.phrases)
