@@ -30,6 +30,19 @@ def test_table2_csv(tmp_path, capsys):
     assert (out_dir / "table2.csv").read_bytes() == (GOLDEN / "table2.csv").read_bytes()
 
 
+def test_combination_grid_csvs(tmp_path, capsys):
+    """The two combination grids: ``t`` in unions with ``pu``, ``pb``, both
+    negation variants of ``unigram`` and ``3adjadv``, corpus-scope pruning."""
+    out_dir = tmp_path / "out"
+    code = main(["reproduce", "--corpus", str(CORPUS), *LEXICON,
+                 "--only", "unigram-combos,3adjadv-combos",
+                 "--out-dir", str(out_dir), "--format", "json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["cells_run"] == 96
+    for name in ["unigram_combos.csv", "3adjadv_combos.csv"]:
+        assert (out_dir / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
 def test_extract_union_files(tmp_path, capsys):
     vectors, vocab = tmp_path / "vectors.svml", tmp_path / "vocab.tsv"
     code = main(["extract", "--corpus", str(CORPUS), *LEXICON,
