@@ -27,23 +27,13 @@ from .lexicon import (
 )
 from .linear_svm import LinearSvmModel, default_C, gram_matrix, predict_svm, train_svm
 from .naive_bayes import NaiveBayesModel, predict_nb, train_nb
-from .preprocess import (
-    Document,
-    Sentence,
-    expand_contractions,
-    preprocess_document,
-    strip_punctuation,
-    tag_negation,
-)
+from .preprocess import expand_contractions, strip_punctuation
 from .tagging import PretaggedReader, RuleTagger, get_tagger
 from .vectorize import (
     FeatureMatrix,
     Representation,
-    Vocabulary,
-    build_vocabulary,
     column_mask,
     read_svmlight,
     represent,
-    vectorize,
     write_svmlight,
 )

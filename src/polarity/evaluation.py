@@ -2,21 +2,19 @@
 
 A FeaturePipeline preprocesses the corpus once, straight from the raw text,
 into one token stream: int32 word and tag ids, sentence starts and negation
-flags in flat NumPy buffers. That stream is the pipeline's document
-representation; ``documents`` (``Sentence`` tuples, as
-``preprocess.preprocess_document`` gives them) is derived from it only for
-``t`` and for ``family_bags``. The pipeline caches one sparse count matrix
-per family, so a grid of many configurations pays the extraction cost per
-family, not per cell. Each family's row of ``features.FAMILIES`` says how:
-the six ``Window`` families are counted from integer window keys, and their
+flags in flat NumPy buffers. That stream is the pipeline's one document
+representation. The pipeline caches one sparse count matrix per family, so
+a grid of many configurations pays the extraction cost per family, not per
+cell. Each family's row of ``features.FAMILIES`` says how the stream is
+counted: the six ``Window`` families from integer window keys, and their
 matrices hold only the columns whose corpus total reaches the ``min_count``
-floor (at least 1); ``pu`` and ``pb`` are counted from keys over each
-polarized token's ``POL/TAG`` core and its neighbors' ids, and ``t`` is
-extracted as bags by its row's extractor; these three keep every column. A
-cell takes the union of its families' columns, prunes them with a column
-mask (once over the corpus, or per fold over the training rows), and trains
-on row slices; under corpus scope the SVM Gram matrix is computed once per
-cell and sliced per fold.
+floor (at least 1); ``pu`` and ``pb`` from keys over each polarized token's
+``POL/TAG`` core and its neighbors' ids; ``t`` from keys over each matched
+phrase and the content words of its sentence. The last three keep every
+column. A cell takes the union of its families' columns, prunes them with a
+column mask (once over the corpus, or per fold over the training rows), and
+trains on row slices; under corpus scope the SVM Gram matrix is computed
+once per cell and sliced per fold.
 The pipeline is the harness's one handle: ``run_experiment(pipeline, config)``
 and ``run_grid(pipeline, configs)`` read the corpus, its folds, the lexicon,
 the transitions and the tagger from it and from nowhere else.
@@ -39,12 +37,10 @@ import numpy as np
 from . import linear_svm, naive_bayes
 from .corpus import Corpus, N_FOLDS, RawDocument
 from .errors import ConfigError, DataError
-from .features import FAMILIES, TAG_BITS, FeatureBag, FeatureFamily, FeatureSpec, Polarized, Window
-from .features import check_resources, extract_polarized_bigrams, extract_polarized_unigrams
-from .features import extract_window, parse_feature_spec
+from .features import CONTENT_BIT, FAMILIES, FeatureFamily, FeatureSpec, Polarized, Transition
+from .features import Window, check_resources, parse_feature_spec, tag_bits
 from .lexicon import SubjectivityLexicon, TransitionList
-from .preprocess import NEGATION_PREFIX, Document, Sentence, negation_scopes, tokenize
-from .preprocess import tokenize_pretagged
+from .preprocess import NEGATION_PREFIX, negation_scopes, tokenize, tokenize_pretagged
 from .tagging import PretaggedReader, RuleTagger
 from .vectorize import FeatureMatrix, Representation, column_mask, represent
 
@@ -143,8 +139,8 @@ class _TokenStream:
 
     ``ids`` holds an int32 word id per token (``words[id]`` is the word) and
     ``tag_ids`` an int32 tag id (``tags[id]`` is the tag); ``starts`` marks
-    each sentence's first token, ``tag_bits`` the token's
-    ``features.TAG_BITS`` and ``negated`` its negation flag. Document *i*
+    each sentence's first token, ``tag_bits`` the ``features.tag_bits`` of
+    the token's tag and ``negated`` its negation flag. The *i*-th document
     holds tokens ``doc_bounds[i]:doc_bounds[i + 1]``. Each line goes
     through ``preprocess.tokenize`` (or ``tokenize_pretagged``) and only its
     words' ids are kept; tags and negation scopes are computed over the
@@ -182,26 +178,10 @@ class _TokenStream:
             self.tags, self.tag_ids = list(tag_index), np.frombuffer(tag_ids, dtype=np.intc)
         else:
             self.tags, self.tag_ids = tagger.tag_stream(self.words, self.ids, self.starts)
-        bits = np.array([TAG_BITS.get(tag, 0) for tag in self.tags], dtype=np.uint8)
+        bits = np.array([tag_bits(tag) for tag in self.tags], dtype=np.uint8)
         self.tag_bits = bits[self.tag_ids]
         self.negated = negation_scopes(self.words, self.ids, self.starts)
         self._polarity: tuple | None = None
-
-    def documents(self, raw: Sequence[RawDocument]) -> list[Document]:
-        """The stream as ``preprocess_document`` gives *raw*, sharing the vocabulary's strings."""
-        words = list(map(self.words.__getitem__, self.ids.tolist()))
-        tags = list(map(self.tags.__getitem__, self.tag_ids.tolist()))
-        negated = self.negated.tolist()
-        sentence_starts = np.flatnonzero(self.starts)
-        bounds = np.append(sentence_starts, len(words)).tolist()
-        first = np.searchsorted(sentence_starts, self.doc_bounds).tolist()
-        return [
-            Document(id=doc.id, label=doc.label, sentences=[
-                Sentence(words[a:b], tags[a:b], negated[a:b])
-                for a, b in zip(bounds[lo:hi], bounds[lo + 1:hi + 1])
-            ])
-            for doc, lo, hi in zip(raw, first, first[1:])
-        ]
 
     def window_matrix(self, window: Window, negation_variant: bool, floor: int) -> FeatureMatrix:
         """The count matrix of *window*'s features whose corpus total is >= *floor*.
@@ -290,33 +270,105 @@ class _TokenStream:
         """The count matrix of *row*'s features (``pu`` or ``pb``), every column kept.
 
         Each occurrence is keyed by its polarized token's ``POL/TAG`` core
-        and, for ``pb``, the neighbor's word or tag id. Strings are built
-        for distinct keys only and a column is a distinct string, so keys
-        that spell one feature (a pretagged word ``jj`` and the tag ``jj``)
-        share it, as the bag path totals them.
+        and, for ``pb``, the neighbor's word or tag id.
         """
         pos, core, cores = self._polarized(lexicon)
-        ns, spans = row.namespace, len(cores)
-        # (occurrence positions, keys, neighbor names or None, neighbor offset)
+        ns, core = row.namespace, core.astype(np.int64)
         if not row.neighbors:
-            parts = [(pos, core.astype(np.int64), None, 0)]
-        else:
-            continues = np.append(~self.starts[1:], False)  # the next token is in the sentence
-            parts = []
-            for step, sel in [(-1, ~self.starts[pos]), (1, continues[pos])]:
-                at, cored = pos[sel], core[sel].astype(np.int64)
-                for names, of in [(self.words, self.ids), (self.tags, self.tag_ids)]:
-                    parts.append((at, of[at + step].astype(np.int64) * spans + cored, names, step))
+            return self._keyed_matrix([(pos, core, lambda keys: [f"{ns}:{cores[k]}" for k in keys])])
+        continues = np.append(~self.starts[1:], False)  # the next token is in the sentence
+        before, after = pos[~self.starts[pos]], pos[continues[pos]]
+        core_before, core_after = core[~self.starts[pos]], core[continues[pos]]
+        parts = []
+        for names, of in [(self.words, self.ids), (self.tags, self.tag_ids)]:
+            parts.append((before, of[before - 1].astype(np.int64) * len(cores) + core_before,
+                          _pair_names(ns, names, cores)))
+            parts.append((after, core_after * len(names) + of[after + 1],
+                          _pair_names(ns, cores, names)))
+        return self._keyed_matrix(parts)
 
+    def transition_matrix(self, row: Transition, transitions: TransitionList,
+                          lexicon: SubjectivityLexicon) -> FeatureMatrix:
+        """The count matrix of ``t``'s features, every column kept.
+
+        In each sentence with a phrase match, every content word outside all
+        matches is paired with each distinct phrase matched there. An
+        occurrence is keyed by (phrase, word id) and, for a polarized word,
+        also by (phrase, core id), with the ``POL/TAG`` cores that ``pu``
+        and ``pb`` use.
+        """
+        start, end, phrase = self._phrase_matches(transitions)
+        inside = np.zeros(len(self.ids) + 1, dtype=np.intc)  # running sum 1 inside a match
+        inside[start] += 1
+        inside[end] -= 1
+        content = ((self.tag_bits & CONTENT_BIT) != 0) & (np.cumsum(inside[:-1]) == 0)
+        content_pos = np.flatnonzero(content)
+
+        # Each distinct (sentence, phrase) pair is repeated once per content
+        # word of the sentence: ``at`` holds the words, ``phrase`` the phrases.
+        sentence_bounds = np.append(np.flatnonzero(self.starts), len(self.ids))
+        phrases = len(transitions.phrases)
+        in_sentence = np.searchsorted(sentence_bounds, start, side="right") - 1
+        sentence, phrase = np.divmod(np.unique(in_sentence * phrases + phrase), phrases)
+        lo = np.searchsorted(content_pos, sentence_bounds[sentence])
+        counts = np.searchsorted(content_pos, sentence_bounds[sentence + 1]) - lo
+        offsets = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        at = content_pos[offsets + np.arange(len(offsets))]
+        phrase = np.repeat(phrase, counts)
+
+        pos, core, cores = self._polarized(lexicon)
+        core_at = np.full(len(self.ids), -1, dtype=np.int64)
+        core_at[pos] = core
+        polar = core_at[at] >= 0
+        ns, keys = row.namespace, [p.replace(" ", "_") for p in transitions.phrases]
+        return self._keyed_matrix([
+            (at, phrase * len(self.words) + self.ids[at], _pair_names(ns, keys, self.words)),
+            (at[polar], phrase[polar] * len(cores) + core_at[at[polar]],
+             _pair_names(ns, keys, cores)),
+        ])
+
+    def _phrase_matches(self, transitions: TransitionList) -> tuple[np.ndarray, ...]:
+        """(starts, ends, phrase indices) of the transition matches, in token order.
+
+        A match never crosses a sentence start. Scanning left to right, at
+        each position outside an earlier match the first listed phrase that
+        fits wins.
+        """
+        index = {word: i for i, word in enumerate(self.words)}
+        found = []  # (start, phrase index, length) arrays, one triple per phrase
+        for rank, phrase in enumerate(transitions.phrases):
+            ids = [index.get(word, -1) for word in phrase.split()]
+            if not ids or -1 in ids:
+                continue
+            at = np.flatnonzero(self.ids[:max(len(self.ids) - len(ids) + 1, 0)] == ids[0])
+            for k in range(1, len(ids)):
+                at = at[(self.ids[at + k] == ids[k]) & ~self.starts[at + k]]
+            found.append((at, np.full(len(at), rank), np.full(len(at), len(ids))))
+        if not found:
+            return (np.zeros(0, dtype=np.int64),) * 3
+        start, rank, length = (np.concatenate(column) for column in zip(*found))
+        order = np.lexsort((rank, start))  # by start, the first listed phrase first
+        start, rank, end = start[order], rank[order], start[order] + length[order]
+        chosen, free = [], 0
+        for i, (at, stop) in enumerate(zip(start.tolist(), end.tolist())):
+            if at >= free:
+                chosen.append(i)
+                free = stop
+        return start[chosen], end[chosen], rank[chosen]
+
+    def _keyed_matrix(self, parts) -> FeatureMatrix:
+        """The count matrix of occurrences given as (positions, int64 keys, spell) parts.
+
+        ``spell`` names a part's distinct keys. Strings are built for
+        distinct keys only, and a column is one distinct string, so keys
+        that spell one feature (a pretagged word ``jj`` and the tag ``jj``,
+        or words and phrases holding ``_``) share it, as a per-document bag
+        of strings totals them.
+        """
         spelled, inverses = [], []
-        for _, keys, names, step in parts:
+        for _, keys, spell in parts:
             distinct, inverse = np.unique(keys, return_inverse=True)
-            if names is None:
-                spelled.append([f"{ns}:{cores[k]}" for k in distinct.tolist()])
-            else:
-                pairs = [divmod(k, spans) for k in distinct.tolist()]
-                spelled.append([f"{ns}:{names[n]}_{cores[c]}" if step < 0 else
-                                f"{ns}:{cores[c]}_{names[n]}" for n, c in pairs])
+            spelled.append(spell(distinct.tolist()))
             inverses.append(inverse)
         features = sorted(set().union(*spelled))
         column = {feature: j for j, feature in enumerate(features)}
@@ -352,6 +404,14 @@ class _TokenStream:
         return self._polarity[1:]
 
 
+def _pair_names(namespace: str, first: list[str], second: list[str]):
+    """Spells a key ``i * len(second) + j`` as ``namespace:first[i]_second[j]``."""
+    def spell(keys: list[int]) -> list[str]:
+        return [f"{namespace}:{first[i]}_{second[j]}"
+                for i, j in (divmod(key, len(second)) for key in keys)]
+    return spell
+
+
 class FeaturePipeline:
     """One token stream plus a per-family count-matrix cache for one corpus.
 
@@ -360,9 +420,8 @@ class FeaturePipeline:
     negated and plain unigram variants come from the same stream and every
     grid cell reuses the cache regardless of its negation flag. The
     ``Window`` families of ``features.FAMILIES`` keep only the columns that
-    reach the requested floor; ``pu`` and ``pb`` are counted from the same
-    stream and keep every column. ``t`` is extracted as bags from
-    ``documents``, which are derived from the stream on first use.
+    reach the requested floor; ``pu``, ``pb`` and ``t`` are counted from the
+    same stream and keep every column.
     """
 
     def __init__(self, corpus: Corpus,
@@ -373,7 +432,6 @@ class FeaturePipeline:
         self.lexicon = lexicon
         self.transitions = transitions
         self.tagger = tagger or RuleTagger()
-        self._documents: list[Document] | None = None
         self._tokens: _TokenStream | None = None
         self._matrices: dict[tuple, FeatureMatrix] = {}
 
@@ -381,13 +439,6 @@ class FeaturePipeline:
         if self._tokens is None:
             self._tokens = _TokenStream(self.corpus.documents, self.tagger)
         return self._tokens
-
-    @property
-    def documents(self) -> list[Document]:
-        """The preprocessed documents, equal to ``preprocess_document`` of each."""
-        if self._documents is None:
-            self._documents = self._stream().documents(self.corpus.documents)
-        return self._documents
 
     def labels(self) -> list[int]:
         return [doc.label.sign for doc in self.corpus.documents]
@@ -407,25 +458,15 @@ class FeaturePipeline:
         key = (family, neg, floor)
         if key not in self._matrices:
             if isinstance(row, Window):
-                self._matrices[key] = self._stream().window_matrix(row, neg, floor)
-            elif isinstance(row, Polarized):
-                check_resources(FeatureSpec(frozenset({family})), self.lexicon, self.transitions)
-                self._matrices[key] = self._stream().polarized_matrix(row, self.lexicon)
+                matrix = self._stream().window_matrix(row, neg, floor)
             else:
-                self._matrices[key] = FeatureMatrix.from_bags(self.family_bags(family))
+                check_resources(FeatureSpec(frozenset({family})), self.lexicon, self.transitions)
+                if isinstance(row, Polarized):
+                    matrix = self._stream().polarized_matrix(row, self.lexicon)
+                else:
+                    matrix = self._stream().transition_matrix(row, self.transitions, self.lexicon)
+            self._matrices[key] = matrix
         return self._matrices[key]
-
-    def family_bags(self, family: FeatureFamily, negation_variant: bool = False) -> list[FeatureBag]:
-        """One bag per document for *family*, extracted afresh (not cached)."""
-        row = FAMILIES[family]
-        if isinstance(row, Window):
-            neg = negation_variant and family is FeatureFamily.UNIGRAM
-            return [extract_window(doc, row, neg) for doc in self.documents]
-        check_resources(FeatureSpec(frozenset({family})), self.lexicon, self.transitions)
-        if isinstance(row, Polarized):
-            extract = extract_polarized_bigrams if row.neighbors else extract_polarized_unigrams
-            return [extract(doc, self.lexicon) for doc in self.documents]
-        return [row(doc, self.lexicon, self.transitions) for doc in self.documents]
 
     def matrix_for_spec(self, spec: FeatureSpec, min_count: int = 1) -> FeatureMatrix:
         """The union of the spec's family matrices, columns in lexicographic order.

@@ -5,13 +5,10 @@
 its features are the within-sentence windows of *n* words, or only those
 where some word is an adjective or adverb. ``pu`` and ``pb`` are
 ``Polarized`` rows: the lexicon-matched words, alone or paired with their
-neighbors. The cross-validation pipeline counts both kinds of row from its
-token stream of integer word and tag ids, the corpus's one document
-representation. ``extract_window``, ``extract_polarized_unigrams`` and
-``extract_polarized_bigrams`` are their bag references, which read a
-preprocessed Document sentence by sentence through the parallel
-``words``/``tags``/``negated`` fields of its ``Sentence`` tuples. ``t``
-consults the transition list too, and its row is still a bag extractor.
+neighbors. ``t`` is the ``Transition`` row: each transition phrase paired
+with the content words of its sentence. The cross-validation pipeline counts
+every row from its token stream of integer word and tag ids, the corpus's
+one document representation.
 
 Every emitted feature string carries its family's namespace prefix, so
 families never collide and a union is plain multiset addition. N-grams,
@@ -21,17 +18,13 @@ boundaries.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .lexicon import SubjectivityLexicon, TransitionList
-from .preprocess import NEGATION_PREFIX, Document
 from .tagging import ADJECTIVE_TAGS, ADVERB_TAGS
-
-FeatureBag = Counter
 
 _CONTENT_PREFIXES = ("N", "V", "J", "R")
 
@@ -109,7 +102,15 @@ def parse_feature_spec(spec_string: str, negation: bool = False) -> FeatureSpec:
 # Tag classes as bits, one per token in FeaturePipeline's token stream.
 ADJECTIVE_BIT = 1
 ADVERB_BIT = 2
+CONTENT_BIT = 4  # a noun, verb, adjective or adverb tag
 TAG_BITS = {**dict.fromkeys(ADJECTIVE_TAGS, ADJECTIVE_BIT), **dict.fromkeys(ADVERB_TAGS, ADVERB_BIT)}
+
+
+def tag_bits(tag: str) -> int:
+    """The class bits of *tag*, read from the upper-cased tag (``jj`` is an
+    adjective tag); feature strings keep the tag as written."""
+    tag = tag.upper()
+    return TAG_BITS.get(tag, 0) | (CONTENT_BIT if tag[:1] in _CONTENT_PREFIXES else 0)
 
 
 class Window(NamedTuple):
@@ -137,94 +138,23 @@ class Polarized(NamedTuple):
     neighbors: bool
 
 
-def extract_window(doc: Document, window: Window, negation_variant: bool = False) -> FeatureBag:
-    """Bag of *window*'s features over one document.
+class Transition(NamedTuple):
+    """The family pairing each transition phrase with its sentence's content words.
 
-    With *negation_variant* every word inside a negation scope is written
-    as ``NOT_word``.
+    Phrases are matched as ``TransitionList`` says, within a sentence. A
+    matched phrase (spaces written ``_``) is paired with every content word
+    (``namespace:phrase_word``) outside all matched phrases of its sentence,
+    and with the ``POL/TAG`` form of each lexicon-matched one
+    (``namespace:phrase_POL/TAG``). Each distinct phrase in a sentence
+    counts once per content word.
     """
-    n = window.n
-    bag: FeatureBag = Counter()
-    for words, tags, negated in doc.sentences:
-        if negation_variant:
-            words = [NEGATION_PREFIX + w if neg else w for w, neg in zip(words, negated)]
-        tagged = [TAG_BITS.get(t, 0) & window.tag_bits for t in tags]
-        for i in range(len(words) - n + 1):
-            if not window.tag_bits or any(tagged[i:i + n]):
-                bag[f"{window.namespace}:{'_'.join(words[i:i + n])}"] += 1
-    return bag
 
-
-def extract_polarized_unigrams(doc: Document, lex: SubjectivityLexicon) -> FeatureBag:
-    """One Polarity/Tag feature per lexicon-matched word (e.g. ``pu:POS/VB``)."""
-    bag: FeatureBag = Counter()
-    for words, tags, _ in doc.sentences:
-        for word, tag in zip(words, tags):
-            pol = lex.polarity_of(word, tag)
-            if pol is not None:
-                bag[f"pu:{pol}/{tag}"] += 1
-    return bag
-
-
-def extract_polarized_bigrams(doc: Document, lex: SubjectivityLexicon) -> FeatureBag:
-    """Polarized unigrams paired with each neighbor's word and tag.
-
-    A polarized word yields up to four features; the predecessor pair is
-    omitted at sentence start and the successor pair at sentence end.
-    """
-    bag: FeatureBag = Counter()
-    for words, tags, _ in doc.sentences:
-        last = len(words) - 1
-        for i, (word, tag) in enumerate(zip(words, tags)):
-            pol = lex.polarity_of(word, tag)
-            if pol is None:
-                continue
-            core = f"{pol}/{tag}"
-            if i > 0:
-                bag[f"pb:{words[i - 1]}_{core}"] += 1
-                bag[f"pb:{tags[i - 1]}_{core}"] += 1
-            if i < last:
-                bag[f"pb:{core}_{words[i + 1]}"] += 1
-                bag[f"pb:{core}_{tags[i + 1]}"] += 1
-    return bag
-
-
-def extract_transitions(doc: Document, trans: TransitionList, lex: SubjectivityLexicon) -> FeatureBag:
-    """Pair each transition phrase with every content word in its sentence.
-
-    Content words are the noun/verb/adjective/adverb words outside any
-    matched phrase; a lexicon-matched content word additionally yields the
-    phrase paired with its Polarity/Tag form. Each distinct phrase in a
-    sentence generates its own features.
-    """
-    bag: FeatureBag = Counter()
-    for words, tags, _ in doc.sentences:
-        matches = trans.find_matches(words)
-        if not matches:
-            continue
-        excluded = set()
-        for _, start, end in matches:
-            excluded.update(range(start, end))
-        phrases = list(dict.fromkeys(m[0] for m in matches))
-        content = [
-            (word, tag) for i, (word, tag) in enumerate(zip(words, tags))
-            if i not in excluded and tag[:1] in _CONTENT_PREFIXES
-        ]
-        for phrase in phrases:
-            key = phrase.replace(" ", "_")
-            for word, tag in content:
-                bag[f"tr:{key}_{word}"] += 1
-                pol = lex.polarity_of(word, tag)
-                if pol is not None:
-                    bag[f"tr:{key}_{pol}/{tag}"] += 1
-    return bag
+    namespace: str
 
 
 # The one family table: a Window for each word/tag family, a Polarized row
-# for pu and pb, and an extractor (doc, lexicon, transitions) for t. The
-# extractor looks extract_transitions up by module-level name at call time,
-# so a wrapper installed on the name (perfbench/tracer.py) sees every call.
-FAMILIES: dict[FeatureFamily, Window | Polarized | Callable[..., FeatureBag]] = {
+# for pu and pb, and a Transition row for t.
+FAMILIES: dict[FeatureFamily, Window | Polarized | Transition] = {
     FeatureFamily.UNIGRAM: Window("u", 1),
     FeatureFamily.BIGRAM: Window("b", 2),
     FeatureFamily.TRIGRAM: Window("t", 3),
@@ -233,7 +163,7 @@ FAMILIES: dict[FeatureFamily, Window | Polarized | Callable[..., FeatureBag]] = 
     FeatureFamily.ADJECTIVE: Window("adj", 1, ADJECTIVE_BIT),
     FeatureFamily.ADJADV_BIGRAM: Window("aab", 2, ADJECTIVE_BIT | ADVERB_BIT),
     FeatureFamily.ADJADV_TRIGRAM: Window("aat", 3, ADJECTIVE_BIT | ADVERB_BIT),
-    FeatureFamily.TRANSITION: lambda doc, lex, trans: extract_transitions(doc, trans, lex),
+    FeatureFamily.TRANSITION: Transition("tr"),
 }
 
 

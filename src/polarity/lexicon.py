@@ -168,41 +168,17 @@ def load_lexicon(path: str | Path, format: str = "tff") -> SubjectivityLexicon:
 class TransitionList:
     """Contrastive connectives, matched greedily in list order.
 
+    A sentence is scanned left to right; at each position not inside an
+    earlier match, the first listed phrase whose words follow wins.
     ``load_transitions`` sorts the list longest phrase first, so at each
-    position the longest phrase wins. Construction indexes the phrases by
-    their first word, keeping list order within each word, and
-    ``find_matches`` tries only the phrases that start with the word at
-    hand. Read-only after construction, so instances are safe to share.
+    position the longest phrase wins. Read-only, so instances are safe to
+    share.
     """
 
     phrases: list[str]
 
-    def __post_init__(self) -> None:
-        self._by_first_word: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
-        for phrase in self.phrases:
-            tokens = tuple(phrase.split())
-            if tokens:
-                self._by_first_word.setdefault(tokens[0], []).append((phrase, tokens))
-
     def __len__(self) -> int:
         return len(self.phrases)
-
-    def find_matches(self, words: list[str]) -> list[tuple[str, int, int]]:
-        """Non-overlapping (phrase, start, end) matches, scanning left to right;
-        at each free position the first listed phrase that fits wins."""
-        by_first_word = self._by_first_word
-        matches: list[tuple[str, int, int]] = []
-        free = 0  # first position not inside an earlier match
-        for i in [i for i, word in enumerate(words) if word in by_first_word]:
-            if i < free:
-                continue
-            for phrase, tokens in by_first_word[words[i]]:
-                end = i + len(tokens)
-                if tuple(words[i:end]) == tokens:
-                    matches.append((phrase, i, end))
-                    free = end
-                    break
-        return matches
 
 
 def load_transitions(path: str | Path | None = None) -> TransitionList:

@@ -6,27 +6,21 @@ contractions on the lines that hold an apostrophe, strip punctuation,
 tokenize and lowercase, tag part-of-speech, mark negation scopes. The ``NOT_``
 prefix is never stored; the negated unigram variant adds it when it extracts.
 
-The cross-validation pipeline's document representation is one token
-stream for the whole corpus (``evaluation._TokenStream``): each line goes
-through ``tokenize`` (or ``tokenize_pretagged``) and its words become int32
-ids; tags come from ``RuleTagger.tag_stream`` and negation scopes from
-``negation_scopes``, both computed over the whole stream with NumPy.
-``preprocess_document``, which gives a document as a list of
-``Sentence(words, tags, negated)`` tuples, and ``tag_negation`` are the
-per-document references the stream is tested against.
+The document representation is one token stream for the whole corpus
+(``evaluation._TokenStream``): each line goes through ``tokenize`` (or
+``tokenize_pretagged``) and its words become int32 ids; tags come from
+``RuleTagger.tag_stream`` and negation scopes from ``negation_scopes``, both
+computed over the whole stream with NumPy.
 """
 
 from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Label, RawDocument
-from .tagging import PretaggedReader, RuleTagger
+from .tagging import PretaggedReader
 
 NEGATION_PREFIX = "NOT_"
 NEGATION_TRIGGERS = frozenset({"not"})
@@ -71,25 +65,6 @@ _CONTRACTION_RE = re.compile(
 # Tokenized corpora split the apostrophe off ("isn ' t"); rejoin before lookup.
 _SPLIT_APOSTROPHE_RE = re.compile(r"\b([A-Za-z]+n) ' t\b", re.IGNORECASE)
 
-# Shared by every call that names no tagger; its per-word memo only ever
-# adds the tag the rules give, so sharing it is safe.
-_DEFAULT_TAGGER = RuleTagger()
-
-
-class Sentence(NamedTuple):
-    """One line of a document as parallel per-word sequences."""
-
-    words: list[str]
-    tags: list[str]
-    negated: list[bool]
-
-
-@dataclass(frozen=True)
-class Document:
-    id: str
-    label: Label
-    sentences: list[Sentence]
-
 
 def expand_contractions(text: str) -> str:
     """Rewrite every n't-family contraction to its two-word form.
@@ -133,29 +108,13 @@ def tokenize(line: str) -> list[str]:
     return _drop_punctuation(line).lower().split()
 
 
-def tag_negation(words: list[str]) -> list[bool]:
-    """Mark every word after a trigger, up to the next kept punctuation token
-    or the end of the sentence. The trigger itself is not marked.
-    """
-    mask: list[bool] = []
-    in_scope = False
-    for word in words:
-        if word in KEPT_PUNCTUATION:
-            in_scope = False
-            mask.append(False)
-        elif not in_scope and word in NEGATION_TRIGGERS:
-            in_scope = True
-            mask.append(False)
-        else:
-            mask.append(in_scope)
-    return mask
-
-
 def negation_scopes(words: list[str], ids: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """``tag_negation`` over a whole token stream: a bool per token.
+    """The negation flag of every token of a token stream.
 
     *words* is the stream's vocabulary, *ids* its word id per token and
-    *starts* flags each sentence's first token. A token is in scope when
+    *starts* flags each sentence's first token. A scope opens after a
+    trigger and runs up to the next kept punctuation token or the end of the
+    sentence; the trigger itself is not in it. So a token is in scope when
     the last trigger or kept punctuation token before it in its sentence is
     a trigger, unless it is kept punctuation itself.
     """
@@ -171,7 +130,11 @@ def negation_scopes(words: list[str], ids: np.ndarray, starts: np.ndarray) -> np
 
 
 def tokenize_pretagged(line: str, reader: PretaggedReader) -> tuple[list[str], list[str]]:
-    """The lowercased words of one ``word_TAG`` line and their tags, punctuation dropped."""
+    """The lowercased words of one ``word_TAG`` line and their tags.
+
+    The external tokenization is authoritative: contractions are not
+    expanded, and punctuation is dropped token by token.
+    """
     words: list[str] = []
     tags: list[str] = []
     for i, raw in enumerate(line.split()):
@@ -182,28 +145,3 @@ def tokenize_pretagged(line: str, reader: PretaggedReader) -> tuple[list[str], l
         words.append(word)
         tags.append(tag)
     return words, tags
-
-
-def preprocess_document(doc: RawDocument, tagger=None) -> Document:
-    """Run the full normalization pipeline over one raw document.
-
-    *tagger* defaults to one RuleTagger shared by every such call. Pre-tagged
-    input (a PretaggedReader) skips contraction expansion and text-level
-    punctuation stripping (the external tokenization is authoritative);
-    punctuation is filtered token-wise instead and tags are taken from the
-    annotations.
-    """
-    if tagger is None:
-        tagger = _DEFAULT_TAGGER
-    pretagged = isinstance(tagger, PretaggedReader)
-
-    sentences: list[Sentence] = []
-    for line in doc.text.splitlines():
-        if pretagged:
-            words, tags = tokenize_pretagged(line, tagger)
-        else:
-            words = tokenize(line)
-            tags = tagger.tag(words) if words else []
-        if words:
-            sentences.append(Sentence(words, tags, tag_negation(words)))
-    return Document(id=doc.id, label=doc.label, sentences=sentences)

@@ -4,9 +4,7 @@ A self-contained greedy lexicon-plus-suffix tagger, and a reader for
 corpora that already carry ``word_TAG`` annotations from an external tagger.
 ``get_tagger`` picks one by name. The cross-validation pipeline tags its
 whole token stream at once with ``RuleTagger.tag_stream``, or reads each
-raw token's tag with ``PretaggedReader.parse``; ``RuleTagger.tag`` tags one
-sentence's words and is the per-document reference that
-``preprocess.preprocess_document`` calls.
+raw token's tag with ``PretaggedReader.parse``.
 """
 
 from __future__ import annotations
@@ -116,7 +114,7 @@ def _build_word_tags() -> dict[str, str]:
     return table
 
 
-# Memo value of an -ed word that no earlier rule tags: VBN after a
+# The rules' answer for an -ed word that no earlier rule tags: VBN after a
 # _VERB_FORMS word, else VBD. The only tag that depends on the previous word.
 _ED_FORM = "VBN|VBD"
 
@@ -125,33 +123,14 @@ class RuleTagger:
     """Greedy word-lexicon tagger with suffix and -ed/-ing context rules.
 
     Lookup order: word lexicon, punctuation/number checks, adjective
-    suffixes, verb-inflection rules, then the NN/NNS fallback. ``tag``
-    memoizes the rules per word. A word's tag depends on the previous word
-    only through the -ed rule, so the memo is keyed on the word alone and
-    stores ``_ED_FORM`` for the words that rule decides; ``tag`` resolves
-    those against the previous word on every use. The memo only ever adds
-    the tag the rules give, so sharing an instance stays safe, also across
-    forked workers, which each copy it on write.
+    suffixes, verb-inflection rules, then the NN/NNS fallback. A word's tag
+    depends on the previous word only through the -ed rule. Read-only after
+    construction, so an instance is safe to share.
     """
 
     def __init__(self) -> None:
         self._words = _build_word_tags()
         self._verbs = set(_VERBS) | {"be", "have", "do"}
-        self._memo: dict[str, str] = {}
-
-    def tag(self, words: list[str]) -> list[str]:
-        memo = self._memo
-        tags: list[str] = []
-        prev = ""
-        for word in words:
-            tag = memo.get(word)
-            if tag is None:
-                tag = memo[word] = self._tag_word(word)
-            if tag is _ED_FORM:
-                tag = _ed_tag(prev)
-            tags.append(tag)
-            prev = word
-        return tags
 
     def tag_stream(self, words: list[str], ids: np.ndarray,
                    starts: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -161,7 +140,7 @@ class RuleTagger:
         token and *starts* flags each sentence's first token. Each distinct
         word goes through the rules once; an -ed word that they leave to
         context is then VBN right after a ``_VERB_FORMS`` word of its
-        sentence and VBD elsewhere, as ``tag`` gives it.
+        sentence and VBD elsewhere.
         """
         names: dict[str, int] = {}
         rules = [self._tag_word(word) for word in words]
@@ -176,11 +155,6 @@ class RuleTagger:
         if vbn.any():
             tag_ids[vbn] = names.setdefault("VBN", len(names))
         return list(names), tag_ids
-
-    def _tag_one(self, word: str, prev: str) -> str:
-        """The tag of *word* after *prev*, without the memo."""
-        tag = self._tag_word(word)
-        return _ed_tag(prev) if tag is _ED_FORM else tag
 
     def _tag_word(self, word: str) -> str:
         """The tag the rules give *word* alone, or ``_ED_FORM``."""
@@ -206,10 +180,6 @@ class RuleTagger:
                 return "VBZ"
             return "NNS"
         return FALLBACK_TAG
-
-
-def _ed_tag(prev: str) -> str:
-    return "VBN" if prev in _VERB_FORMS else "VBD"
 
 
 class PretaggedReader:

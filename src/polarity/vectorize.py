@@ -3,9 +3,7 @@
 Feature data lives in CSR matrices only, with one row per document and one
 column per feature. A FeatureMatrix keeps its columns in lexicographic
 feature order, so after pruning (a boolean column mask, which keeps that
-order) a column index is the feature's vocabulary id. ``build_vocabulary``
-and ``vectorize`` (one bag to a one-row matrix) are the bag-at-a-time
-reference the matrix path is tested against.
+order) a column index is the feature's vocabulary id.
 
 File formats:
   vectors   svmlight-compatible text, one document per line:
@@ -20,10 +18,8 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -31,7 +27,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, DataError
-from .features import FeatureBag
 
 # Largest 1-based feature id read_svmlight accepts. A matrix is as wide as its
 # largest id, and training allocates dense per-feature arrays of that width,
@@ -48,44 +43,6 @@ class Representation(Enum):
 
 
 @dataclass
-class Vocabulary:
-    """Dense 0-based feature ids, lexicographically assigned."""
-
-    index: dict[str, int]
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-
-def build_vocabulary(train_bags: Iterable[FeatureBag], min_count: int = 5) -> Vocabulary:
-    """Keep every feature whose summed count over *train_bags* is >= min_count.
-
-    "Lower than 5" is the removal rule, so a feature seen exactly 5 times
-    stays in.
-    """
-    totals: Counter = Counter()
-    for bag in train_bags:
-        totals.update(bag)
-    kept = sorted(f for f, c in totals.items() if c >= min_count)
-    if not kept:
-        raise DataError(f"no feature reaches the count threshold {min_count}; vocabulary is empty")
-    return Vocabulary(index={f: i for i, f in enumerate(kept)})
-
-
-def vectorize(bag: FeatureBag, vocab: Vocabulary, rep: Representation) -> sp.csr_matrix:
-    """Map one bag to a ``1 x len(vocab)`` CSR row with ascending column ids;
-    out-of-vocabulary features drop silently."""
-    pairs = sorted((vocab.index[f], c) for f, c in bag.items() if f in vocab.index)
-    ids = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
-    if rep is Representation.PRESENCE:
-        values = np.ones(len(pairs), dtype=np.float64)
-    else:
-        values = np.fromiter((p[1] for p in pairs), dtype=np.float64, count=len(pairs))
-    return sp.csr_matrix((values, ids, np.array([0, len(pairs)], dtype=np.int64)),
-                         shape=(1, len(vocab)))
-
-
-@dataclass
 class FeatureMatrix:
     """Per-document feature counts; column j holds the count of ``features[j]``.
 
@@ -95,23 +52,6 @@ class FeatureMatrix:
 
     counts: sp.csr_matrix
     features: list[str]
-
-    @classmethod
-    def from_bags(cls, bags: Sequence[FeatureBag]) -> "FeatureMatrix":
-        column = dict.fromkeys(chain.from_iterable(bags))
-        features = sorted(column)
-        column.update(zip(features, range(len(features))))
-        indptr = np.zeros(len(bags) + 1, dtype=np.int64)
-        np.cumsum([len(bag) for bag in bags], out=indptr[1:])
-        nnz = int(indptr[-1])
-        indices = np.fromiter(map(column.__getitem__, chain.from_iterable(bags)),
-                              dtype=np.int64, count=nnz)
-        data = np.fromiter(chain.from_iterable(bag.values() for bag in bags),
-                           dtype=np.float64, count=nnz)
-        counts = sp.csr_matrix((data, indices, indptr), shape=(len(bags), len(features)))
-        counts.has_sorted_indices = False
-        counts.sort_indices()
-        return cls(counts=counts, features=features)
 
     @classmethod
     def from_occurrences(cls, indptr: np.ndarray, columns: np.ndarray,
@@ -148,9 +88,10 @@ class FeatureMatrix:
 def column_mask(counts: sp.csr_matrix, min_count: int) -> np.ndarray:
     """Columns whose count summed over the rows of *counts* is >= min_count.
 
-    The column-mask form of :func:`build_vocabulary`: pass the training rows
-    only for fold-scope pruning. A column never seen in those rows is dropped
-    even when min_count <= 0.
+    "Lower than 5" is the removal rule, so with the default of 5 a feature
+    seen exactly 5 times stays in. Pass the training rows only for
+    fold-scope pruning. A column never seen in those rows is dropped even
+    when min_count <= 0.
     """
     totals = np.bincount(counts.indices, weights=counts.data, minlength=counts.shape[1])
     mask = (totals >= min_count) & (totals > 0)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from polarity.corpus import Corpus, assign_folds, load_corpus
+from polarity.corpus import Corpus, Label, RawDocument, assign_folds, load_corpus
 from polarity.lexicon import LexiconEntry, Polarity, SubjectivityLexicon
 
 DATASET_ENV = "POLARITY_DATA_DIR"
@@ -75,6 +75,14 @@ def labeled_matrix(rows, n_features=None):
                        np.array(indptr, dtype=np.int64)), shape=(len(rows), n_features))
     y = np.array([0 if label is None else label for _, label in rows], dtype=np.int64)
     return X, y
+
+
+def corpus_of(texts) -> Corpus:
+    """An in-memory corpus with one document per text, labels alternating."""
+    return Corpus(documents=[
+        RawDocument(id=f"cv{i:03d}_{i}", label=Label.POSITIVE if i % 2 else Label.NEGATIVE,
+                    text=text)
+        for i, text in enumerate(texts)])
 
 
 def shuffle_labels(corpus: Corpus, seed: int) -> Corpus:

@@ -33,7 +33,7 @@ from polarity.evaluation import (
     FeaturePipeline,
     run_experiment,
 )
-from polarity.features import extract_polarized_bigrams, extract_transitions
+from polarity.features import FeatureFamily
 from polarity.lexicon import (
     LexiconEntry,
     Polarity,
@@ -43,8 +43,7 @@ from polarity.lexicon import (
 )
 from polarity.linear_svm import predict_svm, train_svm
 from polarity.naive_bayes import predict_nb, train_nb
-from polarity.preprocess import preprocess_document
-from polarity.corpus import RawDocument
+from polarity.corpus import Corpus, RawDocument
 
 TABLE1 = {
     Label.POSITIVE: {"sentences": 31944, "words": 614970, "distinct": 35140},
@@ -142,22 +141,27 @@ def test_criterion4_combination_boost(real_runner):
     assert boosted >= base + 0.01, f"3adjadv+pb {boosted:.3f} < 3adjadv {base:.3f} + 0.01"
 
 
-def _doc(text):
-    raw = RawDocument(id="g", label=Label.POSITIVE, text=text)
-    return preprocess_document(raw)
+def _bag(family, text, lexicon, transitions=None):
+    """The one document's row of *family*'s matrix, as a bag of feature strings."""
+    corpus = Corpus(documents=[RawDocument(id="g", label=Label.POSITIVE, text=text)])
+    pipeline = FeaturePipeline(corpus, lexicon=lexicon, transitions=transitions)
+    matrix = pipeline.family_matrix(family)
+    row = matrix.counts[0]
+    return Counter({matrix.features[j]: int(count) for j, count in zip(row.indices, row.data)})
 
 
 def test_criterion5_worked_example_goldens():
     # polarized bigrams around one positive verb, exactly the four quoted features
     lex = SubjectivityLexicon(entries={"recommend": [LexiconEntry(Polarity.POS, "verb")]})
-    bag = extract_polarized_bigrams(_doc("I highly recommend this movie"), lex)
+    bag = _bag(FeatureFamily.POLARIZED_BIGRAM, "I highly recommend this movie", lex)
     assert bag == Counter({
         "pb:highly_POS/VB": 1, "pb:RB_POS/VB": 1, "pb:POS/VB_this": 1, "pb:POS/VB_DT": 1,
     })
 
     # transition pairing with every content word, exactly the four quoted features
     lex = SubjectivityLexicon(entries={"famous": [LexiconEntry(Polarity.POS, "adj")]})
-    bag = extract_transitions(_doc("Although the director is famous"), load_transitions(), lex)
+    bag = _bag(FeatureFamily.TRANSITION, "Although the director is famous", lex,
+               load_transitions())
     assert bag == Counter({
         "tr:although_director": 1, "tr:although_is": 1,
         "tr:although_famous": 1, "tr:although_POS/JJ": 1,

@@ -11,7 +11,7 @@ from polarity.corpus import (
     load_corpus,
 )
 from polarity.errors import ConfigError, DataError
-from polarity.preprocess import preprocess_document
+from polarity.preprocess import tokenize
 
 
 def _write_tree(root, pos=(), neg=()):
@@ -73,7 +73,7 @@ class TestLoadCorpus:
         _write_tree(tmp_path, neg=[("b.txt", "x")])
         corpus = load_corpus(tmp_path)
         doc = [d for d in corpus.documents if d.id == "a"][0]
-        assert preprocess_document(doc).sentences[0].words[0] == "fine"
+        assert tokenize(doc.text)[0] == "fine"
 
 
 class TestAssignFolds:

@@ -22,7 +22,7 @@ from polarity.evaluation import (
 from polarity.features import FeatureFamily, parse_feature_spec
 from polarity.lexicon import load_transitions
 from polarity.linear_svm import gram_matrix
-from polarity.vectorize import build_vocabulary
+from reference import build_vocabulary, pipeline_bags
 
 
 def cfg(**kwargs):
@@ -91,7 +91,7 @@ class TestRunExperiment:
         pipeline = FeaturePipeline(synth_corpus)
         with pytest.raises(ConfigError, match="requires a subjectivity lexicon"):
             pipeline.matrix_for_spec(parse_feature_spec("unigram+pu"))
-        assert pipeline._documents is None
+        assert pipeline._tokens is None
 
     def test_nonconverged_folds_reported(self, synth_corpus):
         report = run_experiment(FeaturePipeline(synth_corpus),
@@ -177,8 +177,8 @@ class TestMatrixCore:
     def test_fold_mask_equals_bag_vocabulary(self, synth_corpus, min_count):
         """Fold-scope column masks give build_vocabulary's result on the training bags."""
         pipeline = FeaturePipeline(synth_corpus)
-        bags = [u + adj for u, adj in zip(pipeline.family_bags(FeatureFamily.UNIGRAM),
-                                          pipeline.family_bags(FeatureFamily.ADJECTIVE))]
+        bags = [u + adj for u, adj in zip(pipeline_bags(pipeline, FeatureFamily.UNIGRAM),
+                                          pipeline_bags(pipeline, FeatureFamily.ADJECTIVE))]
         folds = [synth_corpus.folds[doc.id] for doc in synth_corpus.documents]
         cell = _Cell(pipeline, cfg(features="unigram+adj", prune_scope="fold",
                                    min_count=min_count))
@@ -192,7 +192,7 @@ class TestMatrixCore:
                 assert str(caught.value) == str(exc)
                 continue
             _, _, mask, _ = cell.train_fold(k)
-            assert list(compress(cell.matrix.features, mask)) == list(expected.index)
+            assert list(compress(cell.matrix.features, mask)) == list(expected)
 
     @pytest.mark.parametrize("representation", ["presence", "frequency"])
     def test_sliced_corpus_gram_equals_fold_gram(self, synth_corpus, representation):

@@ -2,16 +2,16 @@
 
 For each ``Window`` row of ``features.FAMILIES`` (and the negated unigram
 variant), ``FeaturePipeline.family_matrix`` restricted to the columns that
-reach ``min_count`` must equal ``FeatureMatrix.from_bags`` over the family's
-``extract_window`` bags restricted the same way: same features in the same
+reach ``min_count`` must equal ``reference.from_bags`` over the family's
+``reference.extract_window`` bags restricted the same way: same features in the same
 order, same counts. When no feature reaches the floor, both paths raise the
 same "vocabulary is empty" DataError. The corpora are the golden corpus
 under the built-in tagger and a pretagged corpus with ``_`` inside words,
 an empty document and one-word sentences.
 
 The ``Polarized`` rows (``pu`` and ``pb``) keep every column, and their
-matrices must equal ``FeatureMatrix.from_bags`` over the
-``extract_polarized_*`` bags, on the golden corpus and on a pretagged corpus
+matrices must equal ``reference.from_bags`` over the
+``reference.extract_polarized_*`` bags, on the golden corpus and on a pretagged corpus
 where a lowercase tag spells a word (``jj_NN`` beside ``good_jj``), so that
 a word key and a tag key spell one ``pb`` feature. Both rows together ask
 the lexicon once per distinct (word, tag) pair.
@@ -29,11 +29,11 @@ from polarity.corpus import Corpus, Label, RawDocument, load_corpus
 from polarity.errors import DataError
 from polarity import evaluation
 from polarity.evaluation import FeaturePipeline
-from polarity.features import FAMILIES, FeatureFamily, Window, extract_window
+from polarity.features import FAMILIES, FeatureFamily, Window
 from polarity.lexicon import ANYPOS, LexiconEntry, Polarity, SubjectivityLexicon, load_lexicon
-from polarity.preprocess import preprocess_document
 from polarity.tagging import get_tagger
-from polarity.vectorize import FeatureMatrix, column_mask
+from polarity.vectorize import column_mask
+from reference import extract_window, from_bags, pipeline_bags, preprocess_document
 
 CORPUS = Path(__file__).parent / "golden" / "corpus"
 VARIANTS = ([(family, False) for family, row in FAMILIES.items() if isinstance(row, Window)]
@@ -89,7 +89,7 @@ def pruned_family_matrix(pipeline, family, negation, min_count):
 
 
 def assert_matches_bags(pipeline, family, negation, min_count):
-    reference = FeatureMatrix.from_bags(pipeline.family_bags(family, negation))
+    reference = from_bags(pipeline_bags(pipeline, family, negation))
     try:
         mask = column_mask(reference.counts, min_count)
     except DataError as exc:
@@ -122,7 +122,8 @@ def test_pretagged_family_matrix_matches_bags(pretagged_pipeline, family, negati
 
 def test_pretagged_corpus_shape(pretagged_pipeline):
     """The corpus holds what the cases above rely on."""
-    documents = pretagged_pipeline.documents
+    documents = [preprocess_document(doc, pretagged_pipeline.tagger)
+                 for doc in pretagged_pipeline.corpus.documents]
     assert any(not doc.sentences for doc in documents)
     assert any(len(s.words) == 1 for doc in documents for s in doc.sentences)
     assert any("_" in w for doc in documents for s in doc.sentences for w in s.words)
@@ -208,7 +209,7 @@ def test_polarized_family_matrix_matches_bags(polarized_corpora, corpus_name, fa
     corpus, lexicon, tagger = polarized_corpora[corpus_name]
     pipeline = FeaturePipeline(corpus, lexicon=lexicon, tagger=tagger)
     matrix = pipeline.family_matrix(family, min_count=5)
-    expected = FeatureMatrix.from_bags(pipeline.family_bags(family))
+    expected = from_bags(pipeline_bags(pipeline, family))
     assert expected.features
     assert matrix.features == expected.features
     assert matrix.counts.dtype == np.float64

@@ -1,4 +1,8 @@
-"""Feature families: worked examples, boundary behavior, and invariants."""
+"""Feature families: worked examples, boundary behavior, and invariants.
+
+Each example counts one document through the pipeline's family matrix and
+reads its row back as a bag of feature strings.
+"""
 
 from collections import Counter
 
@@ -12,33 +16,42 @@ from polarity.features import (
     FAMILIES,
     FeatureFamily,
     FeatureSpec,
-    Polarized,
-    Window,
     check_resources,
-    extract_polarized_bigrams,
-    extract_polarized_unigrams,
-    extract_transitions,
-    extract_window,
     parse_feature_spec,
 )
-from polarity.lexicon import load_transitions
-from polarity.preprocess import preprocess_document
+from polarity.lexicon import LexiconEntry, Polarity, SubjectivityLexicon, load_transitions
 
 
 def raw_from(text):
     return RawDocument(id="d", label=Label.POSITIVE, text=text)
 
 
-def doc_from(text):
-    return preprocess_document(raw_from(text))
+def pipeline_from(text, lexicon=None, transitions=None):
+    return FeaturePipeline(Corpus(documents=[raw_from(text)]), lexicon=lexicon,
+                           transitions=transitions)
+
+
+def family_bag(family, text, lexicon=None, transitions=None, negation_variant=False):
+    """The one document's row of *family*'s matrix, as a bag of feature strings."""
+    matrix = pipeline_from(text, lexicon, transitions).family_matrix(family, negation_variant)
+    row = matrix.counts[0]
+    return Counter({matrix.features[j]: int(count) for j, count in zip(row.indices, row.data)})
 
 
 def window_bag(family, text, negation_variant=False):
-    return extract_window(doc_from(text), FAMILIES[family], negation_variant)
+    return family_bag(family, text, negation_variant=negation_variant)
 
 
-def pipeline_from(text, lexicon=None):
-    return FeaturePipeline(Corpus(documents=[raw_from(text)]), lexicon=lexicon)
+def pu_bag(text, lexicon):
+    return family_bag(FeatureFamily.POLARIZED_UNIGRAM, text, lexicon)
+
+
+def pb_bag(text, lexicon):
+    return family_bag(FeatureFamily.POLARIZED_BIGRAM, text, lexicon)
+
+
+def t_bag(text, transitions, lexicon):
+    return family_bag(FeatureFamily.TRANSITION, text, lexicon, transitions)
 
 
 @pytest.fixture(scope="module")
@@ -70,25 +83,24 @@ class TestNgrams:
 
 class TestPolarizedUnigrams:
     def test_love_becomes_pos_vb(self, tiny_lexicon):
-        bag = extract_polarized_unigrams(doc_from("i love that movie"), tiny_lexicon)
+        bag = pu_bag("i love that movie", tiny_lexicon)
         assert bag["pu:POS/VB"] == 1
 
     def test_no_lexicon_words(self, tiny_lexicon):
-        assert extract_polarized_unigrams(doc_from("the movie"), tiny_lexicon) == Counter()
+        assert pu_bag("the movie", tiny_lexicon) == Counter()
 
     def test_multiset_counts(self, tiny_lexicon):
-        bag = extract_polarized_unigrams(doc_from("love it love it"), tiny_lexicon)
+        bag = pu_bag("love it love it", tiny_lexicon)
         assert bag["pu:POS/VB"] == 2
 
     def test_negated_token_looked_up_bare(self, tiny_lexicon):
-        doc = doc_from("it is not good")
-        bag = extract_polarized_unigrams(doc, tiny_lexicon)
+        bag = pu_bag("it is not good", tiny_lexicon)
         assert bag["pu:POS/JJ"] == 1
 
 
 class TestPolarizedBigrams:
     def test_worked_example(self, tiny_lexicon):
-        bag = extract_polarized_bigrams(doc_from("I highly recommend this movie"), tiny_lexicon)
+        bag = pb_bag("I highly recommend this movie", tiny_lexicon)
         assert bag == Counter({
             "pb:highly_POS/VB": 1,
             "pb:RB_POS/VB": 1,
@@ -97,14 +109,14 @@ class TestPolarizedBigrams:
         })
 
     def test_polarized_word_alone(self, tiny_lexicon):
-        assert extract_polarized_bigrams(doc_from("good"), tiny_lexicon) == Counter()
+        assert pb_bag("good", tiny_lexicon) == Counter()
 
     def test_sentence_start_has_two_features(self, tiny_lexicon):
-        bag = extract_polarized_bigrams(doc_from("good movie"), tiny_lexicon)
+        bag = pb_bag("good movie", tiny_lexicon)
         assert bag == Counter({"pb:POS/JJ_movie": 1, "pb:POS/JJ_NN": 1})
 
     def test_sentence_end_has_two_features(self, tiny_lexicon):
-        bag = extract_polarized_bigrams(doc_from("movie good"), tiny_lexicon)
+        bag = pb_bag("movie good", tiny_lexicon)
         assert bag == Counter({"pb:movie_POS/JJ": 1, "pb:NN_POS/JJ": 1})
 
 
@@ -143,8 +155,7 @@ class TestAdjectiveFamilies:
 
 class TestTransitions:
     def test_worked_example(self, tiny_lexicon, transitions):
-        bag = extract_transitions(doc_from("Although the director is famous"),
-                                  transitions, tiny_lexicon)
+        bag = t_bag("Although the director is famous", transitions, tiny_lexicon)
         assert bag == Counter({
             "tr:although_director": 1,
             "tr:although_is": 1,
@@ -153,24 +164,22 @@ class TestTransitions:
         })
 
     def test_no_transition_phrase(self, tiny_lexicon, transitions):
-        assert extract_transitions(doc_from("a fine film"), transitions, tiny_lexicon) == Counter()
+        assert t_bag("a fine film", transitions, tiny_lexicon) == Counter()
 
     def test_no_content_tokens(self, tiny_lexicon, transitions):
-        assert extract_transitions(doc_from("but nothing"), transitions, tiny_lexicon) == Counter()
+        assert t_bag("but nothing", transitions, tiny_lexicon) == Counter()
 
     def test_multiword_phrase_key(self, tiny_lexicon, transitions):
-        bag = extract_transitions(doc_from("on the other hand the film works"),
-                                  transitions, tiny_lexicon)
+        bag = t_bag("on the other hand the film works", transitions, tiny_lexicon)
         assert "tr:on_the_other_hand_film" in bag
         assert "tr:on_the_other_hand_works" in bag
 
     def test_two_distinct_phrases(self, tiny_lexicon, transitions):
-        bag = extract_transitions(doc_from("although flawed it works however"),
-                                  transitions, tiny_lexicon)
+        bag = t_bag("although flawed it works however", transitions, tiny_lexicon)
         assert "tr:although_works" in bag and "tr:however_works" in bag
 
     def test_phrase_tokens_excluded_from_content(self, tiny_lexicon, transitions):
-        bag = extract_transitions(doc_from("however the film works"), transitions, tiny_lexicon)
+        bag = t_bag("however the film works", transitions, tiny_lexicon)
         assert not any("however_however" in f for f in bag)
 
 
@@ -234,31 +243,17 @@ _SENTENCES = st.lists(
 )
 
 
-def _doc_from_sentences(sentences):
-    return doc_from("\n".join(" ".join(s) for s in sentences))
-
-
 @given(_SENTENCES)
 def test_namespace_disjointness(sentences):
-    doc = _doc_from_sentences(sentences)
-    from polarity.lexicon import LexiconEntry, Polarity, SubjectivityLexicon
-
+    text = "\n".join(" ".join(s) for s in sentences)
     lex = SubjectivityLexicon(entries={
         "good": [LexiconEntry(Polarity.POS, "any")],
         "bad": [LexiconEntry(Polarity.NEG, "any")],
         "famous": [LexiconEntry(Polarity.POS, "adj")],
         "recommend": [LexiconEntry(Polarity.POS, "verb")],
     })
-    trans = load_transitions()
-
-    def bag(row):
-        if isinstance(row, Window):
-            return extract_window(doc, row)
-        if isinstance(row, Polarized):
-            return (extract_polarized_bigrams if row.neighbors else extract_polarized_unigrams)(doc, lex)
-        return row(doc, lex, trans)
-
-    supports = [set(bag(row)) for row in FAMILIES.values()]
+    pipeline = pipeline_from(text, lex, load_transitions())
+    supports = [set(pipeline.family_matrix(family).features) for family in FAMILIES]
     assert len(supports) == len(FeatureFamily)
     for i in range(len(supports)):
         for j in range(i + 1, len(supports)):
@@ -280,15 +275,13 @@ def test_union_is_monotone_and_deterministic(sentences):
 
 @given(_SENTENCES)
 def test_polarized_bigram_core_matches_unigram(sentences):
-    from polarity.lexicon import LexiconEntry, Polarity, SubjectivityLexicon
-
     lex = SubjectivityLexicon(entries={
         "good": [LexiconEntry(Polarity.POS, "any")],
         "bad": [LexiconEntry(Polarity.NEG, "any")],
     })
-    doc = _doc_from_sentences(sentences)
-    pu = {f.removeprefix("pu:") for f in extract_polarized_unigrams(doc, lex)}
-    for feature in extract_polarized_bigrams(doc, lex):
+    text = "\n".join(" ".join(s) for s in sentences)
+    pu = {f.removeprefix("pu:") for f in pu_bag(text, lex)}
+    for feature in pb_bag(text, lex):
         body = feature.removeprefix("pb:")
         # the polarity core is either the prefix or the suffix of the feature
         assert any(

@@ -1,11 +1,19 @@
-"""Subjectivity lexicon loading and polarity queries; transition lists."""
+"""Subjectivity lexicon loading and polarity queries; transition lists.
+
+Phrase matching is checked through the token stream's matcher against the
+plain scan of ``reference.find_matches``.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import corpus_of
 from polarity.errors import ConfigError, DataError
+from polarity.evaluation import _TokenStream
 from polarity.lexicon import (Polarity, SubjectivityLexicon, TransitionList, load_lexicon,
                               load_transitions)
+from polarity.tagging import RuleTagger
+from reference import find_matches
 
 TFF_SAMPLE = """\
 type=weaksubj len=1 word1=abandon pos1=verb stemmed1=y priorpolarity=negative
@@ -121,14 +129,14 @@ class TestTransitions:
 
     def test_multiword_phrase_matches_as_unit(self):
         trans = load_transitions()
-        matches = trans.find_matches("on the other hand it works".split())
+        matches = stream_matches(trans, "on the other hand it works".split())
         assert matches == [("on the other hand", 0, 4)]
 
     def test_longest_first(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("in\nin spite of\n", encoding="utf-8")
         trans = load_transitions(path)
-        assert trans.find_matches("in spite of that".split()) == [("in spite of", 0, 3)]
+        assert stream_matches(trans, "in spite of that".split()) == [("in spite of", 0, 3)]
 
     def test_empty_list_rejected(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -137,22 +145,13 @@ class TestTransitions:
             load_transitions(path)
 
 
-def _scan_all_phrases(trans, words):
-    """The reference matcher: every phrase, in list order, at every free position."""
-    matches = []
-    i = 0
-    n = len(words)
-    while i < n:
-        for phrase in trans.phrases:
-            tokens = tuple(phrase.split())
-            k = len(tokens)
-            if i + k <= n and tuple(words[i:i + k]) == tokens:
-                matches.append((phrase, i, i + k))
-                i += k
-                break
-        else:
-            i += 1
-    return matches
+def stream_matches(trans, words):
+    """The token stream's (phrase, start, end) matches over *words* as one sentence."""
+    stream = _TokenStream(corpus_of([" ".join(words)]).documents, RuleTagger())
+    assert [stream.words[i] for i in stream.ids.tolist()] == list(words)
+    start, end, phrase = stream._phrase_matches(trans)
+    return [(trans.phrases[p], a, b)
+            for a, b, p in zip(start.tolist(), end.tolist(), phrase.tolist())]
 
 
 BUNDLED = load_transitions()
@@ -161,9 +160,11 @@ FILLER = ["the", "film", "was", "good", "not", "!"]
 
 
 class TestIndexedMatching:
+    """The token stream's phrase matcher against the plain scan."""
+
     @given(st.lists(st.sampled_from(PHRASE_WORDS + FILLER), max_size=30))
     def test_random_words_match_reference(self, words):
-        assert BUNDLED.find_matches(words) == _scan_all_phrases(BUNDLED, words)
+        assert stream_matches(BUNDLED, words) == find_matches(BUNDLED, words)
 
     def test_prefix_of_longer_phrases(self):
         trans = TransitionList(["in spite of", "in contrast", "in"])
@@ -174,15 +175,15 @@ class TestIndexedMatching:
             ("in in contrast", [("in", 0, 1), ("in contrast", 1, 3)]),
         ]:
             words = text.split()
-            assert trans.find_matches(words) == expected == _scan_all_phrases(trans, words)
+            assert stream_matches(trans, words) == expected == find_matches(trans, words)
 
     @pytest.mark.parametrize("text", ["it was fine on the other hand",
                                       "it was fine except that", "even so"])
     def test_phrase_ending_the_sentence(self, text):
         words = text.split()
-        matches = BUNDLED.find_matches(words)
+        matches = stream_matches(BUNDLED, words)
         assert matches and matches[-1][2] == len(words)
-        assert matches == _scan_all_phrases(BUNDLED, words)
+        assert matches == find_matches(BUNDLED, words)
 
     @given(st.permutations(["in", "in spite of", "spite of", "on the other hand",
                             "the other", "hand", "of"]),
@@ -190,7 +191,7 @@ class TestIndexedMatching:
                                      "film"]), max_size=20))
     def test_unsorted_list_keeps_list_order(self, phrases, words):
         trans = TransitionList(list(phrases))
-        assert trans.find_matches(words) == _scan_all_phrases(trans, words)
+        assert stream_matches(trans, words) == find_matches(trans, words)
 
 
 # Loader fuzzing: lexicon and transition files built from the formats' own

@@ -1,22 +1,27 @@
-"""Normalization chain: contractions, punctuation, negation scope, POS tags."""
+"""Normalization chain: contractions, punctuation, negation scope, POS tags.
+
+Whole documents go through the pipeline's token stream, read back sentence
+by sentence.
+"""
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from polarity.corpus import Label, RawDocument, load_corpus
+from polarity.corpus import Corpus, Label, RawDocument, load_corpus
 from polarity.errors import DataError
-from polarity import preprocess
+from polarity.evaluation import FeaturePipeline
 from polarity.preprocess import (
     NEGATION_PREFIX,
     expand_contractions,
-    preprocess_document,
+    negation_scopes,
     strip_punctuation,
-    tag_negation,
     tokenize,
 )
 from polarity.tagging import _VERB_FORMS, PretaggedReader, RuleTagger, TAG_INVENTORY, get_tagger
+from reference import Sentence, preprocess_document, tag
 
 GOLDEN_CORPUS = Path(__file__).parent / "golden" / "corpus"
 
@@ -25,9 +30,34 @@ def _raw(text):
     return RawDocument(id="d", label=Label.POSITIVE, text=text)
 
 
+def _sentences(text, tagger=None):
+    """One raw document through the token stream, as Sentence tuples."""
+    stream = FeaturePipeline(Corpus(documents=[_raw(text)]), tagger=tagger)._stream()
+    words = [stream.words[i] for i in stream.ids.tolist()]
+    tags = [stream.tags[i] for i in stream.tag_ids.tolist()]
+    negated = stream.negated.tolist()
+    bounds = np.append(np.flatnonzero(stream.starts), len(words)).tolist()
+    return [Sentence(words[a:b], tags[a:b], negated[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
 def _sentence(text, tagger=None):
-    (sentence,) = preprocess_document(_raw(text), tagger).sentences
+    (sentence,) = _sentences(text, tagger)
     return sentence
+
+
+def _one_sentence_stream(words):
+    """(vocabulary, word ids, sentence starts) of *words* as one sentence."""
+    vocab = list(dict.fromkeys(words))
+    ids = np.array([vocab.index(word) for word in words], dtype=np.intc)
+    starts = np.zeros(len(words), dtype=bool)
+    starts[:1] = True
+    return vocab, ids, starts
+
+
+def _tag(words):
+    """``RuleTagger.tag_stream`` over *words* as one sentence."""
+    names, tag_ids = RuleTagger().tag_stream(*_one_sentence_stream(words))
+    return [names[t] for t in tag_ids.tolist()]
 
 
 def _surfaces(words, negated):
@@ -36,7 +66,7 @@ def _surfaces(words, negated):
 
 
 def _negate(*words):
-    return _surfaces(words, tag_negation(list(words)))
+    return _surfaces(words, negation_scopes(*_one_sentence_stream(words)).tolist())
 
 
 class TestExpandContractions:
@@ -130,7 +160,7 @@ class TestTagNegation:
 
     @given(words)
     def test_token_count_preserved(self, words):
-        assert len(tag_negation(words)) == len(words)
+        assert len(negation_scopes(*_one_sentence_stream(words))) == len(words)
 
 
 class TestTagPos:
@@ -140,8 +170,8 @@ class TestTagPos:
         assert all(t in TAG_INVENTORY for t in out.tags)
 
     def test_empty_sentence(self):
-        assert RuleTagger().tag([]) == []
-        assert preprocess_document(_raw(",;: ...")).sentences == []
+        assert _tag([]) == []
+        assert _sentences(",;: ...") == []
 
     def test_pretagged_parse(self):
         out = _sentence("famous_JJ", PretaggedReader())
@@ -149,43 +179,42 @@ class TestTagPos:
 
     def test_pretagged_malformed(self):
         with pytest.raises(DataError, match="position 1"):
-            preprocess_document(_raw("fine_JJ broken"), PretaggedReader())
+            _sentences("fine_JJ broken", PretaggedReader())
 
     def test_negated_token_tagged_by_bare_form(self):
         out = _sentence("not love")
         assert out.tags[1] == "VB" and out.words[1] == "love" and out.negated[1]
 
     def test_suffix_rules(self):
-        tags = RuleTagger().tag(["famous", "highly", "watchable", "colorful"])
+        tags = _tag(["famous", "highly", "watchable", "colorful"])
         assert tags == ["JJ", "RB", "JJ", "JJ"]
 
     def test_fallback_nn(self):
-        assert RuleTagger().tag(["zyzzyva"]) == ["NN"]
+        assert _tag(["zyzzyva"]) == ["NN"]
 
-    def test_memo_matches_rules_on_golden_corpus(self):
-        tagger = RuleTagger()
-        context_tags = set()  # tags of words whose tag the previous word decides
-        for doc in load_corpus(GOLDEN_CORPUS).documents:
-            for words, tags, _ in preprocess_document(doc, tagger).sentences:
-                prevs = [""] + words[:-1]
-                assert tags == [tagger._tag_one(w, p) for w, p in zip(words, prevs)]
-                context_tags.update(tag for word, tag in zip(words, tags)
-                                    if tagger._tag_one(word, "") != tagger._tag_one(word, "was"))
+    def test_ed_rule_matches_reference_on_golden_corpus(self):
+        """The stream's tags are the rules-only reference's, and the corpus
+        holds -ed words that their context tags VBN and VBD."""
+        documents = load_corpus(GOLDEN_CORPUS).documents
+        stream = FeaturePipeline(Corpus(documents=documents))._stream()
+        tags = [stream.tags[i] for i in stream.tag_ids.tolist()]
+        assert tags == [t for doc in documents
+                        for sentence in preprocess_document(doc).sentences for t in sentence.tags]
+        words = [stream.words[i] for i in stream.ids.tolist()]
+        context_tags = {t for word, t in zip(words, tags)
+                        if tag(["", word])[1] != tag(["was", word])[1]}
         assert context_tags == {"VBN", "VBD"}
 
     def test_ed_word_after_every_verb_form(self):
-        tagger = RuleTagger()
         for form in _VERB_FORMS:
-            assert tagger.tag([form, "stunned"])[1] == "VBN" == tagger._tag_one("stunned", form)
-        assert tagger.tag(["stunned"]) == ["VBD"]
+            assert _tag([form, "stunned"])[1] == "VBN" == tag([form, "stunned"])[1]
+        assert _tag(["stunned"]) == ["VBD"] == tag(["stunned"])
 
-    def test_ed_word_context_on_warm_tagger(self):
-        tagger = RuleTagger()
+    def test_ed_word_context(self):
         words = ["was", "stunned", "she", "stunned", "had", "stunned"]
-        assert tagger.tag(words)[1::2] == ["VBN", "VBD", "VBN"]
-        assert tagger.tag(["stunned", "been", "stunned"]) == ["VBD", "VBN", "VBN"]
-        prevs = [""] + words[:-1]
-        assert tagger.tag(words) == [tagger._tag_one(w, p) for w, p in zip(words, prevs)]
+        assert _tag(words)[1::2] == ["VBN", "VBD", "VBN"]
+        assert _tag(["stunned", "been", "stunned"]) == ["VBD", "VBN", "VBN"]
+        assert _tag(words) == tag(words)
 
     def test_token_count_preserved(self):
         out = _sentence("a very fine film")
@@ -203,18 +232,10 @@ class TestPreprocessDocument:
         assert _surfaces(out.words, out.negated) == ["it", "is", "not", "NOT_good"]
 
     def test_empty_document(self):
-        out = preprocess_document(_raw(""))
-        assert out.sentences == []
-
-    def test_default_tagger_is_shared_and_equals_a_fresh_one(self):
-        docs = load_corpus(GOLDEN_CORPUS).documents
-        for doc in docs + docs:
-            assert preprocess_document(doc) == preprocess_document(doc, RuleTagger())
-        assert "film" in preprocess._DEFAULT_TAGGER._memo
+        assert _sentences("") == []
 
     def test_lines_become_sentences(self):
-        out = preprocess_document(_raw("fine film\n\ngreat ending\n"))
-        assert len(out.sentences) == 2
+        assert len(_sentences("fine film\n\ngreat ending\n")) == 2
 
     def test_pretagged_pipeline(self):
         out = _sentence("i_PRP do_VBP not_RB like_VB it_PRP", get_tagger("pretagged"))

@@ -1,10 +1,12 @@
 """The pretagged reader against the built-in tagger, and the union matrix
 against the family bags: both paths into the nine feature families must give
-the same bags.
+the same matrices.
 
-The golden corpus is tagged by the built-in pipeline and written back out as
+The golden corpus is tagged by the built-in tagger and written back out as
 ``word_TAG`` lines; reading that copy with ``--tagger pretagged`` must yield
-the same feature bags for every family and both unigram variants.
+the same family matrix for every family and both unigram variants. A tag's
+class is read case-insensitively, so ``good_jj`` is an adjective as
+``good_JJ`` is.
 """
 
 from collections import Counter
@@ -12,12 +14,14 @@ from pathlib import Path
 
 import pytest
 
+from conftest import corpus_of
 from polarity.corpus import load_corpus
 from polarity.evaluation import FeaturePipeline
 from polarity.features import FeatureFamily, FeatureSpec
+from polarity.lexicon import ANYPOS, LexiconEntry, Polarity, SubjectivityLexicon
 from polarity.lexicon import load_lexicon, load_transitions
 from polarity.tagging import get_tagger
-from polarity.vectorize import FeatureMatrix
+from reference import from_bags, pipeline_bags, preprocess_document
 
 CORPUS = Path(__file__).parent / "golden" / "corpus"
 VARIANTS = [(family, False) for family in FeatureFamily] + [(FeatureFamily.UNIGRAM, True)]
@@ -47,30 +51,33 @@ def builtin(resources):
 @pytest.fixture(scope="module")
 def pretagged(builtin, resources, tmp_path_factory):
     root = tmp_path_factory.mktemp("pretagged")
-    for raw, document in zip(builtin.corpus.documents, builtin.documents):
+    for raw in builtin.corpus.documents:
         path = root / raw.label.value / f"{raw.id}.txt"
         path.parent.mkdir(exist_ok=True)
-        path.write_text(_word_tag_lines(document), encoding="utf-8")
+        path.write_text(_word_tag_lines(preprocess_document(raw)), encoding="utf-8")
     return _pipeline(load_corpus(root), resources, "pretagged")
 
 
 @pytest.mark.parametrize("family,negation", VARIANTS,
                          ids=[f"{f.value}{'-neg' if n else ''}" for f, n in VARIANTS])
 def test_pretagged_bags_match_builtin(builtin, pretagged, family, negation):
-    expected = [sorted(b.items()) for b in builtin.family_bags(family, negation)]
-    assert [sorted(b.items()) for b in pretagged.family_bags(family, negation)] == expected
-    assert any(expected)
+    expected = builtin.family_matrix(family, negation)
+    matrix = pretagged.family_matrix(family, negation)
+    assert matrix.features == expected.features
+    assert matrix.counts.shape == expected.counts.shape
+    assert (matrix.counts != expected.counts).nnz == 0
+    assert expected.counts.nnz
 
 
 @pytest.mark.parametrize("negation", [False, True])
 def test_extract_matches_pipeline_bags(builtin, negation):
     """What ``polarity extract`` counts for all nine families, the union of
     their matrices, is the per-document sum of their bags."""
-    merged = [Counter() for _ in builtin.documents]
+    merged = [Counter() for _ in builtin.corpus.documents]
     for family in FeatureFamily:
-        for total, bag in zip(merged, builtin.family_bags(family, negation)):
+        for total, bag in zip(merged, pipeline_bags(builtin, family, negation)):
             total.update(bag)
-    expected = FeatureMatrix.from_bags(merged)
+    expected = from_bags(merged)
     every = FeatureSpec(families=frozenset(FeatureFamily), negation_variant=negation)
     union = builtin.matrix_for_spec(every)
     assert union.features == expected.features
@@ -90,3 +97,31 @@ def test_underscore_words_merge_into_one_feature(tmp_path):
         assert matrix.features == [f"{namespace}:a_b_c"]
         assert matrix.counts.toarray().tolist() == [[1.0], [2.0]]
         assert pipeline.family_matrix(family, min_count=4).features == []
+
+
+def test_lowercase_tags_take_their_class():
+    """``good_jj`` is an adjective and ``film_nn`` a content word, as with
+    upper-case tags; the feature strings keep the tag as written."""
+    texts = ["although_IN good_jj film_nn", "although_IN good_JJ film_NN"]
+    lexicon = SubjectivityLexicon(entries={"good": [LexiconEntry(Polarity.POS, "adj")],
+                                           "film": [LexiconEntry(Polarity.NEG, ANYPOS)]})
+    pipeline = FeaturePipeline(corpus_of(texts), lexicon=lexicon,
+                               transitions=load_transitions(), tagger=get_tagger("pretagged"))
+    expected = {
+        FeatureFamily.ADJECTIVE: [{"adj:good": 1}, {"adj:good": 1}],
+        FeatureFamily.ADJADV_BIGRAM: [{"aab:although_good": 1, "aab:good_film": 1}] * 2,
+        FeatureFamily.POLARIZED_UNIGRAM: [{"pu:POS/jj": 1, "pu:NEG/nn": 1},
+                                          {"pu:POS/JJ": 1, "pu:NEG/NN": 1}],
+        FeatureFamily.TRANSITION: [
+            {"tr:although_good": 1, "tr:although_POS/jj": 1,
+             "tr:although_film": 1, "tr:although_NEG/nn": 1},
+            {"tr:although_good": 1, "tr:although_POS/JJ": 1,
+             "tr:although_film": 1, "tr:although_NEG/NN": 1},
+        ],
+    }
+    for family, rows in expected.items():
+        matrix = pipeline.family_matrix(family)
+        got = [{matrix.features[j]: count for j, count in zip(row.indices, row.data)}
+               for row in matrix.counts]
+        assert got == rows, family
+        assert got == [dict(bag) for bag in pipeline_bags(pipeline, family)]

@@ -1,11 +1,10 @@
 """The pipeline's token stream against the per-document preprocessing reference.
 
 ``FeaturePipeline`` preprocesses the raw corpus straight into one token
-stream and derives ``documents`` from it. For either tagger, those documents
-must equal ``preprocess_document`` of each raw document, and the stream's
-arrays must equal the ones built token by token from those documents: word
-ids in first-seen order, tags, tag bits, negation flags, sentence starts and
-document bounds.
+stream. For either tagger, the stream's arrays must equal the ones built
+token by token from ``reference.preprocess_document`` of each raw document:
+word ids in first-seen order, tags, tag bits, negation flags, sentence
+starts and document bounds.
 """
 
 from pathlib import Path
@@ -14,13 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from polarity.corpus import Corpus, Label, RawDocument, load_corpus
+from conftest import corpus_of
+from polarity.corpus import load_corpus
 from polarity.evaluation import FeaturePipeline
-from polarity.features import FAMILIES, TAG_BITS, FeatureFamily
-from polarity.lexicon import LexiconEntry, Polarity, SubjectivityLexicon
-from polarity.preprocess import preprocess_document
+from polarity.features import FAMILIES, FeatureFamily
+from polarity.lexicon import LexiconEntry, Polarity, SubjectivityLexicon, load_transitions
 from polarity.tagging import PretaggedReader, RuleTagger, get_tagger
-from polarity.vectorize import FeatureMatrix
+from reference import from_bags, pipeline_bags, preprocess_document, tag_bits
 
 GOLDEN_CORPUS = Path(__file__).parent / "golden" / "corpus"
 
@@ -47,13 +46,6 @@ pretagged_texts = st.lists(
     max_size=6).map(lambda parts: "".join(line + sep for line, sep in parts))
 
 
-def corpus_of(texts):
-    return Corpus(documents=[
-        RawDocument(id=f"cv{i:03d}_{i}", label=Label.POSITIVE if i % 2 else Label.NEGATIVE,
-                    text=text)
-        for i, text in enumerate(texts)])
-
-
 def reference_stream(documents):
     """The stream's fields built token by token from preprocessed documents."""
     index: dict[str, int] = {}
@@ -71,23 +63,16 @@ def reference_stream(documents):
 
 
 def assert_stream_matches_reference(corpus, tagger):
-    pipeline = FeaturePipeline(corpus, tagger=tagger)
-    expected = [preprocess_document(doc, tagger) for doc in corpus.documents]
-    assert pipeline.documents == expected
-
-    stream = pipeline._stream()
-    reference = reference_stream(expected)
+    stream = FeaturePipeline(corpus, tagger=tagger)._stream()
+    reference = reference_stream([preprocess_document(doc, tagger) for doc in corpus.documents])
     assert stream.words == reference["words"]
     assert stream.ids.dtype == np.intc and stream.tag_ids.dtype == np.intc
     assert stream.ids.tolist() == reference["ids"]
     assert [stream.tags[t] for t in stream.tag_ids.tolist()] == reference["tags"]
-    assert stream.tag_bits.tolist() == [TAG_BITS.get(t, 0) for t in reference["tags"]]
+    assert stream.tag_bits.tolist() == [tag_bits(t) for t in reference["tags"]]
     assert stream.negated.tolist() == reference["negated"]
     assert stream.starts.tolist() == reference["starts"]
     assert stream.doc_bounds.tolist() == reference["doc_bounds"]
-    shared = {id(word) for word in stream.words}
-    assert all(id(word) in shared
-               for doc in pipeline.documents for s in doc.sentences for word in s.words)
 
 
 @settings(max_examples=150, deadline=None)
@@ -136,12 +121,11 @@ def test_empty_and_punctuation_only_documents(texts, tagger):
     corpus = corpus_of(texts)
     has_words = any(map(str.isalpha, "".join(texts)))
     assert_stream_matches_reference(corpus, get_tagger(tagger))
-    pipeline = FeaturePipeline(corpus, lexicon=LEXICON, tagger=get_tagger(tagger))
+    pipeline = FeaturePipeline(corpus, lexicon=LEXICON, transitions=load_transitions(),
+                               tagger=get_tagger(tagger))
     for family in FAMILIES:
-        if family is FeatureFamily.TRANSITION:
-            continue
         matrix = pipeline.family_matrix(family)
-        expected = FeatureMatrix.from_bags(pipeline.family_bags(family))
+        expected = from_bags(pipeline_bags(pipeline, family))
         assert matrix.features == expected.features
         assert matrix.counts.shape == expected.counts.shape == (len(texts), len(expected.features))
         assert (matrix.counts != expected.counts).nnz == 0

@@ -1,4 +1,8 @@
-"""Vocabulary pruning, one-row vectors and count matrices, and the file formats."""
+"""Vocabulary pruning, count matrices and the file formats.
+
+``column_mask`` and the matrix rows are checked against the bag-at-a-time
+reference (``reference.build_vocabulary`` and ``reference.vectorize``).
+"""
 
 from collections import Counter
 from itertools import compress
@@ -13,35 +17,33 @@ from polarity.vectorize import (
     MAX_FEATURE_ID,
     FeatureMatrix,
     Representation,
-    Vocabulary,
-    build_vocabulary,
     column_mask,
     read_svmlight,
     represent,
-    vectorize,
     write_svmlight,
 )
+from reference import build_vocabulary, from_bags, vectorize
 
 
 class TestBuildVocabulary:
     def test_boundary_count_five_included(self):
         bags = [Counter({"u:rare": 1})] * 5
         vocab = build_vocabulary(bags, min_count=5)
-        assert "u:rare" in vocab.index
+        assert "u:rare" in vocab
 
     def test_count_four_excluded(self):
         bags = [Counter({"u:rare": 1})] * 4 + [Counter({"u:common": 5})]
         vocab = build_vocabulary(bags, min_count=5)
-        assert "u:rare" not in vocab.index and "u:common" in vocab.index
+        assert "u:rare" not in vocab and "u:common" in vocab
 
     def test_min_count_one_keeps_everything(self):
         bags = [Counter({"a": 1, "b": 2}), Counter({"c": 1})]
         vocab = build_vocabulary(bags, min_count=1)
-        assert set(vocab.index) == {"a", "b", "c"}
+        assert set(vocab) == {"a", "b", "c"}
 
     def test_ids_lexicographic_and_dense(self):
         vocab = build_vocabulary([Counter({"b": 1, "a": 1, "c": 1})], min_count=1)
-        assert vocab.index == {"a": 0, "b": 1, "c": 2}
+        assert vocab == {"a": 0, "b": 1, "c": 2}
 
     def test_empty_vocabulary_rejected(self):
         with pytest.raises(DataError, match="threshold"):
@@ -60,11 +62,11 @@ class TestVectorize:
 
     def test_presence_binarizes(self, vocab):
         vec = vectorize(Counter({"u:good": 3}), vocab, Representation.PRESENCE)
-        assert pairs(vec) == [(vocab.index["u:good"], 1.0)]
+        assert pairs(vec) == [(vocab["u:good"], 1.0)]
 
     def test_frequency_keeps_counts(self, vocab):
         vec = vectorize(Counter({"u:good": 3}), vocab, Representation.FREQUENCY)
-        assert pairs(vec) == [(vocab.index["u:good"], 3.0)]
+        assert pairs(vec) == [(vocab["u:good"], 3.0)]
 
     def test_oov_dropped(self, vocab):
         vec = vectorize(Counter({"u:unseen": 2}), vocab, Representation.FREQUENCY)
@@ -223,7 +225,7 @@ def test_column_mask_matches_build_vocabulary(bags, min_count, data):
     """Pruning a row subset by column mask gives build_vocabulary's vocabulary."""
     rows = data.draw(st.lists(st.booleans(), min_size=len(bags), max_size=len(bags)))
     rows = np.array(rows, dtype=bool)
-    matrix = FeatureMatrix.from_bags(bags)
+    matrix = from_bags(bags)
     chosen = [bag for bag, keep in zip(bags, rows) if keep]
     try:
         expected = build_vocabulary(chosen, min_count=min_count)
@@ -233,19 +235,19 @@ def test_column_mask_matches_build_vocabulary(bags, min_count, data):
         assert str(caught.value) == str(exc)
         return
     mask = column_mask(matrix.counts[rows], min_count)
-    assert list(compress(matrix.features, mask)) == list(expected.index)
+    assert list(compress(matrix.features, mask)) == list(expected)
 
 
 @given(bag_lists)
 def test_matrix_rows_match_vectorize(bags):
     """Each masked, represented row holds exactly its bag's vectorized pairs."""
-    matrix = FeatureMatrix.from_bags(bags)
+    matrix = from_bags(bags)
     if not any(bags):
         with pytest.raises(DataError, match="vocabulary is empty"):
             column_mask(matrix.counts, 1)
         return
     mask = column_mask(matrix.counts, 1)
-    vocab = Vocabulary(index={f: i for i, f in enumerate(compress(matrix.features, mask))})
+    vocab = {f: i for i, f in enumerate(compress(matrix.features, mask))}
     for rep in Representation:
         X = represent(matrix.counts[:, mask], rep)
         for i, bag in enumerate(bags):
@@ -253,10 +255,10 @@ def test_matrix_rows_match_vectorize(bags):
 
 
 def test_union_columns_in_lexicographic_order():
-    unigrams = FeatureMatrix.from_bags([Counter({"u:zeta": 1, "u:alpha": 2}), Counter({"u:mid": 1})])
-    trigrams = FeatureMatrix.from_bags([Counter({"t:a_b_c": 1}), Counter({"t:z_z_z": 3})])
-    transitions = FeatureMatrix.from_bags([Counter(), Counter({"tr:but_good": 1})])
-    empty = FeatureMatrix.from_bags([Counter(), Counter()])
+    unigrams = from_bags([Counter({"u:zeta": 1, "u:alpha": 2}), Counter({"u:mid": 1})])
+    trigrams = from_bags([Counter({"t:a_b_c": 1}), Counter({"t:z_z_z": 3})])
+    transitions = from_bags([Counter(), Counter({"tr:but_good": 1})])
+    empty = from_bags([Counter(), Counter()])
     union = FeatureMatrix.union([unigrams, empty, transitions, trigrams])
     assert union.features == sorted(unigrams.features + trigrams.features
                                     + transitions.features)
@@ -269,14 +271,14 @@ def test_union_columns_in_lexicographic_order():
 
 
 def test_union_rejects_interleaved_features():
-    a = FeatureMatrix.from_bags([Counter({"u:a": 1, "u:c": 1})])
-    b = FeatureMatrix.from_bags([Counter({"u:b": 1})])
+    a = from_bags([Counter({"u:a": 1, "u:c": 1})])
+    b = from_bags([Counter({"u:b": 1})])
     with pytest.raises(ValueError, match="overlap"):
         FeatureMatrix.union([a, b])
 
 
 def test_presence_binarizes_a_copy():
-    matrix = FeatureMatrix.from_bags([Counter({"u:a": 3, "u:b": 1})])
+    matrix = from_bags([Counter({"u:a": 3, "u:b": 1})])
     presence = represent(matrix.counts, Representation.PRESENCE)
     assert presence.data.tolist() == [1.0, 1.0]
     assert matrix.counts.data.tolist() == [3.0, 1.0]
