@@ -30,6 +30,7 @@ from .naive_bayes import NaiveBayesModel, predict_nb, train_nb
 from .preprocess import expand_contractions, strip_punctuation
 from .tagging import PretaggedReader, RuleTagger, get_tagger
 from .vectorize import (
+    CsrMatrix,
     FeatureMatrix,
     Representation,
     column_mask,

@@ -102,7 +102,7 @@ def cmd_extract(args) -> int:
     )
     matrix = pipeline.matrix_for_spec(spec, args.min_count)
     mask = column_mask(matrix.counts, args.min_count)
-    X = represent(matrix.counts[:, mask], Representation(args.rep))
+    X = represent(matrix.counts.select_columns(mask), Representation(args.rep))
     write_svmlight(X, args.out, pipeline.labels())
     if args.vocab_out:
         write_vocabulary(compress(matrix.features, mask), args.vocab_out)

@@ -501,7 +501,8 @@ class _Cell:
         self.mask = self.X = self.gram = None
         if config.prune_scope == "corpus":
             self.mask = column_mask(self.matrix.counts, config.min_count)
-            self.X = represent(self.matrix.counts[:, self.mask], config.representation)
+            self.X = represent(self.matrix.counts.select_columns(self.mask),
+                               config.representation)
             if config.classifier == "svm":
                 self.gram = linear_svm.gram_matrix(self.X)
 
@@ -514,12 +515,12 @@ class _Cell:
             # Slicing the transpose and transposing back keeps the fold's
             # Gram column-major, as train_svm reads it, without a second copy.
             gram = None if self.gram is None else self.gram.T[np.ix_(train, train)].T
-            return train, self.mask, self.X[train], self.X[~train], gram
+            return train, self.mask, self.X.select_rows(train), self.X.select_rows(~train), gram
         counts, rep = self.matrix.counts, self.config.representation
-        train_counts = counts[train]
+        train_counts = counts.select_rows(train)
         mask = column_mask(train_counts, self.config.min_count)
-        return (train, mask, represent(train_counts[:, mask], rep),
-                represent(counts[~train][:, mask], rep), None)
+        return (train, mask, represent(train_counts.select_columns(mask), rep),
+                represent(counts.select_rows(~train).select_columns(mask), rep), None)
 
     def train_fold(self, fold: int):
         """(model, train rows, column mask, X_test) with *fold* held out.

@@ -4,10 +4,26 @@ Solves the L1-loss dual with the bias equality constraint, picking the
 maximal violating pair at each step (Keerthi et al. 2001). A step changes
 two multipliers, so the index sets of examples that may still rise or fall
 are updated in place at those two entries, and the gradient is kept up to
-date from two Gram columns in O(n). The Gram matrix is materialized densely
-and column-major, so those columns are contiguous; that is comfortable up
-to a few thousand training documents. The intercept is explicit, not an
+date from two Gram columns in O(n). The intercept is explicit, not an
 appended constant feature.
+
+The Gram matrix is materialized densely and column-major, so those columns
+are contiguous; that is comfortable up to a few thousand training
+documents, and ``gram_matrix`` refuses more than ``vectorize.MAX_GRAM_ROWS``
+rows. It is computed in two parts:
+  pairs   every column j adds X[r, j] * X[s, j] to K[r, s] for each pair of
+          its stored entries; the pairs of a block of rows are summed by one
+          ``np.bincount`` in the order of row r's entries, so by ascending j,
+          the order of a CSR sparse product ``X @ X.T``.
+  slabs   when every value is an integer and every squared row norm is below
+          2^53, every partial sum in any order is an integer below 2^53, so
+          exact. Then the columns held by at least 1/32 of the rows go
+          through BLAS, as ``K += S @ S.T`` over dense slabs S of up to 1,024
+          of those columns, and the pairs cover the rest.
+Either way K is the same bits as the sparse product. Other input (a
+real-valued svmlight file) takes the pairs over every column, which is
+several times slower on columns that most rows hold. K is symmetric, so its
+transpose is its column-major form.
 """
 
 from __future__ import annotations
@@ -19,14 +35,21 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, DataError
-from .vectorize import fit_columns, read_json_object
+from .vectorize import MAX_GRAM_ROWS, CsrMatrix, fit_columns, read_json_object
 
 MODEL_FORMAT = "polarity-svm/1"
 
 _SNAP = 1e-12
+
+# A column is dense, and goes through BLAS, when at least 1/_DENSE_SHARE of
+# the rows hold it; dense columns are copied out _SLAB_COLUMNS at a time.
+_DENSE_SHARE = 32
+_SLAB_COLUMNS = 1024
+# Entry pairs, plus output cells, summed by one bincount: about 40 bytes each
+# at peak, so 40 MB.
+_PAIR_BLOCK = 1 << 20
 
 
 @dataclass
@@ -99,20 +122,84 @@ class LinearSvmModel:
         return model
 
 
-def gram_matrix(X: sp.csr_matrix) -> np.ndarray:
+def gram_matrix(X: CsrMatrix) -> np.ndarray:
     """Dense X X' of the rows of *X*, column-major so that columns are contiguous.
 
-    Densified row-major, then copied: ``toarray(order="F")`` would first copy
-    the sparse product to CSC, which at 2000 rows holds 46 MB more at peak.
+    Raises DataError above MAX_GRAM_ROWS rows, before allocating, and when
+    an entry is not finite.
     """
-    return np.asfortranarray((X @ X.T).toarray())
+    n = X.shape[0]
+    if n > MAX_GRAM_ROWS:
+        raise DataError(f"{n} training vectors need a {8 * n * n / 2**30:.1f} GiB dense Gram "
+                        f"matrix; the limit is {MAX_GRAM_ROWS} vectors")
+    rows = X.entry_rows()
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.bincount(rows, X.data * X.data, minlength=n)
+        exact = np.array_equal(X.data, np.rint(X.data)) and bool((norms < 2.0**53).all())
+        frequent = np.bincount(X.indices, minlength=X.shape[1]) * _DENSE_SHARE >= n
+        dense = frequent[X.indices] if exact else np.zeros(X.nnz, dtype=bool)
+        K = np.zeros((n, n))
+        _add_pair_products(K, X.data[~dense], X.indices[~dense], rows[~dense], X.shape[1])
+        slot = (np.cumsum(frequent) - 1)[X.indices[dense]]  # rank among the dense columns
+        _add_slab_products(K, X.data[dense], slot, rows[dense])
+    if not np.isfinite(K).all():
+        raise DataError("the Gram matrix of the training vectors is not finite "
+                        "(their dot products overflow)")
+    return K.T
 
 
-def default_C(X: sp.csr_matrix) -> float:
+def _add_pair_products(K: np.ndarray, data: np.ndarray, cols: np.ndarray, rows: np.ndarray,
+                       width: int) -> None:
+    """K[r, s] += X[r, j] * X[s, j] over all pairs of the given entries of each column j.
+
+    The entries are in CSR order. Each entry is repeated once per entry of
+    its column, which are found through a column-ordered copy, and a block
+    of rows is summed by one bincount.
+    """
+    n = K.shape[0]
+    if not len(data):
+        return
+    by_column = np.argsort(cols, kind="stable")  # rows stay ascending in a column
+    column_rows, column_data = rows[by_column], data[by_column]
+    held = np.bincount(cols, minlength=width)
+    column_start = np.cumsum(held) - held
+    fan = held[cols]  # pairs each entry makes
+    cost = np.cumsum(np.bincount(rows, fan, minlength=n) + n)
+    cuts = np.searchsorted(cost, np.arange(_PAIR_BLOCK, cost[-1], _PAIR_BLOCK))
+    bounds = np.unique(np.concatenate(([0], cuts, [n])))
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        a, b = np.searchsorted(rows, [lo, hi])
+        block_fan = fan[a:b]
+        partner = (np.repeat(column_start[cols[a:b]] - (np.cumsum(block_fan) - block_fan),
+                             block_fan) + np.arange(block_fan.sum()))
+        cells = np.repeat((rows[a:b] - lo) * n, block_fan) + column_rows[partner]
+        products = np.repeat(data[a:b], block_fan) * column_data[partner]
+        K[lo:hi] += np.bincount(cells, products, minlength=(hi - lo) * n).reshape(hi - lo, n)
+
+
+def _add_slab_products(K: np.ndarray, data: np.ndarray, slot: np.ndarray,
+                       rows: np.ndarray) -> None:
+    """K += S @ S.T over dense slabs S of up to _SLAB_COLUMNS columns; entry k is
+    X[rows[k], j] = data[k] of the dense column j numbered slot[k]."""
+    width = int(slot.max()) + 1 if len(slot) else 0
+    for lo in range(0, width, _SLAB_COLUMNS):
+        hit = (slot >= lo) & (slot < lo + _SLAB_COLUMNS)
+        S = np.zeros((K.shape[0], min(_SLAB_COLUMNS, width - lo)))
+        S[rows[hit], slot[hit] - lo] = data[hit]
+        K += S @ S.T
+
+
+def default_C(X: CsrMatrix) -> float:
     """The referenced-solver default: 1 / mean squared norm of the training rows."""
     if X.shape[0] == 0:
         raise DataError("cannot derive C from an empty training set")
-    mean = float(X.multiply(X).sum()) / X.shape[0]
+    with np.errstate(over="ignore"):
+        squares = X.data * X.data
+    # A square that underflows to 0 is not stored in the elementwise product
+    # X .* X, so it is left out of the (pairwise) sum too.
+    mean = float(np.sum(squares[squares != 0.0])) / X.shape[0]
+    if not math.isfinite(mean):
+        raise DataError("cannot derive C: the squared norms of the training vectors overflow")
     if mean == 0.0:
         raise DataError("cannot derive C: every training vector is zero")
     return 1.0 / mean
@@ -126,7 +213,7 @@ def check_solver_limits(tol: float, max_epochs: int) -> None:
         raise ConfigError(f"max_epochs must be at least 1, got {max_epochs}")
 
 
-def train_svm(X: sp.csr_matrix, y: Sequence[int], C: float | None = None,
+def train_svm(X: CsrMatrix, y: Sequence[int], C: float | None = None,
               tol: float = 1e-3, max_epochs: int = 1000,
               gram: np.ndarray | None = None) -> LinearSvmModel:
     """Train on the rows of *X* with +1/-1 labels *y* to KKT tolerance *tol*.
@@ -212,8 +299,8 @@ def train_svm(X: sp.csr_matrix, y: Sequence[int], C: float | None = None,
     meta.dual_objective = _dual_objective(alpha, y, v)
     meta.objective_history.append(meta.dual_objective)
 
-    w = np.asarray(X.T @ (alpha * y)).ravel()
-    s = np.asarray(X @ w).ravel()
+    w = X.rmatmul(alpha * y)
+    s = X.matmul(w)
     r = y - s
     m_val = np.max(r[up]) if up.any() else None
     M_val = np.min(r[low]) if low.any() else None
@@ -236,7 +323,7 @@ def _dual_objective(alpha: np.ndarray, y: np.ndarray, v: np.ndarray) -> float:
     return 0.5 * float(alpha @ (-(y * v) - 1.0))
 
 
-def predict_svm(model: LinearSvmModel, X: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+def predict_svm(model: LinearSvmModel, X: CsrMatrix) -> tuple[np.ndarray, np.ndarray]:
     """(labels, decision values) per row of *X*; a score of exactly zero goes positive.
 
     Columns beyond the model's weights are ignored.
@@ -245,7 +332,7 @@ def predict_svm(model: LinearSvmModel, X: sp.csr_matrix) -> tuple[np.ndarray, np
     return np.where(scores >= 0, 1, -1), scores
 
 
-def _row_dots(X: sp.csr_matrix, w: np.ndarray) -> np.ndarray:
+def _row_dots(X: CsrMatrix, w: np.ndarray) -> np.ndarray:
     """``X @ w``, each row summed by ``np.dot`` over its stored entries.
 
     A sparse mat-vec adds the products in another order than the BLAS dot,

@@ -14,10 +14,9 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DataError
-from .vectorize import fit_columns, read_json_object
+from .vectorize import CsrMatrix, fit_columns, read_json_object
 
 LABELS = (1, -1)
 
@@ -67,7 +66,7 @@ class NaiveBayesModel:
         return model
 
 
-def train_nb(X: sp.csr_matrix, y: Sequence[int]) -> NaiveBayesModel:
+def train_nb(X: CsrMatrix, y: Sequence[int]) -> NaiveBayesModel:
     """Fit priors and smoothed per-class feature likelihoods from rows of *X*.
 
     P(c) is the class document fraction; P(f|c) = (count(f, c) + 1) /
@@ -83,7 +82,7 @@ def train_nb(X: sp.csr_matrix, y: Sequence[int]) -> NaiveBayesModel:
 
     vocab_size = X.shape[1]
     indicator = np.column_stack([y == c for c in LABELS]).astype(np.float64)
-    counts = np.asarray(X.T @ indicator)  # column k: per-feature mass in class LABELS[k]
+    counts = X.rmatmul(indicator)  # column k: per-feature mass in class LABELS[k]
     prior = {c: log(int(np.sum(y == c)) / len(y)) for c in LABELS}
     likelihood = {}
     for k, c in enumerate(LABELS):
@@ -96,13 +95,13 @@ def train_nb(X: sp.csr_matrix, y: Sequence[int]) -> NaiveBayesModel:
                            vocab_size=vocab_size)
 
 
-def predict_nb(model: NaiveBayesModel, X: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+def predict_nb(model: NaiveBayesModel, X: CsrMatrix) -> tuple[np.ndarray, np.ndarray]:
     """(labels, log-odds) per row of *X*; a tie goes to the positive class.
 
     Columns beyond the model's vocabulary are ignored.
     """
     loglik = np.column_stack([model.feature_log_likelihood[c] for c in LABELS])
-    scores = np.asarray(fit_columns(X, model.vocab_size) @ loglik)
+    scores = fit_columns(X, model.vocab_size).matmul(loglik)
     log_odds = ((model.class_log_prior[1] + scores[:, 0])
                 - (model.class_log_prior[-1] + scores[:, 1]))
     return np.where(log_odds >= 0, 1, -1), log_odds

@@ -1,9 +1,18 @@
 """Sparse count matrices, vocabulary pruning as a column mask, and the file formats.
 
-Feature data lives in CSR matrices only, with one row per document and one
-column per feature. A FeatureMatrix keeps its columns in lexicographic
-feature order, so after pruning (a boolean column mask, which keeps that
-order) a column index is the feature's vocabulary id.
+Feature data lives in CsrMatrix only, a compressed-sparse-row matrix in plain
+NumPy arrays, with one row per document and one column per feature. Every
+row stores its column indices in ascending order and no explicit zeros. A
+FeatureMatrix keeps its columns in lexicographic feature order, so after
+pruning (a boolean column mask, which keeps that order) a column index is
+the feature's vocabulary id.
+
+The products ``X @ w`` and ``X.T @ v`` (vectors or two-dimensional
+right-hand sides) are one ``np.bincount`` per output column over the
+entries in CSR order: each output sum starts at 0 and adds the products of
+its row (or column) in entry order. That is the order of the classic CSR
+kernels (``csr_matvec``, ``csc_matvec`` and their multi-vector forms), so
+the results are the same bits as theirs.
 
 File formats:
   vectors   svmlight-compatible text, one document per line:
@@ -24,7 +33,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, DataError
 
@@ -35,6 +43,72 @@ from .errors import ConfigError, DataError
 # on the 2000-document seed-0 corpus of perfbench/corpusgen.py (Table-1
 # scale), and a float64 array of that width is 128 MiB.
 MAX_FEATURE_ID = 1 << 24
+
+# Most training rows the SVM's dense n x n Gram may have. It holds 8 n^2
+# bytes: 2 GiB at 16,384 rows, 64x the 32 MB Gram of the 2000-document
+# Table-1 corpus; the solver's O(n) steps per pair update would also take
+# hours at that size.
+MAX_GRAM_ROWS = 1 << 14
+
+
+@dataclass(frozen=True, eq=False)
+class CsrMatrix:
+    """A compressed-sparse-row matrix of float64 values.
+
+    Row i holds the entries ``indptr[i]:indptr[i + 1]`` of ``data`` and
+    ``indices``, with ascending column indices and no explicit zeros. The
+    arrays are never written after construction, so matrices derived from
+    one another may share them.
+    """
+
+    data: np.ndarray     # float64, one value per stored entry
+    indices: np.ndarray  # int32 column of each entry
+    indptr: np.ndarray   # int64, shape[0] + 1 offsets
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def entry_rows(self) -> np.ndarray:
+        """The row of every stored entry, in CSR order."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def select_rows(self, keep: np.ndarray) -> "CsrMatrix":
+        """The rows flagged in the boolean mask *keep*, in order."""
+        lengths = np.diff(self.indptr)
+        entries = np.repeat(keep, lengths)
+        indptr = np.concatenate(([0], np.cumsum(lengths[keep])))
+        return CsrMatrix(self.data[entries], self.indices[entries], indptr,
+                         (len(indptr) - 1, self.shape[1]))
+
+    def select_columns(self, keep: np.ndarray) -> "CsrMatrix":
+        """The columns flagged in the boolean mask *keep*, in order."""
+        renumbered = (np.cumsum(keep) - 1).astype(np.int32)
+        return self._entries(keep[self.indices], renumbered[self.indices], int(keep.sum()))
+
+    def _entries(self, kept: np.ndarray, indices: np.ndarray, width: int) -> "CsrMatrix":
+        """The entries flagged in *kept*, with column *indices*, *width* columns wide."""
+        indptr = np.concatenate(([0], np.cumsum(kept)))[self.indptr]
+        return CsrMatrix(self.data[kept], indices[kept], indptr, (self.shape[0], width))
+
+    def matmul(self, w: np.ndarray) -> np.ndarray:
+        """``X @ w`` for a vector or a (columns, k) array *w*."""
+        products = self.data * np.asarray(w, dtype=np.float64)[self.indices].T
+        return _sum_by(self.entry_rows(), products, self.shape[0])
+
+    def rmatmul(self, v: np.ndarray) -> np.ndarray:
+        """``X.T @ v`` for a vector or a (rows, k) array *v*."""
+        products = self.data * np.asarray(v, dtype=np.float64)[self.entry_rows()].T
+        return _sum_by(self.indices, products, self.shape[1])
+
+
+def _sum_by(bins: np.ndarray, products: np.ndarray, length: int) -> np.ndarray:
+    """Each row of *products* (one value per entry) summed into *length* bins, in entry
+    order; a vector of products gives a vector, k rows give a (length, k) array."""
+    if products.ndim == 1:
+        return np.bincount(bins, products, minlength=length)
+    return np.stack([np.bincount(bins, p, minlength=length) for p in products], axis=1)
 
 
 class Representation(Enum):
@@ -50,7 +124,7 @@ class FeatureMatrix:
     every row.
     """
 
-    counts: sp.csr_matrix
+    counts: CsrMatrix
     features: list[str]
 
     @classmethod
@@ -58,9 +132,12 @@ class FeatureMatrix:
                          features: list[str]) -> "FeatureMatrix":
         """Row i counts each column among ``columns[indptr[i]:indptr[i + 1]]``;
         *features* names the columns, in sorted order."""
-        counts = sp.csr_matrix((np.ones(len(columns)), columns, indptr),
-                               shape=(len(indptr) - 1, len(features)))
-        counts.sum_duplicates()
+        rows, width = len(indptr) - 1, len(features)
+        row = np.repeat(np.arange(rows), np.diff(indptr))
+        cells, totals = np.unique(row * max(width, 1) + columns, return_counts=True)
+        row, column = np.divmod(cells, max(width, 1))
+        counts = CsrMatrix(totals.astype(np.float64), column.astype(np.int32),
+                           np.searchsorted(row, np.arange(rows + 1)), (rows, width))
         return cls(counts=counts, features=features)
 
     @classmethod
@@ -80,12 +157,27 @@ class FeatureMatrix:
             if not left.features[-1] < right.features[0]:
                 raise ValueError(f"feature runs overlap: {left.features[-1]!r} "
                                  f">= {right.features[0]!r}")
-        counts = sp.hstack([block.counts for block in blocks], format="csr")
-        counts.sort_indices()
+        # Row i of the union is row i of each block in turn, so an entry moves
+        # to its row's start in the union plus the lengths of the earlier
+        # blocks' rows; ascending blocks keep the column indices ascending.
+        mats = [block.counts for block in blocks]
+        lengths = np.array([np.diff(m.indptr) for m in mats])
+        indptr = np.concatenate(([0], np.cumsum(lengths.sum(axis=0))))
+        before = indptr[:-1] + np.cumsum(lengths, axis=0) - lengths  # per block and row
+        data = np.empty(indptr[-1])
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        offset = 0
+        for m, start in zip(mats, before):
+            rows = m.entry_rows()
+            at = start[rows] + np.arange(m.nnz) - m.indptr[rows]
+            data[at] = m.data
+            indices[at] = m.indices + offset
+            offset += m.shape[1]
+        counts = CsrMatrix(data, indices, indptr, (len(indptr) - 1, offset))
         return cls(counts=counts, features=[f for block in blocks for f in block.features])
 
 
-def column_mask(counts: sp.csr_matrix, min_count: int) -> np.ndarray:
+def column_mask(counts: CsrMatrix, min_count: int) -> np.ndarray:
     """Columns whose count summed over the rows of *counts* is >= min_count.
 
     "Lower than 5" is the removal rule, so with the default of 5 a feature
@@ -100,21 +192,19 @@ def column_mask(counts: sp.csr_matrix, min_count: int) -> np.ndarray:
     return mask
 
 
-def represent(counts: sp.csr_matrix, rep: Representation) -> sp.csr_matrix:
-    """Frequency keeps the counts; presence binarizes a copy."""
+def represent(counts: CsrMatrix, rep: Representation) -> CsrMatrix:
+    """Frequency keeps the counts; presence sets every stored value to 1."""
     if rep is Representation.FREQUENCY:
         return counts
-    binary = counts.copy()
-    binary.data[:] = 1.0
-    return binary
+    return CsrMatrix(np.ones(counts.nnz), counts.indices, counts.indptr, counts.shape)
 
 
-def fit_columns(X: sp.csr_matrix, width: int) -> sp.csr_matrix:
+def fit_columns(X: CsrMatrix, width: int) -> CsrMatrix:
     """Drop columns at or beyond *width*, or pad with empty ones up to it."""
     if X.shape[1] > width:
-        return X[:, :width]
+        return X._entries(X.indices < width, X.indices, width)
     if X.shape[1] < width:
-        return sp.csr_matrix((X.data, X.indices, X.indptr), shape=(X.shape[0], width))
+        return CsrMatrix(X.data, X.indices, X.indptr, (X.shape[0], width))
     return X
 
 
@@ -128,10 +218,8 @@ def _format_label(label: int) -> str:
     return "+1" if label > 0 else "-1"
 
 
-def write_svmlight(X: sp.csr_matrix, path: str | Path, labels: Sequence[int]) -> None:
+def write_svmlight(X: CsrMatrix, path: str | Path, labels: Sequence[int]) -> None:
     """One line per row of *X*; a label of 0 marks an unlabeled row."""
-    X = X.tocsr()
-    X.sort_indices()
     bounds = X.indptr.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         for row, label in enumerate(labels):
@@ -167,7 +255,7 @@ def read_json_object(path: str | Path) -> dict:
     return payload
 
 
-def read_svmlight(path: str | Path) -> tuple[sp.csr_matrix, np.ndarray]:
+def read_svmlight(path: str | Path) -> tuple[CsrMatrix, np.ndarray]:
     """(matrix, labels): labels are +1/-1, or 0 for an unlabeled line.
 
     The matrix has one column per id up to the largest id in the file; an
@@ -208,9 +296,9 @@ def read_svmlight(path: str | Path) -> tuple[sp.csr_matrix, np.ndarray]:
                 values.append(val)
         indptr.append(len(ids))
     width = max(ids) + 1 if ids else 0
-    X = sp.csr_matrix((np.frombuffer(values, dtype=np.float64),
-                       np.frombuffer(ids, dtype=np.int64),
-                       np.frombuffer(indptr, dtype=np.int64)), shape=(len(labels), width))
+    X = CsrMatrix(np.frombuffer(values, dtype=np.float64),
+                  np.frombuffer(ids, dtype=np.int64).astype(np.int32),
+                  np.frombuffer(indptr, dtype=np.int64), (len(labels), width))
     return X, np.array(labels, dtype=np.int64)
 
 

@@ -11,9 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from polarity.corpus import Corpus, Label, RawDocument, assign_folds, load_corpus
 from polarity.lexicon import LexiconEntry, Polarity, SubjectivityLexicon
+from polarity.vectorize import CsrMatrix
 
 DATASET_ENV = "POLARITY_DATA_DIR"
 LEXICON_ENV = "POLARITY_LEXICON"
@@ -57,8 +60,35 @@ requires_lexicon = pytest.mark.skipif(
 )
 
 
+def to_scipy(X: CsrMatrix) -> sp.csr_matrix:
+    """*X* as a SciPy CSR matrix over the same arrays, for assertions that index,
+    compare or densify it with SciPy as the oracle."""
+    return sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
+
+
+def from_scipy(A) -> CsrMatrix:
+    """A SciPy sparse or a dense matrix as a CsrMatrix: ascending columns, no zeros."""
+    A = sp.csr_matrix(A, dtype=np.float64)
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    return CsrMatrix(A.data, A.indices.astype(np.int32), A.indptr.astype(np.int64), A.shape)
+
+
+# Values for generated matrices: counts with some zeros and a negative, or reals.
+INTEGER_VALUES = st.sampled_from([0.0, 0.0, 1.0, 2.0, 5.0, -3.0])
+COUNT_VALUES = st.sampled_from([0.0, 0.0, 1.0, 2.0, 5.0])
+REAL_VALUES = st.just(0.0) | st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def csr_matrices(draw, min_rows=0, min_columns=0, value_sets=(INTEGER_VALUES, REAL_VALUES)):
+    """A CsrMatrix of up to 8 x 8 whose values all come from one of *value_sets*."""
+    shape = (draw(st.integers(min_rows, 8)), draw(st.integers(min_columns, 8)))
+    return from_scipy(draw(arrays(np.float64, shape, elements=draw(st.sampled_from(value_sets)))))
+
+
 def labeled_matrix(rows, n_features=None):
-    """(CSR matrix, label array) from ``[(pairs, label), ...]``.
+    """(CsrMatrix, label array) from ``[(pairs, label), ...]``.
 
     ``pairs`` are (column, value) tuples; a None label becomes 0 (unlabeled).
     The width defaults to the largest column plus one.
@@ -71,8 +101,8 @@ def labeled_matrix(rows, n_features=None):
             indices.append(col)
             data.append(float(value))
         indptr.append(len(indices))
-    X = sp.csr_matrix((np.array(data, dtype=np.float64), np.array(indices, dtype=np.int64),
-                       np.array(indptr, dtype=np.int64)), shape=(len(rows), n_features))
+    X = CsrMatrix(np.array(data, dtype=np.float64), np.array(indices, dtype=np.int32),
+                  np.array(indptr, dtype=np.int64), (len(rows), n_features))
     y = np.array([0 if label is None else label for _, label in rows], dtype=np.int64)
     return X, y
 

@@ -17,7 +17,6 @@ from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from polarity.corpus import Corpus, Label, RawDocument
 from polarity.errors import DataError
@@ -31,7 +30,7 @@ from polarity.preprocess import (
     tokenize_pretagged,
 )
 from polarity.tagging import _ED_FORM, _VERB_FORMS, PretaggedReader, RuleTagger
-from polarity.vectorize import FeatureMatrix, Representation
+from polarity.vectorize import CsrMatrix, FeatureMatrix, Representation
 
 _RULES = RuleTagger()
 _CONTENT_PREFIXES = ("N", "V", "J", "R")
@@ -249,8 +248,8 @@ def from_bags(bags: Sequence[Counter]) -> FeatureMatrix:
             indices.append(column[feature])
             data.append(float(count))
         indptr.append(len(indices))
-    counts = sp.csr_matrix((np.array(data, dtype=np.float64), np.array(indices, dtype=np.int64),
-                            np.array(indptr, dtype=np.int64)), shape=(len(bags), len(features)))
+    counts = CsrMatrix(np.array(data, dtype=np.float64), np.array(indices, dtype=np.int32),
+                       np.array(indptr, dtype=np.int64), (len(bags), len(features)))
     return FeatureMatrix(counts=counts, features=features)
 
 
@@ -266,14 +265,13 @@ def build_vocabulary(train_bags, min_count: int = 5) -> dict[str, int]:
     return {f: i for i, f in enumerate(kept)}
 
 
-def vectorize(bag: Counter, vocab: dict[str, int], rep: Representation) -> sp.csr_matrix:
+def vectorize(bag: Counter, vocab: dict[str, int], rep: Representation) -> CsrMatrix:
     """One bag as a ``1 x len(vocab)`` CSR row with ascending column ids;
     out-of-vocabulary features drop silently."""
     pairs = sorted((vocab[f], c) for f, c in bag.items() if f in vocab)
-    ids = np.array([p[0] for p in pairs], dtype=np.int64)
+    ids = np.array([p[0] for p in pairs], dtype=np.int32)
     if rep is Representation.PRESENCE:
         values = np.ones(len(pairs), dtype=np.float64)
     else:
         values = np.array([p[1] for p in pairs], dtype=np.float64)
-    return sp.csr_matrix((values, ids, np.array([0, len(pairs)], dtype=np.int64)),
-                         shape=(1, len(vocab)))
+    return CsrMatrix(values, ids, np.array([0, len(pairs)], dtype=np.int64), (1, len(vocab)))

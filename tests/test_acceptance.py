@@ -23,6 +23,7 @@ from conftest import (
     requires_dataset,
     requires_lexicon,
     labeled_matrix,
+    to_scipy,
     shuffle_labels,
     write_synthetic_corpus,
 )
@@ -146,7 +147,7 @@ def _bag(family, text, lexicon, transitions=None):
     corpus = Corpus(documents=[RawDocument(id="g", label=Label.POSITIVE, text=text)])
     pipeline = FeaturePipeline(corpus, lexicon=lexicon, transitions=transitions)
     matrix = pipeline.family_matrix(family)
-    row = matrix.counts[0]
+    row = to_scipy(matrix.counts)[0]
     return Counter({matrix.features[j]: int(count) for j, count in zip(row.indices, row.data)})
 
 

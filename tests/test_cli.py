@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from polarity import evaluation
+from polarity import evaluation, linear_svm
 from polarity.cli import main
 from polarity.evaluation import EvalReport
 from polarity.vectorize import write_svmlight
@@ -235,6 +235,28 @@ class TestInputErrors:
                      "--out", str(tmp_path / "m")])
         assert code == 3
         assert "C must be positive" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("C,message", [
+        (["--C", "1"], "the Gram matrix of the training vectors is not finite"),
+        ([], "the squared norms of the training vectors overflow"),
+    ])
+    def test_overflowing_products_exit_3(self, tmp_path, capsys, C, message):
+        # finite values whose squares overflow: no NaN model, no NumPy warning
+        path = tmp_path / "v.svml"
+        path.write_text("+1 1:1e308\n-1 2:1e308\n", encoding="utf-8")
+        code = main(["train", "--input", str(path), "--clf", "svm", *C,
+                     "--out", str(tmp_path / "m")])
+        assert code == 3
+        assert message in one_error_line(capsys)
+        assert not (tmp_path / "m.json").exists()
+
+    def test_gram_above_the_row_bound_exits_3(self, vector_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(linear_svm, "MAX_GRAM_ROWS", 49)  # the file has 50 vectors
+        code = main(["train", "--input", str(vector_file), "--clf", "svm",
+                     "--out", str(tmp_path / "m")])
+        assert code == 3
+        assert "50 training vectors need a" in one_error_line(capsys)
+        assert not (tmp_path / "m.json").exists()
 
     def test_non_json_model_exits_3(self, vector_file, tmp_path, capsys):
         bad = tmp_path / "model.json"

@@ -9,6 +9,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import to_scipy
+
 from polarity.corpus import Corpus, Label, RawDocument
 from polarity.errors import ConfigError
 from polarity.evaluation import FeaturePipeline
@@ -34,7 +36,7 @@ def pipeline_from(text, lexicon=None, transitions=None):
 def family_bag(family, text, lexicon=None, transitions=None, negation_variant=False):
     """The one document's row of *family*'s matrix, as a bag of feature strings."""
     matrix = pipeline_from(text, lexicon, transitions).family_matrix(family, negation_variant)
-    row = matrix.counts[0]
+    row = to_scipy(matrix.counts)[0]
     return Counter({matrix.features[j]: int(count) for j, count in zip(row.indices, row.data)})
 
 
@@ -197,7 +199,8 @@ class TestExtractUnion:
         pb = pipeline.family_matrix(FeatureFamily.POLARIZED_BIGRAM)
         combined = pipeline.matrix_for_spec(parse_feature_spec("unigram+pb"))
         assert len(combined.features) == len(u.features) + len(pb.features)
-        assert combined.counts.sum() == u.counts.sum() + pb.counts.sum()
+        assert to_scipy(combined.counts).sum() == (to_scipy(u.counts).sum()
+                                                   + to_scipy(pb.counts).sum())
 
     def test_empty_family_set_rejected(self):
         with pytest.raises(ConfigError):
@@ -267,10 +270,10 @@ def test_union_is_monotone_and_deterministic(sentences):
     spec = parse_feature_spec("unigram+bigram+adj")
     large = pipeline_from(text).matrix_for_spec(spec)
     columns = [large.features.index(f) for f in small.features]
-    assert (large.counts[:, columns] != small.counts).nnz == 0
+    assert (to_scipy(large.counts)[:, columns] != to_scipy(small.counts)).nnz == 0
     again = pipeline_from(text).matrix_for_spec(spec)
     assert again.features == large.features
-    assert (again.counts != large.counts).nnz == 0
+    assert (to_scipy(again.counts) != to_scipy(large.counts)).nnz == 0
 
 
 @given(_SENTENCES)

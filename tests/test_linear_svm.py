@@ -5,9 +5,10 @@ import random
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
+from hypothesis import given
 
-from conftest import labeled_matrix
+from conftest import csr_matrices, from_scipy, labeled_matrix, to_scipy
+from polarity import linear_svm
 from polarity.errors import ConfigError, DataError
 from polarity.linear_svm import (
     LinearSvmModel,
@@ -178,7 +179,7 @@ class TestGramInput:
     def test_sliced_gram_equals_subset_gram(self):
         X, _ = labeled_matrix(_random_instance(seed=8, n=25))
         rows = np.arange(25) % 5 != 2
-        assert np.array_equal(gram_matrix(X)[np.ix_(rows, rows)], gram_matrix(X[rows]))
+        assert np.array_equal(gram_matrix(X)[np.ix_(rows, rows)], gram_matrix(X.select_rows(rows)))
 
     def test_scores_equal_single_document_dot(self):
         pts = _random_instance(seed=12, n=20)
@@ -210,6 +211,92 @@ class TestPredict:
         assert label == 1
 
 
+def scipy_gram(X):
+    A = to_scipy(X)
+    return (A @ A.T).toarray()
+
+
+def _mixed_counts(seed, n=96):
+    """Integer counts: 40 columns held by most rows, 300 held by one or two,
+    a row of values near the 2^53 bound on squared norms, and empty rows."""
+    rng = np.random.default_rng(seed)
+    common = rng.poisson(1.0, size=(n, 40))
+    rare = np.zeros((n, 300), dtype=np.int64)
+    for j in range(300):
+        rare[rng.choice(n, size=rng.integers(1, 3), replace=False), j] = rng.integers(1, 4)
+    counts = np.hstack([common, rare]).astype(np.float64)
+    counts[[0, 7]] = 0.0
+    counts[3, :2] = [2.0**26, 2.0**25 + 1]  # squared norm just above 2^52
+    return from_scipy(counts)
+
+
+class TestGramMatrix:
+    """``gram_matrix`` against SciPy's ``X @ X.T``, bit for bit, on each path."""
+
+    @pytest.fixture()
+    def slab_entries(self, monkeypatch):
+        """The number of entries each gram_matrix call sends through BLAS."""
+        seen = []
+        add = linear_svm._add_slab_products
+
+        def spy(K, data, slot, rows):
+            seen.append(len(data))
+            add(K, data, slot, rows)
+
+        monkeypatch.setattr(linear_svm, "_add_slab_products", spy)
+        return seen
+
+    def test_integer_counts_split_between_blas_and_pairs(self, slab_entries, monkeypatch):
+        monkeypatch.setattr(linear_svm, "_SLAB_COLUMNS", 16)  # several slabs
+        monkeypatch.setattr(linear_svm, "_PAIR_BLOCK", 500)  # several row blocks
+        X = _mixed_counts(seed=41)
+        K = gram_matrix(X)
+        assert np.array_equal(K, scipy_gram(X))
+        assert K.flags.f_contiguous
+        assert 0 < slab_entries[0] < X.nnz
+
+    def test_real_values_take_the_pair_path(self, slab_entries):
+        X = _mixed_counts(seed=42)
+        X = from_scipy(to_scipy(X) * 0.3)
+        assert np.array_equal(gram_matrix(X), scipy_gram(X))
+        assert slab_entries == [0]
+
+    def test_squared_norm_at_2_53_takes_the_pair_path(self, slab_entries):
+        rng = np.random.default_rng(43)
+        counts = rng.integers(0, 3, size=(40, 12)).astype(np.float64)
+        counts[:, 0] = 2.0**26 + 1  # every partial sum in the 2^53 range
+        counts[5, 1] = 2.0**26 + 3
+        X = from_scipy(counts)
+        assert np.array_equal(gram_matrix(X), scipy_gram(X))
+        assert slab_entries == [0]
+
+    @pytest.mark.parametrize("dense", [
+        np.zeros((3, 0)), np.zeros((0, 4)), np.zeros((4, 5)), np.array([[1.0, 0.0, 2.0]]),
+        np.array([[0.5, 0.0, -2.0]]), np.array([[0.0, 0.0], [3.0, 1.0], [0.0, 0.0]]),
+    ], ids=["no-columns", "no-rows", "all-empty", "one-row", "one-real-row", "empty-rows"])
+    def test_edge_shapes(self, dense):
+        X = from_scipy(dense)
+        K = gram_matrix(X)
+        assert K.shape == (X.shape[0],) * 2
+        assert np.array_equal(K, scipy_gram(X))
+
+    @given(csr_matrices())
+    def test_matches_scipy(self, X):
+        assert np.array_equal(gram_matrix(X), scipy_gram(X))
+
+    def test_overflow_raises(self):
+        X, _ = labeled_matrix([sv([(0, 1e308)]), sv([(1, 1e308)])])
+        with pytest.raises(DataError, match="not finite"):
+            gram_matrix(X)
+
+    def test_row_bound(self, monkeypatch):
+        monkeypatch.setattr(linear_svm, "MAX_GRAM_ROWS", 3)
+        X, _ = labeled_matrix([sv([(0, 1.0)])] * 4)
+        with pytest.raises(DataError, match="the limit is 3 vectors"):
+            gram_matrix(X)
+        assert gram_matrix(X.select_rows(np.arange(4) < 3)).shape == (3, 3)
+
+
 class TestDefaultC:
     def test_unit_norm_gives_one(self):
         vecs = [sv([(0, 1.0)]), sv([(1, 1.0)])]
@@ -222,6 +309,18 @@ class TestDefaultC:
     def test_all_zero_rejected(self):
         with pytest.raises(DataError, match="zero"):
             default_C(labeled_matrix([sv([]), sv([])], 2)[0])
+
+    def test_overflow_named(self):
+        X, _ = labeled_matrix([sv([(0, 1e308)]), sv([(1, 1e308)])])
+        with pytest.raises(DataError, match="squared norms of the training vectors overflow"):
+            default_C(X)
+
+    @given(csr_matrices(min_rows=1))
+    def test_sum_matches_scipy(self, X):
+        A = to_scipy(X)
+        total = float(A.multiply(A).sum())
+        if total:
+            assert default_C(X) == 1.0 / (total / X.shape[0])
 
     def test_used_when_c_omitted(self):
         pts = _random_instance(seed=11, n=20)
@@ -311,8 +410,8 @@ def _reference_train(X, y, C, tol=1e-3, max_epochs=1000, gram=None):
     dual = 0.5 * float(alpha @ (G - 1.0))
     history.append(dual)
 
-    w = np.asarray(X.T @ (alpha * y)).ravel()
-    v = y - np.asarray(X @ w).ravel()
+    w = np.asarray(to_scipy(X).T @ (alpha * y)).ravel()
+    v = y - np.asarray(to_scipy(X) @ w).ravel()
     up = (pos & (alpha < C)) | (~pos & (alpha > 0))
     low = (~pos & (alpha < C)) | (pos & (alpha > 0))
     m_val = np.max(v[up]) if up.any() else None
@@ -332,7 +431,7 @@ def _count_instance(seed, n_docs=60, n_features=40):
     rates = rng.uniform(0.05, 0.8, size=n_features)
     counts = rng.poisson(np.outer(np.ones(n_docs), rates))
     counts[:, :4] += rng.poisson(0.8, size=(n_docs, 4)) * (y[:, None] > 0)
-    return sp.csr_matrix(counts.astype(np.float64)), y
+    return from_scipy(counts), y
 
 
 class TestLeanLoopEquivalence:
@@ -368,7 +467,7 @@ class TestLeanLoopEquivalence:
         for fold in range(5):
             train = folds != fold
             gram = K[np.ix_(train, train)]
-            self.assert_same_path(X[train], y[train], 0.05, gram=gram)
+            self.assert_same_path(X.select_rows(train), y[train], 0.05, gram=gram)
 
     def test_epoch_capped_run(self):
         X, y = labeled_matrix(_random_instance(seed=3, n=60))

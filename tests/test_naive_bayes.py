@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import labeled_matrix
+from conftest import COUNT_VALUES, csr_matrices, labeled_matrix, to_scipy
 from polarity.errors import DataError
 from polarity.naive_bayes import NaiveBayesModel, predict_nb, train_nb
 
@@ -186,3 +186,21 @@ def test_model_json_round_trip(tmp_path, toy_model):
     assert loaded.class_log_prior == model.class_log_prior
     for c in (1, -1):
         assert np.array_equal(loaded.feature_log_likelihood[c], model.feature_log_likelihood[c])
+
+
+@given(csr_matrices(min_rows=2, min_columns=1, value_sets=(COUNT_VALUES,)), st.data())
+def test_train_and_predict_match_scipy_products(X, data):
+    """Per-class masses ``X.T @ Y`` and scores ``X @ W``, bit for bit."""
+    n, vocab_size = X.shape
+    y = np.array([1, -1] + data.draw(st.lists(st.sampled_from([1, -1]), min_size=n - 2,
+                                              max_size=n - 2)))
+    model = train_nb(X, y)
+    A = to_scipy(X)
+    mass = np.asarray(A.T @ np.column_stack([y == 1, y == -1]).astype(np.float64))
+    for k, c in enumerate((1, -1)):
+        expected = np.log(mass[:, k] + 1.0) - math.log(mass[:, k].sum() + vocab_size)
+        assert np.array_equal(model.feature_log_likelihood[c], expected)
+    _, log_odds = predict_nb(model, X)
+    scores = np.asarray(A @ np.column_stack([model.feature_log_likelihood[c] for c in (1, -1)]))
+    prior = model.class_log_prior
+    assert np.array_equal(log_odds, (prior[1] + scores[:, 0]) - (prior[-1] + scores[:, 1]))

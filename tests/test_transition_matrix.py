@@ -13,7 +13,7 @@ the phrase ``a_b`` with the word ``c``).
 
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import corpus_of
+from conftest import corpus_of, to_scipy
 from polarity.evaluation import FeaturePipeline
 from polarity.features import FeatureFamily
 from polarity.lexicon import ANYPOS, LexiconEntry, Polarity, SubjectivityLexicon
@@ -64,7 +64,7 @@ def assert_t_matches_reference(documents, phrases, tagger):
     expected = from_bags(pipeline_bags(pipeline, FeatureFamily.TRANSITION))
     assert matrix.features == expected.features
     assert matrix.counts.shape == expected.counts.shape == (len(documents), len(expected.features))
-    assert (matrix.counts != expected.counts).nnz == 0
+    assert (to_scipy(matrix.counts) != to_scipy(expected.counts)).nnz == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -98,4 +98,4 @@ def test_underscore_phrase_and_word_spell_one_feature():
                                transitions=TransitionList(["a", "a_b"]),
                                tagger=PretaggedReader())
     matrix = pipeline.family_matrix(FeatureFamily.TRANSITION)
-    assert matrix.counts[0, matrix.features.index("tr:a_b_c")] == 2
+    assert to_scipy(matrix.counts)[0, matrix.features.index("tr:a_b_c")] == 2

@@ -9,15 +9,18 @@ from itertools import compress
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import labeled_matrix
+from conftest import REAL_VALUES, csr_matrices, labeled_matrix, to_scipy
 from polarity.errors import ConfigError, DataError, PolarityError
 from polarity.vectorize import (
     MAX_FEATURE_ID,
     FeatureMatrix,
     Representation,
     column_mask,
+    fit_columns,
     read_svmlight,
     represent,
     write_svmlight,
@@ -231,10 +234,10 @@ def test_column_mask_matches_build_vocabulary(bags, min_count, data):
         expected = build_vocabulary(chosen, min_count=min_count)
     except DataError as exc:
         with pytest.raises(DataError, match="vocabulary is empty") as caught:
-            column_mask(matrix.counts[rows], min_count)
+            column_mask(matrix.counts.select_rows(rows), min_count)
         assert str(caught.value) == str(exc)
         return
-    mask = column_mask(matrix.counts[rows], min_count)
+    mask = column_mask(matrix.counts.select_rows(rows), min_count)
     assert list(compress(matrix.features, mask)) == list(expected)
 
 
@@ -249,9 +252,9 @@ def test_matrix_rows_match_vectorize(bags):
     mask = column_mask(matrix.counts, 1)
     vocab = {f: i for i, f in enumerate(compress(matrix.features, mask))}
     for rep in Representation:
-        X = represent(matrix.counts[:, mask], rep)
+        X = represent(matrix.counts.select_columns(mask), rep)
         for i, bag in enumerate(bags):
-            assert pairs(X[i]) == pairs(vectorize(bag, vocab, rep))
+            assert pairs(to_scipy(X)[i]) == pairs(vectorize(bag, vocab, rep))
 
 
 def test_union_columns_in_lexicographic_order():
@@ -263,10 +266,10 @@ def test_union_columns_in_lexicographic_order():
     assert union.features == sorted(unigrams.features + trigrams.features
                                     + transitions.features)
     assert union.features == ["t:a_b_c", "t:z_z_z", "tr:but_good", "u:alpha", "u:mid", "u:zeta"]
-    dense = union.counts.toarray()
+    dense = to_scipy(union.counts).toarray()
     assert dense.tolist() == [[1, 0, 0, 2, 0, 1], [0, 3, 1, 0, 1, 0]]
     for i in range(union.counts.shape[0]):
-        row = union.counts[i].indices.tolist()
+        row = to_scipy(union.counts)[i].indices.tolist()
         assert row == sorted(row)
 
 
@@ -275,6 +278,71 @@ def test_union_rejects_interleaved_features():
     b = from_bags([Counter({"u:b": 1})])
     with pytest.raises(ValueError, match="overlap"):
         FeatureMatrix.union([a, b])
+
+
+def assert_same_matrix(X, A):
+    """*X* holds exactly the entries of SciPy's *A*, each row's columns ascending."""
+    assert X.shape == A.shape
+    assert X.data.dtype == np.float64 and X.indices.dtype == np.int32
+    assert len(X.indptr) == X.shape[0] + 1 and X.indptr[-1] == X.nnz
+    assert (to_scipy(X) != A).nnz == 0
+    assert not (X.data == 0).any()
+    for lo, hi in zip(X.indptr[:-1].tolist(), X.indptr[1:].tolist()):
+        assert (np.diff(X.indices[lo:hi]) > 0).all()
+
+
+@given(csr_matrices(), st.data())
+def test_products_match_scipy(X, data):
+    """``X @ w``, ``X.T @ v`` and their two-column forms, bit for bit."""
+    A = to_scipy(X)
+    n, m = X.shape
+    w, v = (data.draw(arrays(np.float64, shape, elements=REAL_VALUES))
+            for shape in [(m,), (n,)])
+    W, Y = (data.draw(arrays(np.float64, shape, elements=REAL_VALUES))
+            for shape in [(m, 2), (n, 2)])
+    assert np.array_equal(X.matmul(w), A @ w)
+    assert np.array_equal(X.rmatmul(v), A.T @ v)
+    assert np.array_equal(X.matmul(W), A @ W)
+    assert np.array_equal(X.rmatmul(Y), A.T @ Y)
+
+
+@given(csr_matrices(), st.data())
+def test_row_and_column_selection_match_scipy(X, data):
+    n, m = X.shape
+    rows = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    columns = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
+    A = to_scipy(X)
+    assert_same_matrix(X.select_rows(rows), A[np.flatnonzero(rows)])
+    assert_same_matrix(X.select_columns(columns), A[:, np.flatnonzero(columns)])
+    width = data.draw(st.integers(0, m + 2))
+    expected = A[:, :width] if width <= m else sp.hstack([A, sp.csr_matrix((n, width - m))])
+    assert_same_matrix(fit_columns(X, width), sp.csr_matrix(expected))
+
+
+@given(csr_matrices(), st.data())
+def test_union_matches_hstack(X, data):
+    """Column blocks of *X*, given in any order, put back side by side."""
+    m = X.shape[1]
+    bounds = [0, *sorted(data.draw(st.lists(st.integers(0, m), max_size=3))), m]
+    parts = [FeatureMatrix(counts=X.select_columns((np.arange(m) >= lo) & (np.arange(m) < hi)),
+                           features=[f"{k}:{j}" for j in range(lo, hi)])
+             for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+    union = FeatureMatrix.union(data.draw(st.permutations(parts)))
+    if m:
+        assert union.features == [f for part in parts for f in part.features]
+        assert_same_matrix(union.counts, sp.hstack([to_scipy(p.counts) for p in parts],
+                                                   format="csr"))
+
+
+@given(st.lists(st.lists(st.integers(0, 5), max_size=8), max_size=6))
+def test_from_occurrences_sums_duplicates_like_scipy(rows):
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    columns = np.array([c for row in rows for c in row], dtype=np.int32)
+    matrix = FeatureMatrix.from_occurrences(indptr, columns, [f"u:{j}" for j in range(6)])
+    expected = sp.csr_matrix((np.ones(len(columns)), columns, indptr), shape=(len(rows), 6))
+    expected.sum_duplicates()
+    assert_same_matrix(matrix.counts, expected)
+    assert np.array_equal(matrix.counts.data, expected.data)
 
 
 def test_presence_binarizes_a_copy():
