@@ -46,8 +46,7 @@ MAX_FEATURE_ID = 1 << 24
 
 # Most training rows the SVM's dense n x n Gram may have. It holds 8 n^2
 # bytes: 2 GiB at 16,384 rows, 64x the 32 MB Gram of the 2000-document
-# Table-1 corpus; the solver's O(n) steps per pair update would also take
-# hours at that size.
+# Table-1 corpus.
 MAX_GRAM_ROWS = 1 << 14
 
 
