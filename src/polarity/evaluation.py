@@ -26,8 +26,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from array import array
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -35,13 +33,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linear_svm, naive_bayes
-from .corpus import Corpus, N_FOLDS, RawDocument
+from .corpus import Corpus, N_FOLDS
 from .errors import ConfigError, DataError
-from .features import CONTENT_BIT, FAMILIES, FeatureFamily, FeatureSpec, Polarized, Transition
-from .features import Window, check_resources, parse_feature_spec, tag_bits
+from .features import FAMILIES, FeatureFamily, FeatureSpec, Polarized, Window, _TokenStream
+from .features import check_resources, parse_feature_spec
 from .lexicon import SubjectivityLexicon, TransitionList
-from .preprocess import NEGATION_PREFIX, negation_scopes, tokenize, tokenize_pretagged
-from .tagging import PretaggedReader, RuleTagger
+from .tagging import RuleTagger
 from .vectorize import FeatureMatrix, Representation, column_mask, represent
 
 CLASSIFIERS = ("nb", "svm")
@@ -127,289 +124,6 @@ class EvalReport:
             "wall_time": self.wall_time,
             "warnings": self.warnings,
         }
-
-
-# Window keys are built as base-V numbers over the word ids; a product that
-# could pass this bound is renumbered densely first.
-_MAX_KEY = np.iinfo(np.int64).max
-
-
-class _TokenStream:
-    """The corpus as flat per-token buffers, built in one pass from the raw text.
-
-    ``ids`` holds an int32 word id per token (``words[id]`` is the word) and
-    ``tag_ids`` an int32 tag id (``tags[id]`` is the tag); ``starts`` marks
-    each sentence's first token, ``tag_bits`` the ``features.tag_bits`` of
-    the token's tag and ``negated`` its negation flag. The *i*-th document
-    holds tokens ``doc_bounds[i]:doc_bounds[i + 1]``. Each line goes
-    through ``preprocess.tokenize`` (or ``tokenize_pretagged``) and only its
-    words' ids are kept; tags and negation scopes are computed over the
-    whole stream, and no per-token object outlives its line.
-    """
-
-    def __init__(self, documents: Sequence[RawDocument], tagger):
-        index: defaultdict[str, int] = defaultdict()
-        index.default_factory = index.__len__  # a new word gets the next id
-        pretagged = isinstance(tagger, PretaggedReader)
-        tag_index: defaultdict[str, int] = defaultdict()
-        tag_index.default_factory = tag_index.__len__
-        ids, tag_ids = array("i"), array("i")
-        sentence_lengths, doc_lengths = array("q"), array("q")
-        for doc in documents:
-            before = len(ids)
-            for line in doc.text.splitlines():
-                if pretagged:
-                    words, tags = tokenize_pretagged(line, tagger)
-                    tag_ids.extend(map(tag_index.__getitem__, tags))
-                else:
-                    words = tokenize(line)
-                if words:
-                    ids.extend(map(index.__getitem__, words))
-                    sentence_lengths.append(len(words))
-            doc_lengths.append(len(ids) - before)
-        self.words = list(index)
-        self.ids = np.frombuffer(ids, dtype=np.intc)
-        lengths = np.frombuffer(sentence_lengths, dtype=np.int64)
-        starts = np.zeros(len(ids) + 1, dtype=bool)
-        starts[np.cumsum(lengths) - lengths] = True
-        self.starts = starts[:-1]
-        self.doc_bounds = np.concatenate(([0], np.cumsum(np.frombuffer(doc_lengths, np.int64))))
-        if pretagged:
-            self.tags, self.tag_ids = list(tag_index), np.frombuffer(tag_ids, dtype=np.intc)
-        else:
-            self.tags, self.tag_ids = tagger.tag_stream(self.words, self.ids, self.starts)
-        bits = np.array([tag_bits(tag) for tag in self.tags], dtype=np.uint8)
-        self.tag_bits = bits[self.tag_ids]
-        self.negated = negation_scopes(self.words, self.ids, self.starts)
-        self._polarity: tuple | None = None
-
-    def window_matrix(self, window: Window, negation_variant: bool, floor: int) -> FeatureMatrix:
-        """The count matrix of *window*'s features whose corpus total is >= *floor*.
-
-        Each window becomes an int64 key over its word ids (and, for the
-        negated unigram variant, its negation flag); keys are totalled over
-        the corpus, and feature strings are built for the survivors only.
-        Distinct keys with ``_`` inside a word can spell one feature
-        (``a_b c`` and ``a b_c``), so those are totalled by string. The key
-        holds one negation flag, so the negated variant is for ``n == 1``.
-        """
-        n, vocab = window.n, len(self.words)
-        if negation_variant and n > 1:
-            raise ValueError(f"the negation variant is for one-word windows, not {n}-word ones")
-        size = max(len(self.ids) - n + 1, 0)
-        keep = np.ones(size, dtype=bool)
-        for k in range(1, n):
-            keep &= ~self.starts[k:k + size]
-        if window.tag_bits:
-            tagged = np.zeros(size, dtype=bool)
-            for k in range(n):
-                tagged |= (self.tag_bits[k:k + size] & window.tag_bits) != 0
-            keep &= tagged
-        pos = np.flatnonzero(keep)
-
-        keys, span = self.ids[pos].astype(np.int64), vocab
-        if negation_variant:
-            keys, span = 2 * keys + self.negated[pos], 2 * vocab
-        for k in range(1, n):
-            if span * vocab > _MAX_KEY:
-                _, keys = np.unique(keys, return_inverse=True)
-                span = int(keys.max()) + 1
-            keys, span = keys * vocab + self.ids[pos + k], span * vocab
-
-        # Windows sorted by key form one run per distinct key: its total is
-        # the run's length, and the run's first window spells its feature.
-        # Each large temporary is dropped as soon as it is used, which keeps
-        # the build's peak memory below that of per-document bags.
-        order = np.argsort(keys)
-        keys = keys[order]
-        first = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        del keys
-        runs = np.flatnonzero(first)
-        del first
-        totals = np.diff(runs, append=len(order))
-        spelled_at = pos[order[runs]]
-
-        def names(chosen: np.ndarray) -> list[str]:
-            at = spelled_at[chosen]
-            columns = [[self.words[i] for i in self.ids[at + k].tolist()] for k in range(n)]
-            if negation_variant:
-                columns[0] = [NEGATION_PREFIX + w if neg else w
-                              for w, neg in zip(columns[0], self.negated[at].tolist())]
-            return [f"{window.namespace}:{'_'.join(parts)}" for parts in zip(*columns)]
-
-        survives = totals >= floor
-        if n > 1:
-            underscored = np.array(["_" in w for w in self.words], dtype=bool)
-            merged = np.zeros(len(totals), dtype=bool)
-            for k in range(n):
-                merged |= underscored[self.ids[spelled_at + k]]
-            chosen = np.flatnonzero(merged)
-            if chosen.size:
-                spelled = names(chosen)
-                by_name: Counter = Counter()
-                for name, total in zip(spelled, totals[chosen].tolist()):
-                    by_name[name] += total
-                survives[chosen] = [by_name[name] >= floor for name in spelled]
-
-        chosen = np.flatnonzero(survives)
-        spelled = names(chosen)
-        features = sorted(set(spelled))
-        column = {feature: j for j, feature in enumerate(features)}
-        column_of_key = np.full(len(totals), -1, dtype=np.int32)
-        column_of_key[chosen] = [column[name] for name in spelled]
-        columns = np.empty(len(pos), dtype=np.int32)  # per window, in token order
-        columns[order] = np.repeat(column_of_key, totals)
-        del order
-        hit = columns >= 0
-        pos, columns = pos[hit], columns[hit]
-        return FeatureMatrix.from_occurrences(np.searchsorted(pos, self.doc_bounds), columns,
-                                              features)
-
-    def polarized_matrix(self, row: Polarized, lexicon: SubjectivityLexicon) -> FeatureMatrix:
-        """The count matrix of *row*'s features (``pu`` or ``pb``), every column kept.
-
-        Each occurrence is keyed by its polarized token's ``POL/TAG`` core
-        and, for ``pb``, the neighbor's word or tag id.
-        """
-        pos, core, cores = self._polarized(lexicon)
-        ns, core = row.namespace, core.astype(np.int64)
-        if not row.neighbors:
-            return self._keyed_matrix([(pos, core, lambda keys: [f"{ns}:{cores[k]}" for k in keys])])
-        continues = np.append(~self.starts[1:], False)  # the next token is in the sentence
-        before, after = pos[~self.starts[pos]], pos[continues[pos]]
-        core_before, core_after = core[~self.starts[pos]], core[continues[pos]]
-        parts = []
-        for names, of in [(self.words, self.ids), (self.tags, self.tag_ids)]:
-            parts.append((before, of[before - 1].astype(np.int64) * len(cores) + core_before,
-                          _pair_names(ns, names, cores)))
-            parts.append((after, core_after * len(names) + of[after + 1],
-                          _pair_names(ns, cores, names)))
-        return self._keyed_matrix(parts)
-
-    def transition_matrix(self, row: Transition, transitions: TransitionList,
-                          lexicon: SubjectivityLexicon) -> FeatureMatrix:
-        """The count matrix of ``t``'s features, every column kept.
-
-        In each sentence with a phrase match, every content word outside all
-        matches is paired with each distinct phrase matched there. An
-        occurrence is keyed by (phrase, word id) and, for a polarized word,
-        also by (phrase, core id), with the ``POL/TAG`` cores that ``pu``
-        and ``pb`` use.
-        """
-        start, end, phrase = self._phrase_matches(transitions)
-        inside = np.zeros(len(self.ids) + 1, dtype=np.intc)  # running sum 1 inside a match
-        inside[start] += 1
-        inside[end] -= 1
-        content = ((self.tag_bits & CONTENT_BIT) != 0) & (np.cumsum(inside[:-1]) == 0)
-        content_pos = np.flatnonzero(content)
-
-        # Each distinct (sentence, phrase) pair is repeated once per content
-        # word of the sentence: ``at`` holds the words, ``phrase`` the phrases.
-        sentence_bounds = np.append(np.flatnonzero(self.starts), len(self.ids))
-        phrases = len(transitions.phrases)
-        in_sentence = np.searchsorted(sentence_bounds, start, side="right") - 1
-        sentence, phrase = np.divmod(np.unique(in_sentence * phrases + phrase), phrases)
-        lo = np.searchsorted(content_pos, sentence_bounds[sentence])
-        counts = np.searchsorted(content_pos, sentence_bounds[sentence + 1]) - lo
-        offsets = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        at = content_pos[offsets + np.arange(len(offsets))]
-        phrase = np.repeat(phrase, counts)
-
-        pos, core, cores = self._polarized(lexicon)
-        core_at = np.full(len(self.ids), -1, dtype=np.int64)
-        core_at[pos] = core
-        polar = core_at[at] >= 0
-        ns, keys = row.namespace, [p.replace(" ", "_") for p in transitions.phrases]
-        return self._keyed_matrix([
-            (at, phrase * len(self.words) + self.ids[at], _pair_names(ns, keys, self.words)),
-            (at[polar], phrase[polar] * len(cores) + core_at[at[polar]],
-             _pair_names(ns, keys, cores)),
-        ])
-
-    def _phrase_matches(self, transitions: TransitionList) -> tuple[np.ndarray, ...]:
-        """(starts, ends, phrase indices) of the transition matches, in token order.
-
-        A match never crosses a sentence start. Scanning left to right, at
-        each position outside an earlier match the first listed phrase that
-        fits wins.
-        """
-        index = {word: i for i, word in enumerate(self.words)}
-        found = []  # (start, phrase index, length) arrays, one triple per phrase
-        for rank, phrase in enumerate(transitions.phrases):
-            ids = [index.get(word, -1) for word in phrase.split()]
-            if not ids or -1 in ids:
-                continue
-            at = np.flatnonzero(self.ids[:max(len(self.ids) - len(ids) + 1, 0)] == ids[0])
-            for k in range(1, len(ids)):
-                at = at[(self.ids[at + k] == ids[k]) & ~self.starts[at + k]]
-            found.append((at, np.full(len(at), rank), np.full(len(at), len(ids))))
-        if not found:
-            return (np.zeros(0, dtype=np.int64),) * 3
-        start, rank, length = (np.concatenate(column) for column in zip(*found))
-        order = np.lexsort((rank, start))  # by start, the first listed phrase first
-        start, rank, end = start[order], rank[order], start[order] + length[order]
-        chosen, free = [], 0
-        for i, (at, stop) in enumerate(zip(start.tolist(), end.tolist())):
-            if at >= free:
-                chosen.append(i)
-                free = stop
-        return start[chosen], end[chosen], rank[chosen]
-
-    def _keyed_matrix(self, parts) -> FeatureMatrix:
-        """The count matrix of occurrences given as (positions, int64 keys, spell) parts.
-
-        ``spell`` names a part's distinct keys. Strings are built for
-        distinct keys only, and a column is one distinct string, so keys
-        that spell one feature (a pretagged word ``jj`` and the tag ``jj``,
-        or words and phrases holding ``_``) share it, as a per-document bag
-        of strings totals them.
-        """
-        spelled, inverses = [], []
-        for _, keys, spell in parts:
-            distinct, inverse = np.unique(keys, return_inverse=True)
-            spelled.append(spell(distinct.tolist()))
-            inverses.append(inverse)
-        features = sorted(set().union(*spelled))
-        column = {feature: j for j, feature in enumerate(features)}
-        at = np.concatenate([p[0] for p in parts])
-        columns = np.concatenate([
-            np.array([column[name] for name in strings], dtype=np.int32)[inverse]
-            for strings, inverse in zip(spelled, inverses)])
-        order = np.argsort(at, kind="stable")
-        return FeatureMatrix.from_occurrences(np.searchsorted(at[order], self.doc_bounds),
-                                              columns[order], features)
-
-    def _polarized(self, lexicon: SubjectivityLexicon) -> tuple[np.ndarray, np.ndarray, list[str]]:
-        """(positions, core ids, cores): each polarized token and its ``POL/TAG`` core.
-
-        The lexicon is asked once per distinct (word, tag) pair, and the
-        answer is kept for the next call with the same lexicon.
-        """
-        if self._polarity is None or self._polarity[0] is not lexicon:
-            listed = np.array([word in lexicon.entries for word in self.words], dtype=bool)
-            pos = np.flatnonzero(listed[self.ids])
-            pairs = self.ids[pos].astype(np.int64) * len(self.tags) + self.tag_ids[pos]
-            distinct, inverse = np.unique(pairs, return_inverse=True)
-            cores: dict[str, int] = {}
-            core_of_pair = []
-            for pair in distinct.tolist():
-                word, tag = divmod(pair, len(self.tags))
-                pol = lexicon.polarity_of(self.words[word], self.tags[tag])
-                core_of_pair.append(-1 if pol is None else
-                                    cores.setdefault(f"{pol}/{self.tags[tag]}", len(cores)))
-            core = np.array(core_of_pair, dtype=np.intc)[inverse]
-            hit = core >= 0
-            self._polarity = (lexicon, pos[hit], core[hit], list(cores))
-        return self._polarity[1:]
-
-
-def _pair_names(namespace: str, first: list[str], second: list[str]):
-    """Spells a key ``i * len(second) + j`` as ``namespace:first[i]_second[j]``."""
-    def spell(keys: list[int]) -> list[str]:
-        return [f"{namespace}:{first[i]}_{second[j]}"
-                for i, j in (divmod(key, len(second)) for key in keys)]
-    return spell
 
 
 class FeaturePipeline:

@@ -28,7 +28,7 @@ import pytest
 from conftest import to_scipy
 from polarity.corpus import Corpus, Label, RawDocument, load_corpus
 from polarity.errors import DataError
-from polarity import evaluation
+from polarity import features
 from polarity.evaluation import FeaturePipeline
 from polarity.features import FAMILIES, FeatureFamily, Window
 from polarity.lexicon import ANYPOS, LexiconEntry, Polarity, SubjectivityLexicon, load_lexicon
@@ -135,7 +135,7 @@ def test_renumbered_keys_give_the_same_matrix(golden_pipeline, monkeypatch):
     """Keys that would pass the int64 bound are renumbered densely first."""
     expected = {n: golden_pipeline.family_matrix(family, min_count=2)
                 for n, family in [(2, FeatureFamily.BIGRAM), (3, FeatureFamily.TRIGRAM)]}
-    monkeypatch.setattr(evaluation, "_MAX_KEY", len(golden_pipeline._tokens.words) ** 2 - 1)
+    monkeypatch.setattr(features, "_MAX_KEY", len(golden_pipeline._tokens.words) ** 2 - 1)
     for n, family in [(2, FeatureFamily.BIGRAM), (3, FeatureFamily.TRIGRAM)]:
         matrix = golden_pipeline._tokens.window_matrix(FAMILIES[family], False, 2)
         assert matrix.features == expected[n].features

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import corpus_of
 from polarity.errors import ConfigError, DataError
-from polarity.evaluation import _TokenStream
+from polarity.features import _TokenStream
 from polarity.lexicon import (Polarity, SubjectivityLexicon, TransitionList, load_lexicon,
                               load_transitions)
 from polarity.tagging import RuleTagger
