@@ -117,23 +117,18 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _experiment_config(args) -> ExperimentConfig:
-    return ExperimentConfig(
-        features=args.features,
-        representation=args.rep,
-        classifier=args.clf,
-        negation=args.negation == "on",
-        prune_scope=args.prune_scope,
-        seed=args.seed,
-        min_count=args.min_count,
-        C=args.C,
-        tol=args.tol,
-        max_epochs=args.max_epochs,
-    )
+def _experiment_config(args, features: str, representation: str, classifier: str,
+                       negation: bool) -> ExperimentConfig:
+    """One cell with the pruning and solver options of *args*."""
+    return ExperimentConfig(features=features, representation=representation,
+                            classifier=classifier, negation=negation,
+                            prune_scope=args.prune_scope, seed=args.seed,
+                            min_count=args.min_count, C=args.C, tol=args.tol,
+                            max_epochs=args.max_epochs)
 
 
 def cmd_evaluate(args) -> int:
-    config = _experiment_config(args)
+    config = _experiment_config(args, args.features, args.rep, args.clf, args.negation == "on")
     corpus = _load_folded_corpus(args)
     spec = config.spec()
     lexicon = _maybe_lexicon(args)
@@ -226,8 +221,6 @@ def _combo_specs(base: str) -> list[str]:
 
 def _reproduce_configs(args, lexicon, transitions):
     """(grid name, config) cells plus a skipped list, each with check_resources' reason."""
-    common = dict(prune_scope=args.prune_scope, seed=args.seed, min_count=args.min_count,
-                  C=args.C, tol=args.tol, max_epochs=args.max_epochs)
     only = set(args.only.split(",")) if args.only else set(_GRID_NAMES)
     unknown = only - set(_GRID_NAMES)
     if unknown:
@@ -244,8 +237,7 @@ def _reproduce_configs(args, lexicon, transitions):
             reason = str(exc)
         for clf in ("nb", "svm"):
             for rep in ("presence", "frequency"):
-                cfg = ExperimentConfig(features=features, representation=rep,
-                                       classifier=clf, negation=negation, **common)
+                cfg = _experiment_config(args, features, rep, clf, negation)
                 if reason:
                     skipped.append({"grid": grid, "config": cfg.to_json_dict(),
                                     "reason": reason})
@@ -297,8 +289,6 @@ def _deviation_summary(reports: list[EvalReport]) -> tuple[str, str]:
 
 
 def cmd_reproduce(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     corpus = _load_folded_corpus(args)
     lexicon = _maybe_lexicon(args)
     if lexicon is None:
@@ -309,10 +299,12 @@ def cmd_reproduce(args) -> int:
     except (ConfigError, DataError) as exc:
         print(f"warning: {exc}; transition rows will be skipped", file=sys.stderr)
         transitions = None
+    cells, skipped = _reproduce_configs(args, lexicon, transitions)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     pipeline = FeaturePipeline(corpus, lexicon=lexicon, transitions=transitions,
                                tagger=get_tagger(args.tagger))
 
-    cells, skipped = _reproduce_configs(args, lexicon, transitions)
     # The combo grids repeat some table2 cells; each distinct config runs once.
     configs = list(dict.fromkeys(cfg for _, cfg in cells))
     results_log = out_dir / "results.jsonl"
@@ -402,6 +394,10 @@ def _add_experiment_options(p) -> None:
                    help="count features over training folds only, or the whole corpus")
     p.add_argument("--min-count", type=int, default=5,
                    help="term-removal threshold (default 5)")
+    _add_solver_options(p)
+
+
+def _add_solver_options(p) -> None:
     p.add_argument("--C", type=float, default=None,
                    help="SVM soft-margin penalty (default: 1/mean squared norm)")
     p.add_argument("--tol", type=_positive_float, default=1e-3,
@@ -446,9 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model from an svmlight vector file")
     p.add_argument("--input", required=True)
     p.add_argument("--clf", choices=["nb", "svm"], required=True)
-    p.add_argument("--C", type=float, default=None)
-    p.add_argument("--tol", type=_positive_float, default=1e-3)
-    p.add_argument("--max-epochs", type=_positive_int, default=1000)
+    _add_solver_options(p)
     p.add_argument("--out", required=True, help="model path (nb: .json; svm: prefix for .json/.npy)")
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(func=cmd_train)

@@ -1,20 +1,13 @@
 """Cross-validated experiment harness over the feature/representation/classifier grid.
 
-A FeaturePipeline preprocesses the corpus once, straight from the raw text,
-into one token stream: int32 word and tag ids, sentence starts and negation
-flags in flat NumPy buffers. That stream is the pipeline's one document
-representation. The pipeline caches one sparse count matrix per family, so
+A FeaturePipeline preprocesses the corpus once into the token stream of
+``features._TokenStream`` and caches one sparse count matrix per family, so
 a grid of many configurations pays the extraction cost per family, not per
-cell. Each family's row of ``features.FAMILIES`` says how the stream is
-counted: the six ``Window`` families from integer window keys, and their
-matrices hold only the columns whose corpus total reaches the ``min_count``
-floor (at least 1); ``pu`` and ``pb`` from keys over each polarized token's
-``POL/TAG`` core and its neighbors' ids; ``t`` from keys over each matched
-phrase and the content words of its sentence. The last three keep every
-column. A cell takes the union of its families' columns, prunes them with a
-column mask (once over the corpus, or per fold over the training rows), and
-trains on row slices; under corpus scope the SVM Gram matrix is computed
-once per cell and sliced per fold.
+cell. Every family's matrix holds only the columns whose corpus total reaches
+the ``min_count`` floor (at least 1). A cell takes the union of its families'
+columns, prunes them with a column mask (once over the corpus, or per fold
+over the training rows), and trains on row slices; under corpus scope the
+SVM Gram matrix is computed once per cell and sliced per fold.
 The pipeline is the harness's one handle: ``run_experiment(pipeline, config)``
 and ``run_grid(pipeline, configs)`` read the corpus, its folds, the lexicon,
 the transitions and the tagger from it and from nowhere else.
@@ -26,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -35,8 +28,8 @@ import numpy as np
 from . import linear_svm, naive_bayes
 from .corpus import Corpus, N_FOLDS
 from .errors import ConfigError, DataError
-from .features import FAMILIES, FeatureFamily, FeatureSpec, Polarized, Window, _TokenStream
-from .features import check_resources, parse_feature_spec
+from .features import FAMILIES, FeatureFamily, FeatureSpec, _TokenStream, check_resources
+from .features import parse_feature_spec
 from .lexicon import SubjectivityLexicon, TransitionList
 from .tagging import RuleTagger
 from .vectorize import FeatureMatrix, Representation, column_mask, represent
@@ -74,7 +67,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown classifier {self.classifier!r} (expected 'nb' or 'svm')")
         if self.prune_scope not in PRUNE_SCOPES:
             raise ConfigError(f"unknown prune scope {self.prune_scope!r} (expected 'fold' or 'corpus')")
-        linear_svm.check_solver_limits(self.tol, self.max_epochs)
+        linear_svm.check_solver_limits(self.tol, self.max_epochs, self.C)
         object.__setattr__(self, "representation", parse_representation(self.representation))
         # Normalizes the family string and rejects unknown tokens up front.
         object.__setattr__(self, "features", self.spec().canonical())
@@ -83,18 +76,7 @@ class ExperimentConfig:
         return parse_feature_spec(self.features, negation=self.negation)
 
     def to_json_dict(self) -> dict:
-        return {
-            "features": self.features,
-            "representation": self.representation.value,
-            "classifier": self.classifier,
-            "negation": self.negation,
-            "prune_scope": self.prune_scope,
-            "seed": self.seed,
-            "min_count": self.min_count,
-            "C": self.C,
-            "tol": self.tol,
-            "max_epochs": self.max_epochs,
-        }
+        return {**asdict(self), "representation": self.representation.value}
 
     def hash(self) -> str:
         blob = json.dumps(self.to_json_dict(), sort_keys=True)
@@ -113,17 +95,8 @@ class EvalReport:
     warnings: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "config_hash": self.config.hash(),
-            "config": self.config.to_json_dict(),
-            "fold_accuracies": self.fold_accuracies,
-            "mean_accuracy": self.mean_accuracy,
-            "feature_count": self.feature_count,
-            "precision": self.precision,
-            "recall": self.recall,
-            "wall_time": self.wall_time,
-            "warnings": self.warnings,
-        }
+        return {**asdict(self), "config_hash": self.config.hash(),
+                "config": self.config.to_json_dict()}
 
 
 class FeaturePipeline:
@@ -132,10 +105,8 @@ class FeaturePipeline:
     The corpus is preprocessed once with *tagger* (a RuleTagger by default)
     into a token stream of word ids, tag ids and negation flags, so the
     negated and plain unigram variants come from the same stream and every
-    grid cell reuses the cache regardless of its negation flag. The
-    ``Window`` families of ``features.FAMILIES`` keep only the columns that
-    reach the requested floor; ``pu``, ``pb`` and ``t`` are counted from the
-    same stream and keep every column.
+    grid cell reuses the cache regardless of its negation flag. Every family
+    keeps only the columns that reach the requested floor.
     """
 
     def __init__(self, corpus: Corpus,
@@ -161,25 +132,16 @@ class FeaturePipeline:
                       min_count: int = 1) -> FeatureMatrix:
         """The cached count matrix of *family*, built on first use.
 
-        A window family keeps only the columns whose corpus total reaches
+        The matrix keeps only the columns whose corpus total reaches
         ``max(min_count, 1)``. That is exact for either prune scope, since
-        no fold's training total exceeds the corpus total. ``pu``, ``pb``
-        and ``t`` keep every column.
+        no fold's training total exceeds the corpus total.
         """
-        row = FAMILIES[family]
         neg = negation_variant and family is FeatureFamily.UNIGRAM
-        floor = max(min_count, 1) if isinstance(row, Window) else 1
-        key = (family, neg, floor)
+        key = (family, neg, max(min_count, 1))
         if key not in self._matrices:
-            if isinstance(row, Window):
-                matrix = self._stream().window_matrix(row, neg, floor)
-            else:
-                check_resources(FeatureSpec(frozenset({family})), self.lexicon, self.transitions)
-                if isinstance(row, Polarized):
-                    matrix = self._stream().polarized_matrix(row, self.lexicon)
-                else:
-                    matrix = self._stream().transition_matrix(row, self.transitions, self.lexicon)
-            self._matrices[key] = matrix
+            check_resources(FeatureSpec(frozenset({family})), self.lexicon, self.transitions)
+            self._matrices[key] = self._stream().matrix(FAMILIES[family], neg, key[2],
+                                                        self.lexicon, self.transitions)
         return self._matrices[key]
 
     def matrix_for_spec(self, spec: FeatureSpec, min_count: int = 1) -> FeatureMatrix:

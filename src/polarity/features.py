@@ -1,4 +1,5 @@
-"""The nine linguistic feature families and their unions.
+"""The nine linguistic feature families, their unions, and the token stream
+they are counted from.
 
 ``FAMILIES`` is the one family table. Each word/tag family (``unigram``,
 ``bigram``, ``trigram``, ``adj``, ``adjadv``, ``3adjadv``) is a ``Window``:
@@ -6,9 +7,14 @@ its features are the within-sentence windows of *n* words, or only those
 where some word is an adjective or adverb. ``pu`` and ``pb`` are
 ``Polarized`` rows: the lexicon-matched words, alone or paired with their
 neighbors. ``t`` is the ``Transition`` row: each transition phrase paired
-with the content words of its sentence. The cross-validation pipeline counts
-every row from its token stream of integer word and tag ids, the corpus's
-one document representation.
+with the content words of its sentence.
+
+``_TokenStream`` holds the corpus as integer word and tag ids, the corpus's
+one document representation, and counts every row from it. Each occurrence
+becomes an int64 key (a window's word ids; a polarized token's ``POL/TAG``
+core and its neighbor; a phrase and a content word), and one rule turns the
+keys of any row into a count matrix: a column is one distinct feature
+string, kept when its corpus total reaches the ``min_count`` floor.
 
 Every emitted feature string carries its family's namespace prefix, so
 families never collide and a union is plain multiset addition. N-grams,
@@ -237,15 +243,24 @@ class _TokenStream:
         self.negated = negation_scopes(self.words, self.ids, self.starts)
         self._polarity: tuple | None = None
 
+    def matrix(self, row: Window | Polarized | Transition, negation_variant: bool, floor: int,
+               lexicon: SubjectivityLexicon | None,
+               transitions: TransitionList | None) -> FeatureMatrix:
+        """The count matrix of *row*'s features whose corpus total is >= *floor*."""
+        if isinstance(row, Window):
+            return self.window_matrix(row, negation_variant, floor)
+        if isinstance(row, Polarized):
+            return self.polarized_matrix(row, lexicon, floor)
+        return self.transition_matrix(row, transitions, lexicon, floor)
+
     def window_matrix(self, window: Window, negation_variant: bool, floor: int) -> FeatureMatrix:
         """The count matrix of *window*'s features whose corpus total is >= *floor*.
 
         Each window becomes an int64 key over its word ids (and, for the
-        negated unigram variant, its negation flag); keys are totalled over
-        the corpus, and feature strings are built for the survivors only.
-        Distinct keys with ``_`` inside a word can spell one feature
-        (``a_b c`` and ``a b_c``), so those are totalled by string. The key
-        holds one negation flag, so the negated variant is for ``n == 1``.
+        negated unigram variant, its negation flag). Distinct keys with
+        ``_`` inside a word can spell one feature (``a_b c`` and ``a b_c``).
+        The key holds one negation flag, so the negated variant is for
+        ``n == 1``.
         """
         n, vocab = window.n, len(self.words)
         if negation_variant and n > 1:
@@ -270,58 +285,24 @@ class _TokenStream:
                 span = int(keys.max()) + 1
             keys, span = keys * vocab + self.ids[pos + k], span * vocab
 
-        # Windows sorted by key form one run per distinct key: its total is
-        # the run's length, and the run's first window spells its feature.
-        # Each large temporary is dropped as soon as it is used, which keeps
-        # the build's peak memory below that of per-document bags.
-        order = np.argsort(keys)
-        keys = keys[order]
-        first = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        del keys
-        runs = np.flatnonzero(first)
-        del first
-        totals = np.diff(runs, append=len(order))
-        spelled_at = pos[order[runs]]
-
-        def names(chosen: np.ndarray) -> list[str]:
-            at = spelled_at[chosen]
+        def spell(_, at: np.ndarray) -> list[str]:
             columns = [[self.words[i] for i in self.ids[at + k].tolist()] for k in range(n)]
             if negation_variant:
                 columns[0] = [NEGATION_PREFIX + w if neg else w
                               for w, neg in zip(columns[0], self.negated[at].tolist())]
             return [f"{window.namespace}:{'_'.join(parts)}" for parts in zip(*columns)]
 
-        survives = totals >= floor
-        if n > 1:
+        def shares(_, at: np.ndarray) -> np.ndarray:
             underscored = np.array(["_" in w for w in self.words], dtype=bool)
-            merged = np.zeros(len(totals), dtype=bool)
-            for k in range(n):
-                merged |= underscored[self.ids[spelled_at + k]]
-            chosen = np.flatnonzero(merged)
-            if chosen.size:
-                spelled = names(chosen)
-                by_name: Counter = Counter()
-                for name, total in zip(spelled, totals[chosen].tolist()):
-                    by_name[name] += total
-                survives[chosen] = [by_name[name] >= floor for name in spelled]
+            return np.any([underscored[self.ids[at + k]] for k in range(n)], axis=0)
 
-        chosen = np.flatnonzero(survives)
-        spelled = names(chosen)
-        features = sorted(set(spelled))
-        column = {feature: j for j, feature in enumerate(features)}
-        column_of_key = np.full(len(totals), -1, dtype=np.int32)
-        column_of_key[chosen] = [column[name] for name in spelled]
-        columns = np.empty(len(pos), dtype=np.int32)  # per window, in token order
-        columns[order] = np.repeat(column_of_key, totals)
-        del order
-        hit = columns >= 0
-        pos, columns = pos[hit], columns[hit]
-        return FeatureMatrix.from_occurrences(np.searchsorted(pos, self.doc_bounds), columns,
-                                              features)
+        parts = [(pos, keys, spell, shares)]
+        del pos, keys  # the sort in _keyed_matrix drops the unsorted keys
+        return self._keyed_matrix(parts, floor)
 
-    def polarized_matrix(self, row: Polarized, lexicon: SubjectivityLexicon) -> FeatureMatrix:
-        """The count matrix of *row*'s features (``pu`` or ``pb``), every column kept.
+    def polarized_matrix(self, row: Polarized, lexicon: SubjectivityLexicon,
+                         floor: int) -> FeatureMatrix:
+        """The count matrix of *row*'s features (``pu`` or ``pb``) whose corpus total is >= *floor*.
 
         Each occurrence is keyed by its polarized token's ``POL/TAG`` core
         and, for ``pb``, the neighbor's word or tag id.
@@ -329,21 +310,23 @@ class _TokenStream:
         pos, core, cores = self._polarized(lexicon)
         ns, core = row.namespace, core.astype(np.int64)
         if not row.neighbors:
-            return self._keyed_matrix([(pos, core, lambda keys: [f"{ns}:{cores[k]}" for k in keys])])
+            return self._keyed_matrix(
+                [(pos, core, lambda keys, _: [f"{ns}:{cores[k]}" for k in keys.tolist()], None)],
+                floor)
         continues = np.append(~self.starts[1:], False)  # the next token is in the sentence
         before, after = pos[~self.starts[pos]], pos[continues[pos]]
         core_before, core_after = core[~self.starts[pos]], core[continues[pos]]
         parts = []
         for names, of in [(self.words, self.ids), (self.tags, self.tag_ids)]:
             parts.append((before, of[before - 1].astype(np.int64) * len(cores) + core_before,
-                          _pair_names(ns, names, cores)))
+                          _pair_names(ns, names, cores), None))
             parts.append((after, core_after * len(names) + of[after + 1],
-                          _pair_names(ns, cores, names)))
-        return self._keyed_matrix(parts)
+                          _pair_names(ns, cores, names), None))
+        return self._keyed_matrix(parts, floor)
 
     def transition_matrix(self, row: Transition, transitions: TransitionList,
-                          lexicon: SubjectivityLexicon) -> FeatureMatrix:
-        """The count matrix of ``t``'s features, every column kept.
+                          lexicon: SubjectivityLexicon, floor: int) -> FeatureMatrix:
+        """The count matrix of ``t``'s features whose corpus total is >= *floor*.
 
         In each sentence with a phrase match, every content word outside all
         matches is paired with each distinct phrase matched there. An
@@ -376,10 +359,10 @@ class _TokenStream:
         polar = core_at[at] >= 0
         ns, keys = row.namespace, [p.replace(" ", "_") for p in transitions.phrases]
         return self._keyed_matrix([
-            (at, phrase * len(self.words) + self.ids[at], _pair_names(ns, keys, self.words)),
+            (at, phrase * len(self.words) + self.ids[at], _pair_names(ns, keys, self.words), None),
             (at[polar], phrase[polar] * len(cores) + core_at[at[polar]],
-             _pair_names(ns, keys, cores)),
-        ])
+             _pair_names(ns, keys, cores), None),
+        ], floor)
 
     def _phrase_matches(self, transitions: TransitionList) -> tuple[np.ndarray, ...]:
         """(starts, ends, phrase indices) of the transition matches, in token order.
@@ -410,29 +393,64 @@ class _TokenStream:
                 free = stop
         return start[chosen], end[chosen], rank[chosen]
 
-    def _keyed_matrix(self, parts) -> FeatureMatrix:
-        """The count matrix of occurrences given as (positions, int64 keys, spell) parts.
+    def _keyed_matrix(self, parts: list, floor: int) -> FeatureMatrix:
+        """The count matrix of the occurrences in *parts*, keeping the columns whose
+        total is >= *floor*.
 
-        ``spell`` names a part's distinct keys. Strings are built for
-        distinct keys only, and a column is one distinct string, so keys
-        that spell one feature (a pretagged word ``jj`` and the tag ``jj``,
-        or words and phrases holding ``_``) share it, as a per-document bag
-        of strings totals them.
+        A part is (token positions, int64 keys, spell, shares). Its
+        occurrences sorted by key form one run per distinct key: the run's
+        length is the key's total and its first occurrence's position ``at``.
+        ``spell(keys, at)`` names the given keys, and ``shares(keys, at)``
+        marks those whose string another key may spell too (every key when
+        ``shares`` is None: a pretagged word ``jj`` and the tag ``jj``, or
+        words and phrases holding ``_``). Strings are built for the keys that
+        reach the floor and for those that may share; a column is one
+        distinct string, as in a per-document bag of strings, and is kept
+        when its keys' totals reach the floor. The parts are popped, and each
+        large temporary is dropped as soon as it is used, which keeps the
+        build's peak memory below that of per-document bags.
         """
-        spelled, inverses = [], []
-        for _, keys, spell in parts:
-            distinct, inverse = np.unique(keys, return_inverse=True)
-            spelled.append(spell(distinct.tolist()))
-            inverses.append(inverse)
-        features = sorted(set().union(*spelled))
+        spelled = []  # per part: positions, key order, run totals, spelled runs, names
+        by_name: Counter = Counter()  # each spelled string's total over every part
+        while parts:
+            pos, keys, spell, shares = parts.pop(0)
+            order = np.argsort(keys)
+            keys = keys[order]
+            first = np.ones(len(keys), dtype=bool)
+            np.not_equal(keys[1:], keys[:-1], out=first[1:])
+            runs = np.flatnonzero(first)
+            del first
+            keys = keys[runs]
+            totals = np.diff(runs, append=len(order))
+            at = pos[order[runs]]
+            del runs
+            chosen = (np.arange(len(totals)) if shares is None
+                      else np.flatnonzero((totals >= floor) | shares(keys, at)))
+            names = spell(keys[chosen], at[chosen])
+            del keys, at
+            for name, total in zip(names, totals[chosen].tolist()):
+                by_name[name] += total
+            spelled.append((pos, order, totals, chosen, names))
+
+        features = sorted(name for name, total in by_name.items() if total >= floor)
         column = {feature: j for j, feature in enumerate(features)}
-        at = np.concatenate([p[0] for p in parts])
-        columns = np.concatenate([
-            np.array([column[name] for name in strings], dtype=np.int32)[inverse]
-            for strings, inverse in zip(spelled, inverses)])
-        order = np.argsort(at, kind="stable")
-        return FeatureMatrix.from_occurrences(np.searchsorted(at[order], self.doc_bounds),
-                                              columns[order], features)
+        hits = []
+        while spelled:
+            pos, order, totals, chosen, names = spelled.pop(0)
+            column_of_run = np.full(len(totals), -1, dtype=np.int32)
+            column_of_run[chosen] = [column.get(name, -1) for name in names]
+            columns = np.empty(len(order), dtype=np.int32)  # per occurrence, as given
+            columns[order] = np.repeat(column_of_run, totals)
+            del order
+            hit = columns >= 0
+            hits.append((pos[hit], columns[hit]))
+            del pos, columns
+        at, columns = hits.pop() if len(hits) == 1 else map(np.concatenate, zip(*hits))
+        if (at[1:] < at[:-1]).any():
+            order = np.argsort(at)
+            at, columns = at[order], columns[order]
+        return FeatureMatrix.from_occurrences(np.searchsorted(at, self.doc_bounds), columns,
+                                              features)
 
     def _polarized(self, lexicon: SubjectivityLexicon) -> tuple[np.ndarray, np.ndarray, list[str]]:
         """(positions, core ids, cores): each polarized token and its ``POL/TAG`` core.
@@ -460,7 +478,7 @@ class _TokenStream:
 
 def _pair_names(namespace: str, first: list[str], second: list[str]):
     """Spells a key ``i * len(second) + j`` as ``namespace:first[i]_second[j]``."""
-    def spell(keys: list[int]) -> list[str]:
+    def spell(keys: np.ndarray, _) -> list[str]:
         return [f"{namespace}:{first[i]}_{second[j]}"
-                for i, j in (divmod(key, len(second)) for key in keys)]
+                for i, j in (divmod(key, len(second)) for key in keys.tolist())]
     return spell

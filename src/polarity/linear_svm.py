@@ -205,10 +205,12 @@ def default_C(X: CsrMatrix) -> float:
     return 1.0 / mean
 
 
-def check_solver_limits(tol: float, max_epochs: int) -> None:
-    """Raise ConfigError unless *tol* is finite and above 0 and *max_epochs* at least 1."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ConfigError(f"tol must be finite and above 0, got {tol}")
+def check_solver_limits(tol: float, max_epochs: int, C: float | None = None) -> None:
+    """Raise ConfigError unless *tol* and a given *C* are finite and above 0 and
+    *max_epochs* is at least 1."""
+    for name, value in [("C", C), ("tol", tol)]:
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{name} must be finite and above 0, got {value}")
     if max_epochs < 1:
         raise ConfigError(f"max_epochs must be at least 1, got {max_epochs}")
 
@@ -243,6 +245,11 @@ def train_svm(X: CsrMatrix, y: Sequence[int], C: float | None = None,
     n = X.shape[0]
     K = gram_matrix(X) if gram is None else np.asfortranarray(gram)
     diag = K.diagonal().copy()
+    # |K_ij| <= max(diag), so this bounds every step's K_ii + K_jj - 2 K_ij
+    # and K_ki - K_kj.
+    if not math.isfinite(4.0 * float(diag.max())):
+        raise DataError("the Gram matrix of the training vectors is too large to train on "
+                        "(its pair differences overflow)")
 
     # v = -y * G, where G is the gradient of (1/2) a'Qa - e'a. As y = +-1,
     # stepping v by t * (K_i - K_j) rounds exactly as stepping G would.

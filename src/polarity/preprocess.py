@@ -7,7 +7,7 @@ tokenize and lowercase, tag part-of-speech, mark negation scopes. The ``NOT_``
 prefix is never stored; the negated unigram variant adds it when it extracts.
 
 The document representation is one token stream for the whole corpus
-(``evaluation._TokenStream``): each line goes through ``tokenize`` (or
+(``features._TokenStream``): each line goes through ``tokenize`` (or
 ``tokenize_pretagged``) and its words become int32 ids; tags come from
 ``RuleTagger.tag_stream`` and negation scopes from ``negation_scopes``, both
 computed over the whole stream with NumPy.

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from polarity.corpus import Corpus, Label, RawDocument, assign_folds, load_corpus
+from polarity.errors import DataError
 from polarity.lexicon import LexiconEntry, Polarity, SubjectivityLexicon
-from polarity.vectorize import CsrMatrix
+from polarity.vectorize import CsrMatrix, column_mask
+from reference import from_bags, pipeline_bags
 
 DATASET_ENV = "POLARITY_DATA_DIR"
 LEXICON_ENV = "POLARITY_LEXICON"
@@ -113,6 +115,34 @@ def corpus_of(texts) -> Corpus:
         RawDocument(id=f"cv{i:03d}_{i}", label=Label.POSITIVE if i % 2 else Label.NEGATIVE,
                     text=text)
         for i, text in enumerate(texts)])
+
+
+# The pruning floors the family matrices are checked at.
+MIN_COUNTS = [1, 2, 5, 400]
+
+
+def assert_matches_bags(pipeline, family, negation: bool, min_count: int) -> None:
+    """``pipeline.family_matrix`` at *min_count* equals ``reference.from_bags`` over
+    the family's reference bags restricted to the columns reaching *min_count*:
+    same features in the same order, same counts. The cached matrix holds those
+    columns only. When no feature reaches the floor, both raise the same
+    "vocabulary is empty" DataError."""
+    reference = from_bags(pipeline_bags(pipeline, family, negation))
+    matrix = pipeline.family_matrix(family, negation, min_count)
+    try:
+        mask = column_mask(reference.counts, min_count)
+    except DataError as exc:
+        with pytest.raises(DataError) as caught:
+            column_mask(matrix.counts, min_count)
+        assert str(caught.value) == str(exc)
+        assert "vocabulary is empty" in str(exc)
+        return
+    assert column_mask(matrix.counts, min_count).all()
+    assert matrix.features == [f for f, keep in zip(reference.features, mask) if keep]
+    expected = to_scipy(reference.counts)[:, mask]
+    assert matrix.counts.shape == expected.shape
+    assert matrix.counts.data.dtype == np.float64
+    assert (to_scipy(matrix.counts) != expected).nnz == 0
 
 
 def shuffle_labels(corpus: Corpus, seed: int) -> Corpus:

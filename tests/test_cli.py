@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from polarity import evaluation, linear_svm
+from polarity import cli, evaluation, linear_svm
 from polarity.cli import main
 from polarity.evaluation import EvalReport
 from polarity.vectorize import write_svmlight
@@ -249,6 +249,34 @@ class TestInputErrors:
         assert code == 3
         assert message in one_error_line(capsys)
         assert not (tmp_path / "m.json").exists()
+
+    def test_overflowing_pair_differences_exit_3(self, tmp_path, capsys):
+        # finite squared norms whose pair differences K_ii + K_jj - 2 K_ij overflow
+        path = tmp_path / "v.svml"
+        path.write_text("+1 1:1e154\n-1 2:1e154\n", encoding="utf-8")
+        code = main(["train", "--input", str(path), "--clf", "svm", "--C", "1",
+                     "--out", str(tmp_path / "m")])
+        assert code == 3
+        assert "pair differences overflow" in one_error_line(capsys)
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "reproduce"])
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_bad_C_exits_2_before_any_cell(self, corpus_dir, lexicon_tsv, tmp_path, capsys,
+                                           monkeypatch, command, value):
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli, "run_experiment", no_cells)
+        monkeypatch.setattr(evaluation, "run_experiment", no_cells)
+        argv = {
+            "evaluate": ["evaluate", "--features", "unigram", "--rep", "presence", "--clf", "svm"],
+            "reproduce": ["reproduce", "--out-dir", str(tmp_path / "x"), "--only", "table2",
+                          "--lexicon", str(lexicon_tsv), "--lexicon-format", "tsv"],
+        }[command]
+        assert main(argv + ["--corpus", str(corpus_dir), "--C", value]) == 2
+        assert one_error_line(capsys) == f"error: C must be finite and above 0, got {float(value)}"
+        assert not (tmp_path / "x").exists()
 
     def test_gram_above_the_row_bound_exits_3(self, vector_file, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(linear_svm, "MAX_GRAM_ROWS", 49)  # the file has 50 vectors

@@ -54,6 +54,12 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=message):
             cfg(classifier="svm", **limits)
 
+    @pytest.mark.parametrize("C", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_rejects_an_explicit_C_not_finite_and_above_0(self, C):
+        with pytest.raises(ConfigError, match="C must be finite and above 0"):
+            cfg(classifier="svm", C=C)
+        assert cfg(classifier="svm", C=None).C is None
+
     def test_hash_stable_and_sensitive(self):
         assert cfg().hash() == cfg().hash()
         assert cfg().hash() != cfg(classifier="svm").hash()

@@ -1,20 +1,18 @@
 """The cached family matrices against the bag reference, at every pruning floor.
 
-For each ``Window`` row of ``features.FAMILIES`` (and the negated unigram
-variant), ``FeaturePipeline.family_matrix`` restricted to the columns that
-reach ``min_count`` must equal ``reference.from_bags`` over the family's
-``reference.extract_window`` bags restricted the same way: same features in the same
-order, same counts. When no feature reaches the floor, both paths raise the
-same "vocabulary is empty" DataError. The corpora are the golden corpus
-under the built-in tagger and a pretagged corpus with ``_`` inside words,
-an empty document and one-word sentences.
+For every row of ``features.FAMILIES`` (and the negated unigram variant),
+``FeaturePipeline.family_matrix`` at a floor must equal ``reference.from_bags``
+over the family's reference bags restricted to the columns that reach it, as
+``conftest.assert_matches_bags`` checks at each floor of ``MIN_COUNTS``. For
+the ``Window`` rows the corpora are the golden corpus under the built-in
+tagger and a pretagged corpus with ``_`` inside words, an empty document and
+one-word sentences.
 
-The ``Polarized`` rows (``pu`` and ``pb``) keep every column, and their
-matrices must equal ``reference.from_bags`` over the
-``reference.extract_polarized_*`` bags, on the golden corpus and on a pretagged corpus
-where a lowercase tag spells a word (``jj_NN`` beside ``good_jj``), so that
-a word key and a tag key spell one ``pb`` feature. Both rows together ask
-the lexicon once per distinct (word, tag) pair.
+For the ``Polarized`` rows (``pu`` and ``pb``) they are the golden corpus and
+a pretagged corpus where a lowercase tag spells a word (``jj_NN`` beside
+``good_jj``), so that a word key and a tag key spell one ``pb`` feature,
+which reaches a floor only through that merged spelling. Both rows together
+ask the lexicon once per distinct (word, tag) pair.
 """
 
 import random
@@ -22,25 +20,20 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from conftest import to_scipy
+from conftest import MIN_COUNTS, assert_matches_bags, to_scipy
 from polarity.corpus import Corpus, Label, RawDocument, load_corpus
-from polarity.errors import DataError
 from polarity import features
 from polarity.evaluation import FeaturePipeline
 from polarity.features import FAMILIES, FeatureFamily, Window
 from polarity.lexicon import ANYPOS, LexiconEntry, Polarity, SubjectivityLexicon, load_lexicon
 from polarity.tagging import get_tagger
-from polarity.vectorize import column_mask
-from reference import extract_window, from_bags, pipeline_bags, preprocess_document
+from reference import extract_window, preprocess_document
 
 CORPUS = Path(__file__).parent / "golden" / "corpus"
 VARIANTS = ([(family, False) for family, row in FAMILIES.items() if isinstance(row, Window)]
             + [(FeatureFamily.UNIGRAM, True)])
-MIN_COUNTS = [1, 2, 5, 400]
-
 # Words with "_" make features whose strings collide across keys:
 # ("a_b", "c") and ("a", "b_c") are both "b:a_b_c".
 _PRETAGGED_WORDS = ["a", "b", "c", "a_b", "b_c", "new", "york", "new_york", "york_city",
@@ -76,35 +69,6 @@ def golden_pipeline():
 def pretagged_pipeline(tmp_path_factory):
     root = write_pretagged_corpus(tmp_path_factory.mktemp("pretagged_underscore"))
     return FeaturePipeline(load_corpus(root), tagger=get_tagger("pretagged"))
-
-
-def pruned_family_matrix(pipeline, family, negation, min_count):
-    """(features, counts) of the family's matrix over the columns reaching *min_count*.
-
-    The cached matrix holds those columns only.
-    """
-    matrix = pipeline.family_matrix(family, negation, min_count)
-    mask = column_mask(matrix.counts, min_count)
-    assert mask.all()
-    return matrix.features, matrix.counts
-
-
-def assert_matches_bags(pipeline, family, negation, min_count):
-    reference = from_bags(pipeline_bags(pipeline, family, negation))
-    try:
-        mask = column_mask(reference.counts, min_count)
-    except DataError as exc:
-        with pytest.raises(DataError) as caught:
-            pruned_family_matrix(pipeline, family, negation, min_count)
-        assert str(caught.value) == str(exc)
-        assert "vocabulary is empty" in str(exc)
-        return
-    features, counts = pruned_family_matrix(pipeline, family, negation, min_count)
-    assert features == [f for f, keep in zip(reference.features, mask) if keep]
-    expected = to_scipy(reference.counts)[:, mask]
-    assert counts.shape == expected.shape
-    assert counts.data.dtype == np.float64
-    assert (to_scipy(counts) != expected).nnz == 0
 
 
 IDS = [f"{f.value}{'-neg' if n else ''}-min{m}" for f, n in VARIANTS for m in MIN_COUNTS]
@@ -209,24 +173,25 @@ def polarized_corpora(tmp_path_factory):
 def test_polarized_family_matrix_matches_bags(polarized_corpora, corpus_name, family):
     corpus, lexicon, tagger = polarized_corpora[corpus_name]
     pipeline = FeaturePipeline(corpus, lexicon=lexicon, tagger=tagger)
-    matrix = pipeline.family_matrix(family, min_count=5)
-    expected = from_bags(pipeline_bags(pipeline, family))
-    assert expected.features
-    assert matrix.features == expected.features
-    assert matrix.counts.data.dtype == np.float64
-    assert matrix.counts.shape == expected.counts.shape
-    assert (to_scipy(matrix.counts) != to_scipy(expected.counts)).nnz == 0
+    assert pipeline.family_matrix(family).features
+    for min_count in MIN_COUNTS:
+        assert_matches_bags(pipeline, family, False, min_count)
 
 
 def test_word_and_tag_that_spell_one_pb_feature_merge(polarized_corpora):
     """In the first document, ``jj_NN good_jj`` (the word ``jj``) and
-    ``x_jj good_jj`` (the tag ``jj``) both give ``pb:jj_POS/jj``."""
+    ``x_jj good_jj`` (the tag ``jj``) both give ``pb:jj_POS/jj``, once each:
+    the feature reaches a floor of 2 only through the merged spelling."""
     corpus, lexicon, tagger = polarized_corpora["pretagged"]
-    pipeline = FeaturePipeline(corpus, lexicon=lexicon, tagger=tagger)
-    matrix = pipeline.family_matrix(FeatureFamily.POLARIZED_BIGRAM)
-    column = matrix.features.index("pb:jj_POS/jj")
     assert corpus.documents[0].text.startswith("jj_NN good_jj")
-    assert to_scipy(matrix.counts)[0, column] == 2
+    pipeline = FeaturePipeline(Corpus(documents=corpus.documents[:1]), lexicon=lexicon,
+                               tagger=tagger)
+    matrix = pipeline.family_matrix(FeatureFamily.POLARIZED_BIGRAM, min_count=2)
+    assert to_scipy(matrix.counts)[0, matrix.features.index("pb:jj_POS/jj")] == 2
+    pruned = pipeline.family_matrix(FeatureFamily.POLARIZED_BIGRAM, min_count=3)
+    assert "pb:jj_POS/jj" not in pruned.features
+    for min_count in (2, 3):
+        assert_matches_bags(pipeline, FeatureFamily.POLARIZED_BIGRAM, False, min_count)
 
 
 @pytest.mark.parametrize("corpus_name", ["golden", "pretagged"])

@@ -1,25 +1,25 @@
 """The ``t`` family matrix, counted from the token stream, against the bag reference.
 
 ``FeaturePipeline.family_matrix`` for ``t`` must equal ``reference.from_bags``
-over ``reference.extract_transitions`` bags, for the built-in and the
-pretagged tagger. The generated text and transition lists hold repeated,
-overlapping and prefix-sharing phrases (``in spite of`` / ``in contrast`` /
-``in``), phrases split across a line end, phrase words that are content
-words or polarized, a phrase word missing from the corpus, and, for
-pretagged text, words and a phrase holding ``_`` whose feature strings
-collide (``tr:a_b_c`` from the phrase ``a`` with the word ``b_c`` and from
-the phrase ``a_b`` with the word ``c``).
+over ``reference.extract_transitions`` bags pruned the same way, at every
+floor of ``MIN_COUNTS``, for the built-in and the pretagged tagger. The
+generated text and transition lists hold repeated, overlapping and
+prefix-sharing phrases (``in spite of`` / ``in contrast`` / ``in``), phrases
+split across a line end, phrase words that are content words or polarized, a
+phrase word missing from the corpus, and, for pretagged text, words and a
+phrase holding ``_`` whose feature strings collide (``tr:a_b_c`` from the
+phrase ``a`` with the word ``b_c`` and from the phrase ``a_b`` with the word
+``c``).
 """
 
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import corpus_of, to_scipy
+from conftest import MIN_COUNTS, assert_matches_bags, corpus_of, to_scipy
 from polarity.evaluation import FeaturePipeline
 from polarity.features import FeatureFamily
 from polarity.lexicon import ANYPOS, LexiconEntry, Polarity, SubjectivityLexicon
 from polarity.lexicon import TransitionList, load_transitions
 from polarity.tagging import PretaggedReader, RuleTagger
-from reference import from_bags, pipeline_bags
 
 BUNDLED = load_transitions().phrases
 _PHRASES = ["in spite of", "in contrast", "in", "spite of", "on the other hand", "the other",
@@ -60,11 +60,8 @@ pretagged_texts = _joined(
 def assert_t_matches_reference(documents, phrases, tagger):
     pipeline = FeaturePipeline(corpus_of(documents), lexicon=LEXICON,
                                transitions=TransitionList(list(phrases)), tagger=tagger)
-    matrix = pipeline.family_matrix(FeatureFamily.TRANSITION)
-    expected = from_bags(pipeline_bags(pipeline, FeatureFamily.TRANSITION))
-    assert matrix.features == expected.features
-    assert matrix.counts.shape == expected.counts.shape == (len(documents), len(expected.features))
-    assert (to_scipy(matrix.counts) != to_scipy(expected.counts)).nnz == 0
+    for min_count in MIN_COUNTS:
+        assert_matches_bags(pipeline, FeatureFamily.TRANSITION, False, min_count)
 
 
 @settings(max_examples=200, deadline=None)
@@ -93,9 +90,11 @@ def test_pretagged_transition_matrix_matches_bags(documents, phrases):
 
 def test_underscore_phrase_and_word_spell_one_feature():
     """The phrase ``a`` with the word ``b_c`` and the phrase ``a_b`` with the word
-    ``c`` both write ``tr:a_b_c``: one column holding both counts."""
+    ``c`` both write ``tr:a_b_c``, once each: one column holding both counts,
+    which reaches a floor of 2 only through the merged spelling."""
     pipeline = FeaturePipeline(corpus_of(["a_DT b_c_NN but_CC a_b_DT c_NN"]), lexicon=LEXICON,
                                transitions=TransitionList(["a", "a_b"]),
                                tagger=PretaggedReader())
-    matrix = pipeline.family_matrix(FeatureFamily.TRANSITION)
+    matrix = pipeline.family_matrix(FeatureFamily.TRANSITION, min_count=2)
     assert to_scipy(matrix.counts)[0, matrix.features.index("tr:a_b_c")] == 2
+    assert "tr:a_b_c" not in pipeline.family_matrix(FeatureFamily.TRANSITION, min_count=3).features
