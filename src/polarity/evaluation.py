@@ -147,7 +147,7 @@ class FeaturePipeline:
     def matrix_for_spec(self, spec: FeatureSpec, min_count: int = 1) -> FeatureMatrix:
         """The union of the spec's family matrices, columns in lexicographic order.
 
-        Columns below *min_count* may be left out (see ``family_matrix``). A
+        Columns below *min_count* are left out (see ``family_matrix``). A
         missing lexicon or transition list fails before any family is built.
         """
         check_resources(spec, self.lexicon, self.transitions)
