@@ -13,7 +13,6 @@ import math
 import os
 import sys
 from importlib import resources
-from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -36,10 +35,10 @@ from .linear_svm import LinearSvmModel, predict_svm, train_svm
 from .tagging import get_tagger
 from .vectorize import (
     Representation,
-    column_mask,
     read_json_object,
     read_svmlight,
     represent,
+    require_vocabulary,
     write_svmlight,
     write_vocabulary,
 )
@@ -101,11 +100,10 @@ def cmd_extract(args) -> int:
         tagger=get_tagger(args.tagger),
     )
     matrix = pipeline.matrix_for_spec(spec, args.min_count)
-    mask = column_mask(matrix.counts, args.min_count)
-    X = represent(matrix.counts.select_columns(mask), Representation(args.rep))
+    X = represent(require_vocabulary(matrix.counts, args.min_count), Representation(args.rep))
     write_svmlight(X, args.out, pipeline.labels())
     if args.vocab_out:
-        write_vocabulary(compress(matrix.features, mask), args.vocab_out)
+        write_vocabulary(matrix.features, args.vocab_out)
     documents, features = X.shape
     summary = {"documents": documents, "features": features,
                "vectors_file": args.out, "vocabulary_file": args.vocab_out}

@@ -5,9 +5,10 @@ A FeaturePipeline preprocesses the corpus once into the token stream of
 a grid of many configurations pays the extraction cost per family, not per
 cell. Every family's matrix holds only the columns whose corpus total reaches
 the ``min_count`` floor (at least 1). A cell takes the union of its families'
-columns, prunes them with a column mask (once over the corpus, or per fold
-over the training rows), and trains on row slices; under corpus scope the
-SVM Gram matrix is computed once per cell and sliced per fold.
+columns and trains on row slices. Under corpus scope the union is the
+vocabulary as it is and the SVM Gram matrix is computed once per cell and
+sliced per fold; under fold scope each fold prunes the union with a column
+mask over its training rows.
 The pipeline is the harness's one handle: ``run_experiment(pipeline, config)``
 and ``run_grid(pipeline, configs)`` read the corpus, its folds, the lexicon,
 the transitions and the tagger from it and from nowhere else.
@@ -32,7 +33,7 @@ from .features import FAMILIES, FeatureFamily, FeatureSpec, _TokenStream, check_
 from .features import parse_feature_spec
 from .lexicon import SubjectivityLexicon, TransitionList
 from .tagging import RuleTagger
-from .vectorize import FeatureMatrix, Representation, column_mask, represent
+from .vectorize import FeatureMatrix, Representation, column_mask, represent, require_vocabulary
 
 CLASSIFIERS = ("nb", "svm")
 PRUNE_SCOPES = ("fold", "corpus")
@@ -103,10 +104,11 @@ class FeaturePipeline:
     """One token stream plus a per-family count-matrix cache for one corpus.
 
     The corpus is preprocessed once with *tagger* (a RuleTagger by default)
-    into a token stream of word ids, tag ids and negation flags, so the
-    negated and plain unigram variants come from the same stream and every
-    grid cell reuses the cache regardless of its negation flag. Every family
-    keeps only the columns that reach the requested floor.
+    into a token stream of word ids, whose tag ids and negation flags are
+    computed when a family first reads them, so the negated and plain
+    unigram variants come from the same stream and every grid cell reuses
+    the cache regardless of its negation flag. Every family keeps only the
+    columns that reach the requested floor.
     """
 
     def __init__(self, corpus: Corpus,
@@ -160,10 +162,11 @@ class FeaturePipeline:
 class _Cell:
     """One configuration over a pipeline's corpus, trained fold by fold.
 
-    Under prune_scope="corpus" the column mask, the represented matrix and
-    (for the SVM) the Gram matrix are computed once here and sliced per fold;
-    under "fold" each fold prunes on its own training rows. Nothing outlives
-    the cell.
+    Under prune_scope="corpus" the union is the vocabulary as it is (every
+    family matrix holds only the columns that reach the floor), and the
+    represented matrix and (for the SVM) the Gram matrix are computed once
+    here and sliced per fold; under "fold" each fold prunes on its own
+    training rows. Nothing outlives the cell.
     """
 
     def __init__(self, pipeline: FeaturePipeline, config: ExperimentConfig):
@@ -176,9 +179,10 @@ class _Cell:
         self.y = np.array(pipeline.labels())
         self.mask = self.X = self.gram = None
         if config.prune_scope == "corpus":
-            self.mask = column_mask(self.matrix.counts, config.min_count)
-            self.X = represent(self.matrix.counts.select_columns(self.mask),
+            # The union holds only columns that reach the floor: every one is kept.
+            self.X = represent(require_vocabulary(self.matrix.counts, config.min_count),
                                config.representation)
+            self.mask = np.ones(self.X.shape[1], dtype=bool)
             if config.classifier == "svm":
                 self.gram = linear_svm.gram_matrix(self.X)
 
@@ -317,7 +321,8 @@ def _map_cells(pipeline, configs, jobs):
         except ValueError:
             ctx = None
         if ctx is not None:
-            # Warm the matrix cache before forking so workers inherit it.
+            # Warm the matrix cache before forking so workers inherit it,
+            # with the stream annotations (tags, negation) those matrices read.
             for cfg in configs:
                 for family in cfg.spec().families:
                     try:

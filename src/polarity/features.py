@@ -11,7 +11,7 @@ with the content words of its sentence.
 
 ``_TokenStream`` holds the corpus as integer word and tag ids, the corpus's
 one document representation, and counts every row from it. Each occurrence
-becomes an int64 key (a window's word ids; a polarized token's ``POL/TAG``
+becomes an integer key (a window's word ids; a polarized token's ``POL/TAG``
 core and its neighbor; a phrase and a content word), and one rule turns the
 keys of any row into a count matrix: a column is one distinct feature
 string, kept when its corpus total reaches the ``min_count`` floor.
@@ -28,6 +28,7 @@ from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -37,7 +38,7 @@ from .errors import ConfigError
 from .lexicon import SubjectivityLexicon, TransitionList
 from .preprocess import NEGATION_PREFIX, negation_scopes, tokenize, tokenize_pretagged
 from .tagging import ADJECTIVE_TAGS, ADVERB_TAGS, PretaggedReader
-from .vectorize import FeatureMatrix
+from .vectorize import FeatureMatrix, index_dtype
 
 _CONTENT_PREFIXES = ("N", "V", "J", "R")
 
@@ -197,14 +198,20 @@ _MAX_KEY = np.iinfo(np.int64).max
 class _TokenStream:
     """The corpus as flat per-token buffers, built in one pass from the raw text.
 
-    ``ids`` holds an int32 word id per token (``words[id]`` is the word) and
-    ``tag_ids`` an int32 tag id (``tags[id]`` is the tag); ``starts`` marks
-    each sentence's first token, ``tag_bits`` the ``features.tag_bits`` of
-    the token's tag and ``negated`` its negation flag. The *i*-th document
+    ``ids`` holds an int32 word id per token (``words[id]`` is the word);
+    ``starts`` marks each sentence's first token, and the *i*-th document
     holds tokens ``doc_bounds[i]:doc_bounds[i + 1]``. Each line goes
     through ``preprocess.tokenize`` (or ``tokenize_pretagged``) and only its
-    words' ids are kept; tags and negation scopes are computed over the
-    whole stream, and no per-token object outlives its line.
+    words' ids are kept, so no per-token object outlives its line.
+
+    The annotations are computed over the whole stream on first use and
+    kept: ``tag_ids``, an int32 tag id per token (``tags[id]`` is the tag),
+    from ``RuleTagger.tag_stream``; ``tag_bits``, the ``features.tag_bits``
+    of each token's tag; and ``negated``, each token's negation flag. The
+    pretagged reader's tags are taken in the one pass. So the rows that
+    read none of them (``unigram``, ``bigram`` and ``trigram`` without the
+    negated variant) hold only the ids, the sentence starts and their own
+    int32 scratch.
     """
 
     def __init__(self, documents: Sequence[RawDocument], tagger):
@@ -234,14 +241,31 @@ class _TokenStream:
         starts[np.cumsum(lengths) - lengths] = True
         self.starts = starts[:-1]
         self.doc_bounds = np.concatenate(([0], np.cumsum(np.frombuffer(doc_lengths, np.int64))))
+        self._tagger = tagger
         if pretagged:
-            self.tags, self.tag_ids = list(tag_index), np.frombuffer(tag_ids, dtype=np.intc)
-        else:
-            self.tags, self.tag_ids = tagger.tag_stream(self.words, self.ids, self.starts)
-        bits = np.array([tag_bits(tag) for tag in self.tags], dtype=np.uint8)
-        self.tag_bits = bits[self.tag_ids]
-        self.negated = negation_scopes(self.words, self.ids, self.starts)
+            self._tagged = list(tag_index), np.frombuffer(tag_ids, dtype=np.intc)
         self._polarity: tuple | None = None
+
+    @cached_property
+    def _tagged(self) -> tuple[list[str], np.ndarray]:
+        return self._tagger.tag_stream(self.words, self.ids, self.starts)
+
+    @property
+    def tags(self) -> list[str]:
+        return self._tagged[0]
+
+    @property
+    def tag_ids(self) -> np.ndarray:
+        return self._tagged[1]
+
+    @cached_property
+    def tag_bits(self) -> np.ndarray:
+        bits = np.array([tag_bits(tag) for tag in self.tags], dtype=np.uint8)
+        return bits[self.tag_ids]
+
+    @cached_property
+    def negated(self) -> np.ndarray:
+        return negation_scopes(self.words, self.ids, self.starts)
 
     def matrix(self, row: Window | Polarized | Transition, negation_variant: bool, floor: int,
                lexicon: SubjectivityLexicon | None,
@@ -256,11 +280,12 @@ class _TokenStream:
     def window_matrix(self, window: Window, negation_variant: bool, floor: int) -> FeatureMatrix:
         """The count matrix of *window*'s features whose corpus total is >= *floor*.
 
-        Each window becomes an int64 key over its word ids (and, for the
-        negated unigram variant, its negation flag). Distinct keys with
-        ``_`` inside a word can spell one feature (``a_b c`` and ``a b_c``).
-        The key holds one negation flag, so the negated variant is for
-        ``n == 1``.
+        Each window becomes a key over its word ids (and, for the negated
+        unigram variant, its negation flag); keys and window positions are
+        int32 while every value fits (``vectorize.index_dtype``). Distinct
+        keys with ``_`` inside a word can spell one feature (``a_b c`` and
+        ``a b_c``). The key holds one negation flag, so the negated variant
+        is for ``n == 1``.
         """
         n, vocab = window.n, len(self.words)
         if negation_variant and n > 1:
@@ -274,9 +299,12 @@ class _TokenStream:
             for k in range(n):
                 tagged |= (self.tag_bits[k:k + size] & window.tag_bits) != 0
             keep &= tagged
-        pos = np.flatnonzero(keep)
+        # Positions, and the document bounds searched among them, up to len(ids).
+        pos = np.flatnonzero(keep).astype(index_dtype(len(self.ids) + 1))
+        del keep
 
-        keys, span = self.ids[pos].astype(np.int64), vocab
+        flags = 2 if negation_variant else 1
+        keys, span = self.ids[pos].astype(index_dtype(flags * vocab ** n), copy=False), vocab
         if negation_variant:
             keys, span = 2 * keys + self.negated[pos], 2 * vocab
         for k in range(1, n):
@@ -316,12 +344,15 @@ class _TokenStream:
         continues = np.append(~self.starts[1:], False)  # the next token is in the sentence
         before, after = pos[~self.starts[pos]], pos[continues[pos]]
         core_before, core_after = core[~self.starts[pos]], core[continues[pos]]
+        sides = [self.words, self.tags, cores]  # on either side of a pair
+        (word_shared, tag_shared, core_shared), _ = _shared(sides, sides)
         parts = []
-        for names, of in [(self.words, self.ids), (self.tags, self.tag_ids)]:
+        for names, of, shared in [(self.words, self.ids, word_shared),
+                                  (self.tags, self.tag_ids, tag_shared)]:
             parts.append((before, of[before - 1].astype(np.int64) * len(cores) + core_before,
-                          _pair_names(ns, names, cores), None))
+                          _pair_names(ns, names, cores), _pair_shares(shared, core_shared)))
             parts.append((after, core_after * len(names) + of[after + 1],
-                          _pair_names(ns, cores, names), None))
+                          _pair_names(ns, cores, names), _pair_shares(core_shared, shared)))
         return self._keyed_matrix(parts, floor)
 
     def transition_matrix(self, row: Transition, transitions: TransitionList,
@@ -358,10 +389,12 @@ class _TokenStream:
         core_at[pos] = core
         polar = core_at[at] >= 0
         ns, keys = row.namespace, [p.replace(" ", "_") for p in transitions.phrases]
+        (key_shared,), (word_shared, core_shared) = _shared([keys], [self.words, cores])
         return self._keyed_matrix([
-            (at, phrase * len(self.words) + self.ids[at], _pair_names(ns, keys, self.words), None),
+            (at, phrase * len(self.words) + self.ids[at], _pair_names(ns, keys, self.words),
+             _pair_shares(key_shared, word_shared)),
             (at[polar], phrase[polar] * len(cores) + core_at[at[polar]],
-             _pair_names(ns, keys, cores), None),
+             _pair_names(ns, keys, cores), _pair_shares(key_shared, core_shared)),
         ], floor)
 
     def _phrase_matches(self, transitions: TransitionList) -> tuple[np.ndarray, ...]:
@@ -397,7 +430,7 @@ class _TokenStream:
         """The count matrix of the occurrences in *parts*, keeping the columns whose
         total is >= *floor*.
 
-        A part is (token positions, int64 keys, spell, shares). Its
+        A part is (token positions, integer keys, spell, shares). Its
         occurrences sorted by key form one run per distinct key: the run's
         length is the key's total and its first occurrence's position ``at``.
         ``spell(keys, at)`` names the given keys, and ``shares(keys, at)``
@@ -449,8 +482,8 @@ class _TokenStream:
         if (at[1:] < at[:-1]).any():
             order = np.argsort(at)
             at, columns = at[order], columns[order]
-        return FeatureMatrix.from_occurrences(np.searchsorted(at, self.doc_bounds), columns,
-                                              features)
+        bounds = np.searchsorted(at, self.doc_bounds.astype(at.dtype))
+        return FeatureMatrix.from_occurrences(bounds, columns, features)
 
     def _polarized(self, lexicon: SubjectivityLexicon) -> tuple[np.ndarray, np.ndarray, list[str]]:
         """(positions, core ids, cores): each polarized token and its ``POL/TAG`` core.
@@ -482,3 +515,29 @@ def _pair_names(namespace: str, first: list[str], second: list[str]):
         return [f"{namespace}:{first[i]}_{second[j]}"
                 for i, j in (divmod(key, len(second)) for key in keys.tolist())]
     return spell
+
+
+def _shared(left: list[list[str]], right: list[list[str]]) -> tuple[list, list]:
+    """Per list of the names on the left and on the right of a family's pairs
+    ``left_right``, the names that a pair with another key may spell too.
+
+    A name found twice among the lists of its side may. So may a name
+    holding ``_``, unless no name of the other side holds one: then every
+    pair splits at its last (or first) ``_`` back into its two names. So a
+    word that spells a tag (a pretagged ``jj``), or a word, tag or phrase
+    holding ``_``, is what can merge two keys.
+    """
+    def flags(side: list[list[str]], other: list[list[str]]) -> list[np.ndarray]:
+        underscores = any("_" in name for names in other for name in names)
+        seen = Counter(name for names in side for name in names)
+        return [np.array([seen[name] > 1 or (underscores and "_" in name) for name in names],
+                         dtype=bool) for names in side]
+    return flags(left, right), flags(right, left)
+
+
+def _pair_shares(first: np.ndarray, second: np.ndarray):
+    """Marks a key ``i * len(second) + j`` when ``first[i]`` or ``second[j]`` is shared."""
+    def shares(keys: np.ndarray, _) -> np.ndarray:
+        i, j = np.divmod(keys, len(second))
+        return first[i] | second[j]
+    return shares

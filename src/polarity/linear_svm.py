@@ -18,12 +18,17 @@ rows. It is computed in two parts:
   slabs   when every value is an integer and every squared row norm is below
           2^53, every partial sum in any order is an integer below 2^53, so
           exact. Then the columns held by at least 1/32 of the rows go
-          through BLAS, as ``K += S @ S.T`` over dense slabs S of up to 1,024
+          through BLAS, as ``K += S @ S.T`` over dense slabs S of up to 512
           of those columns, and the pairs cover the rest.
 Either way K is the same bits as the sparse product. Other input (a
 real-valued svmlight file) takes the pairs over every column, which is
 several times slower on columns that most rows hold. K is symmetric, so its
 transpose is its column-major form.
+
+Besides K and a few arrays of one value per stored entry, the scratch is
+bounded: a block of pairs takes about 2.6 MB, and a slab and the product of
+one band of its rows take 8 * 512 * n bytes each (4 MB each at 1,000 rows),
+so no n x n temporary is made.
 """
 
 from __future__ import annotations
@@ -46,10 +51,10 @@ _SNAP = 1e-12
 # A column is dense, and goes through BLAS, when at least 1/_DENSE_SHARE of
 # the rows hold it; dense columns are copied out _SLAB_COLUMNS at a time.
 _DENSE_SHARE = 32
-_SLAB_COLUMNS = 1024
+_SLAB_COLUMNS = 512
 # Entry pairs, plus output cells, summed by one bincount: about 40 bytes each
-# at peak, so 40 MB.
-_PAIR_BLOCK = 1 << 20
+# at peak, so 2.6 MB.
+_PAIR_BLOCK = 1 << 16
 
 
 @dataclass
@@ -139,9 +144,10 @@ def gram_matrix(X: CsrMatrix) -> np.ndarray:
         frequent = np.bincount(X.indices, minlength=X.shape[1]) * _DENSE_SHARE >= n
         dense = frequent[X.indices] if exact else np.zeros(X.nnz, dtype=bool)
         K = np.zeros((n, n))
-        _add_pair_products(K, X.data[~dense], X.indices[~dense], rows[~dense], X.shape[1])
         slot = (np.cumsum(frequent) - 1)[X.indices[dense]]  # rank among the dense columns
         _add_slab_products(K, X.data[dense], slot, rows[dense])
+        del slot
+        _add_pair_products(K, X.data[~dense], X.indices[~dense], rows[~dense], X.shape[1])
     if not np.isfinite(K).all():
         raise DataError("the Gram matrix of the training vectors is not finite "
                         "(their dot products overflow)")
@@ -180,13 +186,33 @@ def _add_pair_products(K: np.ndarray, data: np.ndarray, cols: np.ndarray, rows: 
 def _add_slab_products(K: np.ndarray, data: np.ndarray, slot: np.ndarray,
                        rows: np.ndarray) -> None:
     """K += S @ S.T over dense slabs S of up to _SLAB_COLUMNS columns; entry k is
-    X[rows[k], j] = data[k] of the dense column j numbered slot[k]."""
+    X[rows[k], j] = data[k] of the dense column j numbered slot[k].
+
+    A slab's product is taken in bands of _SLAB_COLUMNS rows, each against
+    the rows up to its own last one, so no product is larger than the slab.
+    The bands add to the lower triangle of K and its diagonal blocks, and
+    the upper triangle is copied from the lower one after the last slab, so
+    K must be zero on entry. One slab buffer and one band buffer serve every
+    slab and band.
+    """
+    n = K.shape[0]
     width = int(slot.max()) + 1 if len(slot) else 0
+    if not width:
+        return
+    slabs = np.empty((n, min(_SLAB_COLUMNS, width)))
+    bands = np.empty((min(_SLAB_COLUMNS, n), n))
     for lo in range(0, width, _SLAB_COLUMNS):
         hit = (slot >= lo) & (slot < lo + _SLAB_COLUMNS)
-        S = np.zeros((K.shape[0], min(_SLAB_COLUMNS, width - lo)))
+        S = slabs[:, :min(_SLAB_COLUMNS, width - lo)]
+        S.fill(0.0)
         S[rows[hit], slot[hit] - lo] = data[hit]
-        K += S @ S.T
+        del hit
+        for top in range(0, n, _SLAB_COLUMNS):
+            bottom = min(top + _SLAB_COLUMNS, n)
+            band = np.matmul(S[top:bottom], S[:bottom].T, out=bands[:bottom - top, :bottom])
+            K[top:bottom, :bottom] += band
+    for top in range(_SLAB_COLUMNS, n, _SLAB_COLUMNS):
+        K[:top, top:top + _SLAB_COLUMNS] = K[top:top + _SLAB_COLUMNS, :top].T
 
 
 def default_C(X: CsrMatrix) -> float:

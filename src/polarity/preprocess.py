@@ -10,7 +10,8 @@ The document representation is one token stream for the whole corpus
 (``features._TokenStream``): each line goes through ``tokenize`` (or
 ``tokenize_pretagged``) and its words become int32 ids; tags come from
 ``RuleTagger.tag_stream`` and negation scopes from ``negation_scopes``, both
-computed over the whole stream with NumPy.
+computed over the whole stream with NumPy, and only for the families that
+read them.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import string
 import numpy as np
 
 from .tagging import PretaggedReader
+from .vectorize import index_dtype
 
 NEGATION_PREFIX = "NOT_"
 NEGATION_TRIGGERS = frozenset({"not"})
@@ -120,7 +122,7 @@ def negation_scopes(words: list[str], ids: np.ndarray, starts: np.ndarray) -> np
     """
     trigger = np.array([word in NEGATION_TRIGGERS for word in words], dtype=bool)[ids]
     kept = np.array([word in KEPT_PUNCTUATION for word in words], dtype=bool)[ids]
-    position = np.arange(len(ids))
+    position = np.arange(len(ids), dtype=index_dtype(len(ids)))
     last_mark = np.maximum.accumulate(np.where(trigger | kept, position, -1))
     sentence_start = np.maximum.accumulate(np.where(starts, position, 0))
     opens = (last_mark >= sentence_start) & trigger[last_mark]  # scope open after the token

@@ -49,6 +49,15 @@ MAX_FEATURE_ID = 1 << 24
 # Table-1 corpus.
 MAX_GRAM_ROWS = 1 << 14
 
+# Per-token positions, keys and cell numbers below this limit are held in
+# int32, half the bytes of int64; larger ones stay int64.
+_INT32_LIMIT = 1 << 31
+
+
+def index_dtype(limit: int) -> type:
+    """The integer type for values in ``[0, limit)``: int32 up to _INT32_LIMIT, else int64."""
+    return np.int32 if limit <= _INT32_LIMIT else np.int64
+
 
 @dataclass(frozen=True, eq=False)
 class CsrMatrix:
@@ -131,12 +140,16 @@ class FeatureMatrix:
                          features: list[str]) -> "FeatureMatrix":
         """Row i counts each column among ``columns[indptr[i]:indptr[i + 1]]``;
         *features* names the columns, in sorted order."""
-        rows, width = len(indptr) - 1, len(features)
-        row = np.repeat(np.arange(rows), np.diff(indptr))
-        cells, totals = np.unique(row * max(width, 1) + columns, return_counts=True)
-        row, column = np.divmod(cells, max(width, 1))
-        counts = CsrMatrix(totals.astype(np.float64), column.astype(np.int32),
-                           np.searchsorted(row, np.arange(rows + 1)), (rows, width))
+        rows, width = len(indptr) - 1, max(len(features), 1)
+        dtype = index_dtype(rows * width + 1)  # cells row * width + column, and rows
+        cells = np.repeat(np.arange(rows, dtype=dtype), np.diff(indptr))
+        cells *= width
+        cells += columns
+        cells, totals = np.unique(cells, return_counts=True)
+        row, column = np.divmod(cells, width)
+        counts = CsrMatrix(totals.astype(np.float64), column.astype(np.int32, copy=False),
+                           np.searchsorted(row, np.arange(rows + 1, dtype=dtype)),
+                           (rows, len(features)))
         return cls(counts=counts, features=features)
 
     @classmethod
@@ -187,8 +200,24 @@ def column_mask(counts: CsrMatrix, min_count: int) -> np.ndarray:
     totals = np.bincount(counts.indices, weights=counts.data, minlength=counts.shape[1])
     mask = (totals >= min_count) & (totals > 0)
     if not mask.any():
-        raise DataError(f"no feature reaches the count threshold {min_count}; vocabulary is empty")
+        raise _empty_vocabulary(min_count)
     return mask
+
+
+def require_vocabulary(counts: CsrMatrix, min_count: int) -> CsrMatrix:
+    """*counts* as it is, when it has a column; else the DataError of an empty vocabulary.
+
+    For a matrix that holds only columns at or above the floor already, as
+    ``FeaturePipeline`` builds them, this is what ``column_mask`` over all of
+    its rows would keep, without the copy.
+    """
+    if counts.shape[1] == 0:
+        raise _empty_vocabulary(min_count)
+    return counts
+
+
+def _empty_vocabulary(min_count: int) -> DataError:
+    return DataError(f"no feature reaches the count threshold {min_count}; vocabulary is empty")
 
 
 def represent(counts: CsrMatrix, rep: Representation) -> CsrMatrix:

@@ -13,6 +13,9 @@ a pretagged corpus where a lowercase tag spells a word (``jj_NN`` beside
 ``good_jj``), so that a word key and a tag key spell one ``pb`` feature,
 which reaches a floor only through that merged spelling. Both rows together
 ask the lexicon once per distinct (word, tag) pair.
+
+The token stream tags and marks negation only for the rows that read them,
+once, and its int32 positions and keys give the same matrices as int64 ones.
 """
 
 import random
@@ -24,11 +27,12 @@ import pytest
 
 from conftest import MIN_COUNTS, assert_matches_bags, to_scipy
 from polarity.corpus import Corpus, Label, RawDocument, load_corpus
-from polarity import features
+from polarity import features, vectorize
 from polarity.evaluation import FeaturePipeline
 from polarity.features import FAMILIES, FeatureFamily, Window
 from polarity.lexicon import ANYPOS, LexiconEntry, Polarity, SubjectivityLexicon, load_lexicon
-from polarity.tagging import get_tagger
+from polarity.lexicon import load_transitions
+from polarity.tagging import RuleTagger, get_tagger
 from reference import extract_window, preprocess_document
 
 CORPUS = Path(__file__).parent / "golden" / "corpus"
@@ -104,6 +108,89 @@ def test_renumbered_keys_give_the_same_matrix(golden_pipeline, monkeypatch):
         matrix = golden_pipeline._tokens.window_matrix(FAMILIES[family], False, 2)
         assert matrix.features == expected[n].features
         assert (to_scipy(matrix.counts) != to_scipy(expected[n].counts)).nnz == 0
+
+
+PLAIN_WINDOWS = [FeatureFamily.UNIGRAM, FeatureFamily.BIGRAM, FeatureFamily.TRIGRAM]
+
+
+def test_plain_windows_compute_no_annotation(golden_pipeline, monkeypatch):
+    """``unigram``, ``bigram`` and ``trigram`` without the negated variant read
+    neither tags nor negation scopes, so they build with both refusing to run."""
+    expected = {family: golden_pipeline.family_matrix(family) for family in PLAIN_WINDOWS}
+
+    def refuse(*args):
+        raise AssertionError("an annotation was computed")
+
+    monkeypatch.setattr(RuleTagger, "tag_stream", refuse)
+    monkeypatch.setattr(features, "negation_scopes", refuse)
+    pipeline = FeaturePipeline(load_corpus(CORPUS))
+    for family in PLAIN_WINDOWS:
+        matrix = pipeline.family_matrix(family)
+        assert matrix.features == expected[family].features
+        assert (to_scipy(matrix.counts) != to_scipy(expected[family].counts)).nnz == 0
+
+
+def test_each_annotation_is_computed_once(monkeypatch):
+    """``adj``, ``pu`` and the negated ``unigram`` (and every other row after
+    them) share one tagging, one tag-bits array and one negation pass."""
+    calls = Counter()
+
+    def counted(name, function):
+        def call(*args):
+            calls[name] += 1
+            return function(*args)
+        return call
+
+    monkeypatch.setattr(RuleTagger, "tag_stream", counted("tag_stream", RuleTagger.tag_stream))
+    monkeypatch.setattr(features, "negation_scopes",
+                        counted("negation_scopes", features.negation_scopes))
+    monkeypatch.setattr(features, "tag_bits", counted("tag_bits", features.tag_bits))
+    pipeline = FeaturePipeline(load_corpus(CORPUS),
+                               lexicon=load_lexicon(CORPUS / "lexicon.tsv", format="tsv"),
+                               transitions=load_transitions())
+    for min_count in (1, 2):
+        for family, negated in [(FeatureFamily.ADJECTIVE, False),
+                                (FeatureFamily.POLARIZED_UNIGRAM, False),
+                                (FeatureFamily.UNIGRAM, True)] + VARIANTS:
+            pipeline.family_matrix(family, negated, min_count)
+        pipeline.family_matrix(FeatureFamily.POLARIZED_BIGRAM, min_count=min_count)
+        pipeline.family_matrix(FeatureFamily.TRANSITION, min_count=min_count)
+    assert calls == {"tag_stream": 1, "negation_scopes": 1,
+                     "tag_bits": len(pipeline._tokens.tags)}
+
+
+@pytest.mark.parametrize("limit", ["none", "words", "tokens", "words^2", "default"])
+def test_int64_scratch_gives_the_same_window_matrices(golden_pipeline, monkeypatch, limit):
+    """Below ``vectorize._INT32_LIMIT`` positions, window keys, negation
+    positions and matrix cells are int32; lowering the limit makes some or all
+    of them int64, and every ``Window`` row still gives the same matrix."""
+    expected = {(family, negated): golden_pipeline.family_matrix(family, negated, 2)
+                for family, negated in VARIANTS}
+    words, tokens = len(golden_pipeline._tokens.words), len(golden_pipeline._tokens.ids)
+    assert words ** 3 > vectorize._INT32_LIMIT > words ** 2 > tokens > 2 * words
+    limits = {"none": 0, "words": words, "tokens": tokens + 1, "words^2": words ** 2,
+              "default": vectorize._INT32_LIMIT}
+    monkeypatch.setattr(vectorize, "_INT32_LIMIT", limits[limit])
+    dtypes = set()
+    keyed_matrix = features._TokenStream._keyed_matrix
+
+    def spy(self, parts, floor):
+        pos, keys, _, _ = parts[0]
+        dtypes.add((pos.dtype.name, keys.dtype.name))
+        return keyed_matrix(self, parts, floor)
+
+    monkeypatch.setattr(features._TokenStream, "_keyed_matrix", spy)
+    pipeline = FeaturePipeline(load_corpus(CORPUS))
+    for (family, negated), matrix in expected.items():
+        built = pipeline.family_matrix(family, negated, 2)
+        assert built.features == matrix.features
+        assert (to_scipy(built.counts) != to_scipy(matrix.counts)).nnz == 0
+    bits = {True: "int32", False: "int64"}
+    assert dtypes == {(bits[tokens < limits[limit]],
+                       bits[(2 if negated else 1) * words ** FAMILIES[family].n <= limits[limit]])
+                      for family, negated in VARIANTS}
+    assert len(dtypes) == {"none": 1, "words": 2, "tokens": 2, "words^2": 2,
+                           "default": 2}[limit]
 
 
 def test_negated_windows_wider_than_one_word_are_refused():

@@ -2,9 +2,11 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 
 from conftest import csr_matrices, from_scipy, labeled_matrix, to_scipy
@@ -254,6 +256,32 @@ class TestGramMatrix:
         assert np.array_equal(K, scipy_gram(X))
         assert K.flags.f_contiguous
         assert 0 < slab_entries[0] < X.nnz
+
+    def test_scratch_is_bounded_above_the_result(self, slab_entries):
+        """Besides K, gram_matrix holds either a slab and one band's product
+        of 8 * _SLAB_COLUMNS * n bytes each, or one block of pairs (about 40
+        bytes per pair), and a few arrays of one value per entry; no n x n
+        temporary, which alone would pass the bound here. The matrix spans
+        two slabs, three bands and more than ten blocks of pairs."""
+        n = 1536
+        rng = np.random.default_rng(44)
+        held = [n // 16] * 600 + [n // 40] * 600  # 600 dense columns, then sparse ones
+        rows = np.concatenate([rng.choice(n, k, replace=False) for k in held])
+        columns = np.repeat(np.arange(len(held)), held)
+        X = from_scipy(sp.csr_matrix(
+            (rng.integers(1, 4, len(rows)).astype(np.float64), (rows, columns)),
+            shape=(n, len(held))))
+        tracemalloc.start()
+        try:
+            K = gram_matrix(X)
+            scratch = tracemalloc.get_traced_memory()[1] - K.nbytes
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(K, scipy_gram(X))
+        assert slab_entries == [600 * (n // 16)]
+        bound = (max(2 * 8 * linear_svm._SLAB_COLUMNS * n, 40 * linear_svm._PAIR_BLOCK)
+                 + 48 * X.nnz)
+        assert scratch < bound < K.nbytes
 
     def test_real_values_take_the_pair_path(self, slab_entries):
         X = _mixed_counts(seed=42)

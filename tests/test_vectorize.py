@@ -6,6 +6,7 @@ reference (``reference.build_vocabulary`` and ``reference.vectorize``).
 
 from collections import Counter
 from itertools import compress
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -343,6 +344,22 @@ def test_from_occurrences_sums_duplicates_like_scipy(rows):
     expected.sum_duplicates()
     assert_same_matrix(matrix.counts, expected)
     assert np.array_equal(matrix.counts.data, expected.data)
+
+
+@given(st.lists(st.lists(st.integers(0, 5), max_size=8), max_size=6), st.integers(0, 40))
+def test_from_occurrences_is_the_same_with_int64_cells(rows, limit):
+    """Cells ``row * width + column`` are int32 up to ``_INT32_LIMIT`` and int64
+    past it; a lowered limit (here around ``rows * 6``) gives the same matrix."""
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    columns = np.array([c for row in rows for c in row], dtype=np.int32)
+    names = [f"u:{j}" for j in range(6)]
+    expected = FeatureMatrix.from_occurrences(indptr, columns, names).counts
+    with mock.patch("polarity.vectorize._INT32_LIMIT", limit):
+        counts = FeatureMatrix.from_occurrences(indptr, columns, names).counts
+    for name in ("data", "indices", "indptr"):
+        assert getattr(counts, name).dtype == getattr(expected, name).dtype
+        assert np.array_equal(getattr(counts, name), getattr(expected, name))
+    assert counts.shape == expected.shape
 
 
 def test_presence_binarizes_a_copy():
