@@ -17,7 +17,6 @@ Reports carry per-fold and mean accuracy plus supplementary precision/recall.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field
@@ -80,6 +79,10 @@ class ExperimentConfig:
         return {**asdict(self), "representation": self.representation.value}
 
     def hash(self) -> str:
+        # hashlib maps OpenSSL's libcrypto, a few MB that only the commands
+        # that report a config hash (evaluate, reproduce) should pay for.
+        import hashlib
+
         blob = json.dumps(self.to_json_dict(), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 

@@ -36,7 +36,7 @@ import numpy as np
 from .corpus import RawDocument
 from .errors import ConfigError
 from .lexicon import SubjectivityLexicon, TransitionList
-from .preprocess import NEGATION_PREFIX, negation_scopes, tokenize, tokenize_pretagged
+from .preprocess import NEGATION_PREFIX, negation_scopes, tokenize_document, tokenize_pretagged
 from .tagging import ADJECTIVE_TAGS, ADVERB_TAGS, PretaggedReader
 from .vectorize import FeatureMatrix, index_dtype
 
@@ -200,9 +200,10 @@ class _TokenStream:
 
     ``ids`` holds an int32 word id per token (``words[id]`` is the word);
     ``starts`` marks each sentence's first token, and the *i*-th document
-    holds tokens ``doc_bounds[i]:doc_bounds[i + 1]``. Each line goes
-    through ``preprocess.tokenize`` (or ``tokenize_pretagged``) and only its
-    words' ids are kept, so no per-token object outlives its line.
+    holds tokens ``doc_bounds[i]:doc_bounds[i + 1]``. Each document goes
+    through ``preprocess.tokenize_document`` (or each line through
+    ``tokenize_pretagged``) and only its words' ids are kept, so no
+    per-token object outlives its document.
 
     The annotations are computed over the whole stream on first use and
     kept: ``tag_ids``, an int32 tag id per token (``tags[id]`` is the tag),
@@ -224,12 +225,15 @@ class _TokenStream:
         sentence_lengths, doc_lengths = array("q"), array("q")
         for doc in documents:
             before = len(ids)
-            for line in doc.text.splitlines():
-                if pretagged:
+            if pretagged:
+                sentences = []
+                for line in doc.text.splitlines():
                     words, tags = tokenize_pretagged(line, tagger)
                     tag_ids.extend(map(tag_index.__getitem__, tags))
-                else:
-                    words = tokenize(line)
+                    sentences.append(words)
+            else:
+                sentences = tokenize_document(doc.text)
+            for words in sentences:
                 if words:
                     ids.extend(map(index.__getitem__, words))
                     sentence_lengths.append(len(words))

@@ -71,7 +71,9 @@ def train_nb(X: CsrMatrix, y: Sequence[int]) -> NaiveBayesModel:
 
     P(c) is the class document fraction; P(f|c) = (count(f, c) + 1) /
     (total feature mass in c + V), with V the number of columns. Presence
-    rows therefore contribute binarized counts, frequency rows raw ones.
+    rows therefore contribute binarized counts, frequency rows raw ones. A
+    negative value or a class mass that overflows is a DataError: neither
+    has a logarithm.
     """
     y = np.asarray(y)
     labels = set(y.tolist())
@@ -80,17 +82,24 @@ def train_nb(X: CsrMatrix, y: Sequence[int]) -> NaiveBayesModel:
     if labels != set(LABELS):
         raise DataError(f"training set must contain both classes, got labels {sorted(labels)}")
 
+    if (X.data < 0).any():
+        raise DataError("naive Bayes needs feature values of 0 or more")
     vocab_size = X.shape[1]
-    indicator = np.column_stack([y == c for c in LABELS]).astype(np.float64)
-    counts = X.rmatmul(indicator)  # column k: per-feature mass in class LABELS[k]
     prior = {c: log(int(np.sum(y == c)) / len(y)) for c in LABELS}
     likelihood = {}
-    for k, c in enumerate(LABELS):
+    for c in LABELS:
         if vocab_size == 0:
             likelihood[c] = np.zeros(0, dtype=np.float64)
             continue
-        mass = counts[:, k].sum()
-        likelihood[c] = np.log(counts[:, k] + 1.0) - log(mass + vocab_size)
+        # Per-feature mass in class c, summed over the class's own entries
+        # in CSR order, one class at a time.
+        in_class = X.select_rows(y == c)
+        counts = np.bincount(in_class.indices, in_class.data, minlength=vocab_size)
+        with np.errstate(over="ignore"):
+            mass = counts.sum()
+        if not isfinite(mass):
+            raise DataError(f"the feature mass of class {c:+d} overflows")
+        likelihood[c] = np.log(counts + 1.0) - log(mass + vocab_size)
     return NaiveBayesModel(class_log_prior=prior, feature_log_likelihood=likelihood,
                            vocab_size=vocab_size)
 
@@ -100,8 +109,8 @@ def predict_nb(model: NaiveBayesModel, X: CsrMatrix) -> tuple[np.ndarray, np.nda
 
     Columns beyond the model's vocabulary are ignored.
     """
-    loglik = np.column_stack([model.feature_log_likelihood[c] for c in LABELS])
-    scores = fit_columns(X, model.vocab_size).matmul(loglik)
-    log_odds = ((model.class_log_prior[1] + scores[:, 0])
-                - (model.class_log_prior[-1] + scores[:, 1]))
+    X = fit_columns(X, model.vocab_size)
+    positive, negative = (model.class_log_prior[c] + X.matmul(model.feature_log_likelihood[c])
+                          for c in LABELS)
+    log_odds = positive - negative
     return np.where(log_odds >= 0, 1, -1), log_odds

@@ -7,8 +7,9 @@ tokenize and lowercase, tag part-of-speech, mark negation scopes. The ``NOT_``
 prefix is never stored; the negated unigram variant adds it when it extracts.
 
 The document representation is one token stream for the whole corpus
-(``features._TokenStream``): each line goes through ``tokenize`` (or
-``tokenize_pretagged``) and its words become int32 ids; tags come from
+(``features._TokenStream``): each document goes through
+``tokenize_document`` (or each line through ``tokenize_pretagged``) and its
+words become int32 ids; tags come from
 ``RuleTagger.tag_stream`` and negation scopes from ``negation_scopes``, both
 computed over the whole stream with NumPy, and only for the families that
 read them.
@@ -108,6 +109,22 @@ def tokenize(line: str) -> list[str]:
     if "'" in line:
         line = expand_contractions(line)
     return _drop_punctuation(line).lower().split()
+
+
+def tokenize_document(text: str) -> list[list[str]]:
+    """``tokenize`` of every line of *text*, one word list per line.
+
+    Contractions are expanded line by line, on the lines that hold an
+    apostrophe; the punctuation pass and the lowercasing then run once over
+    the document with its lines joined by newline characters. Neither adds
+    nor removes a line break, and lowercasing a final sigma looks no further
+    than the line break on either side, so each line gets the words
+    ``tokenize`` gives it.
+    """
+    lines = text.splitlines()
+    if "'" in text:
+        lines = [expand_contractions(line) if "'" in line else line for line in lines]
+    return [line.split() for line in _drop_punctuation("\n".join(lines)).lower().split("\n")]
 
 
 def negation_scopes(words: list[str], ids: np.ndarray, starts: np.ndarray) -> np.ndarray:

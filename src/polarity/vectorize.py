@@ -7,12 +7,11 @@ FeatureMatrix keeps its columns in lexicographic feature order, so after
 pruning (a boolean column mask, which keeps that order) a column index is
 the feature's vocabulary id.
 
-The products ``X @ w`` and ``X.T @ v`` (vectors or two-dimensional
-right-hand sides) are one ``np.bincount`` per output column over the
-entries in CSR order: each output sum starts at 0 and adds the products of
-its row (or column) in entry order. That is the order of the classic CSR
-kernels (``csr_matvec``, ``csc_matvec`` and their multi-vector forms), so
-the results are the same bits as theirs.
+The products ``X @ w`` and ``X.T @ v`` of a vector are one ``np.bincount``
+over the entries in CSR order: each output sum starts at 0 and adds the
+products of its row (or column) in entry order. That is the order of the
+classic CSR kernels (``csr_matvec``, ``csc_matvec``), so the results are the
+same bits as theirs.
 
 File formats:
   vectors   svmlight-compatible text, one document per line:
@@ -27,10 +26,11 @@ from __future__ import annotations
 import json
 import math
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -101,22 +101,14 @@ class CsrMatrix:
         return CsrMatrix(self.data[kept], indices[kept], indptr, (self.shape[0], width))
 
     def matmul(self, w: np.ndarray) -> np.ndarray:
-        """``X @ w`` for a vector or a (columns, k) array *w*."""
-        products = self.data * np.asarray(w, dtype=np.float64)[self.indices].T
-        return _sum_by(self.entry_rows(), products, self.shape[0])
+        """``X @ w`` for a vector *w*."""
+        products = self.data * np.asarray(w, dtype=np.float64)[self.indices]
+        return np.bincount(self.entry_rows(), products, minlength=self.shape[0])
 
     def rmatmul(self, v: np.ndarray) -> np.ndarray:
-        """``X.T @ v`` for a vector or a (rows, k) array *v*."""
-        products = self.data * np.asarray(v, dtype=np.float64)[self.entry_rows()].T
-        return _sum_by(self.indices, products, self.shape[1])
-
-
-def _sum_by(bins: np.ndarray, products: np.ndarray, length: int) -> np.ndarray:
-    """Each row of *products* (one value per entry) summed into *length* bins, in entry
-    order; a vector of products gives a vector, k rows give a (length, k) array."""
-    if products.ndim == 1:
-        return np.bincount(bins, products, minlength=length)
-    return np.stack([np.bincount(bins, p, minlength=length) for p in products], axis=1)
+        """``X.T @ v`` for a vector *v*."""
+        products = self.data * np.asarray(v, dtype=np.float64)[self.entry_rows()]
+        return np.bincount(self.indices, products, minlength=self.shape[1])
 
 
 class Representation(Enum):
@@ -258,11 +250,13 @@ def write_svmlight(X: CsrMatrix, path: str | Path, labels: Sequence[int]) -> Non
             fh.write(" ".join(parts) + "\n")
 
 
-def _read_lines(path: str | Path) -> list[str]:
-    """All lines of a UTF-8 input file; a missing file is a usage error."""
+@contextmanager
+def _input_file(path: str | Path) -> Iterator[TextIO]:
+    """*path* open as UTF-8 text. A missing file is a usage error; a read or
+    decode error anywhere in the ``with`` block is a DataError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return list(fh)
+            yield fh
     except FileNotFoundError:
         raise ConfigError(f"input file {path} not found") from None
     except UnicodeDecodeError as exc:
@@ -273,7 +267,8 @@ def _read_lines(path: str | Path) -> list[str]:
 
 def read_json_object(path: str | Path) -> dict:
     """A JSON file whose top level is an object, such as a model file."""
-    text = "".join(_read_lines(path))
+    with _input_file(path) as fh:
+        text = fh.read()
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -287,45 +282,50 @@ def read_svmlight(path: str | Path) -> tuple[CsrMatrix, np.ndarray]:
     """(matrix, labels): labels are +1/-1, or 0 for an unlabeled line.
 
     The matrix has one column per id up to the largest id in the file; an
-    id above MAX_FEATURE_ID is a DataError.
+    id above MAX_FEATURE_ID is a DataError. The file is read a line at a
+    time, and each stored entry is held once, as the int32 column and the
+    float64 value the matrix keeps, so reading peaks near the size of the
+    result. Decoding runs at most one 8 KiB chunk ahead of parsing: a bad
+    line is reported before bad UTF-8 in a later chunk.
     """
-    labels: list[int] = []
+    labels = array("b")
     indptr = array("q", [0])
-    ids = array("q")
+    ids = array("i")  # every id is below MAX_FEATURE_ID < 2**31
     values = array("d")
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        try:
-            raw_label = int(fields[0])
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: bad label {fields[0]!r}") from None
-        labels.append(0 if raw_label == 0 else (1 if raw_label > 0 else -1))
-        prev = 0
-        for field in fields[1:]:
-            id_str, _, val_str = field.partition(":")
+    with _input_file(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split()
             try:
-                fid = int(id_str)
-                val = float(val_str)
+                raw_label = int(fields[0])
             except ValueError:
-                raise DataError(f"{path}:{lineno}: bad pair {field!r}") from None
-            if not math.isfinite(val):
-                raise DataError(f"{path}:{lineno}: value in {field!r} is not finite")
-            if fid <= prev:
-                raise DataError(f"{path}:{lineno}: ids must be ascending and 1-based")
-            if fid > MAX_FEATURE_ID:
-                raise DataError(f"{path}:{lineno}: feature id {fid} exceeds the limit "
-                                f"of {MAX_FEATURE_ID}")
-            prev = fid
-            if val != 0.0:
-                ids.append(fid - 1)
-                values.append(val)
-        indptr.append(len(ids))
-    width = max(ids) + 1 if ids else 0
-    X = CsrMatrix(np.frombuffer(values, dtype=np.float64),
-                  np.frombuffer(ids, dtype=np.int64).astype(np.int32),
+                raise DataError(f"{path}:{lineno}: bad label {fields[0]!r}") from None
+            labels.append(0 if raw_label == 0 else (1 if raw_label > 0 else -1))
+            prev = 0
+            for field in fields[1:]:
+                id_str, _, val_str = field.partition(":")
+                try:
+                    fid = int(id_str)
+                    val = float(val_str)
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: bad pair {field!r}") from None
+                if not math.isfinite(val):
+                    raise DataError(f"{path}:{lineno}: value in {field!r} is not finite")
+                if fid <= prev:
+                    raise DataError(f"{path}:{lineno}: ids must be ascending and 1-based")
+                if fid > MAX_FEATURE_ID:
+                    raise DataError(f"{path}:{lineno}: feature id {fid} exceeds the limit "
+                                    f"of {MAX_FEATURE_ID}")
+                prev = fid
+                if val != 0.0:
+                    ids.append(fid - 1)
+                    values.append(val)
+            indptr.append(len(ids))
+    indices = np.frombuffer(ids, dtype=np.int32)
+    width = int(indices.max()) + 1 if len(indices) else 0
+    X = CsrMatrix(np.frombuffer(values, dtype=np.float64), indices,
                   np.frombuffer(indptr, dtype=np.int64), (len(labels), width))
     return X, np.array(labels, dtype=np.int64)
 

@@ -7,19 +7,26 @@ a rules-only tagger with no memo, a phrase matcher that tries every listed
 phrase at every position, and bags merged into matrices by feature string.
 Tag classes are read from the upper-cased tag, and feature strings keep the
 tag as written.
+
+``read_svmlight`` is the svmlight reader that decodes the whole file into a
+list of lines before it parses any, and collects ids as int64; the streaming
+reader of ``polarity.vectorize`` is tested against it.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from polarity.corpus import Corpus, Label, RawDocument
-from polarity.errors import DataError
+from polarity.errors import ConfigError, DataError
 from polarity.features import CONTENT_BIT, FAMILIES, TAG_BITS, FeatureFamily, Polarized, Window
 from polarity.lexicon import SubjectivityLexicon, TransitionList
 from polarity.preprocess import (
@@ -30,7 +37,7 @@ from polarity.preprocess import (
     tokenize_pretagged,
 )
 from polarity.tagging import _ED_FORM, _VERB_FORMS, PretaggedReader, RuleTagger
-from polarity.vectorize import CsrMatrix, FeatureMatrix, Representation
+from polarity.vectorize import MAX_FEATURE_ID, CsrMatrix, FeatureMatrix, Representation
 
 _RULES = RuleTagger()
 _CONTENT_PREFIXES = ("N", "V", "J", "R")
@@ -275,3 +282,59 @@ def vectorize(bag: Counter, vocab: dict[str, int], rep: Representation) -> CsrMa
     else:
         values = np.array([p[1] for p in pairs], dtype=np.float64)
     return CsrMatrix(values, ids, np.array([0, len(pairs)], dtype=np.int64), (1, len(vocab)))
+
+
+def _read_lines(path: str | Path) -> list[str]:
+    """All lines of a UTF-8 input file; a missing file is a usage error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return list(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"input file {path} not found") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+def read_svmlight(path: str | Path) -> tuple[CsrMatrix, np.ndarray]:
+    """(matrix, labels) of an svmlight file, read whole before it is parsed."""
+    labels: list[int] = []
+    indptr = array("q", [0])
+    ids = array("q")
+    values = array("d")
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        try:
+            raw_label = int(fields[0])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad label {fields[0]!r}") from None
+        labels.append(0 if raw_label == 0 else (1 if raw_label > 0 else -1))
+        prev = 0
+        for field in fields[1:]:
+            id_str, _, val_str = field.partition(":")
+            try:
+                fid = int(id_str)
+                val = float(val_str)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: bad pair {field!r}") from None
+            if not math.isfinite(val):
+                raise DataError(f"{path}:{lineno}: value in {field!r} is not finite")
+            if fid <= prev:
+                raise DataError(f"{path}:{lineno}: ids must be ascending and 1-based")
+            if fid > MAX_FEATURE_ID:
+                raise DataError(f"{path}:{lineno}: feature id {fid} exceeds the limit "
+                                f"of {MAX_FEATURE_ID}")
+            prev = fid
+            if val != 0.0:
+                ids.append(fid - 1)
+                values.append(val)
+        indptr.append(len(ids))
+    width = max(ids) + 1 if ids else 0
+    X = CsrMatrix(np.frombuffer(values, dtype=np.float64),
+                  np.frombuffer(ids, dtype=np.int64).astype(np.int32),
+                  np.frombuffer(indptr, dtype=np.int64), (len(labels), width))
+    return X, np.array(labels, dtype=np.int64)

@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +17,11 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from polarity import cli, evaluation, linear_svm
 from polarity.cli import main
 from polarity.evaluation import EvalReport
-from polarity.vectorize import write_svmlight
+from polarity.vectorize import MAX_FEATURE_ID, write_svmlight
 from conftest import NEGATIVE_WORDS, POSITIVE_WORDS, labeled_matrix, write_synthetic_corpus
 from test_lexicon import lexicon_files, transition_files
 from test_linear_svm import _random_instance
+from test_vectorize import svmlight_texts_with
 
 GOLDEN_CORPUS = Path(__file__).parent / "golden" / "corpus"
 
@@ -573,11 +577,11 @@ def test_model_loaders_fail_cleanly_or_score_finitely(tmp_path_factory, payload,
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
-def _extract_exit(argv):
-    """(exit code, stderr lines) of ``polarity extract`` with *argv* appended."""
+def _exit_of(argv):
+    """(exit code, stderr lines) of ``polarity`` with *argv*."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["extract", *argv])
+        code = main(argv)
     return code, err.getvalue().strip().splitlines()
 
 
@@ -592,6 +596,7 @@ def _fuzz_root(tmp_path_factory):
 
 
 def _assert_clean_exit(code, err):
+    """Exit 0, 2 or 3; a failure prints one ``error:`` line and nothing else."""
     assert code in (0, 2, 3), (code, err)
     assert len([line for line in err if line.startswith("error:")]) <= 1, err
     if code:
@@ -607,9 +612,10 @@ def test_extract_with_any_lexicon_exits_cleanly(tmp_path_factory, case):
     root = _fuzz_root(tmp_path_factory)
     lexicon = root / f"lexicon.{fmt}"
     lexicon.write_bytes(payload)
-    _assert_clean_exit(*_extract_exit([
-        "--corpus", str(root / "corpus"), "--lexicon", str(lexicon), "--lexicon-format", fmt,
-        "--features", "pu", "--min-count", "1", "--out", str(root / "v.svml")]))
+    _assert_clean_exit(*_exit_of([
+        "extract", "--corpus", str(root / "corpus"), "--lexicon", str(lexicon),
+        "--lexicon-format", fmt, "--features", "pu", "--min-count", "1",
+        "--out", str(root / "v.svml")]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -622,7 +628,98 @@ def test_extract_with_any_transition_list_exits_cleanly(tmp_path_factory, payloa
     lexicon.write_text("good\tpositive\nbad\tnegative\tadj\nfine\tpositive\n")
     transitions = root / "transitions.txt"
     transitions.write_bytes(payload)
-    _assert_clean_exit(*_extract_exit([
-        "--corpus", str(root / "corpus"), "--lexicon", str(lexicon), "--lexicon-format", "tsv",
-        "--transitions", str(transitions), "--features", "pu+t", "--min-count", "1",
-        "--out", str(root / "v.svml")]))
+    _assert_clean_exit(*_exit_of([
+        "extract", "--corpus", str(root / "corpus"), "--lexicon", str(lexicon),
+        "--lexicon-format", "tsv", "--transitions", str(transitions),
+        "--features", "pu+t", "--min-count", "1", "--out", str(root / "v.svml")]))
+
+
+# Well-formed files with narrow ids and any finite values, beside fuzzed
+# ones; ids stay narrow (or past the bound) so that a trained model is small.
+_finite_values = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-3, 3)
+_svmlight_lines = st.tuples(
+    st.sampled_from(["+1", "-1", "0"]),
+    st.dictionaries(st.integers(1, 40), _finite_values, max_size=4),
+).map(lambda row: " ".join([row[0]] + [f"{i}:{v}" for i, v in sorted(row[1].items())]))
+svmlight_inputs = st.one_of(
+    st.lists(_svmlight_lines, max_size=6).map("\n".join).map(str.encode),
+    svmlight_texts_with(st.integers(max_value=40) | st.integers(min_value=MAX_FEATURE_ID + 1)),
+    st.binary(max_size=40),
+)
+
+
+@pytest.fixture(scope="module")
+def contract_models(tmp_path_factory):
+    """An NB and an SVM model trained on a small file, for ``predict``."""
+    root = tmp_path_factory.mktemp("contract-models")
+    vectors = root / "v.svml"
+    vectors.write_text("+1 1:1 2:3\n-1 2:1 3:0.5\n+1 1:2 4:1\n", encoding="utf-8")
+    for clf in ("nb", "svm"):
+        assert main(["train", "--input", str(vectors), "--clf", clf,
+                     "--out", str(root / clf), "--format", "json"]) == 0
+    return [root / "nb.json", root / "svm.json"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(content=svmlight_inputs, clf=st.sampled_from(["nb", "svm"]))
+def test_train_on_any_svmlight_file_exits_cleanly(tmp_path_factory, content, clf):
+    root = tmp_path_factory.getbasetemp() / "train-contract"
+    root.mkdir(exist_ok=True)
+    (root / "v.svml").write_bytes(content)
+    _assert_clean_exit(*_exit_of(["train", "--input", str(root / "v.svml"), "--clf", clf,
+                                  "--out", str(root / "model"), "--format", "json"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(content=svmlight_inputs, model=st.sampled_from([0, 1]))
+def test_predict_on_any_svmlight_file_exits_cleanly(tmp_path_factory, contract_models,
+                                                    content, model):
+    root = tmp_path_factory.getbasetemp() / "predict-contract"
+    root.mkdir(exist_ok=True)
+    (root / "v.svml").write_bytes(content)
+    _assert_clean_exit(*_exit_of(["predict", "--model", str(contract_models[model]),
+                                  "--input", str(root / "v.svml"), "--format", "json"]))
+
+
+# Runs commands in one fresh interpreter and reports, after each, whether
+# ``_hashlib`` (and with it OpenSSL's libcrypto) has been imported.
+_OPENSSL_PROBE = """
+import contextlib, io, json, sys
+from polarity.cli import main
+seen = {"import": ["_hashlib" in sys.modules, 0, ""]}
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    seen[argv[0]] = ["_hashlib" in sys.modules, code, out.getvalue()]
+print(json.dumps(seen))
+"""
+
+
+def test_only_a_config_hash_loads_openssl(tmp_path):
+    """``import polarity.cli``, ``extract``, ``train`` and ``predict`` leave OpenSSL
+    unloaded; ``evaluate`` loads it for its config hash, which is the golden's."""
+    corpus = GOLDEN_CORPUS
+    vectors, model = tmp_path / "v.svml", tmp_path / "model"
+    commands = [
+        ["extract", "--corpus", str(corpus), "--lexicon", str(corpus / "lexicon.tsv"),
+         "--lexicon-format", "tsv", "--features", "unigram+pb+3adjadv", "--rep", "frequency",
+         "--out", str(vectors), "--format", "json"],
+        ["train", "--input", str(vectors), "--clf", "svm", "--out", str(model),
+         "--format", "json"],
+        ["predict", "--model", f"{model}.json", "--input", str(vectors), "--format", "json"],
+        ["evaluate", "--corpus", str(corpus), "--features", "unigram", "--rep", "presence",
+         "--clf", "svm", "--format", "json"],
+    ]
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = subprocess.run([sys.executable, "-c", _OPENSSL_PROBE, json.dumps(commands)],
+                           env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert probe.returncode == 0, probe.stderr
+    seen = json.loads(probe.stdout.splitlines()[-1])
+    assert {name: seen[name][:2] for name in seen} == {
+        "import": [False, 0], "extract": [False, 0], "train": [False, 0],
+        "predict": [False, 0], "evaluate": [True, 0]}
+    golden = json.loads((GOLDEN_CORPUS.parent / "evaluate_unigram-presence-svm.json").read_text())
+    assert json.loads(seen["evaluate"][2])["config_hash"] == golden["config_hash"]

@@ -69,6 +69,15 @@ class TestTrain:
         with pytest.raises(DataError, match="label"):
             fit([sv([(0, 1)], 1), sv([(1, 1)], None)])
 
+    def test_negative_values_rejected(self):
+        # a negative class mass has no logarithm
+        with pytest.raises(DataError, match="values of 0 or more"):
+            fit([sv([(0, -5.0)], 1), sv([(0, 1.0)], -1)])
+
+    def test_overflowing_class_mass_rejected(self):
+        with pytest.raises(DataError, match="feature mass of class -1 overflows"):
+            fit([sv([(0, 1.0)], 1), sv([(0, 1e308), (1, 1e308)], -1)])
+
 
 class TestPredict:
     def test_good_goes_positive(self, toy_model):

@@ -24,13 +24,16 @@ from reference import from_bags, pipeline_bags, preprocess_document, tag_bits
 GOLDEN_CORPUS = Path(__file__).parent / "golden" / "corpus"
 
 # Contractions (also split as "isn ' t"), repeated triggers, the kept marks,
-# characters whose case mapping changes length, and -ed words at a sentence
-# start and after a _VERB_FORMS word ("was", "has", "been").
+# characters whose case mapping changes length or depends on the next letter
+# (a final capital sigma), and -ed words at a sentence start and after a
+# _VERB_FORMS word ("was", "has", "been"). The separators include every line
+# break of str.splitlines.
 _WORDS = ["it", "is", "isn't", "Isn't", "isn ' t", "don't", "won't", "can't", "it's",
           "not", "Not", "NOT", "never", "very", "good", "bad", "walked", "Bored", "ended",
           "was", "has", "been", "did", "!", "?", "!!", "?!", "...", ",", "--", "'", "\"",
-          "İ", "İstanbul", "ß", "STRAẞE", "42", "3.5", "well-made", "a_b", "x"]
-_SEPARATORS = ["\n", "\n", "\n\n", "\r\n", " \n", " "]
+          "İ", "İstanbul", "ß", "STRAẞE", "Σ", "ΟΔΟΣ", "42", "3.5", "well-made", "a_b", "x"]
+_SEPARATORS = ["\n", "\n", "\n\n", "\r\n", " \n", " ", "\r", "\x0b", "\x0c", "\x1c",
+               "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 _TAGS = ["JJ", "jj", "RB", "NN", "VBD", "VB", ".", "DT"]
 
 lines = st.lists(st.sampled_from(_WORDS) | st.text(max_size=4), max_size=8).map(" ".join)
@@ -79,6 +82,7 @@ def assert_stream_matches_reference(corpus, tagger):
 @given(st.lists(texts, min_size=1, max_size=4))
 @example(["Walked home . It was walked , has ended , been bored\nisn ' t good ! not not bad ? ok"])
 @example(["", ",;: ...\n\n--", "İ ß STRAẞE"])
+@example(["ΟΔΟΣ\x85Σ x\u2028AΣ\nΣ'Σ don't\x1cAΣ\u2029won't"])
 def test_builtin_stream_matches_preprocess_document(documents):
     assert_stream_matches_reference(corpus_of(documents), RuleTagger())
 

@@ -4,6 +4,7 @@
 reference (``reference.build_vocabulary`` and ``reference.vectorize``).
 """
 
+import tracemalloc
 from collections import Counter
 from itertools import compress
 from unittest import mock
@@ -26,6 +27,7 @@ from polarity.vectorize import (
     represent,
     write_svmlight,
 )
+import reference
 from reference import build_vocabulary, from_bags, vectorize
 
 
@@ -124,6 +126,7 @@ rows_strategy = st.lists(
 
 def assert_same_rows(got, want):
     (X, y), (X_want, y_want) = got, want
+    assert X.indices.dtype == np.int32 and y.dtype == np.int64
     assert np.array_equal(y, y_want)
     assert X.shape[0] == X_want.shape[0]
     assert np.array_equal(X.indptr, X_want.indptr)
@@ -190,15 +193,19 @@ class TestSvmlightFormat:
             read_svmlight(path)
 
 
-svmlight_fields = st.one_of(
-    st.sampled_from(["+1", "-1", "0", "7", "#", "1:", ":1"]),
-    st.builds("{}:{}".format,
-              st.integers() | st.just(MAX_FEATURE_ID) | st.just(MAX_FEATURE_ID + 1),
-              st.floats() | st.integers() | st.text(max_size=3)),
-    st.text(max_size=5),
-)
-svmlight_texts = st.lists(st.lists(svmlight_fields, max_size=5).map(" ".join),
-                          max_size=5).map("\n".join).map(str.encode)
+def svmlight_texts_with(ids):
+    """Short svmlight-like files, well formed or not, whose pairs take their ids from *ids*."""
+    fields = st.one_of(
+        st.sampled_from(["+1", "-1", "0", "7", "#", "1:", ":1"]),
+        st.builds("{}:{}".format, ids, st.floats() | st.integers() | st.text(max_size=3)),
+        st.text(max_size=5),
+    )
+    return st.lists(st.lists(fields, max_size=5).map(" ".join),
+                    max_size=5).map("\n".join).map(str.encode)
+
+
+svmlight_texts = svmlight_texts_with(
+    st.integers() | st.just(MAX_FEATURE_ID) | st.just(MAX_FEATURE_ID + 1))
 
 
 @settings(max_examples=300, deadline=None)
@@ -213,6 +220,82 @@ def test_read_svmlight_fails_cleanly_or_reads_finite_values(tmp_path_factory, co
     assert X.shape == (len(labels), X.shape[1]) and X.shape[1] <= MAX_FEATURE_ID
     assert set(labels.tolist()) <= {-1, 0, 1}
     assert np.isfinite(X.data).all() and np.all(X.data != 0)
+
+
+def _read_or_error(read, path):
+    """(matrix, labels) of *read* on *path*, or the message of the PolarityError it raised."""
+    try:
+        return read(path)
+    except PolarityError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# Files past the reader's 8 KiB decode chunk: two parts split by a long comment
+# that ends in a two-byte character, which some lengths split across chunks.
+long_svmlight_files = st.tuples(
+    svmlight_texts, st.integers(8150, 8250) | st.integers(0, 9000),
+    st.binary(max_size=30) | svmlight_texts,
+).map(lambda parts: parts[0] + b"\n#" + b"x" * parts[1] + "\u00e9".encode() + b"\n" + parts[2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(svmlight_texts | st.binary() | long_svmlight_files)
+def test_streaming_reader_matches_the_whole_file_reader(tmp_path_factory, content):
+    """The line-at-a-time reader gives the whole-file reader's matrix and labels, or
+    its error message. Decoding runs ahead of parsing by at most a chunk, so where
+    the whole-file reader finds bad UTF-8 first, the streaming one may instead stop
+    at an error on a line before the bad bytes: the one the whole-file reader finds
+    in the lines before them."""
+    path = tmp_path_factory.getbasetemp() / "stream.svml"
+    path.write_bytes(content)
+    got, want = _read_or_error(read_svmlight, path), _read_or_error(reference.read_svmlight, path)
+    if isinstance(want, tuple) and isinstance(got, tuple):
+        assert_same_rows(got, want)
+        assert got[0].shape == want[0].shape
+        return
+    if got != want:
+        assert isinstance(want, str) and ": not UTF-8 text (" in want, (got, want)
+        try:
+            content.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            before = content[:exc.start]
+        path.write_bytes(before[:max(before.rfind(b"\n"), before.rfind(b"\r")) + 1])
+        assert got == _read_or_error(reference.read_svmlight, path)
+
+
+def test_bad_pair_before_bad_bytes_is_reported(tmp_path):
+    """A bad pair on line 2 ends the read before bad bytes on line 50, 8 KiB further on."""
+    path = tmp_path / "v.svml"
+    lines = [b"+1 1:1", b"-1 2:x"] + [b"# " + b"x" * 200] * 47 + [b"+1 1:\xff"]
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(DataError, match=r"v.svml:2: bad pair '2:x'"):
+        read_svmlight(path)
+    with pytest.raises(DataError, match="not UTF-8 text"):
+        reference.read_svmlight(path)
+
+
+def test_reading_peaks_near_the_size_of_the_result(tmp_path):
+    """Reading holds little beside the matrix and labels it returns, where reading
+    the whole file first holds its text and int64 ids as well."""
+    rng = np.random.default_rng(0)
+    path = tmp_path / "v.svml"
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in range(400):
+            ids = np.sort(rng.choice(np.arange(1, 5000), size=50, replace=False))
+            pairs = " ".join(f"{i}:{v}" for i, v in zip(ids.tolist(), rng.integers(1, 4, 50)))
+            fh.write(f"{'+1' if row % 2 else '-1'} {pairs}\n")
+
+    def peak_over_result(read):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            X, labels = read(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        return peak / (X.data.nbytes + X.indices.nbytes + X.indptr.nbytes + labels.nbytes)
+
+    assert peak_over_result(read_svmlight) < 1.5 < peak_over_result(reference.read_svmlight)
 
 
 # --- count matrices against the bag reference ------------------------------
@@ -294,7 +377,7 @@ def assert_same_matrix(X, A):
 
 @given(csr_matrices(), st.data())
 def test_products_match_scipy(X, data):
-    """``X @ w``, ``X.T @ v`` and their two-column forms, bit for bit."""
+    """``X @ w`` and ``X.T @ v``, bit for bit, also per column of a two-column product."""
     A = to_scipy(X)
     n, m = X.shape
     w, v = (data.draw(arrays(np.float64, shape, elements=REAL_VALUES))
@@ -303,8 +386,9 @@ def test_products_match_scipy(X, data):
             for shape in [(m, 2), (n, 2)])
     assert np.array_equal(X.matmul(w), A @ w)
     assert np.array_equal(X.rmatmul(v), A.T @ v)
-    assert np.array_equal(X.matmul(W), A @ W)
-    assert np.array_equal(X.rmatmul(Y), A.T @ Y)
+    for k in range(2):  # one column at a time, the bits of SciPy's multi-vector kernels
+        assert np.array_equal(X.matmul(W[:, k]), (A @ W)[:, k])
+        assert np.array_equal(X.rmatmul(Y[:, k]), (A.T @ Y)[:, k])
 
 
 @given(csr_matrices(), st.data())
