@@ -146,11 +146,12 @@ def cmd_evaluate(args) -> int:
 
 
 def _sniff_model(path: str):
-    fmt = str(read_json_object(path).get("format", ""))
+    payload = read_json_object(path)
+    fmt = str(payload.get("format", ""))
     if fmt.startswith("polarity-nb/"):
-        return NaiveBayesModel.load(path)
+        return NaiveBayesModel.from_payload(payload, path)
     if fmt.startswith("polarity-svm/"):
-        return LinearSvmModel.load(path)
+        return LinearSvmModel.from_payload(payload, path)
     raise DataError(f"{path}: unrecognized model format {fmt!r}")
 
 

@@ -34,6 +34,19 @@ from .lexicon import SubjectivityLexicon, TransitionList
 from .tagging import RuleTagger
 from .vectorize import FeatureMatrix, Representation, column_mask, represent, require_vocabulary
 
+try:
+    # CPython's own SHA-256 module: hashlib maps OpenSSL's libcrypto, a few
+    # MB that no command needs for one 12-character config hash.
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        def sha256(data: bytes):
+            import hashlib  # lazy, so that extract, train and predict never load it
+
+            return hashlib.sha256(data)
+
 CLASSIFIERS = ("nb", "svm")
 PRUNE_SCOPES = ("fold", "corpus")
 
@@ -79,12 +92,8 @@ class ExperimentConfig:
         return {**asdict(self), "representation": self.representation.value}
 
     def hash(self) -> str:
-        # hashlib maps OpenSSL's libcrypto, a few MB that only the commands
-        # that report a config hash (evaluate, reproduce) should pay for.
-        import hashlib
-
         blob = json.dumps(self.to_json_dict(), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
+        return sha256(blob.encode()).hexdigest()[:12]
 
 
 @dataclass
@@ -162,6 +171,34 @@ class FeaturePipeline:
         ])
 
 
+# Up to this many runs of training rows, a fold's Gram is copied as runs²
+# contiguous blocks; past about 48 runs (2000 rows) one gather is faster.
+_BLOCK_RUNS = 16
+
+
+def _training_gram(gram: np.ndarray, train: np.ndarray) -> np.ndarray:
+    """The rows and columns *train* selects of *gram*, column-major, as
+    train_svm reads it.
+
+    Filename folds leave the training rows in one or two runs, so the result
+    is at most four block copies; seeded folds scatter them, and one
+    element-wise gather serves.
+    """
+    edges = np.flatnonzero(np.diff(train, prepend=False, append=False))
+    starts, ends = edges[::2], edges[1::2]
+    if len(starts) > _BLOCK_RUNS:
+        # Slicing the transpose and transposing back keeps the result
+        # column-major without a second copy.
+        return gram.T[np.ix_(train, train)].T
+    offsets = np.concatenate(([0], np.cumsum(ends - starts))).tolist()
+    spans = list(zip(offsets, offsets[1:], starts.tolist(), ends.tolist()))
+    out = np.empty((offsets[-1], offsets[-1]), dtype=gram.dtype, order="F")
+    for lo, hi, start, end in spans:
+        for lo2, hi2, start2, end2 in spans:
+            out[lo:hi, lo2:hi2] = gram[start:end, start2:end2]
+    return out
+
+
 class _Cell:
     """One configuration over a pipeline's corpus, trained fold by fold.
 
@@ -195,9 +232,7 @@ class _Cell:
         if train.all() or not train.any():
             raise DataError(f"fold {fold} leaves an empty train or test split")
         if self.X is not None:
-            # Slicing the transpose and transposing back keeps the fold's
-            # Gram column-major, as train_svm reads it, without a second copy.
-            gram = None if self.gram is None else self.gram.T[np.ix_(train, train)].T
+            gram = None if self.gram is None else _training_gram(self.gram, train)
             return train, self.mask, self.X.select_rows(train), self.X.select_rows(~train), gram
         counts, rep = self.matrix.counts, self.config.representation
         train_counts = counts.select_rows(train)

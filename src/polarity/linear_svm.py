@@ -99,7 +99,13 @@ class LinearSvmModel:
     def load(cls, prefix: str | Path) -> "LinearSvmModel":
         prefix = Path(prefix)
         meta_path = prefix if prefix.suffix == ".json" else prefix.with_suffix(".json")
-        payload = read_json_object(meta_path)
+        return cls.from_payload(read_json_object(meta_path), meta_path)
+
+    @classmethod
+    def from_payload(cls, payload: dict, meta_path: str | Path) -> "LinearSvmModel":
+        """The model a parsed metadata file holds; the weights file is read
+        from beside *meta_path*, which names the model in errors."""
+        meta_path = Path(meta_path)
         if payload.get("format") != MODEL_FORMAT:
             raise DataError(f"{meta_path}: not a {MODEL_FORMAT} model file")
         try:

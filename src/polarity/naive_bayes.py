@@ -42,7 +42,11 @@ class NaiveBayesModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "NaiveBayesModel":
-        payload = read_json_object(path)
+        return cls.from_payload(read_json_object(path), path)
+
+    @classmethod
+    def from_payload(cls, payload: dict, path: str | Path) -> "NaiveBayesModel":
+        """The model a parsed model file holds; *path* names it in errors."""
         if payload.get("format") != MODEL_FORMAT:
             raise DataError(f"{path}: not a {MODEL_FORMAT} model file")
         try:

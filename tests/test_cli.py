@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,10 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from polarity import cli, evaluation, linear_svm
+from polarity import cli, evaluation, linear_svm, naive_bayes
 from polarity.cli import main
 from polarity.evaluation import EvalReport
-from polarity.vectorize import MAX_FEATURE_ID, write_svmlight
+from polarity.vectorize import MAX_FEATURE_ID, read_json_object, write_svmlight
 from conftest import NEGATIVE_WORDS, POSITIVE_WORDS, labeled_matrix, write_synthetic_corpus
 from test_lexicon import lexicon_files, transition_files
 from test_linear_svm import _random_instance
@@ -681,6 +682,60 @@ def test_predict_on_any_svmlight_file_exits_cleanly(tmp_path_factory, contract_m
                                   "--input", str(root / "v.svml"), "--format", "json"]))
 
 
+@pytest.mark.parametrize("clf", ["nb", "svm"])
+def test_predict_parses_the_model_file_once(contract_models, tmp_path, monkeypatch, clf):
+    calls = []
+
+    def counting(path):
+        calls.append(path)
+        return read_json_object(path)
+
+    for module in (cli, naive_bayes, linear_svm):
+        monkeypatch.setattr(module, "read_json_object", counting)
+    vectors = tmp_path / "v.svml"
+    vectors.write_text("+1 1:1 2:3\n-1 2:1\n", encoding="utf-8")
+    model = contract_models[["nb", "svm"].index(clf)]
+    assert _exit_of(["predict", "--model", str(model), "--input", str(vectors)])[0] == 0
+    assert calls == [str(model)]
+
+
+_GOLDEN_DOCUMENT = sorted((GOLDEN_CORPUS / "pos").glob("*.txt"))[0]
+_GOLDEN_BYTES = _GOLDEN_DOCUMENT.read_bytes()
+_LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# Bytes of one review: empty, real words around every str.splitlines break
+# and NUL, the golden text with a byte that is not UTF-8 spliced in, or noise.
+document_bytes = st.one_of(
+    st.just(b""),
+    st.lists(st.sampled_from(_GOLDEN_BYTES.decode().split()[:40]
+                             + _LINE_BREAKS + ["\x00", " ", "!", "n't"]),
+             max_size=40).map("".join).map(str.encode),
+    st.tuples(st.integers(0, 200), st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x85"]))
+    .map(lambda cut: _GOLDEN_BYTES[:cut[0]] + cut[1] + _GOLDEN_BYTES[cut[0]:]),
+    st.binary(max_size=200),
+)
+
+
+@pytest.fixture(scope="module")
+def contract_corpus(tmp_path_factory):
+    """A copy of the golden corpus, whose first positive review a test rewrites."""
+    root = tmp_path_factory.mktemp("evaluate-contract")
+    for label in ("pos", "neg"):
+        shutil.copytree(GOLDEN_CORPUS / label, root / "corpus" / label)
+    return root / "corpus"
+
+
+@settings(max_examples=60, deadline=None)
+@given(content=document_bytes, cell=st.sampled_from([("unigram+pu+t", "nb"),
+                                                     ("unigram", "svm")]))
+def test_evaluate_on_any_corpus_document_exits_cleanly(contract_corpus, content, cell):
+    (contract_corpus / "pos" / _GOLDEN_DOCUMENT.name).write_bytes(content)
+    features, clf = cell
+    _assert_clean_exit(*_exit_of([
+        "evaluate", "--corpus", str(contract_corpus), "--lexicon",
+        str(GOLDEN_CORPUS / "lexicon.tsv"), "--lexicon-format", "tsv",
+        "--features", features, "--rep", "presence", "--clf", clf, "--format", "json"]))
+
+
 # Runs commands in one fresh interpreter and reports, after each, whether
 # ``_hashlib`` (and with it OpenSSL's libcrypto) has been imported. NumPy
 # versions that import ``numpy.random`` with ``numpy`` load it through
@@ -700,20 +755,22 @@ print(json.dumps(seen))
 """
 
 
-def test_only_a_config_hash_loads_openssl(tmp_path):
-    """``import polarity.cli``, ``extract``, ``train`` and ``predict`` leave OpenSSL
-    unloaded; ``evaluate`` loads it for its config hash, which is the golden's."""
+def test_no_command_loads_openssl(tmp_path):
+    """``import polarity.cli`` and every command that runs a pipeline or a
+    model leave OpenSSL unloaded; ``evaluate``'s config hash is the golden's."""
     corpus = GOLDEN_CORPUS
     vectors, model = tmp_path / "v.svml", tmp_path / "model"
+    lexicon = ["--lexicon", str(corpus / "lexicon.tsv"), "--lexicon-format", "tsv"]
     commands = [
-        ["extract", "--corpus", str(corpus), "--lexicon", str(corpus / "lexicon.tsv"),
-         "--lexicon-format", "tsv", "--features", "unigram+pb+3adjadv", "--rep", "frequency",
-         "--out", str(vectors), "--format", "json"],
+        ["extract", "--corpus", str(corpus), *lexicon, "--features", "unigram+pb+3adjadv",
+         "--rep", "frequency", "--out", str(vectors), "--format", "json"],
         ["train", "--input", str(vectors), "--clf", "svm", "--out", str(model),
          "--format", "json"],
         ["predict", "--model", f"{model}.json", "--input", str(vectors), "--format", "json"],
         ["evaluate", "--corpus", str(corpus), "--features", "unigram", "--rep", "presence",
          "--clf", "svm", "--format", "json"],
+        ["reproduce", "--corpus", str(corpus), *lexicon, "--out-dir", str(tmp_path / "repro"),
+         "--only", "table2", "--jobs", "1", "--format", "json"],
     ]
     src = str(Path(cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -726,6 +783,6 @@ def test_only_a_config_hash_loads_openssl(tmp_path):
         pytest.skip("importing NumPy loads numpy.random, and with it _hashlib")
     assert {name: seen[name][:2] for name in seen} == {
         "import": [False, 0], "extract": [False, 0], "train": [False, 0],
-        "predict": [False, 0], "evaluate": [True, 0]}
+        "predict": [False, 0], "evaluate": [False, 0], "reproduce": [False, 0]}
     golden = json.loads((GOLDEN_CORPUS.parent / "evaluate_unigram-presence-svm.json").read_text())
     assert json.loads(seen["evaluate"][2])["config_hash"] == golden["config_hash"]

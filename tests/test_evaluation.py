@@ -1,14 +1,21 @@
 """Cross-validation harness: accuracy, determinism, leakage, report formats."""
 
+import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from itertools import compress
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import shuffle_labels, write_synthetic_corpus
 from polarity.corpus import assign_folds, load_corpus
+from polarity import evaluation
 from polarity.errors import ConfigError, DataError
 from polarity.evaluation import (
     CSV_HEADER,
@@ -23,6 +30,9 @@ from polarity.features import FeatureFamily, parse_feature_spec
 from polarity.lexicon import load_transitions
 from polarity.linear_svm import gram_matrix
 from reference import build_vocabulary, pipeline_bags
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def cfg(**kwargs):
@@ -63,6 +73,29 @@ class TestExperimentConfig:
     def test_hash_stable_and_sensitive(self):
         assert cfg().hash() == cfg().hash()
         assert cfg().hash() != cfg(classifier="svm").hash()
+
+    @given(st.binary())
+    def test_sha256_is_hashlibs(self, data):
+        assert evaluation.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+    def test_hashlib_fallback_gives_the_golden_hash(self):
+        """Without CPython's own SHA-256 module the hash comes from hashlib
+        and is the same."""
+        golden = json.loads((GOLDEN / "evaluate_unigram-presence-svm.json").read_text())
+        probe = (
+            "import json, sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "from polarity import evaluation\n"
+            "config = evaluation.ExperimentConfig(**json.loads(sys.argv[1]))\n"
+            "print(evaluation.sha256.__module__, config.hash())\n"
+        )
+        src = str(Path(evaluation.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", probe, json.dumps(golden["config"])],
+                             env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["polarity.evaluation", golden["config_hash"]]
 
 
 class TestRunExperiment:
@@ -199,6 +232,23 @@ class TestMatrixCore:
                 continue
             _, _, mask, _ = cell.train_fold(k)
             assert list(compress(cell.matrix.features, mask)) == list(expected)
+
+    @pytest.mark.parametrize("block_runs", [0, evaluation._BLOCK_RUNS, 10**9])
+    @pytest.mark.parametrize("mode", ["filename", "seeded"])
+    def test_training_gram_equals_the_gather(self, synth_corpus, monkeypatch, mode, block_runs):
+        """Block copies (few runs of training rows) and the gather (many)
+        give the same column-major matrix; filename folds give at most two runs."""
+        monkeypatch.setattr(evaluation, "_BLOCK_RUNS", block_runs)
+        corpus = assign_folds(synth_corpus, mode=mode, seed=3)
+        folds = np.array([corpus.folds[doc.id] for doc in corpus.documents])
+        A = np.random.default_rng(0).standard_normal((len(folds), 7))
+        gram = np.asfortranarray(A @ A.T)
+        for train in [folds != k for k in range(5)] + [np.arange(len(folds)) >= 30]:
+            runs = np.count_nonzero(np.diff(train.astype(int), prepend=0) == 1)
+            assert runs <= 2 or mode == "seeded"
+            result = evaluation._training_gram(gram, train)
+            assert np.array_equal(result, gram[np.ix_(train, train)])
+            assert result.flags.f_contiguous
 
     @pytest.mark.parametrize("representation", ["presence", "frequency"])
     def test_sliced_corpus_gram_equals_fold_gram(self, synth_corpus, representation):
