@@ -133,6 +133,10 @@ def cmd_evaluate(args) -> int:
     transitions = _maybe_transitions(args) if spec.needs_transitions else None
     pipeline = FeaturePipeline(corpus, lexicon=lexicon, transitions=transitions,
                                tagger=get_tagger(args.tagger))
+    # No other family will be asked for: once the cell's matrices are cached,
+    # the token stream is dropped before the folds.
+    pipeline.matrix_for_spec(spec, config.min_count)
+    pipeline.release_tokens()
     report = run_experiment(pipeline, config)
     for message in report.warnings:
         print(f"warning: {message}", file=sys.stderr)
@@ -299,10 +303,11 @@ def cmd_reproduce(args) -> int:
         print(f"warning: {exc}; transition rows will be skipped", file=sys.stderr)
         transitions = None
     cells, skipped = _reproduce_configs(args, lexicon, transitions)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     pipeline = FeaturePipeline(corpus, lexicon=lexicon, transitions=transitions,
                                tagger=get_tagger(args.tagger))
+    pipeline.tokenize()  # a review that cannot be read fails before anything is written
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     # The combo grids repeat some table2 cells; each distinct config runs once.
     configs = list(dict.fromkeys(cfg for _, cfg in cells))

@@ -31,11 +31,21 @@ class Label(Enum):
 
 @dataclass(frozen=True)
 class RawDocument:
-    """One labeled review exactly as read from disk."""
+    """One labeled review: its text, or the path of the file that holds it.
+
+    ``load_corpus`` keeps only the path, so a review's text is in memory
+    only while ``read()`` is being used; a document built in memory holds
+    its text.
+    """
 
     id: str
     label: Label
-    text: str
+    text: str | None = None
+    path: Path | None = None
+
+    def read(self) -> str:
+        """The review's text: the one held, else its file's, read now with ``read_text``."""
+        return self.text if self.text is not None else read_text(self.path)
 
 
 @dataclass
@@ -86,10 +96,12 @@ def read_text(path: Path) -> str:
 
 
 def load_corpus(root_dir: str | Path) -> Corpus:
-    """Load every ``pos/*.txt`` and ``neg/*.txt`` review under *root_dir*.
+    """List every ``pos/*.txt`` and ``neg/*.txt`` review under *root_dir*.
 
     Documents come back sorted by id, so two loads of the same tree are
-    identical. Labels derive from the containing directory.
+    identical. Labels derive from the containing directory. Each document
+    keeps its path, not its text: a review is read when it is tokenized or
+    counted, and one that cannot be read raises DataError then.
     """
     root = Path(root_dir)
     if not root.is_dir():
@@ -107,7 +119,7 @@ def load_corpus(root_dir: str | Path) -> Corpus:
             if doc_id in seen:
                 raise DataError(f"duplicate document id {doc_id!r} ({seen[doc_id].value} and {label.value})")
             seen[doc_id] = label
-            documents.append(RawDocument(id=doc_id, label=label, text=read_text(path)))
+            documents.append(RawDocument(id=doc_id, label=label, path=path))
 
     documents.sort(key=lambda d: d.id)
     return Corpus(documents=documents)
@@ -177,7 +189,7 @@ def compute_stats(corpus: Corpus) -> CorpusStats:
         words = 0
         distinct: set[str] = set()
         for doc in corpus.by_label(label):
-            for line in doc.text.splitlines():
+            for line in doc.read().splitlines():
                 tokens = tokenize(line)
                 if not tokens:
                     continue

@@ -120,7 +120,10 @@ class FeaturePipeline:
     computed when a family first reads them, so the negated and plain
     unigram variants come from the same stream and every grid cell reuses
     the cache regardless of its negation flag. Every family keeps only the
-    columns that reach the requested floor.
+    columns that reach the requested floor. The stream is built when a
+    family first needs it (or by ``tokenize``), reading each review while
+    it is tokenized. A caller that will ask for no new family can drop it
+    with ``release_tokens``; the cached matrices stay.
     """
 
     def __init__(self, corpus: Corpus,
@@ -138,6 +141,14 @@ class FeaturePipeline:
         if self._tokens is None:
             self._tokens = _TokenStream(self.corpus.documents, self.tagger)
         return self._tokens
+
+    def tokenize(self) -> None:
+        """Build the token stream now; DataError when a review cannot be read."""
+        self._stream()
+
+    def release_tokens(self) -> None:
+        """Drop the token stream. A family asked for later builds it again."""
+        self._tokens = None
 
     def labels(self) -> list[int]:
         return [doc.label.sign for doc in self.corpus.documents]
@@ -311,6 +322,9 @@ def run_grid(pipeline: FeaturePipeline, configs: Sequence[ExperimentConfig],
     if not configs:
         raise ConfigError("empty configuration list")
 
+    # Every cell reads the stream: a review that cannot be read fails the
+    # grid here, not each cell.
+    pipeline.tokenize()
     reports: list[EvalReport] = []
     errors: list[dict] = []
     sink = open(results_path, "a", encoding="utf-8") if results_path else None

@@ -29,6 +29,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import count
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -200,10 +201,10 @@ class _TokenStream:
 
     ``ids`` holds an int32 word id per token (``words[id]`` is the word);
     ``starts`` marks each sentence's first token, and the *i*-th document
-    holds tokens ``doc_bounds[i]:doc_bounds[i + 1]``. Each document goes
-    through ``preprocess.tokenize_document`` (or each line through
-    ``tokenize_pretagged``) and only its words' ids are kept, so no
-    per-token object outlives its document.
+    holds tokens ``doc_bounds[i]:doc_bounds[i + 1]``. Each document is read
+    (``RawDocument.read``) and goes through ``preprocess.tokenize_document``
+    (or each line through ``tokenize_pretagged``), and only its words' ids
+    are kept, so neither its text nor any per-token object outlives it.
 
     The annotations are computed over the whole stream on first use and
     kept: ``tag_ids``, an int32 tag id per token (``tags[id]`` is the tag),
@@ -216,23 +217,24 @@ class _TokenStream:
     """
 
     def __init__(self, documents: Sequence[RawDocument], tagger):
-        index: defaultdict[str, int] = defaultdict()
-        index.default_factory = index.__len__  # a new word gets the next id
+        # A new word gets the next id. A factory bound to the dict itself
+        # would make a reference cycle, which keeps the dict alive after
+        # the build until the next full collection.
+        index: defaultdict[str, int] = defaultdict(count().__next__)
         pretagged = isinstance(tagger, PretaggedReader)
-        tag_index: defaultdict[str, int] = defaultdict()
-        tag_index.default_factory = tag_index.__len__
+        tag_index: defaultdict[str, int] = defaultdict(count().__next__)
         ids, tag_ids = array("i"), array("i")
         sentence_lengths, doc_lengths = array("q"), array("q")
         for doc in documents:
             before = len(ids)
             if pretagged:
                 sentences = []
-                for line in doc.text.splitlines():
+                for line in doc.read().splitlines():
                     words, tags = tokenize_pretagged(line, tagger)
                     tag_ids.extend(map(tag_index.__getitem__, tags))
                     sentences.append(words)
             else:
-                sentences = tokenize_document(doc.text)
+                sentences = tokenize_document(doc.read())
             for words in sentences:
                 if words:
                     ids.extend(map(index.__getitem__, words))

@@ -25,10 +25,12 @@ real-valued svmlight file) takes the pairs over every column, which is
 several times slower on columns that most rows hold. K is symmetric, so its
 transpose is its column-major form.
 
-Besides K and a few arrays of one value per stored entry, the scratch is
-bounded: a block of pairs takes about 2.6 MB, and a slab and the product of
-one band of its rows take 8 * 512 * n bytes each (4 MB each at 1,000 rows),
-so no n x n temporary is made.
+Besides K, the scratch is the stored entries split once into a dense and
+a sparse part, 16 bytes per entry (an 8-byte value, an int32 row and an
+int32 column or slab rank), plus bounded buffers: a block of pairs takes
+about 2.6 MB, and a slab and the product of one band of its rows take
+8 * 512 * n bytes each (4 MB each at 1,000 rows), so no n x n temporary is
+made.
 """
 
 from __future__ import annotations
@@ -143,17 +145,25 @@ def gram_matrix(X: CsrMatrix) -> np.ndarray:
     if n > MAX_GRAM_ROWS:
         raise DataError(f"{n} training vectors need a {8 * n * n / 2**30:.1f} GiB dense Gram "
                         f"matrix; the limit is {MAX_GRAM_ROWS} vectors")
-    rows = X.entry_rows()
+    # Rows and dense-column ranks are below MAX_GRAM_ROWS and the column
+    # count, so int32 holds them.
+    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(X.indptr))
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.bincount(rows, X.data * X.data, minlength=n)
         exact = np.array_equal(X.data, np.rint(X.data)) and bool((norms < 2.0**53).all())
         frequent = np.bincount(X.indices, minlength=X.shape[1]) * _DENSE_SHARE >= n
         dense = frequent[X.indices] if exact else np.zeros(X.nnz, dtype=bool)
+        # The entries split once into the dense part (value, rank among the
+        # dense columns, row) and the sparse part (value, column, row), and
+        # the full-length rows and mask go before K is allocated.
+        slab = (X.data[dense], (np.cumsum(frequent, dtype=np.int32) - 1)[X.indices[dense]],
+                rows[dense])
+        pairs = (X.data[~dense], X.indices[~dense], rows[~dense])
+        del rows, dense
         K = np.zeros((n, n))
-        slot = (np.cumsum(frequent) - 1)[X.indices[dense]]  # rank among the dense columns
-        _add_slab_products(K, X.data[dense], slot, rows[dense])
-        del slot
-        _add_pair_products(K, X.data[~dense], X.indices[~dense], rows[~dense], X.shape[1])
+        _add_slab_products(K, *slab)
+        del slab
+        _add_pair_products(K, *pairs, X.shape[1])
     if not np.isfinite(K).all():
         raise DataError("the Gram matrix of the training vectors is not finite "
                         "(their dot products overflow)")
@@ -179,12 +189,15 @@ def _add_pair_products(K: np.ndarray, data: np.ndarray, cols: np.ndarray, rows: 
     cost = np.cumsum(np.bincount(rows, fan, minlength=n) + n)
     cuts = np.searchsorted(cost, np.arange(_PAIR_BLOCK, cost[-1], _PAIR_BLOCK))
     bounds = np.unique(np.concatenate(([0], cuts, [n])))
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        a, b = np.searchsorted(rows, [lo, hi])
+    # Each block's first entry. The bounds take the dtype of rows, which
+    # searchsorted would otherwise copy to theirs.
+    edges = np.searchsorted(rows, bounds.astype(rows.dtype)).tolist()
+    for lo, hi, a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist(), edges[:-1], edges[1:]):
         block_fan = fan[a:b]
         partner = (np.repeat(column_start[cols[a:b]] - (np.cumsum(block_fan) - block_fan),
                              block_fan) + np.arange(block_fan.sum()))
-        cells = np.repeat((rows[a:b] - lo) * n, block_fan) + column_rows[partner]
+        # Cell numbers in intp, which bincount reads without a copy.
+        cells = np.repeat((rows[a:b] - lo).astype(np.intp) * n, block_fan) + column_rows[partner]
         products = np.repeat(data[a:b], block_fan) * column_data[partner]
         K[lo:hi] += np.bincount(cells, products, minlength=(hi - lo) * n).reshape(hi - lo, n)
 

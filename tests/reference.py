@@ -98,7 +98,7 @@ def preprocess_document(doc: RawDocument, tagger=None) -> Document:
     means the built-in rules.
     """
     sentences: list[Sentence] = []
-    for line in doc.text.splitlines():
+    for line in doc.read().splitlines():
         if isinstance(tagger, PretaggedReader):
             words, tags = tokenize_pretagged(line, tagger)
         else:

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and output formats."""
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -735,6 +736,115 @@ def test_evaluate_on_any_corpus_document_exits_cleanly(contract_corpus, content,
         str(GOLDEN_CORPUS / "lexicon.tsv"), "--lexicon-format", "tsv",
         "--features", features, "--rep", "presence", "--clf", clf, "--format", "json"]))
 
+
+
+def _corpus_layout(root: Path, case: str) -> Path:
+    """A copy of the golden corpus under *root*, changed as *case* says."""
+    corpus = root / "corpus"
+    for label in ("pos", "neg"):
+        shutil.copytree(GOLDEN_CORPUS / label, corpus / label)
+    pos, neg = corpus / "pos", corpus / "neg"
+    if case == "broken-symlink":
+        (pos / "cv001_1.txt").symlink_to(root / "nowhere.txt")
+    elif case == "directory":
+        (pos / "cv001_1.txt").mkdir()
+    elif case == "empty-neg":
+        shutil.rmtree(neg)
+        neg.mkdir()
+    elif case == "id-in-both":
+        shutil.copy(pos / _GOLDEN_DOCUMENT.name, neg)
+    elif case == "no-cv-name":
+        (pos / "review.txt").write_text("a fine film\n")
+    elif case == "bom-and-latin1":
+        (pos / _GOLDEN_DOCUMENT.name).write_bytes(b"\xef\xbb\xbf" + _GOLDEN_BYTES)
+        first_neg = sorted(neg.glob("*.txt"))[0]
+        first_neg.write_bytes(first_neg.read_bytes() + b"caf\xe9 na\xefve\n")
+    return corpus
+
+
+# Exit codes of stats, evaluate and reproduce per corpus layout: a review
+# that cannot be read is a data error (3), a missing label folder a
+# configuration error (2); stats assigns no folds.
+_LAYOUT_EXITS = {
+    "broken-symlink": (3, 3, 3),
+    "directory": (3, 3, 3),
+    "empty-neg": (2, 2, 2),
+    "id-in-both": (3, 3, 3),
+    "no-cv-name": (0, 3, 3),
+    "bom-and-latin1": (0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("case", _LAYOUT_EXITS)
+def test_corpus_layouts_exit_cleanly(tmp_path, case):
+    """``stats``, ``evaluate`` and ``reproduce`` exit 0, 2 or 3 with one
+    ``error:`` line on failure, and ``reproduce`` writes nothing then. Reviews
+    are read only when tokenized, so an unreadable one must still fail the
+    command, not each grid cell."""
+    corpus = _corpus_layout(tmp_path, case)
+    lexicon = ["--lexicon", str(GOLDEN_CORPUS / "lexicon.tsv"), "--lexicon-format", "tsv"]
+    out_dir = tmp_path / "repro"
+    commands = [
+        ["stats", "--corpus", str(corpus)],
+        ["evaluate", "--corpus", str(corpus), "--features", "unigram", "--rep", "presence",
+         "--clf", "svm"],
+        ["reproduce", "--corpus", str(corpus), *lexicon, "--out-dir", str(out_dir),
+         "--only", "table2", "--jobs", "1", "--format", "json"],
+    ]
+    for argv, expected in zip(commands, _LAYOUT_EXITS[case]):
+        code, err = _exit_of(argv)
+        _assert_clean_exit(code, err)
+        assert code == expected, (argv[0], code, err)
+    # A failed reproduce has not even made its output directory.
+    assert (out_dir / "table2.csv").exists() == out_dir.exists() == (_LAYOUT_EXITS[case][2] == 0)
+
+
+@pytest.fixture()
+def counted_streams(monkeypatch):
+    """The token-stream class the pipeline builds, and a list with the token
+    count of each stream built (not the stream, which it would keep alive)."""
+    built = []
+
+    class Counted(evaluation._TokenStream):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self.ids.size)
+
+    monkeypatch.setattr(evaluation, "_TokenStream", Counted)
+    return Counted, built
+
+
+@pytest.mark.parametrize("cell", [
+    ["--features", "unigram", "--rep", "presence"],
+    ["--features", "unigram+pb", "--rep", "frequency", "--prune-scope", "corpus",
+     "--lexicon", str(GOLDEN_CORPUS / "lexicon.tsv"), "--lexicon-format", "tsv"],
+])
+def test_evaluate_trains_with_no_token_stream_resident(counted_streams, monkeypatch, capsys,
+                                                       cell):
+    """``evaluate`` builds the stream once and drops it before the folds,
+    which read only the cached matrices."""
+    Counted, built = counted_streams
+    resident = []
+    train = linear_svm.train_svm
+
+    def spy(*args, **kwargs):
+        resident.append(sum(type(o) is Counted for o in gc.get_objects()))
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(linear_svm, "train_svm", spy)
+    assert main(["evaluate", "--corpus", str(GOLDEN_CORPUS), *cell, "--clf", "svm"]) == 0
+    assert resident == [0] * 5
+    assert len(built) == 1
+
+
+def test_reproduce_builds_the_token_stream_once(counted_streams, tmp_path, capsys):
+    _, built = counted_streams
+    assert main(["reproduce", "--corpus", str(GOLDEN_CORPUS), "--lexicon",
+                 str(GOLDEN_CORPUS / "lexicon.tsv"), "--lexicon-format", "tsv",
+                 "--out-dir", str(tmp_path), "--only", "table2", "--jobs", "1"]) == 0
+    assert len(built) == 1
+    golden = GOLDEN_CORPUS.parent / "table2.csv"
+    assert (tmp_path / "table2.csv").read_bytes() == golden.read_bytes()
 
 # Runs commands in one fresh interpreter and reports, after each, whether
 # ``_hashlib`` (and with it OpenSSL's libcrypto) has been imported. NumPy

@@ -29,7 +29,7 @@ class TestLoadCorpus:
         corpus = load_corpus(tmp_path)
         assert len(corpus) == 2
         (a,) = [d for d in corpus.documents if d.label is Label.POSITIVE]
-        assert a.id == "a" and a.text == "fine film\n"
+        assert a.id == "a" and a.text is None and a.read() == "fine film\n"
 
     def test_missing_neg_dir(self, tmp_path):
         _write_tree(tmp_path, pos=[("a.txt", "x")])
@@ -64,7 +64,7 @@ class TestLoadCorpus:
         _write_tree(tmp_path, neg=[("b.txt", "x")])
         corpus = load_corpus(tmp_path)
         doc = [d for d in corpus.documents if d.id == "a"][0]
-        assert "café" in doc.text
+        assert "café" in doc.read()
 
 
     def test_byte_order_mark_dropped(self, tmp_path):
@@ -73,7 +73,7 @@ class TestLoadCorpus:
         _write_tree(tmp_path, neg=[("b.txt", "x")])
         corpus = load_corpus(tmp_path)
         doc = [d for d in corpus.documents if d.id == "a"][0]
-        assert tokenize(doc.text)[0] == "fine"
+        assert tokenize(doc.read())[0] == "fine"
 
 
 class TestAssignFolds:

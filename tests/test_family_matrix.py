@@ -270,7 +270,7 @@ def test_word_and_tag_that_spell_one_pb_feature_merge(polarized_corpora):
     ``x_jj good_jj`` (the tag ``jj``) both give ``pb:jj_POS/jj``, once each:
     the feature reaches a floor of 2 only through the merged spelling."""
     corpus, lexicon, tagger = polarized_corpora["pretagged"]
-    assert corpus.documents[0].text.startswith("jj_NN good_jj")
+    assert corpus.documents[0].read().startswith("jj_NN good_jj")
     pipeline = FeaturePipeline(Corpus(documents=corpus.documents[:1]), lexicon=lexicon,
                                tagger=tagger)
     matrix = pipeline.family_matrix(FeatureFamily.POLARIZED_BIGRAM, min_count=2)

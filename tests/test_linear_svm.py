@@ -283,6 +283,30 @@ class TestGramMatrix:
                  + 48 * X.nnz)
         assert scratch < bound < K.nbytes
 
+    def test_scratch_holds_each_entry_once_in_16_bytes(self, slab_entries):
+        """The entries are split once into a dense and a sparse part of 16
+        bytes each (a float64 value, an int32 row and an int32 column or
+        slab rank), and filling a slab gathers about 20 bytes per entry it
+        holds; beside the slab and band buffers that stays under 36 bytes
+        per entry. Int64 rows and ranks beside the full-length rows and mask
+        took 42 on this matrix, the one of the test above."""
+        n = 1536
+        rng = np.random.default_rng(44)
+        held = [n // 16] * 600 + [n // 40] * 600
+        rows = np.concatenate([rng.choice(n, k, replace=False) for k in held])
+        X = from_scipy(sp.csr_matrix(
+            (rng.integers(1, 4, len(rows)).astype(np.float64),
+             (rows, np.repeat(np.arange(len(held)), held))), shape=(n, len(held))))
+        tracemalloc.start()
+        try:
+            K = gram_matrix(X)
+            scratch = tracemalloc.get_traced_memory()[1] - K.nbytes
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(K, scipy_gram(X))
+        assert slab_entries == [600 * (n // 16)]
+        assert scratch < 2 * 8 * linear_svm._SLAB_COLUMNS * n + 36 * X.nnz
+
     def test_real_values_take_the_pair_path(self, slab_entries):
         X = _mixed_counts(seed=42)
         X = from_scipy(to_scipy(X) * 0.3)

@@ -7,6 +7,7 @@ word ids in first-seen order, tags, tag bits, negation flags, sentence
 starts and document bounds.
 """
 
+import gc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import corpus_of, to_scipy
 from polarity.corpus import load_corpus
 from polarity.evaluation import FeaturePipeline
-from polarity.features import FAMILIES, FeatureFamily
+from polarity.features import FAMILIES, FeatureFamily, _TokenStream
 from polarity.lexicon import LexiconEntry, Polarity, SubjectivityLexicon, load_transitions
 from polarity.tagging import PretaggedReader, RuleTagger, get_tagger
 from reference import from_bags, pipeline_bags, preprocess_document, tag_bits
@@ -134,3 +135,39 @@ def test_empty_and_punctuation_only_documents(texts, tagger):
         assert matrix.counts.shape == expected.counts.shape == (len(texts), len(expected.features))
         assert (to_scipy(matrix.counts) != to_scipy(expected.counts)).nnz == 0
     assert bool(pipeline.family_matrix(FeatureFamily.POLARIZED_BIGRAM).features) == has_words
+
+
+@pytest.mark.parametrize("tagger", ["builtin", "pretagged"])
+def test_the_stream_leaves_no_cyclic_garbage(tagger):
+    """Dropping a built stream, annotations included, frees it by reference
+    counting alone: a cycle would keep its word index alive until the next
+    full collection."""
+    corpus = load_corpus(GOLDEN_CORPUS)
+    if tagger == "pretagged":
+        corpus = corpus_of([" ".join(f"{w}_JJ" for w in doc.read().split()) + "\nnot_RB x_NN"
+                            for doc in corpus.documents])
+    gc.collect()
+    gc.disable()
+    try:
+        stream = _TokenStream(corpus.documents, get_tagger(tagger))
+        stream.tag_bits, stream.negated
+        del stream
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_family_asked_for_after_release_tokens_equals_one_built_before():
+    """``release_tokens`` keeps the cached matrices; a family asked for after
+    it builds the stream again, from the same documents, to the same matrix."""
+    corpus = load_corpus(GOLDEN_CORPUS)
+    built = FeaturePipeline(corpus, lexicon=LEXICON, transitions=load_transitions())
+    expected = {family: built.family_matrix(family, min_count=2) for family in FAMILIES}
+    pipeline = FeaturePipeline(corpus, lexicon=LEXICON, transitions=load_transitions())
+    unigram = pipeline.family_matrix(FeatureFamily.UNIGRAM, min_count=2)
+    pipeline.release_tokens()
+    assert pipeline.family_matrix(FeatureFamily.UNIGRAM, min_count=2) is unigram
+    for family in FAMILIES:
+        matrix = pipeline.family_matrix(family, min_count=2)
+        assert matrix.features == expected[family].features
+        assert (to_scipy(matrix.counts) != to_scipy(expected[family].counts)).nnz == 0
