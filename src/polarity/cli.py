@@ -100,6 +100,7 @@ def cmd_extract(args) -> int:
         tagger=get_tagger(args.tagger),
     )
     matrix = pipeline.matrix_for_spec(spec, args.min_count)
+    pipeline.release_tokens()  # no other family will be asked for
     X = represent(require_vocabulary(matrix.counts, args.min_count), Representation(args.rep))
     write_svmlight(X, args.out, pipeline.labels())
     if args.vocab_out:

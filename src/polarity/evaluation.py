@@ -8,7 +8,7 @@ the ``min_count`` floor (at least 1). A cell takes the union of its families'
 columns and trains on row slices. Under corpus scope the union is the
 vocabulary as it is and the SVM Gram matrix is computed once per cell and
 sliced per fold; under fold scope each fold prunes the union with a column
-mask over its training rows.
+mask over its training rows and makes its own Gram.
 The pipeline is the harness's one handle: ``run_experiment(pipeline, config)``
 and ``run_grid(pipeline, configs)`` read the corpus, its folds, the lexicon,
 the transitions and the tagger from it and from nowhere else.
@@ -213,11 +213,11 @@ def _training_gram(gram: np.ndarray, train: np.ndarray) -> np.ndarray:
 class _Cell:
     """One configuration over a pipeline's corpus, trained fold by fold.
 
-    Under prune_scope="corpus" the union is the vocabulary as it is (every
-    family matrix holds only the columns that reach the floor), and the
-    represented matrix and (for the SVM) the Gram matrix are computed once
-    here and sliced per fold; under "fold" each fold prunes on its own
-    training rows. Nothing outlives the cell.
+    The cell makes every Gram matrix its SVM folds train on. Under
+    prune_scope="corpus" the union is the vocabulary as it is (every family
+    matrix holds only the columns that reach the floor), and the Gram is
+    computed once here and sliced per fold; under "fold" each fold prunes
+    on its own training rows and computes its own. Nothing outlives the cell.
     """
 
     def __init__(self, pipeline: FeaturePipeline, config: ExperimentConfig):
@@ -228,40 +228,35 @@ class _Cell:
         self.folds = np.array([corpus.folds[doc.id] for doc in corpus.documents])
         self.matrix = pipeline.matrix_for_spec(config.spec(), config.min_count)
         self.y = np.array(pipeline.labels())
-        self.mask = self.X = self.gram = None
+        self.gram = None
         if config.prune_scope == "corpus":
             # The union holds only columns that reach the floor: every one is kept.
-            self.X = represent(require_vocabulary(self.matrix.counts, config.min_count),
-                               config.representation)
-            self.mask = np.ones(self.X.shape[1], dtype=bool)
+            counts = require_vocabulary(self.matrix.counts, config.min_count)
             if config.classifier == "svm":
-                self.gram = linear_svm.gram_matrix(self.X)
+                self.gram = linear_svm.gram_matrix(represent(counts, config.representation))
 
-    def split(self, fold: int):
-        """(train rows, column mask, X_train, X_test, training Gram or None)."""
+    def train_fold(self, fold: int):
+        """(model, train rows, fold-scope column mask or None, X_test) with
+        *fold* held out. The held-out documents contribute to neither the
+        model nor the mask, which the no-leakage test asserts.
+        """
         train = self.folds != fold
         if train.all() or not train.any():
             raise DataError(f"fold {fold} leaves an empty train or test split")
-        if self.X is not None:
-            gram = None if self.gram is None else _training_gram(self.gram, train)
-            return train, self.mask, self.X.select_rows(train), self.X.select_rows(~train), gram
-        counts, rep = self.matrix.counts, self.config.representation
-        train_counts = counts.select_rows(train)
-        mask = column_mask(train_counts, self.config.min_count)
-        return (train, mask, represent(train_counts.select_columns(mask), rep),
-                represent(counts.select_rows(~train).select_columns(mask), rep), None)
-
-    def train_fold(self, fold: int):
-        """(model, train rows, column mask, X_test) with *fold* held out.
-
-        Under prune_scope="fold" the held-out documents contribute to neither
-        the model nor the mask, which the no-leakage test asserts.
-        """
-        train, mask, X_train, X_test, gram = self.split(fold)
-        config = self.config
+        config, counts = self.config, self.matrix.counts
+        gram = None if self.gram is None else _training_gram(self.gram, train)
+        X_train, X_test = counts.select_rows(train), counts.select_rows(~train)
+        mask = None
+        if config.prune_scope == "fold":
+            mask = column_mask(X_train, config.min_count)
+            X_train, X_test = X_train.select_columns(mask), X_test.select_columns(mask)
+        X_train = represent(X_train, config.representation)
+        X_test = represent(X_test, config.representation)
         if config.classifier == "nb":
             model = naive_bayes.train_nb(X_train, self.y[train])
         else:
+            if gram is None:
+                gram = linear_svm.gram_matrix(X_train)
             model = linear_svm.train_svm(X_train, self.y[train], C=config.C, tol=config.tol,
                                          max_epochs=config.max_epochs, gram=gram)
         return model, train, mask, X_test
@@ -283,8 +278,8 @@ def run_experiment(pipeline: FeaturePipeline, config: ExperimentConfig) -> EvalR
     fold_warnings: list[str] = []
     tp = fp = fn = 0
     for k in range(N_FOLDS):
-        model, train, mask, X_test = cell.train_fold(k)
-        vocab_sizes.append(int(mask.sum()))
+        model, train, _, X_test = cell.train_fold(k)
+        vocab_sizes.append(X_test.shape[1])
         if config.classifier == "svm" and not model.meta.converged:
             fold_warnings.append(f"fold {k}: {model.meta.warning}")
 

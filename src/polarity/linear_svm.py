@@ -247,7 +247,11 @@ def default_C(X: CsrMatrix) -> float:
         raise DataError("cannot derive C: the squared norms of the training vectors overflow")
     if mean == 0.0:
         raise DataError("cannot derive C: every training vector is zero")
-    return 1.0 / mean
+    C = 1.0 / mean
+    if not math.isfinite(C):
+        raise DataError(f"cannot derive C: the mean squared norm of the training vectors, "
+                        f"{mean!r}, has no finite inverse")
+    return C
 
 
 def check_solver_limits(tol: float, max_epochs: int, C: float | None = None) -> None:
@@ -265,14 +269,14 @@ def train_svm(X: CsrMatrix, y: Sequence[int], C: float | None = None,
               gram: np.ndarray | None = None) -> LinearSvmModel:
     """Train on the rows of *X* with +1/-1 labels *y* to KKT tolerance *tol*.
 
-    One epoch is n pair updates. *gram*, when given, must equal
-    ``gram_matrix(X)``; cross-validation passes the fold's slice of a Gram
-    computed once over the whole corpus. A row-major *gram* is copied once
-    into column order. On hitting the epoch cap the best
-    iterate is returned with ``meta.converged`` False and the reason in
-    ``meta.warning``.
+    One epoch is n pair updates. A given *C* must be finite and above 0
+    (ConfigError); without one, ``default_C(X)`` is used. *gram*, when
+    given, must equal ``gram_matrix(X)``; cross-validation passes every
+    fold's Gram, made by ``evaluation._Cell``. A row-major *gram* is copied
+    once into column order. On hitting the epoch cap the best iterate is
+    returned with ``meta.converged`` False and the reason in ``meta.warning``.
     """
-    check_solver_limits(tol, max_epochs)
+    check_solver_limits(tol, max_epochs, C)
     y = np.asarray(y, dtype=np.float64)
     labels = set(y.tolist())
     if labels - {1.0, -1.0}:
@@ -282,8 +286,6 @@ def train_svm(X: CsrMatrix, y: Sequence[int], C: float | None = None,
                         f"{sorted(int(v) for v in labels)}")
     if C is None:
         C = default_C(X)
-    if not C > 0 or not math.isfinite(C):
-        raise DataError(f"C must be positive and finite, got {C}")
     if X.shape[1] == 0:
         X = fit_columns(X, 1)
 

@@ -236,11 +236,23 @@ class TestInputErrors:
         assert "exceeds the limit" in one_error_line(capsys)
         assert not (tmp_path / "m.json").exists()
 
-    def test_non_finite_C_exits_3(self, vector_file, tmp_path, capsys):
-        code = main(["train", "--input", str(vector_file), "--clf", "svm", "--C", "nan",
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_train_bad_C_exits_2(self, vector_file, tmp_path, capsys, value):
+        # the rule and message of evaluate and reproduce
+        code = main(["train", "--input", str(vector_file), "--clf", "svm", "--C", value,
                      "--out", str(tmp_path / "m")])
+        assert code == 2
+        assert one_error_line(capsys) == f"error: C must be finite and above 0, got {float(value)}"
+        assert not (tmp_path / "m.json").exists()
+
+    def test_non_finite_derived_C_exits_3(self, tmp_path, capsys):
+        # each square is subnormal, so 1 / (mean squared norm) is inf
+        path = tmp_path / "v.svml"
+        path.write_text("+1 1:1e-160\n-1 2:1e-160\n", encoding="utf-8")
+        code = main(["train", "--input", str(path), "--clf", "svm", "--out", str(tmp_path / "m")])
         assert code == 3
-        assert "C must be positive" in one_error_line(capsys)
+        assert "cannot derive C" in one_error_line(capsys)
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("C,message", [
         (["--C", "1"], "the Gram matrix of the training vectors is not finite"),
@@ -835,6 +847,29 @@ def test_evaluate_trains_with_no_token_stream_resident(counted_streams, monkeypa
     assert main(["evaluate", "--corpus", str(GOLDEN_CORPUS), *cell, "--clf", "svm"]) == 0
     assert resident == [0] * 5
     assert len(built) == 1
+
+
+def test_extract_writes_with_no_token_stream_resident(counted_streams, monkeypatch, tmp_path,
+                                                      capsys):
+    """``extract`` asks for no family after its union, so the stream is
+    dropped before the svmlight file is written."""
+    Counted, built = counted_streams
+    resident = []
+
+    def spy(*args, **kwargs):
+        resident.append(sum(type(o) is Counted for o in gc.get_objects()))
+        return write_svmlight(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "write_svmlight", spy)
+    out = tmp_path / "vectors.svml"
+    assert main(["extract", "--corpus", str(GOLDEN_CORPUS), "--lexicon",
+                 str(GOLDEN_CORPUS / "lexicon.tsv"), "--lexicon-format", "tsv",
+                 "--features", "unigram+pb+3adjadv", "--rep", "frequency",
+                 "--out", str(out)]) == 0
+    assert resident == [0]
+    assert len(built) == 1
+    golden = GOLDEN_CORPUS.parent / "extract_unigram+pb+3adjadv.svml"
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_reproduce_builds_the_token_stream_once(counted_streams, tmp_path, capsys):

@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 
 from conftest import shuffle_labels, write_synthetic_corpus
 from polarity.corpus import assign_folds, load_corpus
-from polarity import evaluation
+from polarity import evaluation, linear_svm
 from polarity.errors import ConfigError, DataError
 from polarity.evaluation import (
     CSV_HEADER,
@@ -251,15 +251,29 @@ class TestMatrixCore:
             assert result.flags.f_contiguous
 
     @pytest.mark.parametrize("representation", ["presence", "frequency"])
-    def test_sliced_corpus_gram_equals_fold_gram(self, synth_corpus, representation):
-        pipeline = FeaturePipeline(synth_corpus)
-        config = cfg(features="unigram+bigram", representation=representation,
-                     classifier="svm", prune_scope="corpus")
-        cell = _Cell(pipeline, config)
+    @pytest.mark.parametrize("scope", ["corpus", "fold"])
+    def test_every_svm_fold_gram_comes_from_the_cell(self, synth_corpus, monkeypatch,
+                                                     scope, representation):
+        """Every fold reaches train_svm with the Gram of its training matrix:
+        a slice of the cell's corpus Gram, or the Gram of the fold's pruned rows."""
+        received = []
+        train_svm = linear_svm.train_svm
+
+        def spy(X, y, C=None, tol=1e-3, max_epochs=1000, gram=None):
+            received.append((X, gram))
+            return train_svm(X, y, C=C, tol=tol, max_epochs=max_epochs, gram=gram)
+
+        monkeypatch.setattr(linear_svm, "train_svm", spy)
+        cell = _Cell(FeaturePipeline(synth_corpus),
+                     cfg(features="unigram+bigram", representation=representation,
+                         classifier="svm", prune_scope=scope))
         for k in range(5):
-            _, _, X_train, _, gram = cell.split(k)
-            assert np.array_equal(gram, gram_matrix(X_train))
+            cell.train_fold(k)
+        assert len(received) == 5
+        for X_train, gram in received:
+            assert gram is not None
             assert gram.flags.f_contiguous  # train_svm reads it without a copy
+            assert np.array_equal(gram, gram_matrix(X_train))
 
 
 class TestLabelShuffledControl:

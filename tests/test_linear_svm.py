@@ -367,12 +367,26 @@ class TestDefaultC:
         with pytest.raises(DataError, match="squared norms of the training vectors overflow"):
             default_C(X)
 
+    def test_infinite_inverse_named(self):
+        # each square is subnormal, so their mean is nonzero but 1 / mean is inf
+        X, y = labeled_matrix([sv([(0, 1e-160)], 1), sv([(1, 1e-160)], -1)])
+        with pytest.raises(DataError, match="has no finite inverse"):
+            default_C(X)
+        with pytest.raises(DataError, match="has no finite inverse"):
+            train_svm(X, y)
+
     @given(csr_matrices(min_rows=1))
     def test_sum_matches_scipy(self, X):
         A = to_scipy(X)
         total = float(A.multiply(A).sum())
-        if total:
-            assert default_C(X) == 1.0 / (total / X.shape[0])
+        if not total:
+            return
+        expected = 1.0 / (total / X.shape[0])
+        if math.isfinite(expected):
+            assert default_C(X) == expected
+        else:
+            with pytest.raises(DataError, match="has no finite inverse"):
+                default_C(X)
 
     def test_used_when_c_omitted(self):
         pts = _random_instance(seed=11, n=20)
@@ -390,10 +404,14 @@ class TestErrorsAndMeta:
         (dict(tol=float("nan")), "tol must be finite and above 0"),
         (dict(tol=-1.0), "tol must be finite and above 0"),
         (dict(max_epochs=-3), "max_epochs must be at least 1"),
+        (dict(C=float("nan")), "C must be finite and above 0"),
+        (dict(C=float("inf")), "C must be finite and above 0"),
+        (dict(C=-1.0), "C must be finite and above 0"),
+        (dict(C=0.0), "C must be finite and above 0"),
     ])
     def test_bad_solver_limits_rejected(self, limits, message):
         with pytest.raises(ConfigError, match=message):
-            fit(SEPARABLE_2D, C=1.0, **limits)
+            fit(SEPARABLE_2D, **{"C": 1.0, **limits})
 
     def test_nonconvergence_warns_and_flags(self):
         pts = _random_instance(seed=3, n=60)
