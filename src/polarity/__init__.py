@@ -27,7 +27,7 @@ from .lexicon import (
 )
 from .linear_svm import LinearSvmModel, default_C, gram_matrix, predict_svm, train_svm
 from .naive_bayes import NaiveBayesModel, predict_nb, train_nb
-from .preprocess import expand_contractions, strip_punctuation
+from .preprocess import expand_contractions
 from .tagging import PretaggedReader, RuleTagger, get_tagger
 from .vectorize import (
     CsrMatrix,

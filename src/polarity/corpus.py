@@ -33,15 +33,16 @@ class Label(Enum):
 class RawDocument:
     """One labeled review: its text, or the path of the file that holds it.
 
-    ``load_corpus`` keeps only the path, so a review's text is in memory
-    only while ``read()`` is being used; a document built in memory holds
-    its text.
+    ``load_corpus`` keeps only the path, as a ``str`` (a ``Path`` object
+    costs several times its bytes), so a review's text is in memory only
+    while ``read()`` is being used; a document built in memory holds its
+    text.
     """
 
     id: str
     label: Label
     text: str | None = None
-    path: Path | None = None
+    path: str | None = None
 
     def read(self) -> str:
         """The review's text: the one held, else its file's, read now with ``read_text``."""
@@ -82,11 +83,12 @@ class CorpusStats:
         }
 
 
-def read_text(path: Path) -> str:
+def read_text(path: str | Path) -> str:
     """The file's text as UTF-8 (a leading byte-order mark dropped), or as
     Latin-1 when it is not valid UTF-8."""
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as f:
+            raw = f.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     try:
@@ -119,7 +121,7 @@ def load_corpus(root_dir: str | Path) -> Corpus:
             if doc_id in seen:
                 raise DataError(f"duplicate document id {doc_id!r} ({seen[doc_id].value} and {label.value})")
             seen[doc_id] = label
-            documents.append(RawDocument(id=doc_id, label=label, path=path))
+            documents.append(RawDocument(id=doc_id, label=label, path=str(path)))
 
     documents.sort(key=lambda d: d.id)
     return Corpus(documents=documents)
@@ -175,13 +177,12 @@ def assign_folds(corpus: Corpus, mode: str = "filename", seed: int = 0) -> Corpu
 
 
 def compute_stats(corpus: Corpus) -> CorpusStats:
-    """Per-label sentence/word/distinct-word counts over the normalized token stream.
+    """Per-label sentence/word/distinct-word counts of the words the token stream reads.
 
-    Counting happens after contraction expansion and punctuation stripping
-    (one line = one sentence, the preprocessing tokenizer's words) but before
-    tagging and feature extraction. Lines left empty by stripping are dropped.
+    Each review goes through ``tokenize_document``, as for the token stream;
+    one line is one sentence, and lines left empty by stripping are dropped.
     """
-    from .preprocess import tokenize
+    from .preprocess import tokenize_document
 
     per_label: dict[Label, LabelStats] = {}
     for label in Label:
@@ -189,8 +190,7 @@ def compute_stats(corpus: Corpus) -> CorpusStats:
         words = 0
         distinct: set[str] = set()
         for doc in corpus.by_label(label):
-            for line in doc.read().splitlines():
-                tokens = tokenize(line)
+            for tokens in tokenize_document(doc.read()):
                 if not tokens:
                     continue
                 sentences += 1

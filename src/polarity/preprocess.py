@@ -6,7 +6,9 @@ contractions on the lines that hold an apostrophe, strip punctuation,
 tokenize and lowercase, tag part-of-speech, mark negation scopes. The ``NOT_``
 prefix is never stored; the negated unigram variant adds it when it extracts.
 
-The document representation is one token stream for the whole corpus
+``tokenize_document`` is the one built-in tokenizer: the token stream and
+``corpus.compute_stats`` both read reviews through it. The document
+representation is one token stream for the whole corpus
 (``features._TokenStream``): each document goes through
 ``tokenize_document`` (or each line through ``tokenize_pretagged``) and its
 words become int32 ids; tags come from
@@ -87,11 +89,6 @@ def expand_contractions(text: str) -> str:
     return _CONTRACTION_RE.sub(replace, text)
 
 
-def strip_punctuation(text: str) -> str:
-    """Delete punctuation characters except ``!`` and ``?``, which become standalone tokens."""
-    return " ".join(_drop_punctuation(text).split())
-
-
 def _drop_punctuation(text: str) -> str:
     text = text.translate(_PUNCT_TABLE)
     for mark in KEPT_PUNCTUATION:
@@ -99,29 +96,22 @@ def _drop_punctuation(text: str) -> str:
     return text
 
 
-def tokenize(line: str) -> list[str]:
-    """The lowercased words of one line: contractions expanded, punctuation stripped.
-
-    Both contraction patterns need an apostrophe and neither crosses a line
-    break, so expanding only the lines that hold one gives the words that
-    expanding the whole text first would.
-    """
-    if "'" in line:
-        line = expand_contractions(line)
-    return _drop_punctuation(line).lower().split()
-
-
 def tokenize_document(text: str) -> list[list[str]]:
-    """``tokenize`` of every line of *text*, one word list per line.
+    """The lowercased words of every line of *text*, one word list per line:
+    contractions expanded, punctuation stripped.
 
     Contractions are expanded line by line, on the lines that hold an
     apostrophe; the punctuation pass and the lowercasing then run once over
-    the document with its lines joined by newline characters. Neither adds
-    nor removes a line break, and lowercasing a final sigma looks no further
-    than the line break on either side, so each line gets the words
-    ``tokenize`` gives it.
+    the document with its lines joined by newline characters. Both
+    contraction patterns need an apostrophe and neither crosses a line
+    break; neither pass adds or removes a line break, and lowercasing a
+    final sigma looks no further than the line break on either side. So each
+    line gets the words that tokenizing it alone would give
+    (``tests/reference.py::tokenize``, the per-line oracle).
     """
     lines = text.splitlines()
+    if not lines:
+        return []
     if "'" in text:
         lines = [expand_contractions(line) if "'" in line else line for line in lines]
     return [line.split() for line in _drop_punctuation("\n".join(lines)).lower().split("\n")]

@@ -6,7 +6,9 @@ feature strings per document. The code is written for plainness, not speed:
 a rules-only tagger with no memo, a phrase matcher that tries every listed
 phrase at every position, and bags merged into matrices by feature string.
 Tag classes are read from the upper-cased tag, and feature strings keep the
-tag as written.
+tag as written. ``tokenize`` is the per-line tokenizer that
+``polarity.preprocess.tokenize_document`` and ``corpus.compute_stats`` are
+tested against.
 
 ``read_svmlight`` is the svmlight reader that decodes the whole file into a
 list of lines before it parses any, and collects ids as int64; the streaming
@@ -33,7 +35,8 @@ from polarity.preprocess import (
     KEPT_PUNCTUATION,
     NEGATION_PREFIX,
     NEGATION_TRIGGERS,
-    tokenize,
+    _drop_punctuation,
+    expand_contractions,
     tokenize_pretagged,
 )
 from polarity.tagging import _ED_FORM, _VERB_FORMS, PretaggedReader, RuleTagger
@@ -56,6 +59,18 @@ class Document:
     id: str
     label: Label
     sentences: list[Sentence]
+
+
+def tokenize(line: str) -> list[str]:
+    """The lowercased words of one line: contractions expanded, punctuation stripped.
+
+    Both contraction patterns need an apostrophe and neither crosses a line
+    break, so expanding only the lines that hold one gives the words that
+    expanding the whole text first would.
+    """
+    if "'" in line:
+        line = expand_contractions(line)
+    return _drop_punctuation(line).lower().split()
 
 
 def tag(words: list[str]) -> list[str]:

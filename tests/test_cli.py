@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +19,14 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from polarity import cli, evaluation, linear_svm, naive_bayes
 from polarity.cli import main
+from polarity.corpus import Label, RawDocument, load_corpus
 from polarity.evaluation import EvalReport
 from polarity.vectorize import MAX_FEATURE_ID, read_json_object, write_svmlight
 from conftest import NEGATIVE_WORDS, POSITIVE_WORDS, labeled_matrix, write_synthetic_corpus
+from reference import preprocess_document
 from test_lexicon import lexicon_files, transition_files
 from test_linear_svm import _random_instance
+from test_pretagged import _word_tag_lines
 from test_vectorize import svmlight_texts_with
 
 GOLDEN_CORPUS = Path(__file__).parent / "golden" / "corpus"
@@ -748,6 +752,69 @@ def test_evaluate_on_any_corpus_document_exits_cleanly(contract_corpus, content,
         str(GOLDEN_CORPUS / "lexicon.tsv"), "--lexicon-format", "tsv",
         "--features", features, "--rep", "presence", "--clf", clf, "--format", "json"]))
 
+
+def _assert_reproduce_exits_cleanly(corpus, tagger):
+    """``reproduce --only table2`` exits 0 or 3, and one that fails has not
+    made its output directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp) / "repro"
+        code, err = _exit_of([
+            "reproduce", "--corpus", str(corpus), "--lexicon",
+            str(GOLDEN_CORPUS / "lexicon.tsv"), "--lexicon-format", "tsv", "--tagger", tagger,
+            "--only", "table2", "--jobs", "1", "--out-dir", str(out_dir), "--format", "json"])
+        _assert_clean_exit(code, err)
+        assert code in (0, 3), (code, err)
+        assert out_dir.exists() == (code == 0), (code, err)
+
+
+@settings(max_examples=16, deadline=None)
+@given(content=document_bytes)
+def test_reproduce_on_any_corpus_document_exits_cleanly(contract_corpus, content):
+    (contract_corpus / "pos" / _GOLDEN_DOCUMENT.name).write_bytes(content)
+    _assert_reproduce_exits_cleanly(contract_corpus, "builtin")
+
+
+@settings(max_examples=60, deadline=None)
+@given(content=document_bytes)
+def test_stats_on_any_corpus_document_exits_cleanly(contract_corpus, content):
+    (contract_corpus / "pos" / _GOLDEN_DOCUMENT.name).write_bytes(content)
+    code, err = _exit_of(["stats", "--corpus", str(contract_corpus), "--format", "json"])
+    _assert_clean_exit(code, err)
+    assert code in (0, 3), (code, err)
+
+
+def _word_tag_text(raw: RawDocument) -> str:
+    return _word_tag_lines(preprocess_document(raw))
+
+
+_GOLDEN_WORD_TAGS = _word_tag_text(
+    RawDocument(id=_GOLDEN_DOCUMENT.stem, label=Label.POSITIVE, path=str(_GOLDEN_DOCUMENT)))
+# Bytes of one pretagged review: the bytes above, or that review's own
+# word_TAG tokens around every line break, which often read cleanly.
+pretagged_document_bytes = st.one_of(
+    document_bytes,
+    st.lists(st.sampled_from(_GOLDEN_WORD_TAGS.split()[:40] + _LINE_BREAKS + [" ", "!", "_"]),
+             max_size=40).map("".join).map(str.encode),
+)
+
+
+@pytest.fixture(scope="module")
+def pretagged_contract_corpus(tmp_path_factory):
+    """A ``word_TAG`` copy of the golden corpus, tagged by the built-in tagger."""
+    root = tmp_path_factory.mktemp("pretagged-contract") / "corpus"
+    for raw in load_corpus(GOLDEN_CORPUS).documents:
+        path = root / raw.label.value / f"{raw.id}.txt"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(_word_tag_text(raw), encoding="utf-8")
+    return root
+
+
+@settings(max_examples=24, deadline=None)
+@given(content=pretagged_document_bytes)
+def test_pretagged_reproduce_on_any_corpus_document_exits_cleanly(pretagged_contract_corpus,
+                                                                  content):
+    (pretagged_contract_corpus / "pos" / _GOLDEN_DOCUMENT.name).write_bytes(content)
+    _assert_reproduce_exits_cleanly(pretagged_contract_corpus, "pretagged")
 
 
 def _corpus_layout(root: Path, case: str) -> Path:

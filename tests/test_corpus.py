@@ -11,7 +11,7 @@ from polarity.corpus import (
     load_corpus,
 )
 from polarity.errors import ConfigError, DataError
-from polarity.preprocess import tokenize
+from reference import tokenize
 
 
 def _write_tree(root, pos=(), neg=()):

@@ -6,7 +6,9 @@
 expected files were produced by the bag-based implementation that preceded
 the sparse-matrix core and must never be regenerated to make a refactor
 pass: any change to a feature, a vocabulary id, a count or a fold accuracy
-shows up here as a byte difference.
+shows up here as a byte difference. ``stats.json`` was written by the
+per-line tokenizer that ``stats`` used before it read reviews through
+``tokenize_document``.
 """
 
 import json
@@ -19,6 +21,11 @@ from polarity.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 CORPUS = GOLDEN / "corpus"
 LEXICON = ["--lexicon", str(CORPUS / "lexicon.tsv"), "--lexicon-format", "tsv"]
+
+
+def test_stats_json(capsys):
+    assert main(["stats", "--corpus", str(CORPUS), "--format", "json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "stats.json").read_text(encoding="utf-8")
 
 
 def test_table2_csv(tmp_path, capsys):

@@ -10,18 +10,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from polarity.corpus import Corpus, Label, RawDocument, load_corpus
+from polarity.corpus import Corpus, Label, LabelStats, RawDocument, compute_stats, load_corpus
 from polarity.errors import DataError
 from polarity.evaluation import FeaturePipeline
 from polarity.preprocess import (
     NEGATION_PREFIX,
+    _drop_punctuation,
     expand_contractions,
     negation_scopes,
-    strip_punctuation,
-    tokenize,
+    tokenize_document,
 )
 from polarity.tagging import _VERB_FORMS, PretaggedReader, RuleTagger, TAG_INVENTORY, get_tagger
-from reference import Sentence, preprocess_document, tag
+from reference import Sentence, preprocess_document, tag, tokenize
 
 GOLDEN_CORPUS = Path(__file__).parent / "golden" / "corpus"
 
@@ -98,21 +98,23 @@ class TestExpandContractions:
 
 
 class TestStripPunctuation:
+    """Punctuation as ``tokenize_document`` strips it."""
+
     def test_kept_marks_become_tokens(self):
-        assert strip_punctuation("good, really good!") == "good really good !"
+        assert tokenize_document("good, really good!") == [["good", "really", "good", "!"]]
 
     def test_fixed_point(self):
-        assert strip_punctuation("no punctuation here") == "no punctuation here"
+        assert tokenize_document("no punctuation here") == [["no", "punctuation", "here"]]
 
     def test_both_kept(self):
-        assert strip_punctuation("what ?!") == "what ? !"
+        assert tokenize_document("what ?!") == [["what", "?", "!"]]
 
     @given(st.text(alphabet=st.characters(codec="ascii"), max_size=80))
     def test_removed_chars_never_survive(self, text):
         import string
 
         keep = frozenset({"!", "?"})
-        out = strip_punctuation(text)
+        out = "".join(word for line in tokenize_document(text) for word in line)
         removable = set(string.punctuation) - keep
         assert not (set(out) & removable)
 
@@ -127,13 +129,32 @@ class TestTokenize:
 
     @given(st.lists(pieces, max_size=30).map("".join))
     def test_per_line_equals_whole_text_expansion(self, text):
-        whole = [strip_punctuation(line).lower().split()
+        whole = [_drop_punctuation(line).lower().split()
                  for line in expand_contractions(text).splitlines()]
-        assert [tokenize(line) for line in text.splitlines()] == whole
+        per_line = [tokenize(line) for line in text.splitlines()]
+        assert per_line == whole
+        assert tokenize_document(text) == per_line
 
     def test_expands_contractions(self):
         assert tokenize("It isn't, it WON'T") == ["it", "is", "not", "it", "will", "not"]
         assert tokenize("wasn ' t") == ["was", "not"]
+
+
+@given(st.lists(st.tuples(st.sampled_from(list(Label)),
+                          st.lists(TestTokenize.pieces, max_size=30).map("".join)),
+                max_size=6))
+def test_compute_stats_counts_the_per_line_words(reviews):
+    """``stats`` counts the words ``reference.tokenize`` gives each ``splitlines()``
+    line of a review, over every line break and with empty lines dropped."""
+    corpus = Corpus(documents=[RawDocument(id=f"d{i}", label=label, text=text)
+                               for i, (label, text) in enumerate(reviews)])
+    stats = compute_stats(corpus)
+    for label in Label:
+        lines = [tokenize(line) for other, text in reviews if other is label
+                 for line in text.splitlines()]
+        lines = [words for words in lines if words]
+        words = [word for line in lines for word in line]
+        assert stats.per_label[label] == LabelStats(len(lines), len(words), len(set(words)))
 
 
 class TestTagNegation:
