@@ -309,15 +309,20 @@ class _TokenStream:
         pos = np.flatnonzero(keep).astype(index_dtype(len(self.ids) + 1))
         del keep
 
+        # The keys are built in place; ``ids[k:][pos]`` is each window's k-th word.
         flags = 2 if negation_variant else 1
         keys, span = self.ids[pos].astype(index_dtype(flags * vocab ** n), copy=False), vocab
         if negation_variant:
-            keys, span = 2 * keys + self.negated[pos], 2 * vocab
+            keys *= 2
+            keys += self.negated[pos]
+            span = 2 * vocab
         for k in range(1, n):
             if span * vocab > _MAX_KEY:
                 _, keys = np.unique(keys, return_inverse=True)
                 span = int(keys.max()) + 1
-            keys, span = keys * vocab + self.ids[pos + k], span * vocab
+            keys *= vocab
+            keys += self.ids[k:][pos]
+            span *= vocab
 
         def spell(_, at: np.ndarray) -> list[str]:
             columns = [[self.words[i] for i in self.ids[at + k].tolist()] for k in range(n)]
@@ -326,12 +331,13 @@ class _TokenStream:
                               for w, neg in zip(columns[0], self.negated[at].tolist())]
             return [f"{window.namespace}:{'_'.join(parts)}" for parts in zip(*columns)]
 
+        underscored = np.array(["_" in w for w in self.words], dtype=bool)
+
         def shares(_, at: np.ndarray) -> np.ndarray:
-            underscored = np.array(["_" in w for w in self.words], dtype=bool)
             return np.any([underscored[self.ids[at + k]] for k in range(n)], axis=0)
 
-        parts = [(pos, keys, spell, shares)]
-        del pos, keys  # the sort in _keyed_matrix drops the unsorted keys
+        parts = [(pos, keys, spell, shares if underscored.any() else False)]
+        del pos, keys  # _keyed_matrix holds the only references and sorts the keys in place
         return self._keyed_matrix(parts, floor)
 
     def polarized_matrix(self, row: Polarized, lexicon: SubjectivityLexicon,
@@ -372,36 +378,45 @@ class _TokenStream:
         and ``pb`` use.
         """
         start, end, phrase = self._phrase_matches(transitions)
-        inside = np.zeros(len(self.ids) + 1, dtype=np.intc)  # running sum 1 inside a match
-        inside[start] += 1
+        inside = np.zeros(len(self.ids) + 1, dtype=np.int8)  # running sum 1 inside a match
+        inside[start] = 1
         inside[end] -= 1
-        content = ((self.tag_bits & CONTENT_BIT) != 0) & (np.cumsum(inside[:-1]) == 0)
+        content = np.cumsum(inside[:-1], dtype=np.int8) == 0
+        del inside
+        content &= (self.tag_bits & CONTENT_BIT) != 0
         content_pos = np.flatnonzero(content)
+        del content
 
         # Each distinct (sentence, phrase) pair is repeated once per content
         # word of the sentence: ``at`` holds the words, ``phrase`` the phrases.
         sentence_bounds = np.append(np.flatnonzero(self.starts), len(self.ids))
         phrases = len(transitions.phrases)
         in_sentence = np.searchsorted(sentence_bounds, start, side="right") - 1
-        sentence, phrase = np.divmod(np.unique(in_sentence * phrases + phrase), phrases)
+        pairs = np.sort(in_sentence * phrases + phrase)
+        sentence, phrase = np.divmod(pairs[_run_starts(pairs)], phrases)
         lo = np.searchsorted(content_pos, sentence_bounds[sentence])
         counts = np.searchsorted(content_pos, sentence_bounds[sentence + 1]) - lo
-        offsets = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        at = content_pos[offsets + np.arange(len(offsets))]
+        del sentence_bounds, sentence
+        at = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        at += np.arange(len(at))
+        at = content_pos[at]
+        del content_pos
         phrase = np.repeat(phrase, counts)
 
+        # A polarized word's core, found among the sorted polarized positions.
         pos, core, cores = self._polarized(lexicon)
-        core_at = np.full(len(self.ids), -1, dtype=np.int64)
-        core_at[pos] = core
-        polar = core_at[at] >= 0
+        slot = np.searchsorted(pos, at)
+        polar = np.append(pos, len(self.ids))[slot] == at
         ns, keys = row.namespace, [p.replace(" ", "_") for p in transitions.phrases]
         (key_shared,), (word_shared, core_shared) = _shared([keys], [self.words, cores])
-        return self._keyed_matrix([
+        parts = [
             (at, phrase * len(self.words) + self.ids[at], _pair_names(ns, keys, self.words),
              _pair_shares(key_shared, word_shared)),
-            (at[polar], phrase[polar] * len(cores) + core_at[at[polar]],
+            (at[polar], phrase[polar] * len(cores) + core[slot[polar]],
              _pair_names(ns, keys, cores), _pair_shares(key_shared, core_shared)),
-        ], floor)
+        ]
+        del at, phrase, slot, polar
+        return self._keyed_matrix(parts, floor)
 
     def _phrase_matches(self, transitions: TransitionList) -> tuple[np.ndarray, ...]:
         """(starts, ends, phrase indices) of the transition matches, in token order.
@@ -437,58 +452,83 @@ class _TokenStream:
         total is >= *floor*.
 
         A part is (token positions, integer keys, spell, shares). Its
-        occurrences sorted by key form one run per distinct key: the run's
-        length is the key's total and its first occurrence's position ``at``.
-        ``spell(keys, at)`` names the given keys, and ``shares(keys, at)``
-        marks those whose string another key may spell too (every key when
-        ``shares`` is None: a pretagged word ``jj`` and the tag ``jj``, or
-        words and phrases holding ``_``). Strings are built for the keys that
-        reach the floor and for those that may share; a column is one
-        distinct string, as in a per-document bag of strings, and is kept
-        when its keys' totals reach the floor. The parts are popped, and each
-        large temporary is dropped as soon as it is used, which keeps the
-        build's peak memory below that of per-document bags.
+        occurrences sorted by key form one run per distinct key, whose first
+        occurrence's position is ``at``. ``spell(keys, at)`` names the given
+        keys, and ``shares(keys, at)`` marks those whose string another key
+        may spell too (a pretagged word ``jj`` and the tag ``jj``, or words
+        and phrases holding ``_``). *shares* is False when no key's string
+        can be spelled by another key, and None to spell every key. The
+        parts are popped and their keys sorted in place.
+
+        A run that starts at sorted index ``i`` reaches the floor exactly
+        when the key at ``i + floor - 1`` is the same, so one pass over the
+        sorted keys finds those runs without totalling the others. Only
+        they, and the runs that *shares* marks, are totalled and spelled; a
+        column is one distinct string, as in a per-document bag of strings,
+        and is kept when its keys' totals reach the floor. Each part then
+        keeps the sort positions of its spelled runs' occurrences, not the
+        whole sort, and every large temporary is dropped as soon as it is
+        used. So the scratch grows with the occurrences, not with the
+        distinct keys, and the build's peak memory stays below that of
+        per-document bags.
         """
-        spelled = []  # per part: positions, key order, run totals, spelled runs, names
+        floor = max(floor, 1)
+        spelled = []  # per part: positions, kept occurrences, run totals, names
         by_name: Counter = Counter()  # each spelled string's total over every part
         while parts:
             pos, keys, spell, shares = parts.pop(0)
             order = np.argsort(keys)
-            keys = keys[order]
-            first = np.ones(len(keys), dtype=bool)
-            np.not_equal(keys[1:], keys[:-1], out=first[1:])
-            runs = np.flatnonzero(first)
-            del first
-            keys = keys[runs]
-            totals = np.diff(runs, append=len(order))
-            at = pos[order[runs]]
-            del runs
-            chosen = (np.arange(len(totals)) if shares is None
-                      else np.flatnonzero((totals >= floor) | shares(keys, at)))
-            names = spell(keys[chosen], at[chosen])
-            del keys, at
-            for name, total in zip(names, totals[chosen].tolist()):
+            keys.sort()  # in place, as keys[order] without the copy
+            picked = _run_starts(keys)
+            if shares is not None:
+                marked = []
+                if shares is not False:  # a pass over every run
+                    runs = np.flatnonzero(picked)
+                    marked = runs[shares(keys[runs], pos[order[runs]])]
+                    del runs
+                reach = max(len(keys) - floor + 1, 0)  # the runs that can start here
+                picked[reach:] = False
+                picked[:reach] &= keys[floor - 1:] == keys[:reach]
+                picked[marked] = True
+            starts = np.flatnonzero(picked)
+            del picked
+            ends = np.searchsorted(keys, keys[starts], side="right")
+            names = spell(keys[starts], pos[order[starts]])
+            del keys
+            totals = ends - starts
+            for name, total in zip(names, totals.tolist()):
                 by_name[name] += total
-            spelled.append((pos, order, totals, chosen, names))
+            inside = np.zeros(len(order) + 1, dtype=np.int8)  # running sum 1 in a spelled run
+            inside[starts] = 1
+            inside[ends] -= 1
+            del starts, ends
+            np.cumsum(inside, dtype=np.int8, out=inside)
+            kept = order[inside[:-1].view(bool)]
+            del order, inside
+            spelled.append((pos, kept, totals, names))
 
         features = sorted(name for name, total in by_name.items() if total >= floor)
         column = {feature: j for j, feature in enumerate(features)}
+        del by_name
         hits = []
         while spelled:
-            pos, order, totals, chosen, names = spelled.pop(0)
-            column_of_run = np.full(len(totals), -1, dtype=np.int32)
-            column_of_run[chosen] = [column.get(name, -1) for name in names]
-            columns = np.empty(len(order), dtype=np.int32)  # per occurrence, as given
-            columns[order] = np.repeat(column_of_run, totals)
-            del order
+            pos, kept, totals, names = spelled.pop(0)
+            columns = np.full(len(pos), -1, dtype=np.int32)  # per occurrence, as given
+            columns[kept] = np.repeat(np.array([column.get(name, -1) for name in names],
+                                               dtype=np.int32), totals)
+            del kept, names
             hit = columns >= 0
             hits.append((pos[hit], columns[hit]))
             del pos, columns
+        del column
         at, columns = hits.pop() if len(hits) == 1 else map(np.concatenate, zip(*hits))
         if (at[1:] < at[:-1]).any():
             order = np.argsort(at)
-            at, columns = at[order], columns[order]
+            at = at[order]
+            columns = columns[order]
+            del order
         bounds = np.searchsorted(at, self.doc_bounds.astype(at.dtype))
+        del at
         return FeatureMatrix.from_occurrences(bounds, columns, features)
 
     def _polarized(self, lexicon: SubjectivityLexicon) -> tuple[np.ndarray, np.ndarray, list[str]]:
@@ -542,8 +582,16 @@ def _shared(left: list[list[str]], right: list[list[str]]) -> tuple[list, list]:
 
 
 def _pair_shares(first: np.ndarray, second: np.ndarray):
-    """Marks a key ``i * len(second) + j`` when ``first[i]`` or ``second[j]`` is shared."""
+    """Marks a key ``i * len(second) + j`` when ``first[i]`` or ``second[j]`` is
+    shared; False when no name is."""
     def shares(keys: np.ndarray, _) -> np.ndarray:
         i, j = np.divmod(keys, len(second))
         return first[i] | second[j]
-    return shares
+    return shares if first.any() or second.any() else False
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Flags the first of each run of equal values of the sorted *ordered*."""
+    first = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return first

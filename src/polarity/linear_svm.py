@@ -188,7 +188,8 @@ def _add_pair_products(K: np.ndarray, data: np.ndarray, cols: np.ndarray, rows: 
     fan = held[cols]  # pairs each entry makes
     cost = np.cumsum(np.bincount(rows, fan, minlength=n) + n)
     cuts = np.searchsorted(cost, np.arange(_PAIR_BLOCK, cost[-1], _PAIR_BLOCK))
-    bounds = np.unique(np.concatenate(([0], cuts, [n])))
+    bounds = np.concatenate(([0], cuts, [n]))  # ascending, so equal bounds are adjacent
+    bounds = bounds[np.append(True, bounds[1:] != bounds[:-1])]
     # Each block's first entry. The bounds take the dtype of rows, which
     # searchsorted would otherwise copy to theirs.
     edges = np.searchsorted(rows, bounds.astype(rows.dtype)).tolist()

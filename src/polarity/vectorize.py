@@ -172,8 +172,8 @@ class FeatureMatrix:
         indices = np.empty(indptr[-1], dtype=np.int32)
         offset = 0
         for m, start in zip(mats, before):
-            rows = m.entry_rows()
-            at = start[rows] + np.arange(m.nnz) - m.indptr[rows]
+            at = np.repeat(start - m.indptr[:-1], np.diff(m.indptr))
+            at += np.arange(m.nnz)
             data[at] = m.data
             indices[at] = m.indices + offset
             offset += m.shape[1]

@@ -10,6 +10,11 @@ tag as written. ``tokenize`` is the per-line tokenizer that
 ``polarity.preprocess.tokenize_document`` and ``corpus.compute_stats`` are
 tested against.
 
+``keyed_matrix`` is the key-to-matrix rule that totals every distinct key
+before it drops any; ``polarity.features._TokenStream._keyed_matrix``, which
+looks only at the keys that reach the floor or may share a name, is tested
+against it.
+
 ``read_svmlight`` is the svmlight reader that decodes the whole file into a
 list of lines before it parses any, and collects ids as int64; the streaming
 reader of ``polarity.vectorize`` is tested against it.
@@ -273,6 +278,53 @@ def from_bags(bags: Sequence[Counter]) -> FeatureMatrix:
     counts = CsrMatrix(np.array(data, dtype=np.float64), np.array(indices, dtype=np.int32),
                        np.array(indptr, dtype=np.int64), (len(bags), len(features)))
     return FeatureMatrix(counts=counts, features=features)
+
+
+def keyed_matrix(parts: list, floor: int, doc_bounds: np.ndarray) -> FeatureMatrix:
+    """The count matrix of the occurrences in *parts*, keeping the columns whose
+    total is >= *floor*; document *i* holds positions ``doc_bounds[i]:doc_bounds[i + 1]``.
+
+    A part is (token positions, integer keys, spell, shares), as
+    ``_TokenStream._keyed_matrix`` takes it, except that *shares* is None or
+    a callable. Every distinct key is totalled; the keys that reach the
+    floor and those *shares* marks (every key when it is None) are spelled,
+    and a column is one distinct string kept when its keys' totals reach
+    the floor.
+    """
+    spelled = []  # per part: positions, key order, run totals, spelled runs, names
+    by_name: Counter = Counter()  # each spelled string's total over every part
+    for pos, keys, spell, shares in parts:
+        order = np.argsort(keys)
+        keys = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        runs = np.flatnonzero(first)
+        keys = keys[runs]
+        totals = np.diff(runs, append=len(order))
+        at = pos[order[runs]]
+        chosen = (np.arange(len(totals)) if shares is None
+                  else np.flatnonzero((totals >= floor) | shares(keys, at)))
+        names = spell(keys[chosen], at[chosen])
+        for name, total in zip(names, totals[chosen].tolist()):
+            by_name[name] += total
+        spelled.append((pos, order, totals, chosen, names))
+
+    features = sorted(name for name, total in by_name.items() if total >= floor)
+    column = {feature: j for j, feature in enumerate(features)}
+    hits = []
+    for pos, order, totals, chosen, names in spelled:
+        column_of_run = np.full(len(totals), -1, dtype=np.int32)
+        column_of_run[chosen] = [column.get(name, -1) for name in names]
+        columns = np.empty(len(order), dtype=np.int32)  # per occurrence, as given
+        columns[order] = np.repeat(column_of_run, totals)
+        hit = columns >= 0
+        hits.append((pos[hit], columns[hit]))
+    at, columns = hits.pop() if len(hits) == 1 else map(np.concatenate, zip(*hits))
+    if (at[1:] < at[:-1]).any():
+        order = np.argsort(at)
+        at, columns = at[order], columns[order]
+    bounds = np.searchsorted(at, doc_bounds.astype(at.dtype))
+    return FeatureMatrix.from_occurrences(bounds, columns, features)
 
 
 def build_vocabulary(train_bags, min_count: int = 5) -> dict[str, int]:

@@ -998,3 +998,56 @@ def test_no_command_loads_openssl(tmp_path):
         "predict": [False, 0], "evaluate": [False, 0], "reproduce": [False, 0]}
     golden = json.loads((GOLDEN_CORPUS.parent / "evaluate_unigram-presence-svm.json").read_text())
     assert json.loads(seen["evaluate"][2])["config_hash"] == golden["config_hash"]
+
+
+# Runs one command in a fresh interpreter and reports whether ``numpy.ma``
+# was imported by ``numpy`` itself (NumPy 1.x imports it eagerly) and after
+# the command. NumPy 2's ``np.unique`` without a ``return_*`` argument
+# imports it through ``np.ma.is_masked``.
+_NUMPY_MA_PROBE = """
+import contextlib, io, json, sys
+import numpy
+eager = "numpy.ma" in sys.modules
+from polarity.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([eager, code, "numpy.ma" in sys.modules]))
+"""
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    """Each command that runs a pipeline or a model, in its own interpreter,
+    leaves ``numpy.ma`` unimported. ``extract`` builds every family (``t``
+    dedupes its sentence-phrase pairs), and the second ``train`` reads
+    vectors with columns too rare for the dense Gram slabs, so its Gram goes
+    through the pair products and their block bounds."""
+    corpus = GOLDEN_CORPUS
+    vectors, model = tmp_path / "v.svml", tmp_path / "model"
+    sparse = tmp_path / "sparse.svml"
+    sparse.write_text("".join(f"{1 if i % 2 else -1} 1:1 {i + 2}:1\n" for i in range(40)),
+                      encoding="utf-8")
+    lexicon = ["--lexicon", str(corpus / "lexicon.tsv"), "--lexicon-format", "tsv"]
+    commands = [
+        ["extract", "--corpus", str(corpus), *lexicon,
+         "--features", "unigram+bigram+trigram+pu+pb+adj+adjadv+3adjadv+t",
+         "--rep", "frequency", "--out", str(vectors)],
+        ["train", "--input", str(vectors), "--clf", "svm", "--out", str(model)],
+        ["predict", "--model", f"{model}.json", "--input", str(vectors)],
+        ["train", "--input", str(sparse), "--clf", "svm", "--out", str(tmp_path / "sparse")],
+        ["evaluate", "--corpus", str(corpus), "--features", "unigram", "--rep", "presence",
+         "--clf", "svm"],
+        ["reproduce", "--corpus", str(corpus), *lexicon, "--out-dir", str(tmp_path / "repro"),
+         "--only", "table2", "--jobs", "1"],
+    ]
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    for argv in commands:
+        probe = subprocess.run([sys.executable, "-c", _NUMPY_MA_PROBE, json.dumps(argv)],
+                               env=env, cwd=tmp_path, capture_output=True, text=True,
+                               timeout=300)
+        assert probe.returncode == 0, probe.stderr
+        eager, code, loaded = json.loads(probe.stdout.splitlines()[-1])
+        if eager:
+            pytest.skip("importing NumPy imports numpy.ma")
+        assert (argv[0], code, loaded) == (argv[0], 0, False)

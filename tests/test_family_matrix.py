@@ -16,16 +16,24 @@ ask the lexicon once per distinct (word, tag) pair.
 
 The token stream tags and marks negation only for the rows that read them,
 once, and its int32 positions and keys give the same matrices as int64 ones.
+``_keyed_matrix`` gives the matrix of ``reference.keyed_matrix``, which
+totals every distinct key, on drawn parts, and a trigram build's traced
+scratch stays bounded per occurrence.
 """
 
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import count
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import MIN_COUNTS, assert_matches_bags, to_scipy
+from conftest import MIN_COUNTS, assert_matches_bags, corpus_of, to_scipy
 from polarity.corpus import Corpus, Label, RawDocument, load_corpus
 from polarity import features, vectorize
 from polarity.evaluation import FeaturePipeline
@@ -33,6 +41,7 @@ from polarity.features import FAMILIES, FeatureFamily, Window
 from polarity.lexicon import ANYPOS, LexiconEntry, Polarity, SubjectivityLexicon, load_lexicon
 from polarity.lexicon import load_transitions
 from polarity.tagging import RuleTagger, get_tagger
+import reference
 from reference import extract_window, preprocess_document
 
 CORPUS = Path(__file__).parent / "golden" / "corpus"
@@ -290,3 +299,101 @@ def test_polarity_looked_up_once_per_word_and_tag(polarized_corpora, corpus_name
         pipeline.family_matrix(family)
     assert counting.calls
     assert max(counting.calls.values()) == 1
+
+
+def test_trigram_build_scratch_grows_with_occurrences_not_distinct_keys():
+    """Over seeded random words almost every trigram is distinct, and few
+    reach the floor. The build then holds scratch for the occurrences (their
+    positions, keys and sort order, about 22 bytes each), not a run total
+    and a first position per distinct key: its traced peak stays under 30
+    bytes per occurrence, where totalling every distinct key took about 45."""
+    rng = random.Random(7)
+    vocabulary = ["".join(rng.choices("abcdefghijklmnopqrstuvwxyz", k=6)) for _ in range(3000)]
+    documents = ["\n".join(" ".join(rng.choices(vocabulary, k=30)) + " the end of it"
+                           for _ in range(30)) for _ in range(100)]
+    pipeline = FeaturePipeline(corpus_of(documents))
+    pipeline.tokenize()
+    stream = pipeline._tokens
+    occurrences = int((~stream.starts[1:-1] & ~stream.starts[2:]).sum())
+    assert occurrences > 90_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        matrix = pipeline.family_matrix(FeatureFamily.TRIGRAM, min_count=5)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert "t:the_end_of" in matrix.features
+    assert peak / occurrences < 30, f"{peak / occurrences:.1f} bytes per occurrence"
+
+
+@st.composite
+def keyed_parts(draw):
+    """(document bounds, floor, parts, shares mode) for ``_keyed_matrix``.
+
+    Each part has up to six distinct keys, each with a run of ``floor - 1``,
+    ``floor``, ``floor + 1`` or one occurrence, in a drawn order, at drawn
+    token positions; parts may be empty. A name is drawn per (part, key)
+    from a small pool, so names merge within and across parts, except under
+    the shares modes that promise no merge ("false" and "none marked"),
+    where every (part, key) gets its own name. In the "mixed" mode every
+    key whose name another key spells is marked, and some others too.
+    """
+    floor = draw(st.sampled_from([1, 2, 5]))
+    mode = draw(st.sampled_from(["spell all", "false", "none marked", "mixed"]))
+    lengths = draw(st.lists(st.integers(0, 12), max_size=4))
+    doc_bounds = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+    tokens = int(doc_bounds[-1])
+    pos_dtype = draw(st.sampled_from([np.int32, np.int64]))
+    key_dtype = draw(st.sampled_from([np.int32, np.int64]))
+    unique_names = mode in ("false", "none marked")
+    parts, serial = [], count()
+    for part in range(draw(st.integers(1, 3))):
+        distinct = draw(st.integers(0, 6 if tokens else 0))
+        keys = draw(st.lists(st.integers(0, 40), min_size=distinct, max_size=distinct,
+                             unique=True))
+        runs = [draw(st.sampled_from(sorted({max(floor - 1, 1), floor, floor + 1, 1})))
+                for _ in keys]
+        occurrences = [key for key, run in zip(keys, runs) for _ in range(run)]
+        occurrences = draw(st.permutations(occurrences))
+        pos = sorted(draw(st.lists(st.integers(0, max(tokens - 1, 0)),
+                                   min_size=len(occurrences), max_size=len(occurrences))))
+        names = {key: f"n{next(serial)}" if unique_names else f"n{draw(st.integers(0, 4))}"
+                 for key in keys}
+        parts.append((np.array(pos, dtype=pos_dtype), np.array(occurrences, dtype=key_dtype),
+                      names))
+    spelled = Counter(name for _, _, names in parts for name in names.values())
+    marks = []
+    for _, _, names in parts:
+        marks.append({key: mode == "mixed" and (spelled[name] > 1 or draw(st.booleans()))
+                      for key, name in names.items()})
+    return doc_bounds, floor, parts, marks, mode
+
+
+def _spell(names: dict):
+    return lambda keys, _: [names[key] for key in keys.tolist()]
+
+
+def _marks(marks: dict):
+    return lambda keys, _: np.array([marks[key] for key in keys.tolist()], dtype=bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(keyed_parts())
+def test_keyed_matrix_matches_the_total_every_key_oracle(case):
+    """``_keyed_matrix``, which totals and spells only the runs that reach the
+    floor or that *shares* marks, gives the matrix of the oracle that
+    totals every distinct key first."""
+    doc_bounds, floor, parts, marks, mode = case
+    expected = reference.keyed_matrix(
+        [(pos, keys.copy(), _spell(names), None if mode == "spell all" else _marks(mark))
+         for (pos, keys, names), mark in zip(parts, marks)], floor, doc_bounds)
+    shares = {"spell all": lambda _: None, "false": lambda _: False}
+    got = features._TokenStream._keyed_matrix(
+        SimpleNamespace(doc_bounds=doc_bounds),
+        [(pos, keys.copy(), _spell(names), shares.get(mode, _marks)(mark))
+         for (pos, keys, names), mark in zip(parts, marks)], floor)
+    assert got.features == expected.features
+    assert got.counts.shape == expected.counts.shape
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got.counts, name), getattr(expected.counts, name)), name
