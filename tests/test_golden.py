@@ -72,6 +72,18 @@ def test_extract_transition_files(tmp_path, capsys):
     assert vocab.read_bytes() == (GOLDEN / "extract_t.vocab.tsv").read_bytes()
 
 
+
+def test_extract_negated_unigram_and_pu_files(tmp_path, capsys):
+    """The negated unigram (62 ``u:NOT_`` columns) in a union with ``pu``
+    (13 ``POL/TAG`` columns)."""
+    vectors, vocab = tmp_path / "vectors.svml", tmp_path / "vocab.tsv"
+    code = main(["extract", "--corpus", str(CORPUS), *LEXICON,
+                 "--features", "unigram+pu", "--negation", "on", "--rep", "frequency",
+                 "--out", str(vectors), "--vocab-out", str(vocab)])
+    assert code == 0
+    assert vectors.read_bytes() == (GOLDEN / "extract_unigram+pu-neg.svml").read_bytes()
+    assert vocab.read_bytes() == (GOLDEN / "extract_unigram+pu-neg.vocab.tsv").read_bytes()
+
 FOLD_SCOPE_CELLS = {
     "unigram-presence-svm": ["--features", "unigram", "--rep", "presence", "--clf", "svm"],
     "bigram+adj-frequency-nb": ["--features", "bigram+adj", "--rep", "frequency",
