@@ -77,6 +77,17 @@ def _maybe_transitions(args):
     return load_transitions(path) if path else load_transitions()
 
 
+def _spec_matrix(args, corpus, spec, min_count: int):
+    """(pipeline, matrix): the pipeline over *corpus* with the resources of *args*
+    and *spec*'s union matrix. No other family is asked for, so the stream is dropped."""
+    pipeline = FeaturePipeline(corpus, _maybe_lexicon(args),
+                               _maybe_transitions(args) if spec.needs_transitions else None,
+                               get_tagger(args.tagger))
+    matrix = pipeline.matrix_for_spec(spec, min_count)
+    pipeline.release_tokens()
+    return pipeline, matrix
+
+
 def cmd_stats(args) -> int:
     corpus = load_corpus(_corpus_root(args))
     stats = compute_stats(corpus)
@@ -92,15 +103,7 @@ def cmd_stats(args) -> int:
 
 def cmd_extract(args) -> int:
     spec = parse_feature_spec(args.features, negation=args.negation == "on")
-    corpus = load_corpus(_corpus_root(args))
-    pipeline = FeaturePipeline(
-        corpus,
-        lexicon=_maybe_lexicon(args),
-        transitions=_maybe_transitions(args) if spec.needs_transitions else None,
-        tagger=get_tagger(args.tagger),
-    )
-    matrix = pipeline.matrix_for_spec(spec, args.min_count)
-    pipeline.release_tokens()  # no other family will be asked for
+    pipeline, matrix = _spec_matrix(args, load_corpus(_corpus_root(args)), spec, args.min_count)
     X = represent(require_vocabulary(matrix.counts, args.min_count), Representation(args.rep))
     write_svmlight(X, args.out, pipeline.labels())
     if args.vocab_out:
@@ -128,16 +131,8 @@ def _experiment_config(args, features: str, representation: str, classifier: str
 
 def cmd_evaluate(args) -> int:
     config = _experiment_config(args, args.features, args.rep, args.clf, args.negation == "on")
-    corpus = _load_folded_corpus(args)
-    spec = config.spec()
-    lexicon = _maybe_lexicon(args)
-    transitions = _maybe_transitions(args) if spec.needs_transitions else None
-    pipeline = FeaturePipeline(corpus, lexicon=lexicon, transitions=transitions,
-                               tagger=get_tagger(args.tagger))
-    # No other family will be asked for: once the cell's matrices are cached,
-    # the token stream is dropped before the folds.
-    pipeline.matrix_for_spec(spec, config.min_count)
-    pipeline.release_tokens()
+    # The cell's family matrices are cached and the token stream dropped before the folds.
+    pipeline = _spec_matrix(args, _load_folded_corpus(args), config.spec(), config.min_count)[0]
     report = run_experiment(pipeline, config)
     for message in report.warnings:
         print(f"warning: {message}", file=sys.stderr)

@@ -139,7 +139,8 @@ class FeaturePipeline:
 
     def _stream(self) -> _TokenStream:
         if self._tokens is None:
-            self._tokens = _TokenStream(self.corpus.documents, self.tagger)
+            self._tokens = _TokenStream(self.corpus.documents, self.tagger,
+                                        self.lexicon, self.transitions)
         return self._tokens
 
     def tokenize(self) -> None:
@@ -165,8 +166,8 @@ class FeaturePipeline:
         key = (family, neg, max(min_count, 1))
         if key not in self._matrices:
             check_resources(FeatureSpec(frozenset({family})), self.lexicon, self.transitions)
-            self._matrices[key] = self._stream().matrix(FAMILIES[family], neg, key[2],
-                                                        self.lexicon, self.transitions)
+            row = FAMILIES[family]._replace(negated=True) if neg else FAMILIES[family]
+            self._matrices[key] = self._stream().matrix(row, key[2])
         return self._matrices[key]
 
     def matrix_for_spec(self, spec: FeatureSpec, min_count: int = 1) -> FeatureMatrix:

@@ -4,13 +4,15 @@ they are counted from.
 ``FAMILIES`` is the one family table. Each word/tag family (``unigram``,
 ``bigram``, ``trigram``, ``adj``, ``adjadv``, ``3adjadv``) is a ``Window``:
 its features are the within-sentence windows of *n* words, or only those
-where some word is an adjective or adverb. ``pu`` and ``pb`` are
-``Polarized`` rows: the lexicon-matched words, alone or paired with their
-neighbors. ``t`` is the ``Transition`` row: each transition phrase paired
-with the content words of its sentence.
+where some word is an adjective or adverb. The negated unigram is the
+``unigram`` row with ``negated`` set. ``pu`` and ``pb`` are ``Polarized``
+rows: the lexicon-matched words, alone or paired with their neighbors.
+``t`` is the ``Transition`` row: each transition phrase paired with the
+content words of its sentence.
 
 ``_TokenStream`` holds the corpus as integer word and tag ids, the corpus's
-one document representation, and counts every row from it. Each occurrence
+one document representation, with the lexicon and transition list, and
+counts every row from it: ``matrix(row, floor)``. Each occurrence
 becomes an integer key (a window's word ids; a polarized token's ``POL/TAG``
 core and its neighbor; a phrase and a content word), and one rule turns the
 keys of any row into a count matrix: a column is one distinct feature
@@ -132,12 +134,14 @@ class Window(NamedTuple):
     """A family of within-sentence windows of *n* words, ``namespace:w1_..._wn``.
 
     A window counts when some word's tag bits meet *tag_bits*, or always
-    when *tag_bits* is 0.
+    when *tag_bits* is 0. A *negated* window writes a word in a negation
+    scope ``NOT_word``; it is the negated unigram, so *n* is 1.
     """
 
     namespace: str
     n: int
     tag_bits: int = 0
+    negated: bool = False
 
 
 class Polarized(NamedTuple):
@@ -209,14 +213,18 @@ class _TokenStream:
     The annotations are computed over the whole stream on first use and
     kept: ``tag_ids``, an int32 tag id per token (``tags[id]`` is the tag),
     from ``RuleTagger.tag_stream``; ``tag_bits``, the ``features.tag_bits``
-    of each token's tag; and ``negated``, each token's negation flag. The
+    of each token's tag; ``negated``, each token's negation flag; and
+    ``_polarized``, each *lexicon*-matched token's ``POL/TAG`` core. The
     pretagged reader's tags are taken in the one pass. So the rows that
-    read none of them (``unigram``, ``bigram`` and ``trigram`` without the
-    negated variant) hold only the ids, the sentence starts and their own
-    int32 scratch.
+    read none of them (``unigram``, ``bigram`` and ``trigram``, not
+    negated) hold only the ids, the sentence starts and their own int32
+    scratch. A row's matrix depends on the row and the floor alone:
+    ``matrix(row, floor)`` is the whole build.
     """
 
-    def __init__(self, documents: Sequence[RawDocument], tagger):
+    def __init__(self, documents: Sequence[RawDocument], tagger,
+                 lexicon: SubjectivityLexicon | None = None,
+                 transitions: TransitionList | None = None):
         # A new word gets the next id. A factory bound to the dict itself
         # would make a reference cycle, which keeps the dict alive after
         # the build until the next full collection.
@@ -248,9 +256,10 @@ class _TokenStream:
         self.starts = starts[:-1]
         self.doc_bounds = np.concatenate(([0], np.cumsum(np.frombuffer(doc_lengths, np.int64))))
         self._tagger = tagger
+        self.lexicon = lexicon
+        self.transitions = transitions
         if pretagged:
             self._tagged = list(tag_index), np.frombuffer(tag_ids, dtype=np.intc)
-        self._polarity: tuple | None = None
 
     @cached_property
     def _tagged(self) -> tuple[list[str], np.ndarray]:
@@ -273,28 +282,26 @@ class _TokenStream:
     def negated(self) -> np.ndarray:
         return negation_scopes(self.words, self.ids, self.starts)
 
-    def matrix(self, row: Window | Polarized | Transition, negation_variant: bool, floor: int,
-               lexicon: SubjectivityLexicon | None,
-               transitions: TransitionList | None) -> FeatureMatrix:
+    def matrix(self, row: Window | Polarized | Transition, floor: int) -> FeatureMatrix:
         """The count matrix of *row*'s features whose corpus total is >= *floor*."""
         if isinstance(row, Window):
-            return self.window_matrix(row, negation_variant, floor)
+            return self.window_matrix(row, floor)
         if isinstance(row, Polarized):
-            return self.polarized_matrix(row, lexicon, floor)
-        return self.transition_matrix(row, transitions, lexicon, floor)
+            return self.polarized_matrix(row, floor)
+        return self.transition_matrix(row, floor)
 
-    def window_matrix(self, window: Window, negation_variant: bool, floor: int) -> FeatureMatrix:
+    def window_matrix(self, window: Window, floor: int) -> FeatureMatrix:
         """The count matrix of *window*'s features whose corpus total is >= *floor*.
 
-        Each window becomes a key over its word ids (and, for the negated
-        unigram variant, its negation flag); keys and window positions are
-        int32 while every value fits (``vectorize.index_dtype``). Distinct
-        keys with ``_`` inside a word can spell one feature (``a_b c`` and
-        ``a b_c``). The key holds one negation flag, so the negated variant
-        is for ``n == 1``.
+        Each window becomes a key over its word ids (and, for a negated
+        window, its negation flag); keys and window positions are int32
+        while every value fits (``vectorize.index_dtype``). Distinct keys
+        with ``_`` inside a word can spell one feature (``a_b c`` and
+        ``a b_c``). The key holds one negation flag, so a negated window
+        has ``n == 1``.
         """
         n, vocab = window.n, len(self.words)
-        if negation_variant and n > 1:
+        if window.negated and n > 1:
             raise ValueError(f"the negation variant is for one-word windows, not {n}-word ones")
         size = max(len(self.ids) - n + 1, 0)
         keep = np.ones(size, dtype=bool)
@@ -310,9 +317,9 @@ class _TokenStream:
         del keep
 
         # The keys are built in place; ``ids[k:][pos]`` is each window's k-th word.
-        flags = 2 if negation_variant else 1
+        flags = 2 if window.negated else 1
         keys, span = self.ids[pos].astype(index_dtype(flags * vocab ** n), copy=False), vocab
-        if negation_variant:
+        if window.negated:
             keys *= 2
             keys += self.negated[pos]
             span = 2 * vocab
@@ -326,7 +333,7 @@ class _TokenStream:
 
         def spell(_, at: np.ndarray) -> list[str]:
             columns = [[self.words[i] for i in self.ids[at + k].tolist()] for k in range(n)]
-            if negation_variant:
+            if window.negated:
                 columns[0] = [NEGATION_PREFIX + w if neg else w
                               for w, neg in zip(columns[0], self.negated[at].tolist())]
             return [f"{window.namespace}:{'_'.join(parts)}" for parts in zip(*columns)]
@@ -340,18 +347,17 @@ class _TokenStream:
         del pos, keys  # _keyed_matrix holds the only references and sorts the keys in place
         return self._keyed_matrix(parts, floor)
 
-    def polarized_matrix(self, row: Polarized, lexicon: SubjectivityLexicon,
-                         floor: int) -> FeatureMatrix:
+    def polarized_matrix(self, row: Polarized, floor: int) -> FeatureMatrix:
         """The count matrix of *row*'s features (``pu`` or ``pb``) whose corpus total is >= *floor*.
 
         Each occurrence is keyed by its polarized token's ``POL/TAG`` core
         and, for ``pb``, the neighbor's word or tag id.
         """
-        pos, core, cores = self._polarized(lexicon)
+        pos, core, cores = self._polarized
         ns, core = row.namespace, core.astype(np.int64)
         if not row.neighbors:
             return self._keyed_matrix(
-                [(pos, core, lambda keys, _: [f"{ns}:{cores[k]}" for k in keys.tolist()], None)],
+                [(pos, core, lambda keys, _: [f"{ns}:{cores[k]}" for k in keys.tolist()], False)],
                 floor)
         continues = np.append(~self.starts[1:], False)  # the next token is in the sentence
         before, after = pos[~self.starts[pos]], pos[continues[pos]]
@@ -367,8 +373,7 @@ class _TokenStream:
                           _pair_names(ns, cores, names), _pair_shares(core_shared, shared)))
         return self._keyed_matrix(parts, floor)
 
-    def transition_matrix(self, row: Transition, transitions: TransitionList,
-                          lexicon: SubjectivityLexicon, floor: int) -> FeatureMatrix:
+    def transition_matrix(self, row: Transition, floor: int) -> FeatureMatrix:
         """The count matrix of ``t``'s features whose corpus total is >= *floor*.
 
         In each sentence with a phrase match, every content word outside all
@@ -377,7 +382,7 @@ class _TokenStream:
         also by (phrase, core id), with the ``POL/TAG`` cores that ``pu``
         and ``pb`` use.
         """
-        start, end, phrase = self._phrase_matches(transitions)
+        start, end, phrase = self._phrase_matches()
         inside = np.zeros(len(self.ids) + 1, dtype=np.int8)  # running sum 1 inside a match
         inside[start] = 1
         inside[end] -= 1
@@ -390,7 +395,7 @@ class _TokenStream:
         # Each distinct (sentence, phrase) pair is repeated once per content
         # word of the sentence: ``at`` holds the words, ``phrase`` the phrases.
         sentence_bounds = np.append(np.flatnonzero(self.starts), len(self.ids))
-        phrases = len(transitions.phrases)
+        phrases = len(self.transitions.phrases)
         in_sentence = np.searchsorted(sentence_bounds, start, side="right") - 1
         pairs = np.sort(in_sentence * phrases + phrase)
         sentence, phrase = np.divmod(pairs[_run_starts(pairs)], phrases)
@@ -404,10 +409,10 @@ class _TokenStream:
         phrase = np.repeat(phrase, counts)
 
         # A polarized word's core, found among the sorted polarized positions.
-        pos, core, cores = self._polarized(lexicon)
+        pos, core, cores = self._polarized
         slot = np.searchsorted(pos, at)
         polar = np.append(pos, len(self.ids))[slot] == at
-        ns, keys = row.namespace, [p.replace(" ", "_") for p in transitions.phrases]
+        ns, keys = row.namespace, [p.replace(" ", "_") for p in self.transitions.phrases]
         (key_shared,), (word_shared, core_shared) = _shared([keys], [self.words, cores])
         parts = [
             (at, phrase * len(self.words) + self.ids[at], _pair_names(ns, keys, self.words),
@@ -418,7 +423,7 @@ class _TokenStream:
         del at, phrase, slot, polar
         return self._keyed_matrix(parts, floor)
 
-    def _phrase_matches(self, transitions: TransitionList) -> tuple[np.ndarray, ...]:
+    def _phrase_matches(self) -> tuple[np.ndarray, ...]:
         """(starts, ends, phrase indices) of the transition matches, in token order.
 
         A match never crosses a sentence start. Scanning left to right, at
@@ -427,7 +432,7 @@ class _TokenStream:
         """
         index = {word: i for i, word in enumerate(self.words)}
         found = []  # (start, phrase index, length) arrays, one triple per phrase
-        for rank, phrase in enumerate(transitions.phrases):
+        for rank, phrase in enumerate(self.transitions.phrases):
             ids = [index.get(word, -1) for word in phrase.split()]
             if not ids or -1 in ids:
                 continue
@@ -457,8 +462,8 @@ class _TokenStream:
         keys, and ``shares(keys, at)`` marks those whose string another key
         may spell too (a pretagged word ``jj`` and the tag ``jj``, or words
         and phrases holding ``_``). *shares* is False when no key's string
-        can be spelled by another key, and None to spell every key. The
-        parts are popped and their keys sorted in place.
+        can be spelled by another key. The parts are popped and their keys
+        sorted in place.
 
         A run that starts at sorted index ``i`` reaches the floor exactly
         when the key at ``i + floor - 1`` is the same, so one pass over the
@@ -480,16 +485,15 @@ class _TokenStream:
             order = np.argsort(keys)
             keys.sort()  # in place, as keys[order] without the copy
             picked = _run_starts(keys)
-            if shares is not None:
-                marked = []
-                if shares is not False:  # a pass over every run
-                    runs = np.flatnonzero(picked)
-                    marked = runs[shares(keys[runs], pos[order[runs]])]
-                    del runs
-                reach = max(len(keys) - floor + 1, 0)  # the runs that can start here
-                picked[reach:] = False
-                picked[:reach] &= keys[floor - 1:] == keys[:reach]
-                picked[marked] = True
+            marked = []
+            if shares is not False:  # a pass over every run
+                runs = np.flatnonzero(picked)
+                marked = runs[shares(keys[runs], pos[order[runs]])]
+                del runs
+            reach = max(len(keys) - floor + 1, 0)  # the runs that can start here
+            picked[reach:] = False
+            picked[:reach] &= keys[floor - 1:] == keys[:reach]
+            picked[marked] = True
             starts = np.flatnonzero(picked)
             del picked
             ends = np.searchsorted(keys, keys[starts], side="right")
@@ -531,28 +535,27 @@ class _TokenStream:
         del at
         return FeatureMatrix.from_occurrences(bounds, columns, features)
 
-    def _polarized(self, lexicon: SubjectivityLexicon) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    @cached_property
+    def _polarized(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
         """(positions, core ids, cores): each polarized token and its ``POL/TAG`` core.
 
-        The lexicon is asked once per distinct (word, tag) pair, and the
-        answer is kept for the next call with the same lexicon.
+        The lexicon is asked once per distinct (word, tag) pair. Each
+        distinct ``POL/TAG`` string gets one core id.
         """
-        if self._polarity is None or self._polarity[0] is not lexicon:
-            listed = np.array([word in lexicon.entries for word in self.words], dtype=bool)
-            pos = np.flatnonzero(listed[self.ids])
-            pairs = self.ids[pos].astype(np.int64) * len(self.tags) + self.tag_ids[pos]
-            distinct, inverse = np.unique(pairs, return_inverse=True)
-            cores: dict[str, int] = {}
-            core_of_pair = []
-            for pair in distinct.tolist():
-                word, tag = divmod(pair, len(self.tags))
-                pol = lexicon.polarity_of(self.words[word], self.tags[tag])
-                core_of_pair.append(-1 if pol is None else
-                                    cores.setdefault(f"{pol}/{self.tags[tag]}", len(cores)))
-            core = np.array(core_of_pair, dtype=np.intc)[inverse]
-            hit = core >= 0
-            self._polarity = (lexicon, pos[hit], core[hit], list(cores))
-        return self._polarity[1:]
+        listed = np.array([word in self.lexicon.entries for word in self.words], dtype=bool)
+        pos = np.flatnonzero(listed[self.ids])
+        pairs = self.ids[pos].astype(np.int64) * len(self.tags) + self.tag_ids[pos]
+        distinct, inverse = np.unique(pairs, return_inverse=True)
+        cores: dict[str, int] = {}
+        core_of_pair = []
+        for pair in distinct.tolist():
+            word, tag = divmod(pair, len(self.tags))
+            pol = self.lexicon.polarity_of(self.words[word], self.tags[tag])
+            core_of_pair.append(-1 if pol is None else
+                                cores.setdefault(f"{pol}/{self.tags[tag]}", len(cores)))
+        core = np.array(core_of_pair, dtype=np.intc)[inverse]
+        hit = core >= 0
+        return pos[hit], core[hit], list(cores)
 
 
 def _pair_names(namespace: str, first: list[str], second: list[str]):

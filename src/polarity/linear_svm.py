@@ -8,9 +8,9 @@ date from two Gram columns in O(n). The intercept is explicit, not an
 appended constant feature.
 
 The Gram matrix is materialized densely and column-major, so those columns
-are contiguous; that is comfortable up to a few thousand training
-documents, and ``gram_matrix`` refuses more than ``vectorize.MAX_GRAM_ROWS``
-rows. It is computed in two parts:
+are contiguous; that is comfortable up to a few thousand training documents,
+and ``gram_matrix`` refuses more than ``MAX_GRAM_ROWS`` rows. It is computed
+in two parts:
   pairs   every column j adds X[r, j] * X[s, j] to K[r, s] for each pair of
           its stored entries; the pairs of a block of rows are summed by one
           ``np.bincount`` in the order of row r's entries, so by ascending j,
@@ -44,11 +44,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .vectorize import MAX_GRAM_ROWS, CsrMatrix, fit_columns, read_json_object
+from .vectorize import CsrMatrix, fit_columns, read_json_object
 
 MODEL_FORMAT = "polarity-svm/1"
 
 _SNAP = 1e-12
+
+# Most training rows the dense n x n Gram may have: 8 n^2 bytes, 2 GiB at
+# 16,384 rows, 64x the 32 MB Gram of the 2000-document Table-1 corpus.
+MAX_GRAM_ROWS = 1 << 14
 
 # A column is dense, and goes through BLAS, when at least 1/_DENSE_SHARE of
 # the rows hold it; dense columns are copied out _SLAB_COLUMNS at a time.

@@ -124,15 +124,15 @@ def negation_scopes(words: list[str], ids: np.ndarray, starts: np.ndarray) -> np
     *starts* flags each sentence's first token. A scope opens after a
     trigger and runs up to the next kept punctuation token or the end of the
     sentence; the trigger itself is not in it. So a token is in scope when
-    the last trigger or kept punctuation token before it in its sentence is
-    a trigger, unless it is kept punctuation itself.
+    the last trigger, kept punctuation token or sentence start up to the
+    token before it is a trigger, unless it is kept punctuation itself or
+    starts a sentence.
     """
     trigger = np.array([word in NEGATION_TRIGGERS for word in words], dtype=bool)[ids]
     kept = np.array([word in KEPT_PUNCTUATION for word in words], dtype=bool)[ids]
-    position = np.arange(len(ids), dtype=index_dtype(len(ids)))
-    last_mark = np.maximum.accumulate(np.where(trigger | kept, position, -1))
-    sentence_start = np.maximum.accumulate(np.where(starts, position, 0))
-    opens = (last_mark >= sentence_start) & trigger[last_mark]  # scope open after the token
+    last = np.arange(len(ids), dtype=index_dtype(len(ids)))
+    last[~(trigger | kept | starts)] = 0
+    opens = trigger[np.maximum.accumulate(last, out=last)]  # a scope is open after the token
     scoped = np.zeros(len(ids), dtype=bool)
     scoped[1:] = opens[:-1] & ~starts[1:]
     return scoped & ~kept

@@ -44,11 +44,6 @@ from .errors import ConfigError, DataError
 # scale), and a float64 array of that width is 128 MiB.
 MAX_FEATURE_ID = 1 << 24
 
-# Most training rows the SVM's dense n x n Gram may have. It holds 8 n^2
-# bytes: 2 GiB at 16,384 rows, 64x the 32 MB Gram of the 2000-document
-# Table-1 corpus.
-MAX_GRAM_ROWS = 1 << 14
-
 # Per-token positions, keys and cell numbers below this limit are held in
 # int32, half the bytes of int64; larger ones stay int64.
 _INT32_LIMIT = 1 << 31

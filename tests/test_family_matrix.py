@@ -114,7 +114,7 @@ def test_renumbered_keys_give_the_same_matrix(golden_pipeline, monkeypatch):
                 for n, family in [(2, FeatureFamily.BIGRAM), (3, FeatureFamily.TRIGRAM)]}
     monkeypatch.setattr(features, "_MAX_KEY", len(golden_pipeline._tokens.words) ** 2 - 1)
     for n, family in [(2, FeatureFamily.BIGRAM), (3, FeatureFamily.TRIGRAM)]:
-        matrix = golden_pipeline._tokens.window_matrix(FAMILIES[family], False, 2)
+        matrix = golden_pipeline._tokens.window_matrix(FAMILIES[family], 2)
         assert matrix.features == expected[n].features
         assert (to_scipy(matrix.counts) != to_scipy(expected[n].counts)).nnz == 0
 
@@ -213,7 +213,7 @@ def test_negated_windows_wider_than_one_word_are_refused():
     for row in FAMILIES.values():
         if isinstance(row, Window) and row.n > 1:
             with pytest.raises(ValueError):
-                pipeline._tokens.window_matrix(row, True, 1)
+                pipeline._tokens.window_matrix(row._replace(negated=True), 1)
 
 
 POLARIZED = [FeatureFamily.POLARIZED_UNIGRAM, FeatureFamily.POLARIZED_BIGRAM]
@@ -388,7 +388,8 @@ def test_keyed_matrix_matches_the_total_every_key_oracle(case):
     expected = reference.keyed_matrix(
         [(pos, keys.copy(), _spell(names), None if mode == "spell all" else _marks(mark))
          for (pos, keys, names), mark in zip(parts, marks)], floor, doc_bounds)
-    shares = {"spell all": lambda _: None, "false": lambda _: False}
+    shares = {"spell all": lambda _: lambda keys, _: np.ones(len(keys), dtype=bool),
+              "false": lambda _: False}
     got = features._TokenStream._keyed_matrix(
         SimpleNamespace(doc_bounds=doc_bounds),
         [(pos, keys.copy(), _spell(names), shares.get(mode, _marks)(mark))

@@ -147,9 +147,10 @@ class TestTransitions:
 
 def stream_matches(trans, words):
     """The token stream's (phrase, start, end) matches over *words* as one sentence."""
-    stream = _TokenStream(corpus_of([" ".join(words)]).documents, RuleTagger())
+    stream = _TokenStream(corpus_of([" ".join(words)]).documents, RuleTagger(),
+                          transitions=trans)
     assert [stream.words[i] for i in stream.ids.tolist()] == list(words)
-    start, end, phrase = stream._phrase_matches(trans)
+    start, end, phrase = stream._phrase_matches()
     return [(trans.phrases[p], a, b)
             for a, b, p in zip(start.tolist(), end.tolist(), phrase.tolist())]
 

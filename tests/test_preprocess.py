@@ -21,7 +21,7 @@ from polarity.preprocess import (
     tokenize_document,
 )
 from polarity.tagging import _VERB_FORMS, PretaggedReader, RuleTagger, TAG_INVENTORY, get_tagger
-from reference import Sentence, preprocess_document, tag, tokenize
+from reference import Sentence, preprocess_document, tag, tag_negation, tokenize
 
 GOLDEN_CORPUS = Path(__file__).parent / "golden" / "corpus"
 
@@ -182,6 +182,18 @@ class TestTagNegation:
     @given(words)
     def test_token_count_preserved(self, words):
         assert len(negation_scopes(*_one_sentence_stream(words))) == len(words)
+
+    @given(st.lists(st.lists(st.sampled_from(["not", "good", "!", "?", "fun"]),
+                             min_size=1, max_size=6), max_size=6))
+    def test_scopes_of_a_multi_sentence_stream_end_at_each_sentence(self, sentences):
+        """Over many sentences, each sentence's flags are ``tag_negation``'s:
+        a scope open at a sentence's end does not reach the next one."""
+        vocab = ["not", "good", "!", "?", "fun"]
+        ids = np.array([vocab.index(w) for words in sentences for w in words], dtype=np.intc)
+        starts = np.zeros(len(ids), dtype=bool)
+        starts[np.cumsum([0] + [len(words) for words in sentences[:-1]])[:len(sentences)]] = True
+        expected = [flag for words in sentences for flag in tag_negation(words)]
+        assert negation_scopes(vocab, ids, starts).tolist() == expected
 
 
 class TestTagPos:
