@@ -8,7 +8,8 @@ the sparse-matrix core and must never be regenerated to make a refactor
 pass: any change to a feature, a vocabulary id, a count or a fold accuracy
 shows up here as a byte difference. ``stats.json`` was written by the
 per-line tokenizer that ``stats`` used before it read reviews through
-``tokenize_document``.
+``tokenize_document``, and ``extract_unigram+pu-neg.*`` by the token-stream
+build before the negated unigram became a ``Window`` row.
 """
 
 import json

@@ -190,8 +190,9 @@ class TestTagNegation:
         a scope open at a sentence's end does not reach the next one."""
         vocab = ["not", "good", "!", "?", "fun"]
         ids = np.array([vocab.index(w) for words in sentences for w in words], dtype=np.intc)
+        lengths = np.array([len(words) for words in sentences], dtype=np.int64)
         starts = np.zeros(len(ids), dtype=bool)
-        starts[np.cumsum([0] + [len(words) for words in sentences[:-1]])[:len(sentences)]] = True
+        starts[np.cumsum(lengths) - lengths] = True
         expected = [flag for words in sentences for flag in tag_negation(words)]
         assert negation_scopes(vocab, ids, starts).tolist() == expected
 
