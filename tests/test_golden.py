@@ -9,7 +9,11 @@ pass: any change to a feature, a vocabulary id, a count or a fold accuracy
 shows up here as a byte difference. ``stats.json`` was written by the
 per-line tokenizer that ``stats`` used before it read reviews through
 ``tokenize_document``, and ``extract_unigram+pu-neg.*`` by the token-stream
-build before the negated unigram became a ``Window`` row.
+build before the negated unigram became a ``Window`` row. ``table2.md``,
+``deviation.*``, the combination grids' ``.md`` files and ``no_lexicon/``
+(every ``reproduce`` output but ``results.jsonl``, without ``--lexicon``, so
+the polarized rows are skipped) were written by ``reproduce --jobs 1`` while
+the Table 2 rows were still listed in ``cli.py`` beside the reference file.
 """
 
 import json
@@ -35,7 +39,8 @@ def test_table2_csv(tmp_path, capsys):
                  "--out-dir", str(out_dir), "--format", "json"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["cells_run"] == 36
-    assert (out_dir / "table2.csv").read_bytes() == (GOLDEN / "table2.csv").read_bytes()
+    for name in ["table2.csv", "table2.md", "deviation.csv", "deviation.md"]:
+        assert (out_dir / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 def test_combination_grid_csvs(tmp_path, capsys):
@@ -47,8 +52,24 @@ def test_combination_grid_csvs(tmp_path, capsys):
                  "--out-dir", str(out_dir), "--format", "json"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["cells_run"] == 96
-    for name in ["unigram_combos.csv", "3adjadv_combos.csv"]:
-        assert (out_dir / name).read_bytes() == (GOLDEN / name).read_bytes()
+    for name in ["unigram_combos.csv", "unigram_combos.md",
+                 "3adjadv_combos.csv", "3adjadv_combos.md"]:
+        assert (out_dir / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_reproduce_without_lexicon(tmp_path, capsys):
+    """Every grid without a lexicon: the 92 ``pu`` and ``pb`` cells are
+    skipped, listed in ``skipped.json`` and shown as skipped in the deviation."""
+    out_dir = tmp_path / "out"
+    code = main(["reproduce", "--corpus", str(CORPUS), "--out-dir", str(out_dir),
+                 "--format", "json"])
+    assert code == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["cells_run"], summary["cells_skipped"]) == (40, 92)
+    expected = sorted(path.name for path in (GOLDEN / "no_lexicon").iterdir())
+    assert expected == sorted(summary["files"])
+    for name in expected:
+        assert (out_dir / name).read_bytes() == (GOLDEN / "no_lexicon" / name).read_bytes(), name
 
 
 def test_extract_union_files(tmp_path, capsys):
