@@ -21,6 +21,7 @@ from . import __version__
 from .corpus import assign_folds, compute_stats, load_corpus
 from .errors import ConfigError, DataError
 from .evaluation import (
+    GRID_COLUMNS,
     EvalReport,
     ExperimentConfig,
     FeaturePipeline,
@@ -31,7 +32,7 @@ from .evaluation import (
 from .features import check_resources, parse_feature_spec
 from .lexicon import load_lexicon, load_transitions
 from .naive_bayes import NaiveBayesModel, predict_nb, train_nb
-from .linear_svm import LinearSvmModel, predict_svm, train_svm
+from .linear_svm import LinearSvmModel, check_solver_limits, predict_svm, train_svm
 from .tagging import get_tagger
 from .vectorize import (
     Representation,
@@ -46,10 +47,6 @@ from .vectorize import (
 DATA_DIR_ENV = "POLARITY_DATA_DIR"
 
 _COMBO_ADDONS = ("pu", "pb", "t")
-_TABLE2_ROWS = [
-    ("unigram", False), ("unigram", True), ("bigram", False), ("trigram", False),
-    ("adjadv", False), ("adj", False), ("pb", False), ("pu", False), ("3adjadv", False),
-]
 _GRID_NAMES = ("table2", "unigram-combos", "3adjadv-combos")
 
 
@@ -61,20 +58,15 @@ def _corpus_root(args) -> Path:
 
 
 def _load_folded_corpus(args):
-    corpus = load_corpus(_corpus_root(args))
-    return assign_folds(corpus, mode=getattr(args, "folds", "filename"),
-                        seed=getattr(args, "seed", 0))
+    return assign_folds(load_corpus(_corpus_root(args)), mode=args.folds, seed=args.seed)
 
 
 def _maybe_lexicon(args):
-    if getattr(args, "lexicon", None):
-        return load_lexicon(args.lexicon, format=args.lexicon_format)
-    return None
+    return load_lexicon(args.lexicon, format=args.lexicon_format) if args.lexicon else None
 
 
 def _maybe_transitions(args):
-    path = getattr(args, "transitions", None)
-    return load_transitions(path) if path else load_transitions()
+    return load_transitions(args.transitions or None)
 
 
 def _spec_matrix(args, corpus, spec, min_count: int):
@@ -156,6 +148,7 @@ def _sniff_model(path: str):
 
 
 def cmd_train(args) -> int:
+    check_solver_limits(args.tol, args.max_epochs, args.C)
     X, labels = read_svmlight(args.input)
     if args.clf == "nb":
         model = train_nb(X, labels)
@@ -209,13 +202,22 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _combo_specs(base: str) -> list[str]:
-    # All subsets of the polarized/transition add-ons, smallest first.
-    specs = []
-    for bits in range(2 ** len(_COMBO_ADDONS)):
-        addons = [a for k, a in enumerate(_COMBO_ADDONS) if bits >> k & 1]
-        specs.append("+".join([base] + addons))
-    return specs
+def _table2_targets() -> list[dict]:
+    """The published Table 2 rows, in order: the rows of the table2 grid and
+    the accuracies its deviation summary compares against."""
+    text = resources.files("polarity").joinpath("data/reference_accuracies.json").read_text("utf-8")
+    return json.loads(text)["table2"]
+
+
+def _grid_rows(grid: str) -> list[tuple[str, bool]]:
+    """The (features, negation) rows of *grid*, in output order."""
+    if grid == "table2":
+        return [(row["features"], row["negation"]) for row in _table2_targets()]
+    # A combination grid: each subset of the add-ons, smallest first.
+    base, negations = ("unigram", (False, True)) if grid == "unigram-combos" else ("3adjadv", (False,))
+    subsets = [[a for k, a in enumerate(_COMBO_ADDONS) if bits >> k & 1]
+               for bits in range(2 ** len(_COMBO_ADDONS))]
+    return [("+".join([base, *addons]), negation) for addons in subsets for negation in negations]
 
 
 def _reproduce_configs(args, lexicon, transitions):
@@ -227,63 +229,41 @@ def _reproduce_configs(args, lexicon, transitions):
 
     cells: list[tuple[str, ExperimentConfig]] = []
     skipped: list[dict] = []
-
-    def add(grid: str, features: str, negation: bool) -> None:
-        try:
-            check_resources(parse_feature_spec(features), lexicon, transitions)
-            reason = None
-        except ConfigError as exc:
-            reason = str(exc)
-        for clf in ("nb", "svm"):
-            for rep in ("presence", "frequency"):
+    for grid in [name for name in _GRID_NAMES if name in only]:
+        for features, negation in _grid_rows(grid):
+            try:
+                check_resources(parse_feature_spec(features), lexicon, transitions)
+                reason = None
+            except ConfigError as exc:
+                reason = str(exc)
+            for clf, rep in GRID_COLUMNS:
                 cfg = _experiment_config(args, features, rep, clf, negation)
                 if reason:
-                    skipped.append({"grid": grid, "config": cfg.to_json_dict(),
-                                    "reason": reason})
+                    skipped.append({"grid": grid, "config": cfg.to_json_dict(), "reason": reason})
                 else:
                     cells.append((grid, cfg))
-
-    if "table2" in only:
-        for features, negation in _TABLE2_ROWS:
-            add("table2", features, negation)
-    if "unigram-combos" in only:
-        for features in _combo_specs("unigram"):
-            for negation in (False, True):
-                add("unigram-combos", features, negation)
-    if "3adjadv-combos" in only:
-        for features in _combo_specs("3adjadv"):
-            add("3adjadv-combos", features, False)
     return cells, skipped
-
-
-def _load_reference_targets() -> dict:
-    text = resources.files("polarity").joinpath("data/reference_accuracies.json").read_text("utf-8")
-    return json.loads(text)
 
 
 def _deviation_summary(reports: list[EvalReport]) -> tuple[str, str]:
     """Markdown and CSV deviation of table2 cells from the published targets."""
-    targets = _load_reference_targets()["table2"]
     by_key = {(r.config.features, r.config.negation,
-               r.config.classifier, r.config.representation.value): r for r in reports}
+               r.config.classifier, r.config.representation): r for r in reports}
     md = ["| Row | Cell | Reference | Ours | Delta |", "|---|---|---|---|---|"]
     csv_lines = ["features,negation,classifier,representation,reference,ours,delta"]
-    for row in targets:
-        for clf in ("nb", "svm"):
-            for rep in ("presence", "frequency"):
-                ref = row[f"{clf}_{rep}"]
-                report = by_key.get((row["features"], row["negation"], clf, rep))
-                if report is None:
-                    md.append(f"| {row['label']} | {clf}/{rep} | {ref:.3f} | skipped | -- |")
-                    csv_lines.append(
-                        f"{row['features']},{str(row['negation']).lower()},{clf},{rep},{ref:.3f},,")
-                    continue
+    for row in _table2_targets():
+        for clf, rep in GRID_COLUMNS:
+            ref = row[f"{clf}_{rep.value}"]
+            md_cell = f"| {row['label']} | {clf}/{rep.value} | {ref:.3f} |"
+            csv_cell = f"{row['features']},{str(row['negation']).lower()},{clf},{rep.value},{ref:.3f},"
+            report = by_key.get((row["features"], row["negation"], clf, rep))
+            if report is None:
+                md.append(f"{md_cell} skipped | -- |")
+                csv_lines.append(f"{csv_cell},")
+            else:
                 ours = report.mean_accuracy
-                md.append(f"| {row['label']} | {clf}/{rep} | {ref:.3f} | {ours:.3f} "
-                          f"| {ours - ref:+.3f} |")
-                csv_lines.append(
-                    f"{row['features']},{str(row['negation']).lower()},{clf},{rep},"
-                    f"{ref:.3f},{ours:.6f},{ours - ref:+.6f}")
+                md.append(f"{md_cell} {ours:.3f} | {ours - ref:+.3f} |")
+                csv_lines.append(f"{csv_cell}{ours:.6f},{ours - ref:+.6f}")
     return "\n".join(md) + "\n", "\n".join(csv_lines) + "\n"
 
 
@@ -315,10 +295,10 @@ def cmd_reproduce(args) -> int:
         progress=lambda line: print(line, file=sys.stderr),
         jobs=args.jobs,
     )
-    by_hash = {r.config.hash(): r for r in reports}
+    by_config = {r.config: r for r in reports}
     grids: dict[str, list[EvalReport]] = {name: [] for name in _GRID_NAMES}
     for grid, cfg in cells:
-        report = by_hash.get(cfg.hash())
+        report = by_config.get(cfg)
         if report:
             grids[grid].append(report)
     cells_run = sum(map(len, grids.values()))

@@ -49,6 +49,9 @@ except ImportError:
 
 CLASSIFIERS = ("nb", "svm")
 PRUNE_SCOPES = ("fold", "corpus")
+# The four cells of a grid row, in the order every grid output lists them.
+GRID_COLUMNS = (("nb", Representation.PRESENCE), ("nb", Representation.FREQUENCY),
+                ("svm", Representation.PRESENCE), ("svm", Representation.FREQUENCY))
 
 
 def parse_representation(value) -> Representation:
@@ -423,10 +426,6 @@ def reports_to_csv(reports: Sequence[EvalReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-_COLUMNS = [("nb", Representation.PRESENCE), ("nb", Representation.FREQUENCY),
-            ("svm", Representation.PRESENCE), ("svm", Representation.FREQUENCY)]
-
-
 def _row_label(config: ExperimentConfig) -> str:
     return f"{config.features}{' (neg)' if config.negation else ''}"
 
@@ -443,7 +442,7 @@ def reports_to_markdown(reports: Sequence[EvalReport]) -> str:
         "|---|---|---|---|---|---|",
     ]
     for label, cells in rows.items():
-        values = [cells.get(col) for col in _COLUMNS]
+        values = [cells.get(col) for col in GRID_COLUMNS]
         present = [v for v in values if v is not None]
         best = max(present) if present else None
         rendered = []

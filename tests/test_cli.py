@@ -20,7 +20,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from polarity import cli, evaluation, linear_svm, naive_bayes
 from polarity.cli import main
 from polarity.corpus import Label, RawDocument, load_corpus
-from polarity.evaluation import EvalReport
+from polarity.evaluation import GRID_COLUMNS, EvalReport
+from polarity.features import parse_feature_spec
 from polarity.vectorize import MAX_FEATURE_ID, read_json_object, write_svmlight
 from conftest import NEGATIVE_WORDS, POSITIVE_WORDS, labeled_matrix, write_synthetic_corpus
 from reference import preprocess_document
@@ -240,10 +241,11 @@ class TestInputErrors:
         assert "exceeds the limit" in one_error_line(capsys)
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("clf", ["nb", "svm"])
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
-    def test_train_bad_C_exits_2(self, vector_file, tmp_path, capsys, value):
-        # the rule and message of evaluate and reproduce
-        code = main(["train", "--input", str(vector_file), "--clf", "svm", "--C", value,
+    def test_train_bad_C_exits_2(self, vector_file, tmp_path, capsys, value, clf):
+        # the rule and message of evaluate and reproduce, whichever classifier reads C
+        code = main(["train", "--input", str(vector_file), "--clf", clf, "--C", value,
                      "--out", str(tmp_path / "m")])
         assert code == 2
         assert one_error_line(capsys) == f"error: C must be finite and above 0, got {float(value)}"
@@ -450,6 +452,22 @@ class TestReproduce:
         skipped = json.loads((out_dir / "skipped.json").read_text())
         assert all("lexicon" in s["reason"] for s in skipped["skipped"])
         assert "skipped" in (out_dir / "deviation.md").read_text()
+
+    def test_table2_grid_rows_are_the_published_rows(self):
+        # The reference file's table2 rows are the grid's rows, matched by features string.
+        rows = cli._table2_targets()
+        for row in rows:
+            assert parse_feature_spec(row["features"]).canonical() == row["features"]
+            assert isinstance(row["negation"], bool)
+            assert not row["negation"] or row["features"] == "unigram"
+            for clf, rep in GRID_COLUMNS:
+                target = row[f"{clf}_{rep.value}"]
+                assert isinstance(target, float) and 0 < target <= 1
+            assert isinstance(row["label"], str) and row["label"]
+        keys = [(row["features"], row["negation"]) for row in rows]
+        assert len(set(keys)) == len(keys)
+        assert cli._grid_rows("table2") == keys
+        assert [len(cli._grid_rows(grid)) for grid in cli._GRID_NAMES] == [9, 16, 8]
 
     def test_unknown_grid_exits_2(self, corpus_dir, tmp_path):
         assert main(["reproduce", "--corpus", str(corpus_dir),
