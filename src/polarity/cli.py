@@ -1,8 +1,8 @@
 """Command-line interface: corpus stats, feature extraction, training,
 prediction, single experiments, and the full reproduction grids.
 
-Exit codes: 0 success, 2 usage/configuration error, 3 data error. Progress
-goes to stderr; stdout stays machine-parseable.
+Exit codes: 0 success, 2 usage/configuration error, 3 data error or a file the
+system cannot read or write. Progress goes to stderr; stdout stays machine-parseable.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, linear_svm, naive_bayes
 from .corpus import assign_folds, compute_stats, load_corpus
 from .errors import ConfigError, DataError
 from .evaluation import (
@@ -140,11 +140,11 @@ def cmd_evaluate(args) -> int:
 def _sniff_model(path: str):
     payload = read_json_object(path)
     fmt = str(payload.get("format", ""))
-    if fmt.startswith("polarity-nb/"):
-        return NaiveBayesModel.from_payload(payload, path)
-    if fmt.startswith("polarity-svm/"):
-        return LinearSvmModel.from_payload(payload, path)
-    raise DataError(f"{path}: unrecognized model format {fmt!r}")
+    model_type = {naive_bayes.MODEL_FORMAT: NaiveBayesModel,
+                  linear_svm.MODEL_FORMAT: LinearSvmModel}.get(fmt)
+    if model_type is None:
+        raise DataError(f"{path}: unrecognized model format {fmt!r}")
+    return model_type.from_payload(payload, path)
 
 
 def cmd_train(args) -> int:
@@ -152,9 +152,7 @@ def cmd_train(args) -> int:
     X, labels = read_svmlight(args.input)
     if args.clf == "nb":
         model = train_nb(X, labels)
-        out = args.out if args.out.endswith(".json") else args.out + ".json"
-        model.save(out)
-        info = {"model": out, "classifier": "nb", "vocab_size": model.vocab_size}
+        info = {"model": str(model.save(args.out)), "classifier": "nb", "vocab_size": model.vocab_size}
     else:
         model = train_svm(X, labels, C=args.C, tol=args.tol, max_epochs=args.max_epochs)
         meta_path, weights_path = model.save(args.out)
@@ -423,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--clf", choices=["nb", "svm"], required=True)
     _add_solver_options(p)
-    p.add_argument("--out", required=True, help="model path (nb: .json; svm: prefix for .json/.npy)")
+    p.add_argument("--out", required=True,
+                   help="writes <base>.json (svm: and <base>.npy); base is --out less one .json")
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(func=cmd_train)
 
@@ -455,7 +454,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -1,6 +1,6 @@
 """Exception types shared across the toolkit.
 
-ConfigError maps to CLI exit code 2, DataError to exit code 3.
+ConfigError maps to CLI exit code 2, DataError (like an OSError) to exit code 3.
 """
 
 

@@ -38,12 +38,10 @@ import numpy as np
 
 from .corpus import RawDocument
 from .errors import ConfigError
-from .lexicon import SubjectivityLexicon, TransitionList
+from .lexicon import SubjectivityLexicon, TransitionList, coarse_pos
 from .preprocess import NEGATION_PREFIX, negation_scopes, tokenize_document, tokenize_pretagged
 from .tagging import ADJECTIVE_TAGS, ADVERB_TAGS, PretaggedReader
 from .vectorize import FeatureMatrix, index_dtype
-
-_CONTENT_PREFIXES = ("N", "V", "J", "R")
 
 
 class FeatureFamily(Enum):
@@ -124,10 +122,9 @@ TAG_BITS = {**dict.fromkeys(ADJECTIVE_TAGS, ADJECTIVE_BIT), **dict.fromkeys(ADVE
 
 
 def tag_bits(tag: str) -> int:
-    """The class bits of *tag*, read from the upper-cased tag (``jj`` is an
-    adjective tag); feature strings keep the tag as written."""
-    tag = tag.upper()
-    return TAG_BITS.get(tag, 0) | (CONTENT_BIT if tag[:1] in _CONTENT_PREFIXES else 0)
+    """Class bits of *tag*: adjective/adverb by its upper-case form (``jj`` is an adjective),
+    content word by ``lexicon.coarse_pos``; feature strings keep the tag as written."""
+    return TAG_BITS.get(tag.upper(), 0) | (CONTENT_BIT if coarse_pos(tag) != "other" else 0)
 
 
 class Window(NamedTuple):

@@ -48,12 +48,8 @@ _POLARITY_WORDS = {
 
 
 def coarse_pos(tag: str) -> str:
-    """Collapse a Penn-style tag to adj/adverb/noun/verb, or 'other'."""
-    if tag:
-        cls = _COARSE_BY_PREFIX.get(tag[0].upper())
-        if cls is not None:
-            return cls
-    return "other"
+    """Collapse a Penn-style tag to adj/adverb/noun/verb (a content word), or 'other'."""
+    return _COARSE_BY_PREFIX.get(tag[:1].upper(), "other")
 
 
 @dataclass(frozen=True)

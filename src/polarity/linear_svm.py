@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .vectorize import CsrMatrix, fit_columns, read_json_object
+from .vectorize import CsrMatrix, check_training_labels, fit_columns, model_path, read_json_object
 
 MODEL_FORMAT = "polarity-svm/1"
 
@@ -82,11 +82,9 @@ class LinearSvmModel:
     C: float
     meta: SvmTrainingMeta
 
-    def save(self, prefix: str | Path) -> tuple[Path, Path]:
-        """Write ``<prefix>.json`` metadata plus ``<prefix>.npy`` dense weights."""
-        prefix = Path(prefix)
-        weights_path = prefix.with_suffix(".npy")
-        meta_path = prefix.with_suffix(".json")
+    def save(self, path: str | Path) -> tuple[Path, Path]:
+        """Write ``model_path(path)`` metadata and ``model_path(path, ".npy")`` dense weights."""
+        meta_path, weights_path = model_path(path), model_path(path, ".npy")
         np.save(weights_path, self.weights)
         meta_path.write_text(json.dumps({
             "format": MODEL_FORMAT,
@@ -102,9 +100,9 @@ class LinearSvmModel:
         return meta_path, weights_path
 
     @classmethod
-    def load(cls, prefix: str | Path) -> "LinearSvmModel":
-        prefix = Path(prefix)
-        meta_path = prefix if prefix.suffix == ".json" else prefix.with_suffix(".json")
+    def load(cls, path: str | Path) -> "LinearSvmModel":
+        """The model that ``save(path)`` wrote."""
+        meta_path = model_path(path)
         return cls.from_payload(read_json_object(meta_path), meta_path)
 
     @classmethod
@@ -274,21 +272,16 @@ def train_svm(X: CsrMatrix, y: Sequence[int], C: float | None = None,
               gram: np.ndarray | None = None) -> LinearSvmModel:
     """Train on the rows of *X* with +1/-1 labels *y* to KKT tolerance *tol*.
 
-    One epoch is n pair updates. A given *C* must be finite and above 0
-    (ConfigError); without one, ``default_C(X)`` is used. *gram*, when
-    given, must equal ``gram_matrix(X)``; cross-validation passes every
-    fold's Gram, made by ``evaluation._Cell``. A row-major *gram* is copied
-    once into column order. On hitting the epoch cap the best iterate is
-    returned with ``meta.converged`` False and the reason in ``meta.warning``.
+    One epoch is n pair updates. *y* must pass ``check_training_labels``, and a given
+    *C* must be finite and above 0 (ConfigError); without one, ``default_C(X)`` is
+    used. *gram*, when given, must equal ``gram_matrix(X)``; cross-validation passes
+    every fold's Gram, made by ``evaluation._Cell``. A row-major *gram* is copied once
+    into column order. On hitting the epoch cap the best iterate is returned with
+    ``meta.converged`` False and the reason in ``meta.warning``.
     """
     check_solver_limits(tol, max_epochs, C)
+    check_training_labels(y)
     y = np.asarray(y, dtype=np.float64)
-    labels = set(y.tolist())
-    if labels - {1.0, -1.0}:
-        raise DataError("every training vector needs a label")
-    if labels != {1.0, -1.0}:
-        raise DataError(f"training set must contain both classes, got labels "
-                        f"{sorted(int(v) for v in labels)}")
     if C is None:
         C = default_C(X)
     if X.shape[1] == 0:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .vectorize import CsrMatrix, fit_columns, read_json_object
+from .vectorize import CsrMatrix, check_training_labels, fit_columns, model_path, read_json_object
 
 LABELS = (1, -1)
 
@@ -29,7 +29,9 @@ class NaiveBayesModel:
     feature_log_likelihood: dict[int, np.ndarray]
     vocab_size: int
 
-    def save(self, path: str | Path) -> None:
+    def save(self, path: str | Path) -> Path:
+        """Write the model to ``model_path(path)``, and return that path."""
+        path = model_path(path)
         payload = {
             "format": MODEL_FORMAT,
             "vocab_size": self.vocab_size,
@@ -38,10 +40,12 @@ class NaiveBayesModel:
                 str(c): arr.tolist() for c, arr in self.feature_log_likelihood.items()
             },
         }
-        Path(path).write_text(json.dumps(payload), encoding="utf-8")
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return path
 
     @classmethod
     def load(cls, path: str | Path) -> "NaiveBayesModel":
+        path = model_path(path)
         return cls.from_payload(read_json_object(path), path)
 
     @classmethod
@@ -73,18 +77,14 @@ class NaiveBayesModel:
 def train_nb(X: CsrMatrix, y: Sequence[int]) -> NaiveBayesModel:
     """Fit priors and smoothed per-class feature likelihoods from rows of *X*.
 
-    P(c) is the class document fraction; P(f|c) = (count(f, c) + 1) /
-    (total feature mass in c + V), with V the number of columns. Presence
-    rows therefore contribute binarized counts, frequency rows raw ones. A
-    negative value or a class mass that overflows is a DataError: neither
-    has a logarithm.
+    *y* must pass ``check_training_labels``. P(c) is the class document fraction;
+    P(f|c) = (count(f, c) + 1) / (total feature mass in c + V), with V the
+    number of columns. Presence rows therefore contribute binarized counts,
+    frequency rows raw ones. A negative value or a class mass that overflows
+    is a DataError: neither has a logarithm.
     """
+    check_training_labels(y)
     y = np.asarray(y)
-    labels = set(y.tolist())
-    if labels - set(LABELS):
-        raise DataError("every training vector needs a label")
-    if labels != set(LABELS):
-        raise DataError(f"training set must contain both classes, got labels {sorted(labels)}")
 
     if (X.data < 0).any():
         raise DataError("naive Bayes needs feature values of 0 or more")

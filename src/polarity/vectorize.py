@@ -273,6 +273,11 @@ def read_json_object(path: str | Path) -> dict:
     return payload
 
 
+def model_path(out: str | Path, suffix: str = ".json") -> Path:
+    """``<base><suffix>`` of a model saved as *out*: the base is *out* less a trailing ``.json``."""
+    return Path(str(out).removesuffix(".json") + suffix)
+
+
 def read_svmlight(path: str | Path) -> tuple[CsrMatrix, np.ndarray]:
     """(matrix, labels): labels are +1/-1, or 0 for an unlabeled line.
 
@@ -323,6 +328,15 @@ def read_svmlight(path: str | Path) -> tuple[CsrMatrix, np.ndarray]:
     X = CsrMatrix(np.frombuffer(values, dtype=np.float64), indices,
                   np.frombuffer(indptr, dtype=np.int64), (len(labels), width))
     return X, np.array(labels, dtype=np.int64)
+
+
+def check_training_labels(labels: Sequence[int]) -> None:
+    """DataError unless every label is +1 or -1 (0 marks an unlabeled vector) and both occur."""
+    seen = set(np.asarray(labels).tolist())
+    if seen - {1, -1}:
+        raise DataError("every training vector needs a label")
+    if seen != {1, -1}:
+        raise DataError(f"training set must contain both classes, got labels {sorted(map(int, seen))}")
 
 
 def write_vocabulary(features: Iterable[str], path: str | Path) -> None:

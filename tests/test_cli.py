@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and output formats."""
 
 import contextlib
+import errno
 import gc
 import io
 import json
@@ -188,6 +189,19 @@ class TestTrainPredict:
         assert len(payload["predictions"]) == 50
         assert payload["accuracy"] >= 0.9  # training-set fit on separable data
 
+    @pytest.mark.parametrize("out,base", [("m", "m"), ("m.json", "m"), ("m.v2", "m.v2")])
+    @pytest.mark.parametrize("clf", ["nb", "svm"])
+    def test_out_names_the_model_files(self, vector_file, tmp_path, capsys, clf, out, base):
+        """``train --out`` less one trailing ``.json`` is the base of ``<base>.json``,
+        and of ``<base>.npy`` for an SVM, whichever the classifier."""
+        assert main(["train", "--input", str(vector_file), "--clf", clf,
+                     "--out", str(tmp_path / out), "--format", "json"]) == 0
+        info = json.loads(capsys.readouterr().out)
+        assert info["model"] == str(tmp_path / f"{base}.json")
+        written = {f"{base}.json"} | ({f"{base}.npy"} if clf == "svm" else set())
+        assert {path.name for path in tmp_path.iterdir()} == written
+        assert main(["predict", "--model", info["model"], "--input", str(vector_file)]) == 0
+
     def test_predict_text_lines(self, vector_file, tmp_path, capsys):
         model = tmp_path / "m"
         main(["train", "--input", str(vector_file), "--clf", "nb", "--out", str(model)])
@@ -361,6 +375,15 @@ class TestInputErrors:
         bad.write_text(json.dumps(payload), encoding="utf-8")
         assert main(["predict", "--model", str(bad), "--input", str(vector_file)]) == 3
         one_error_line(capsys)
+
+    @pytest.mark.parametrize("fmt", ["polarity-nb/2", "polarity-svm/0", "polarity-nb", 7, [1]])
+    def test_unknown_model_format_exits_3(self, vector_file, tmp_path, capsys, fmt):
+        """Only a model module's own ``MODEL_FORMAT`` is read; any other value,
+        a string or not, is one error line."""
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps({"format": fmt}), encoding="utf-8")
+        assert main(["predict", "--model", str(bad), "--input", str(vector_file)]) == 3
+        assert one_error_line(capsys).endswith(f"unrecognized model format {str(fmt)!r}")
 
     def test_svm_model_without_weights_exits_3(self, vector_file, tmp_path, capsys):
         model = tmp_path / "svm"
@@ -637,6 +660,40 @@ def _assert_clean_exit(code, err):
     assert len([line for line in err if line.startswith("error:")]) <= 1, err
     if code:
         assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("case", ["extract-out", "extract-vocab-out", "train-nb", "train-svm",
+                                  "evaluate-out", "reproduce-out-dir", "extract-transitions"])
+def test_a_file_the_system_refuses_exits_3(corpus_dir, lexicon_tsv, vector_file, tmp_path,
+                                           monkeypatch, case):
+    """An output in a missing directory, an out-dir that is a file, or a read
+    that fails (EIO) exits 3 with one ``error:`` line."""
+    missing, a_file = tmp_path / "missing", tmp_path / "a-file"
+    a_file.write_text("however\n", encoding="utf-8")
+    corpus = ["--corpus", str(corpus_dir)]
+    extract = ["extract", *corpus, "--min-count", "1"]
+    train = ["train", "--input", str(vector_file), "--out", str(missing / "m"), "--clf"]
+    argv = {
+        "extract-out": extract + ["--features", "unigram", "--out", str(missing / "v.svml")],
+        "extract-vocab-out": extract + ["--features", "unigram", "--out", str(tmp_path / "v.svml"),
+                                        "--vocab-out", str(missing / "v.tsv")],
+        "train-nb": train + ["nb"],
+        "train-svm": train + ["svm"],
+        "evaluate-out": ["evaluate", *corpus, "--features", "unigram", "--rep", "presence",
+                         "--clf", "nb", "--out", str(missing / "r.json")],
+        "reproduce-out-dir": ["reproduce", *corpus, "--lexicon", str(lexicon_tsv),
+                              "--lexicon-format", "tsv", "--only", "table2",
+                              "--out-dir", str(a_file)],
+        "extract-transitions": extract + ["--features", "t", "--transitions", str(a_file),
+                                          "--out", str(tmp_path / "v.svml")],
+    }[case]
+    if case == "extract-transitions":
+        def refuse(self, *args, **kwargs):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        monkeypatch.setattr(Path, "read_text", refuse)
+    code, err = _exit_of(argv)
+    assert code == 3
+    _assert_clean_exit(code, err)
 
 
 @settings(max_examples=100, deadline=None)

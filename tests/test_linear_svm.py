@@ -423,10 +423,14 @@ class TestErrorsAndMeta:
 
     def test_model_save_load_round_trip(self, tmp_path):
         model = fit(SEPARABLE_2D, C=1.0, n_features=2)
-        model.save(tmp_path / "svm")
-        loaded = LinearSvmModel.load(tmp_path / "svm")
-        assert np.array_equal(loaded.weights, model.weights)
-        assert loaded.bias == model.bias and loaded.C == model.C
+        # The base is the path less one trailing ".json"; other dots stay.
+        for path, base in [("svm", "svm"), ("svm.json", "svm"), ("svm.v2", "svm.v2"),
+                           ("svm.json.json", "svm.json")]:
+            written = model.save(tmp_path / path)
+            assert written == (tmp_path / f"{base}.json", tmp_path / f"{base}.npy")
+            loaded = LinearSvmModel.load(tmp_path / path)
+            assert np.array_equal(loaded.weights, model.weights)
+            assert loaded.bias == model.bias and loaded.C == model.C
 
 
 def _reference_train(X, y, C, tol=1e-3, max_epochs=1000, gram=None):

@@ -188,13 +188,16 @@ def test_posterior_matches_brute_force(rows, test_pairs):
 
 def test_model_json_round_trip(tmp_path, toy_model):
     model, _ = toy_model
-    path = tmp_path / "model.json"
-    model.save(path)
-    loaded = NaiveBayesModel.load(path)
-    assert loaded.vocab_size == model.vocab_size
-    assert loaded.class_log_prior == model.class_log_prior
-    for c in (1, -1):
-        assert np.array_equal(loaded.feature_log_likelihood[c], model.feature_log_likelihood[c])
+    # The file is the path less one trailing ".json", plus ".json".
+    for path, written in [("model.json", "model.json"), ("model", "model.json"),
+                          ("model.v2", "model.v2.json")]:
+        assert model.save(tmp_path / path) == tmp_path / written
+        loaded = NaiveBayesModel.load(tmp_path / path)
+        assert loaded.vocab_size == model.vocab_size
+        assert loaded.class_log_prior == model.class_log_prior
+        for c in (1, -1):
+            assert np.array_equal(loaded.feature_log_likelihood[c],
+                                  model.feature_log_likelihood[c])
 
 
 @given(csr_matrices(min_rows=2, min_columns=1, value_sets=(COUNT_VALUES,)), st.data())

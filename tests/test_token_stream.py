@@ -35,7 +35,8 @@ _WORDS = ["it", "is", "isn't", "Isn't", "isn ' t", "don't", "won't", "can't", "i
           "İ", "İstanbul", "ß", "STRAẞE", "Σ", "ΟΔΟΣ", "42", "3.5", "well-made", "a_b", "x"]
 _SEPARATORS = ["\n", "\n", "\n\n", "\r\n", " \n", " ", "\r", "\x0b", "\x0c", "\x1c",
                "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
-_TAGS = ["JJ", "jj", "RB", "NN", "VBD", "VB", ".", "DT"]
+# "ǰ" upper-cases to two characters, "J" and a combining caron: not a content tag.
+_TAGS = ["JJ", "jj", "RB", "NN", "VBD", "VB", ".", "DT", "ǰ"]
 
 lines = st.lists(st.sampled_from(_WORDS) | st.text(max_size=4), max_size=8).map(" ".join)
 texts = st.lists(st.tuples(lines, st.sampled_from(_SEPARATORS)), max_size=6).map(
@@ -91,6 +92,7 @@ def test_builtin_stream_matches_preprocess_document(documents):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(pretagged_texts, min_size=1, max_size=4))
 @example(["jj_NN good_jj not_RB bad_JJ ! very_RB good_jj\n..._. ,\n\nnew_york_NN a_b_jj"])
+@example(["although_IN good_ǰ film_NN"])
 def test_pretagged_stream_matches_preprocess_document(documents):
     assert_stream_matches_reference(corpus_of(documents), PretaggedReader())
 
