@@ -18,10 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, linear_svm, naive_bayes
-from .corpus import assign_folds, compute_stats, load_corpus
+from .corpus import FOLD_MODES, assign_folds, compute_stats, load_corpus
 from .errors import ConfigError, DataError
 from .evaluation import (
+    CLASSIFIERS,
     GRID_COLUMNS,
+    PRUNE_SCOPES,
     EvalReport,
     ExperimentConfig,
     FeaturePipeline,
@@ -30,10 +32,10 @@ from .evaluation import (
     run_grid,
 )
 from .features import check_resources, parse_feature_spec
-from .lexicon import load_lexicon, load_transitions
+from .lexicon import LEXICON_FORMATS, load_lexicon, load_transitions
 from .naive_bayes import NaiveBayesModel, predict_nb, train_nb
 from .linear_svm import LinearSvmModel, check_solver_limits, predict_svm, train_svm
-from .tagging import get_tagger
+from .tagging import TAGGERS, get_tagger
 from .vectorize import (
     Representation,
     read_json_object,
@@ -80,6 +82,15 @@ def _spec_matrix(args, corpus, spec, min_count: int):
     return pipeline, matrix
 
 
+def _finish(args, summary: dict, message: str) -> int:
+    """Print *summary* as JSON on stdout (``--format json``) or *message* on stderr; exit 0."""
+    if args.format == "json":
+        print(json.dumps(summary, sort_keys=True))
+    else:
+        print(message, file=sys.stderr)
+    return 0
+
+
 def cmd_stats(args) -> int:
     corpus = load_corpus(_corpus_root(args))
     stats = compute_stats(corpus)
@@ -94,7 +105,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    spec = parse_feature_spec(args.features, negation=args.negation == "on")
+    spec = parse_feature_spec(args.features, negation=_NEGATION[args.negation])
     pipeline, matrix = _spec_matrix(args, load_corpus(_corpus_root(args)), spec, args.min_count)
     X = represent(require_vocabulary(matrix.counts, args.min_count), Representation(args.rep))
     write_svmlight(X, args.out, pipeline.labels())
@@ -103,12 +114,7 @@ def cmd_extract(args) -> int:
     documents, features = X.shape
     summary = {"documents": documents, "features": features,
                "vectors_file": args.out, "vocabulary_file": args.vocab_out}
-    if args.format == "json":
-        print(json.dumps(summary))
-    else:
-        print(f"wrote {documents} vectors over {features} features to {args.out}",
-              file=sys.stderr)
-    return 0
+    return _finish(args, summary, f"wrote {documents} vectors over {features} features to {args.out}")
 
 
 def _experiment_config(args, features: str, representation: str, classifier: str,
@@ -122,7 +128,7 @@ def _experiment_config(args, features: str, representation: str, classifier: str
 
 
 def cmd_evaluate(args) -> int:
-    config = _experiment_config(args, args.features, args.rep, args.clf, args.negation == "on")
+    config = _experiment_config(args, args.features, args.rep, args.clf, _NEGATION[args.negation])
     # The cell's family matrices are cached and the token stream dropped before the folds.
     pipeline = _spec_matrix(args, _load_folded_corpus(args), config.spec(), config.min_count)[0]
     report = run_experiment(pipeline, config)
@@ -165,11 +171,7 @@ def cmd_train(args) -> int:
         }
         if not model.meta.converged:
             print(f"warning: {model.meta.warning}", file=sys.stderr)
-    if args.format == "json":
-        print(json.dumps(info, sort_keys=True))
-    else:
-        print(f"trained {args.clf} model -> {info['model']}", file=sys.stderr)
-    return 0
+    return _finish(args, info, f"trained {args.clf} model -> {info['model']}")
 
 
 def cmd_predict(args) -> int:
@@ -325,12 +327,8 @@ def cmd_reproduce(args) -> int:
         "cells_skipped": len(skipped), "cells_failed": cells_failed,
         "files": sorted(written),
     }
-    if args.format == "json":
-        print(json.dumps(summary, sort_keys=True))
-    else:
-        print(f"ran {cells_run} cells ({len(skipped)} skipped, {cells_failed} failed) "
-              f"-> {out_dir}", file=sys.stderr)
-    return 0
+    return _finish(args, summary, f"ran {cells_run} cells ({len(skipped)} skipped, "
+                                  f"{cells_failed} failed) -> {out_dir}")
 
 
 def _positive_int(value: str) -> int:
@@ -347,41 +345,43 @@ def _positive_float(value: str) -> float:
     return number
 
 
-def _add_corpus_options(p) -> None:
-    p.add_argument("--corpus", help=f"corpus root with pos/ and neg/ (default ${DATA_DIR_ENV})")
-    p.add_argument("--format", choices=["json", "text"], default="text",
-                   help="output format (default text)")
+_NEGATION = {"on": True, "off": False}
+
+# Every shared option, declared once; each subcommand names the ones it takes.
+_OPTIONS = {
+    "--corpus": dict(help=f"corpus root with pos/ and neg/ (default ${DATA_DIR_ENV})"),
+    "--format": dict(choices=["json", "text"], default="text", help="output format (default text)"),
+    "--lexicon": dict(help="subjectivity lexicon file (see README for acquisition)"),
+    "--lexicon-format": dict(choices=LEXICON_FORMATS, default="tff",
+                             help="lexicon file format (default tff)"),
+    "--transitions": dict(help="transition phrase list (default: bundled 27 phrases)"),
+    "--tagger": dict(choices=TAGGERS, default="builtin",
+                     help="POS tagger: built-in rules or word_TAG input (default builtin)"),
+    "--features": dict(required=True, help="feature families joined by +, e.g. unigram+pb+t"),
+    "--negation": dict(choices=_NEGATION, default="off",
+                       help="negation-tag the unigram variant (default off)"),
+    "--rep": dict(choices=[r.value for r in Representation], default="presence"),
+    "--clf": dict(choices=CLASSIFIERS, required=True),
+    "--seed": dict(type=int, default=0, help="master seed (default 0)"),
+    "--folds": dict(choices=FOLD_MODES, default="filename",
+                    help="fold assignment mode (default filename)"),
+    "--prune-scope": dict(choices=PRUNE_SCOPES, default="fold",
+                          help="count features over training folds only, or the whole corpus"),
+    "--min-count": dict(type=_positive_int, default=5, help="term-removal threshold (default 5)"),
+    "--C": dict(type=float, default=None,
+                help="SVM soft-margin penalty (default: 1/mean squared norm)"),
+    "--tol": dict(type=_positive_float, default=1e-3, help="SVM KKT tolerance (default 1e-3)"),
+    "--max-epochs": dict(type=_positive_int, default=1000, help="SVM epoch cap (default 1000)"),
+    "--input": dict(required=True),
+}
+_PIPELINE = ("--corpus", "--format", "--lexicon", "--lexicon-format", "--transitions", "--tagger")
+_SOLVER = ("--C", "--tol", "--max-epochs")
+_EXPERIMENT = ("--seed", "--folds", "--prune-scope", "--min-count", *_SOLVER)
 
 
-def _add_resource_options(p) -> None:
-    p.add_argument("--lexicon", help="subjectivity lexicon file (see README for acquisition)")
-    p.add_argument("--lexicon-format", choices=["tff", "tsv"], default="tff",
-                   help="lexicon file format (default tff)")
-    p.add_argument("--transitions", help="transition phrase list (default: bundled 27 phrases)")
-    p.add_argument("--tagger", choices=["builtin", "pretagged"], default="builtin",
-                   help="POS tagger: built-in rules or word_TAG input (default builtin)")
-
-
-def _add_experiment_options(p) -> None:
-    p.add_argument("--negation", choices=["on", "off"], default="off",
-                   help="negation-tag the unigram variant (default off)")
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--folds", choices=["filename", "seeded"], default="filename",
-                   help="fold assignment mode (default filename)")
-    p.add_argument("--prune-scope", choices=["fold", "corpus"], default="fold",
-                   help="count features over training folds only, or the whole corpus")
-    p.add_argument("--min-count", type=int, default=5,
-                   help="term-removal threshold (default 5)")
-    _add_solver_options(p)
-
-
-def _add_solver_options(p) -> None:
-    p.add_argument("--C", type=float, default=None,
-                   help="SVM soft-margin penalty (default: 1/mean squared norm)")
-    p.add_argument("--tol", type=_positive_float, default=1e-3,
-                   help="SVM KKT tolerance (default 1e-3)")
-    p.add_argument("--max-epochs", type=_positive_int, default=1000,
-                   help="SVM epoch cap (default 1000)")
+def _add_options(p, *names, **overrides) -> None:
+    for name in names:
+        p.add_argument(name, **{**_OPTIONS[name], **overrides})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,49 +393,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stats", help="corpus statistics (sentences/words/distinct per label)")
-    _add_corpus_options(p)
+    _add_options(p, "--corpus", "--format")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("extract", help="extract features and write svmlight vectors")
-    _add_corpus_options(p)
-    _add_resource_options(p)
-    p.add_argument("--features", required=True, help="feature families joined by +, e.g. unigram+pb+t")
-    p.add_argument("--negation", choices=["on", "off"], default="off")
-    p.add_argument("--rep", choices=["presence", "frequency"], default="presence")
-    p.add_argument("--min-count", type=int, default=5)
+    _add_options(p, *_PIPELINE, "--features", "--negation", "--rep", "--min-count")
     p.add_argument("--out", required=True, help="output vector file")
     p.add_argument("--vocab-out", help="output vocabulary file")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("evaluate", help="run one cross-validated experiment")
-    _add_corpus_options(p)
-    _add_resource_options(p)
-    _add_experiment_options(p)
-    p.add_argument("--features", required=True)
-    p.add_argument("--rep", choices=["presence", "frequency"], required=True)
-    p.add_argument("--clf", choices=["nb", "svm"], required=True)
+    _add_options(p, *_PIPELINE, "--negation", *_EXPERIMENT)
+    _add_options(p, "--features", "--rep", "--clf", required=True)
     p.add_argument("--out", help="write the full report JSON here")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("train", help="train a model from an svmlight vector file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--clf", choices=["nb", "svm"], required=True)
-    _add_solver_options(p)
+    _add_options(p, "--input", "--clf", *_SOLVER)
     p.add_argument("--out", required=True,
                    help="writes <base>.json (svm: and <base>.npy); base is --out less one .json")
-    p.add_argument("--format", choices=["json", "text"], default="text")
+    _add_options(p, "--format")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict labels for an svmlight vector file")
     p.add_argument("--model", required=True, help="model .json written by train")
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=["json", "text"], default="text")
+    _add_options(p, "--input", "--format")
     p.set_defaults(func=cmd_predict)
 
+    # Negation comes from each grid row, so reproduce takes no --negation.
     p = sub.add_parser("reproduce", help="run the published comparison grids and deviation summary")
-    _add_corpus_options(p)
-    _add_resource_options(p)
-    _add_experiment_options(p)
+    _add_options(p, *_PIPELINE, *_EXPERIMENT)
     p.set_defaults(prune_scope="corpus")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--only", help=f"comma-separated subset of {','.join(_GRID_NAMES)}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, one_of
 
 N_FOLDS = 5
 
@@ -139,15 +139,19 @@ def _check_balance(corpus: Corpus, folds: dict[str, int]) -> None:
             )
 
 
+FOLD_MODES = ("filename", "seeded")
+
+
 def assign_folds(corpus: Corpus, mode: str = "filename", seed: int = 0) -> Corpus:
     """Return a copy of *corpus* with a fold index in 0..4 per document.
 
-    mode="filename" derives the fold from the leading ``cvNNN`` digits
-    (fold = NNN // 200, the dataset's own convention); mode="seeded"
-    shuffles each label deterministically and deals round-robin.
+    *mode* is one of ``FOLD_MODES``: "filename" derives the fold from the
+    leading ``cvNNN`` digits (fold = NNN // 200, the dataset's own
+    convention); "seeded" shuffles each label deterministically and deals
+    round-robin. Any other mode is a ConfigError naming both.
     """
     folds: dict[str, int] = {}
-    if mode == "filename":
+    if one_of("fold mode", mode, FOLD_MODES) == "filename":
         for doc in corpus.documents:
             m = _CV_PREFIX.match(doc.id)
             if not m:
@@ -162,15 +166,13 @@ def assign_folds(corpus: Corpus, mode: str = "filename", seed: int = 0) -> Corpu
                     "use seeded fold assignment instead"
                 )
             folds[doc.id] = fold
-    elif mode == "seeded":
+    else:
         rng = random.Random(seed)
         for label in Label:
             ids = sorted(d.id for d in corpus.by_label(label))
             rng.shuffle(ids)
             for i, doc_id in enumerate(ids):
                 folds[doc_id] = i % N_FOLDS
-    else:
-        raise ConfigError(f"unknown fold mode {mode!r} (expected 'filename' or 'seeded')")
 
     _check_balance(corpus, folds)
     return Corpus(documents=list(corpus.documents), folds=folds)

@@ -14,3 +14,11 @@ class ConfigError(PolarityError):
 
 class DataError(PolarityError):
     """Input data that cannot be parsed or is otherwise unusable."""
+
+
+def one_of(kind: str, value, choices):
+    """*value* when it is one of *choices*; otherwise a ConfigError naming every choice."""
+    if value not in choices:
+        *rest, last = map(repr, choices)
+        raise ConfigError(f"unknown {kind} {value!r} (expected {', '.join(rest)} or {last})")
+    return value

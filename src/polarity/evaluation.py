@@ -27,7 +27,7 @@ import numpy as np
 
 from . import linear_svm, naive_bayes
 from .corpus import Corpus, N_FOLDS
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, one_of
 from .features import FAMILIES, FeatureFamily, FeatureSpec, _TokenStream, check_resources
 from .features import parse_feature_spec
 from .lexicon import SubjectivityLexicon, TransitionList
@@ -50,17 +50,14 @@ except ImportError:
 CLASSIFIERS = ("nb", "svm")
 PRUNE_SCOPES = ("fold", "corpus")
 # The four cells of a grid row, in the order every grid output lists them.
-GRID_COLUMNS = (("nb", Representation.PRESENCE), ("nb", Representation.FREQUENCY),
-                ("svm", Representation.PRESENCE), ("svm", Representation.FREQUENCY))
+GRID_COLUMNS = tuple((clf, rep) for clf in CLASSIFIERS for rep in Representation)
 
 
 def parse_representation(value) -> Representation:
     if isinstance(value, Representation):
         return value
-    try:
-        return Representation(str(value).lower())
-    except ValueError:
-        raise ConfigError(f"unknown representation {value!r} (expected 'presence' or 'frequency')")
+    return Representation(one_of("representation", str(value).lower(),
+                                 [r.value for r in Representation]))
 
 
 @dataclass(frozen=True)
@@ -79,10 +76,10 @@ class ExperimentConfig:
     max_epochs: int = 1000
 
     def __post_init__(self):
-        if self.classifier not in CLASSIFIERS:
-            raise ConfigError(f"unknown classifier {self.classifier!r} (expected 'nb' or 'svm')")
-        if self.prune_scope not in PRUNE_SCOPES:
-            raise ConfigError(f"unknown prune scope {self.prune_scope!r} (expected 'fold' or 'corpus')")
+        one_of("classifier", self.classifier, CLASSIFIERS)
+        one_of("prune scope", self.prune_scope, PRUNE_SCOPES)
+        if self.min_count < 1:
+            raise ConfigError(f"min_count must be at least 1, got {self.min_count}")
         linear_svm.check_solver_limits(self.tol, self.max_epochs, self.C)
         object.__setattr__(self, "representation", parse_representation(self.representation))
         # Normalizes the family string and rejects unknown tokens up front.
@@ -391,26 +388,6 @@ def _map_cells(pipeline, configs, jobs):
         yield _run_cell(pipeline, config)
 
 
-def emit_report(reports: Sequence[EvalReport], format: str = "json",
-                path: str | Path | None = None) -> str:
-    """Render reports as versioned JSON, the flat CSV schema, or a result grid
-    in Markdown (best cell per row bolded). Optionally writes to *path*."""
-    if format == "json":
-        text = json.dumps(
-            {"schema_version": 1, "reports": [r.to_json_dict() for r in reports]},
-            indent=2, sort_keys=True,
-        )
-    elif format == "csv":
-        text = reports_to_csv(reports)
-    elif format == "markdown":
-        text = reports_to_markdown(reports)
-    else:
-        raise ConfigError(f"unknown report format {format!r} (expected json, csv, or markdown)")
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    return text
-
-
 CSV_HEADER = "config_hash,features,negation,representation,classifier,fold0,fold1,fold2,fold3,fold4,mean,feature_count"
 
 
@@ -455,3 +432,22 @@ def reports_to_markdown(reports: Sequence[EvalReport]) -> str:
                 rendered.append(f"{v:.3f}")
         lines.append(f"| {label} | {cells['count']} | " + " | ".join(rendered) + " |")
     return "\n".join(lines) + "\n"
+
+
+def _reports_to_json(reports: Sequence[EvalReport]) -> str:
+    return json.dumps({"schema_version": 1, "reports": [r.to_json_dict() for r in reports]},
+                      indent=2, sort_keys=True)
+
+
+REPORT_FORMATS = {"json": _reports_to_json, "csv": reports_to_csv, "markdown": reports_to_markdown}
+
+
+def emit_report(reports: Sequence[EvalReport], format: str = "json",
+                path: str | Path | None = None) -> str:
+    """Render reports in one of ``REPORT_FORMATS``: versioned JSON, the flat CSV
+    schema, or a result grid in Markdown (best cell per row bolded). Optionally
+    writes to *path*."""
+    text = REPORT_FORMATS[one_of("report format", format, REPORT_FORMATS)](reports)
+    if path is not None:
+        Path(path).write_text(text, encoding="utf-8")
+    return text

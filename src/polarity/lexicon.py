@@ -14,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 
 from .corpus import read_text
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, one_of
 
 
 class Polarity(Enum):
@@ -129,19 +129,21 @@ def _parse_tsv_line(line: str, lineno: int) -> tuple[str, LexiconEntry] | None:
     return parts[0].strip().lower(), LexiconEntry(polarity=polarity, pos_constraint=constraint)
 
 
+LEXICON_FORMATS = {"tff": _parse_tff_line, "tsv": _parse_tsv_line}
+
+
 def load_lexicon(path: str | Path, format: str = "tff") -> SubjectivityLexicon:
-    """Load a subjectivity lexicon from the clues (tff) or two-column tsv format.
+    """Load a subjectivity lexicon in one of ``LEXICON_FORMATS``: the clues
+    (tff) format or two-column tsv. Any other format is a ConfigError naming both.
 
     Neutral and both-polarity entries are excluded; duplicate (word, polarity,
     constraint) rows collapse to one entry. The file is decoded as the
     corpus is: UTF-8, or Latin-1 when it is not valid UTF-8.
     """
     path = Path(path)
-    if format not in ("tff", "tsv"):
-        raise ConfigError(f"unknown lexicon format {format!r} (expected 'tff' or 'tsv')")
+    parse = LEXICON_FORMATS[one_of("lexicon format", format, LEXICON_FORMATS)]
     if not path.is_file():
         raise ConfigError(f"lexicon file {path} does not exist")
-    parse = _parse_tff_line if format == "tff" else _parse_tsv_line
 
     entries: dict[str, list[LexiconEntry]] = {}
     with io.StringIO(read_text(path), newline=None) as fh:
@@ -181,7 +183,8 @@ def load_transitions(path: str | Path | None = None) -> TransitionList:
     """Load a transition list (one phrase per line, ``#`` comments allowed).
 
     With no path, the bundled default list of 27 phrases is used. A file is
-    read as UTF-8, without a leading byte-order mark.
+    read as UTF-8, without a leading byte-order mark; one that cannot be read
+    or decoded is a DataError naming it.
     """
     if path is None:
         text = resources.files("polarity").joinpath("data/transitions.txt").read_text("utf-8")
@@ -193,6 +196,8 @@ def load_transitions(path: str | Path | None = None) -> TransitionList:
             text = path.read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:
             raise DataError(f"transition list {path}: not UTF-8 text ({exc.reason})") from None
+        except OSError as exc:
+            raise DataError(f"cannot read transition list {path}: {exc}") from exc
 
     seen: set[str] = set()
     phrases: list[str] = []

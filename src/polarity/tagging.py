@@ -13,7 +13,7 @@ import re
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError, one_of
 
 # Penn-Treebank-style inventory emitted by the built-in tagger. Externally
 # tagged input may carry any tag; only the coarse class (first letter) is
@@ -196,9 +196,10 @@ class PretaggedReader:
         return word, tag
 
 
+TAGGERS = {"builtin": RuleTagger, "pretagged": PretaggedReader}
+
+
 def get_tagger(name: str):
-    if name == "builtin":
-        return RuleTagger()
-    if name == "pretagged":
-        return PretaggedReader()
-    raise ConfigError(f"unknown tagger {name!r} (expected 'builtin' or 'pretagged')")
+    """A new tagger of the kind ``TAGGERS`` maps *name* to: the built-in rule
+    tagger or the ``word_TAG`` reader. Any other name is a ConfigError naming both."""
+    return TAGGERS[one_of("tagger", name, TAGGERS)]()

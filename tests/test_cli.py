@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and output formats."""
 
+import argparse
 import contextlib
 import errno
 import gc
@@ -20,10 +21,15 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from polarity import cli, evaluation, linear_svm, naive_bayes
 from polarity.cli import main
-from polarity.corpus import Label, RawDocument, load_corpus
-from polarity.evaluation import GRID_COLUMNS, EvalReport
+from polarity.corpus import FOLD_MODES, Corpus, Label, RawDocument, assign_folds, load_corpus
+from polarity.errors import ConfigError
+from polarity.evaluation import (CLASSIFIERS, GRID_COLUMNS, PRUNE_SCOPES, REPORT_FORMATS,
+                                 EvalReport, ExperimentConfig, emit_report, parse_representation)
 from polarity.features import parse_feature_spec
-from polarity.vectorize import MAX_FEATURE_ID, read_json_object, write_svmlight
+from polarity.lexicon import LEXICON_FORMATS, load_lexicon
+from polarity.tagging import TAGGERS, get_tagger
+from polarity.vectorize import (MAX_FEATURE_ID, Representation, read_json_object,
+                                write_svmlight)
 from conftest import NEGATIVE_WORDS, POSITIVE_WORDS, labeled_matrix, write_synthetic_corpus
 from reference import preprocess_document
 from test_lexicon import lexicon_files, transition_files
@@ -446,6 +452,25 @@ class TestInputErrors:
         assert err[-1].endswith(f"{flag}: {message}, got {value}")
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command,flag,value", [
+        *[(command, "--min-count", value)
+          for command in ("extract", "evaluate", "reproduce") for value in ("0", "-2")],
+        ("reproduce", "--negation", "on"),  # reproduce takes negation from its grid rows
+    ])
+    def test_usage_errors_exit_2(self, corpus_dir, tmp_path, capsys, command, flag, value):
+        argv = {
+            "extract": ["extract", "--features", "unigram", "--out", str(tmp_path / "v.svml")],
+            "evaluate": ["evaluate", "--features", "unigram", "--rep", "presence", "--clf", "nb"],
+            "reproduce": ["reproduce", "--out-dir", str(tmp_path / "x"), "--only", "table2"],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--corpus", str(corpus_dir), flag, value])
+        assert exc.value.code == 2
+        message = (f"unrecognized arguments: {flag} {value}" if flag == "--negation"
+                   else f"{flag}: must be at least 1, got {value}")
+        assert capsys.readouterr().err.splitlines()[-1].endswith(message)
+        assert not (tmp_path / "x").exists() and not (tmp_path / "v.svml").exists()
+
 
 class TestReproduce:
     def test_table2_subset(self, corpus_dir, lexicon_tsv, tmp_path, capsys):
@@ -540,6 +565,10 @@ class TestReproduce:
         # half of the 8 combo specs include transition features
         assert summary["cells_run"] == 16 and summary["cells_skipped"] == 16
         assert "transition rows will be skipped" in captured.err
+        skipped = json.loads((out_dir / "skipped.json").read_text())["skipped"]
+        assert len(skipped) == 16
+        assert all("t" in s["config"]["features"].split("+") for s in skipped)
+        return captured.err
 
     def test_missing_transitions_file_skips_transition_rows(self, corpus_dir, lexicon_tsv,
                                                             tmp_path, capsys):
@@ -552,6 +581,22 @@ class TestReproduce:
         transitions.write_bytes(b"\xff\xfe however\n")
         self._transition_rows_skipped(corpus_dir, lexicon_tsv, transitions,
                                       tmp_path / "repro", capsys)
+
+    def test_unreadable_transitions_file_skips_transition_rows(self, corpus_dir, lexicon_tsv,
+                                                               tmp_path, capsys, monkeypatch):
+        transitions = tmp_path / "transitions.txt"
+        transitions.write_text("however\n", encoding="utf-8")
+        read_text = Path.read_text
+
+        def refuse(self, *args, **kwargs):  # EIO for the transition list only
+            if self == transitions:
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        err = self._transition_rows_skipped(corpus_dir, lexicon_tsv, transitions,
+                                            tmp_path / "repro", capsys)
+        assert f"warning: cannot read transition list {transitions}" in err
 
     def test_seeded_runs_are_byte_identical(self, corpus_dir, lexicon_tsv, tmp_path):
         outputs = []
@@ -694,6 +739,37 @@ def test_a_file_the_system_refuses_exits_3(corpus_dir, lexicon_tsv, vector_file,
     code, err = _exit_of(argv)
     assert code == 3
     _assert_clean_exit(code, err)
+    if case == "extract-transitions":
+        assert str(a_file) in err[0]
+
+
+# Each value set's owner, and a call that must reject a value outside it.
+_OWNED_VALUES = {
+    "--clf": (CLASSIFIERS, lambda v: ExperimentConfig("unigram", "presence", v)),
+    "--rep": ([r.value for r in Representation], parse_representation),
+    "--prune-scope": (PRUNE_SCOPES,
+                      lambda v: ExperimentConfig("unigram", "presence", "nb", prune_scope=v)),
+    "--folds": (FOLD_MODES, lambda v: assign_folds(Corpus(documents=[]), mode=v)),
+    "--lexicon-format": (LEXICON_FORMATS, lambda v: load_lexicon("absent.tff", format=v)),
+    "--tagger": (TAGGERS, get_tagger),
+    "report format": (REPORT_FORMATS, lambda v: emit_report([], format=v)),  # no option
+}
+
+
+@pytest.mark.parametrize("option", _OWNED_VALUES)
+def test_value_sets_come_from_their_owners(option):
+    """Every subcommand's choices for *option* are its owner's values, in
+    order, and the owner's error for any other value names every one."""
+    values, reject = _OWNED_VALUES[option]
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    choices = [list(action.choices) for parser in subparsers.choices.values()
+               for action in parser._actions if option in action.option_strings]
+    assert choices == [list(values)] * len(choices)
+    assert choices or not option.startswith("--")
+    with pytest.raises(ConfigError) as exc:
+        reject("bogus")
+    assert all(repr(value) in str(exc.value) for value in values), str(exc.value)
 
 
 @settings(max_examples=100, deadline=None)

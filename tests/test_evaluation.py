@@ -64,6 +64,11 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=message):
             cfg(classifier="svm", **limits)
 
+    @pytest.mark.parametrize("min_count", [0, -2])
+    def test_rejects_min_count_below_1(self, min_count):
+        with pytest.raises(ConfigError, match=f"min_count must be at least 1, got {min_count}"):
+            cfg(min_count=min_count)
+
     @pytest.mark.parametrize("C", [-1.0, 0.0, float("nan"), float("inf")])
     def test_rejects_an_explicit_C_not_finite_and_above_0(self, C):
         with pytest.raises(ConfigError, match="C must be finite and above 0"):
