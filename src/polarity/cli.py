@@ -37,6 +37,7 @@ from .naive_bayes import NaiveBayesModel, predict_nb, train_nb
 from .linear_svm import LinearSvmModel, check_solver_limits, predict_svm, train_svm
 from .tagging import TAGGERS, get_tagger
 from .vectorize import (
+    FeatureMatrix,
     Representation,
     read_json_object,
     read_svmlight,
@@ -71,15 +72,15 @@ def _maybe_transitions(args):
     return load_transitions(args.transitions or None)
 
 
-def _spec_matrix(args, corpus, spec, min_count: int):
-    """(pipeline, matrix): the pipeline over *corpus* with the resources of *args*
-    and *spec*'s union matrix. No other family is asked for, so the stream is dropped."""
+def _spec_pipeline(args, corpus, spec, min_count: int) -> FeaturePipeline:
+    """The pipeline over *corpus* with the resources of *args*, holding *spec*'s
+    family matrices. No other family is asked for, so the stream is dropped."""
     pipeline = FeaturePipeline(corpus, _maybe_lexicon(args),
                                _maybe_transitions(args) if spec.needs_transitions else None,
                                get_tagger(args.tagger))
-    matrix = pipeline.matrix_for_spec(spec, min_count)
+    pipeline.family_matrices(spec, min_count)
     pipeline.release_tokens()
-    return pipeline, matrix
+    return pipeline
 
 
 def _finish(args, summary: dict, message: str) -> int:
@@ -106,7 +107,8 @@ def cmd_stats(args) -> int:
 
 def cmd_extract(args) -> int:
     spec = parse_feature_spec(args.features, negation=_NEGATION[args.negation])
-    pipeline, matrix = _spec_matrix(args, load_corpus(_corpus_root(args)), spec, args.min_count)
+    pipeline = _spec_pipeline(args, load_corpus(_corpus_root(args)), spec, args.min_count)
+    matrix = FeatureMatrix.union(pipeline.family_matrices(spec, args.min_count))
     X = represent(require_vocabulary(matrix.counts, args.min_count), Representation(args.rep))
     write_svmlight(X, args.out, pipeline.labels())
     if args.vocab_out:
@@ -130,7 +132,7 @@ def _experiment_config(args, features: str, representation: str, classifier: str
 def cmd_evaluate(args) -> int:
     config = _experiment_config(args, args.features, args.rep, args.clf, _NEGATION[args.negation])
     # The cell's family matrices are cached and the token stream dropped before the folds.
-    pipeline = _spec_matrix(args, _load_folded_corpus(args), config.spec(), config.min_count)[0]
+    pipeline = _spec_pipeline(args, _load_folded_corpus(args), config.spec(), config.min_count)
     report = run_experiment(pipeline, config)
     for message in report.warnings:
         print(f"warning: {message}", file=sys.stderr)
@@ -359,7 +361,7 @@ _OPTIONS = {
                      help="POS tagger: built-in rules or word_TAG input (default builtin)"),
     "--features": dict(required=True, help="feature families joined by +, e.g. unigram+pb+t"),
     "--negation": dict(choices=_NEGATION, default="off",
-                       help="negation-tag the unigram variant (default off)"),
+                       help="negation-tag unigrams; --features must hold unigram (default off)"),
     "--rep": dict(choices=[r.value for r in Representation], default="presence"),
     "--clf": dict(choices=CLASSIFIERS, required=True),
     "--seed": dict(type=int, default=0, help="master seed (default 0)"),
@@ -379,9 +381,9 @@ _SOLVER = ("--C", "--tol", "--max-epochs")
 _EXPERIMENT = ("--seed", "--folds", "--prune-scope", "--min-count", *_SOLVER)
 
 
-def _add_options(p, *names, **overrides) -> None:
+def _add_options(p, *names) -> None:
     for name in names:
-        p.add_argument(name, **{**_OPTIONS[name], **overrides})
+        p.add_argument(name, **_OPTIONS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,8 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("evaluate", help="run one cross-validated experiment")
-    _add_options(p, *_PIPELINE, "--negation", *_EXPERIMENT)
-    _add_options(p, "--features", "--rep", "--clf", required=True)
+    _add_options(p, *_PIPELINE, "--negation", *_EXPERIMENT, "--features", "--rep", "--clf")
     p.add_argument("--out", help="write the full report JSON here")
     p.set_defaults(func=cmd_evaluate)
 

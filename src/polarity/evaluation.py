@@ -1,10 +1,11 @@
 """Cross-validated experiment harness over the feature/representation/classifier grid.
 
 A FeaturePipeline preprocesses the corpus once into the token stream of
-``features._TokenStream`` and caches one sparse count matrix per family, so
-a grid of many configurations pays the extraction cost per family, not per
-cell. Every family's matrix holds only the columns whose corpus total reaches
-the ``min_count`` floor (at least 1). A cell takes the union of its families'
+``features._TokenStream`` and caches one sparse count matrix per family row
+and floor, so a grid of many configurations pays the extraction cost per
+family, not per cell. ``family_matrices`` is the one way in: every family's
+matrix holds only the columns whose corpus total reaches the ``min_count``
+floor, which it refuses below 1. A cell takes the union of its families'
 columns and trains on row slices. Under corpus scope the union is the
 vocabulary as it is and the SVM Gram matrix is computed once per cell and
 sliced per fold; under fold scope each fold prunes the union with a column
@@ -28,8 +29,7 @@ import numpy as np
 from . import linear_svm, naive_bayes
 from .corpus import Corpus, N_FOLDS
 from .errors import ConfigError, DataError, one_of
-from .features import FAMILIES, FeatureFamily, FeatureSpec, _TokenStream, check_resources
-from .features import parse_feature_spec
+from .features import FeatureSpec, _TokenStream, check_resources, parse_feature_spec
 from .lexicon import SubjectivityLexicon, TransitionList
 from .tagging import RuleTagger
 from .vectorize import FeatureMatrix, Representation, column_mask, represent, require_vocabulary
@@ -118,11 +118,12 @@ class FeaturePipeline:
     The corpus is preprocessed once with *tagger* (a RuleTagger by default)
     into a token stream of word ids, whose tag ids and negation flags are
     computed when a family first reads them, so the negated and plain
-    unigram variants come from the same stream and every grid cell reuses
-    the cache regardless of its negation flag. Every family keeps only the
-    columns that reach the requested floor. The stream is built when a
-    family first needs it (or by ``tokenize``), reading each review while
-    it is tokenized. A caller that will ask for no new family can drop it
+    unigram variants come from the same stream. The cache is keyed by
+    ``(row, floor)``, a ``FeatureSpec.rows`` row and the floor, so every grid
+    cell reuses it whatever its other families and negation flag. Every
+    family keeps only the columns that reach the requested floor. The stream
+    is built when a family first needs it (or by ``tokenize``), reading each
+    review while it is tokenized. A caller that will ask for no new family can drop it
     with ``release_tokens``; the cached matrices stay.
     """
 
@@ -154,33 +155,23 @@ class FeaturePipeline:
     def labels(self) -> list[int]:
         return [doc.label.sign for doc in self.corpus.documents]
 
-    def family_matrix(self, family: FeatureFamily, negation_variant: bool = False,
-                      min_count: int = 1) -> FeatureMatrix:
-        """The cached count matrix of *family*, built on first use.
+    def family_matrices(self, spec: FeatureSpec, min_count: int) -> list[FeatureMatrix]:
+        """The count matrix of each of ``spec.rows()``, in that order, each built
+        on first use and cached under ``(row, min_count)``.
 
-        The matrix keeps only the columns whose corpus total reaches
-        ``max(min_count, 1)``. That is exact for either prune scope, since
-        no fold's training total exceeds the corpus total.
+        A matrix keeps only the columns whose corpus total reaches
+        *min_count*. That is exact for either prune scope, since no fold's
+        training total exceeds the corpus total. A floor below 1, or a
+        missing lexicon or transition list, fails before any family is built.
         """
-        neg = negation_variant and family is FeatureFamily.UNIGRAM
-        key = (family, neg, max(min_count, 1))
-        if key not in self._matrices:
-            check_resources(FeatureSpec(frozenset({family})), self.lexicon, self.transitions)
-            row = FAMILIES[family]._replace(negated=True) if neg else FAMILIES[family]
-            self._matrices[key] = self._stream().matrix(row, key[2])
-        return self._matrices[key]
-
-    def matrix_for_spec(self, spec: FeatureSpec, min_count: int = 1) -> FeatureMatrix:
-        """The union of the spec's family matrices, columns in lexicographic order.
-
-        Columns below *min_count* are left out (see ``family_matrix``). A
-        missing lexicon or transition list fails before any family is built.
-        """
+        if min_count < 1:
+            raise ConfigError(f"min_count must be at least 1, got {min_count}")
         check_resources(spec, self.lexicon, self.transitions)
-        return FeatureMatrix.union([
-            self.family_matrix(f, spec.negation_variant, min_count)
-            for f in FeatureFamily if f in spec.families
-        ])
+        keys = [(row, min_count) for row in spec.rows()]
+        for key in keys:
+            if key not in self._matrices:
+                self._matrices[key] = self._stream().matrix(*key)
+        return [self._matrices[key] for key in keys]
 
 
 # Up to this many runs of training rows, a fold's Gram is copied as runs²
@@ -227,7 +218,8 @@ class _Cell:
             raise ConfigError("corpus has no fold assignment; call assign_folds first")
         self.config = config
         self.folds = np.array([corpus.folds[doc.id] for doc in corpus.documents])
-        self.matrix = pipeline.matrix_for_spec(config.spec(), config.min_count)
+        self.matrix = FeatureMatrix.union(pipeline.family_matrices(config.spec(),
+                                                                   config.min_count))
         self.y = np.array(pipeline.labels())
         self.gram = None
         if config.prune_scope == "corpus":
@@ -372,11 +364,10 @@ def _map_cells(pipeline, configs, jobs):
             # Warm the matrix cache before forking so workers inherit it,
             # with the stream annotations (tags, negation) those matrices read.
             for cfg in configs:
-                for family in cfg.spec().families:
-                    try:
-                        pipeline.family_matrix(family, cfg.negation, cfg.min_count)
-                    except ConfigError:
-                        pass  # the cell reports it
+                try:
+                    pipeline.family_matrices(cfg.spec(), cfg.min_count)
+                except ConfigError:
+                    pass  # the cell reports it
             _FORK_STATE["pipeline"] = pipeline
             try:
                 with ctx.Pool(processes=workers) as pool:

@@ -77,7 +77,7 @@ _SPEC_ALIASES = {
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """A union of feature families; the negation variant applies to unigrams only."""
+    """A union of feature families; the negation variant is the unigram's (see ``rows``)."""
 
     families: frozenset
     negation_variant: bool = False
@@ -85,6 +85,15 @@ class FeatureSpec:
     def __post_init__(self):
         if not self.families:
             raise ConfigError("feature spec needs at least one family")
+        if self.negation_variant and FeatureFamily.UNIGRAM not in self.families:
+            raise ConfigError(f"the negation variant needs unigram, got {self.canonical()!r}")
+
+    def rows(self) -> list[Window | Polarized | Transition]:
+        """The ``FAMILIES`` row of each family, in ``FeatureFamily`` order; under
+        the negation variant the unigram row has ``negated`` set."""
+        return [FAMILIES[f]._replace(negated=True)
+                if f is FeatureFamily.UNIGRAM and self.negation_variant else FAMILIES[f]
+                for f in FeatureFamily if f in self.families]
 
     @property
     def needs_lexicon(self) -> bool:
@@ -95,8 +104,7 @@ class FeatureSpec:
         return FeatureFamily.TRANSITION in self.families
 
     def canonical(self) -> str:
-        ordered = [f for f in FeatureFamily if f in self.families]
-        return "+".join(f.value for f in ordered)
+        return "+".join(f.value for f in FeatureFamily if f in self.families)
 
 
 def parse_feature_spec(spec_string: str, negation: bool = False) -> FeatureSpec:
@@ -451,7 +459,7 @@ class _TokenStream:
 
     def _keyed_matrix(self, parts: list, floor: int) -> FeatureMatrix:
         """The count matrix of the occurrences in *parts*, keeping the columns whose
-        total is >= *floor*.
+        total is >= *floor*, which ``FeaturePipeline.family_matrices`` keeps at 1 or more.
 
         A part is (token positions, integer keys, spell, shares). Its
         occurrences sorted by key form one run per distinct key, whose first
@@ -474,7 +482,6 @@ class _TokenStream:
         distinct keys, and the build's peak memory stays below that of
         per-document bags.
         """
-        floor = max(floor, 1)
         spelled = []  # per part: positions, kept occurrences, run totals, names
         by_name: Counter = Counter()  # each spelled string's total over every part
         while parts:

@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from polarity.corpus import Corpus, Label, RawDocument, assign_folds, load_corpus
 from polarity.errors import DataError
+from polarity.features import FeatureSpec
 from polarity.lexicon import LexiconEntry, Polarity, SubjectivityLexicon
 from polarity.vectorize import CsrMatrix, column_mask
 from reference import from_bags, pipeline_bags
@@ -121,14 +122,22 @@ def corpus_of(texts) -> Corpus:
 MIN_COUNTS = [1, 2, 5, 400]
 
 
+def family_matrix(pipeline, family, negation_variant: bool = False, min_count: int = 1):
+    """*family*'s cached matrix at *min_count* (the negated unigram under
+    *negation_variant*), through ``FeaturePipeline.family_matrices``."""
+    (matrix,) = pipeline.family_matrices(FeatureSpec(frozenset({family}), negation_variant),
+                                         min_count)
+    return matrix
+
+
 def assert_matches_bags(pipeline, family, negation: bool, min_count: int) -> None:
-    """``pipeline.family_matrix`` at *min_count* equals ``reference.from_bags`` over
+    """*family*'s cached matrix at *min_count* equals ``reference.from_bags`` over
     the family's reference bags restricted to the columns reaching *min_count*:
     same features in the same order, same counts. The cached matrix holds those
     columns only. When no feature reaches the floor, both raise the same
     "vocabulary is empty" DataError."""
     reference = from_bags(pipeline_bags(pipeline, family, negation))
-    matrix = pipeline.family_matrix(family, negation, min_count)
+    matrix = family_matrix(pipeline, family, negation, min_count)
     try:
         mask = column_mask(reference.counts, min_count)
     except DataError as exc:

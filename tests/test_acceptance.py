@@ -22,6 +22,7 @@ from conftest import (
     real_lexicon_path,
     requires_dataset,
     requires_lexicon,
+    family_matrix,
     labeled_matrix,
     to_scipy,
     shuffle_labels,
@@ -146,7 +147,7 @@ def _bag(family, text, lexicon, transitions=None):
     """The one document's row of *family*'s matrix, as a bag of feature strings."""
     corpus = Corpus(documents=[RawDocument(id="g", label=Label.POSITIVE, text=text)])
     pipeline = FeaturePipeline(corpus, lexicon=lexicon, transitions=transitions)
-    matrix = pipeline.family_matrix(family)
+    matrix = family_matrix(pipeline, family)
     row = to_scipy(matrix.counts)[0]
     return Counter({matrix.features[j]: int(count) for j, count in zip(row.indices, row.data)})
 

@@ -452,6 +452,20 @@ class TestInputErrors:
         assert err[-1].endswith(f"{flag}: {message}, got {value}")
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command", ["extract", "evaluate"])
+    def test_negation_without_unigram_exits_2(self, corpus_dir, tmp_path, capsys, command):
+        """The negation variant is the unigram's: without that family it would
+        run the plain features under another config hash."""
+        argv = {
+            "extract": ["extract", "--out", str(tmp_path / "v.svml")],
+            "evaluate": ["evaluate", "--rep", "presence", "--clf", "nb"],
+        }[command]
+        code = main(argv + ["--corpus", str(corpus_dir), "--features", "bigram",
+                            "--negation", "on"])
+        assert code == 2
+        assert one_error_line(capsys) == "error: the negation variant needs unigram, got 'bigram'"
+        assert not (tmp_path / "v.svml").exists()
+
     @pytest.mark.parametrize("command,flag,value", [
         *[(command, "--min-count", value)
           for command in ("extract", "evaluate", "reproduce") for value in ("0", "-2")],

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import shuffle_labels, write_synthetic_corpus
+from conftest import family_matrix, shuffle_labels, write_synthetic_corpus
 from polarity.corpus import assign_folds, load_corpus
 from polarity import evaluation, linear_svm
 from polarity.errors import ConfigError, DataError
@@ -26,7 +26,7 @@ from polarity.evaluation import (
     run_experiment,
     run_grid,
 )
-from polarity.features import FeatureFamily, parse_feature_spec
+from polarity.features import FeatureFamily, _TokenStream, parse_feature_spec
 from polarity.lexicon import load_transitions
 from polarity.linear_svm import gram_matrix
 from reference import build_vocabulary, pipeline_bags
@@ -134,7 +134,7 @@ class TestRunExperiment:
     def test_missing_lexicon_fails_before_preprocessing(self, synth_corpus):
         pipeline = FeaturePipeline(synth_corpus)
         with pytest.raises(ConfigError, match="requires a subjectivity lexicon"):
-            pipeline.matrix_for_spec(parse_feature_spec("unigram+pu"))
+            pipeline.family_matrices(parse_feature_spec("unigram+pu"), 1)
         assert pipeline._tokens is None
 
     def test_nonconverged_folds_reported(self, synth_corpus):
@@ -210,12 +210,21 @@ class TestNoLeakage:
 class TestMatrixCore:
     def test_family_matrix_built_once(self, synth_corpus):
         pipeline = FeaturePipeline(synth_corpus)
-        first = pipeline.family_matrix(FeatureFamily.BIGRAM)
-        assert pipeline.family_matrix(FeatureFamily.BIGRAM) is first
+        first = family_matrix(pipeline, FeatureFamily.BIGRAM)
+        assert family_matrix(pipeline, FeatureFamily.BIGRAM) is first
         # the negation variant only exists for unigrams
-        assert pipeline.family_matrix(FeatureFamily.BIGRAM, negation_variant=True) is first
-        assert (pipeline.family_matrix(FeatureFamily.UNIGRAM, negation_variant=True)
-                is not pipeline.family_matrix(FeatureFamily.UNIGRAM))
+        with pytest.raises(ConfigError, match="negation variant needs unigram"):
+            family_matrix(pipeline, FeatureFamily.BIGRAM, negation_variant=True)
+        assert (family_matrix(pipeline, FeatureFamily.UNIGRAM, negation_variant=True)
+                is not family_matrix(pipeline, FeatureFamily.UNIGRAM))
+
+    @pytest.mark.parametrize("min_count", [0, -1])
+    def test_floor_below_1_fails_before_any_build(self, synth_corpus, min_count):
+        """At a floor of 0 ``_keyed_matrix`` would compare every key with the last."""
+        pipeline = FeaturePipeline(synth_corpus)
+        with pytest.raises(ConfigError, match=f"min_count must be at least 1, got {min_count}"):
+            pipeline.family_matrices(parse_feature_spec("unigram+bigram"), min_count)
+        assert pipeline._tokens is None and not pipeline._matrices
 
     @pytest.mark.parametrize("min_count", [1, 3, 400])
     def test_fold_mask_equals_bag_vocabulary(self, synth_corpus, min_count):
@@ -310,6 +319,29 @@ class TestRunGrid:
         reports, errors = run_grid(pipeline, [cfg(), cfg(features="pu")], jobs=2)
         assert len(reports) == 1 and len(errors) == 1
         assert "lexicon" in errors[0]["error"]
+
+    def test_parallel_grid_builds_each_row_once_in_the_parent(self, synth_corpus, tmp_path,
+                                                              monkeypatch):
+        """The warm-up before the fork builds every (row, floor) the cells read,
+        so no worker builds one and no key is built twice."""
+        log = tmp_path / "builds.txt"
+        build = _TokenStream.matrix
+
+        def logged(self, row, floor):
+            with open(log, "a", encoding="utf-8") as out:
+                out.write(f"{os.getpid()} {row!r} {floor}\n")
+            return build(self, row, floor)
+
+        monkeypatch.setattr(_TokenStream, "matrix", logged)
+        configs = [cfg(), cfg(features="unigram+bigram", negation=True),
+                   cfg(features="bigram", min_count=3), cfg(representation="frequency"),
+                   cfg(features="bigram+unigram", classifier="svm")]
+        reports, errors = run_grid(FeaturePipeline(synth_corpus), configs, jobs=2)
+        assert len(reports) == len(configs) and not errors
+        expected = {f"{os.getpid()} {row!r} {c.min_count}"
+                    for c in configs for row in c.spec().rows()}
+        assert len(expected) == 4
+        assert sorted(log.read_text(encoding="utf-8").splitlines()) == sorted(expected)
 
     def test_pool_never_larger_than_the_grid(self, synth_corpus, monkeypatch):
         import multiprocessing

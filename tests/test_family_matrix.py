@@ -1,7 +1,7 @@
 """The cached family matrices against the bag reference, at every pruning floor.
 
 For every row of ``features.FAMILIES`` (and the negated unigram variant),
-``FeaturePipeline.family_matrix`` at a floor must equal ``reference.from_bags``
+``FeaturePipeline.family_matrices`` at a floor must equal ``reference.from_bags``
 over the family's reference bags restricted to the columns that reach it, as
 ``conftest.assert_matches_bags`` checks at each floor of ``MIN_COUNTS``. For
 the ``Window`` rows the corpora are the golden corpus under the built-in
@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import MIN_COUNTS, assert_matches_bags, corpus_of, to_scipy
+from conftest import MIN_COUNTS, assert_matches_bags, corpus_of, family_matrix, to_scipy
 from polarity.corpus import Corpus, Label, RawDocument, load_corpus
 from polarity import features, vectorize
 from polarity.evaluation import FeaturePipeline
@@ -110,7 +110,7 @@ def test_pretagged_corpus_shape(pretagged_pipeline):
 
 def test_renumbered_keys_give_the_same_matrix(golden_pipeline, monkeypatch):
     """Keys that would pass the int64 bound are renumbered densely first."""
-    expected = {n: golden_pipeline.family_matrix(family, min_count=2)
+    expected = {n: family_matrix(golden_pipeline, family, min_count=2)
                 for n, family in [(2, FeatureFamily.BIGRAM), (3, FeatureFamily.TRIGRAM)]}
     monkeypatch.setattr(features, "_MAX_KEY", len(golden_pipeline._tokens.words) ** 2 - 1)
     for n, family in [(2, FeatureFamily.BIGRAM), (3, FeatureFamily.TRIGRAM)]:
@@ -125,7 +125,7 @@ PLAIN_WINDOWS = [FeatureFamily.UNIGRAM, FeatureFamily.BIGRAM, FeatureFamily.TRIG
 def test_plain_windows_compute_no_annotation(golden_pipeline, monkeypatch):
     """``unigram``, ``bigram`` and ``trigram`` without the negated variant read
     neither tags nor negation scopes, so they build with both refusing to run."""
-    expected = {family: golden_pipeline.family_matrix(family) for family in PLAIN_WINDOWS}
+    expected = {family: family_matrix(golden_pipeline, family) for family in PLAIN_WINDOWS}
 
     def refuse(*args):
         raise AssertionError("an annotation was computed")
@@ -134,7 +134,7 @@ def test_plain_windows_compute_no_annotation(golden_pipeline, monkeypatch):
     monkeypatch.setattr(features, "negation_scopes", refuse)
     pipeline = FeaturePipeline(load_corpus(CORPUS))
     for family in PLAIN_WINDOWS:
-        matrix = pipeline.family_matrix(family)
+        matrix = family_matrix(pipeline, family)
         assert matrix.features == expected[family].features
         assert (to_scipy(matrix.counts) != to_scipy(expected[family].counts)).nnz == 0
 
@@ -161,9 +161,9 @@ def test_each_annotation_is_computed_once(monkeypatch):
         for family, negated in [(FeatureFamily.ADJECTIVE, False),
                                 (FeatureFamily.POLARIZED_UNIGRAM, False),
                                 (FeatureFamily.UNIGRAM, True)] + VARIANTS:
-            pipeline.family_matrix(family, negated, min_count)
-        pipeline.family_matrix(FeatureFamily.POLARIZED_BIGRAM, min_count=min_count)
-        pipeline.family_matrix(FeatureFamily.TRANSITION, min_count=min_count)
+            family_matrix(pipeline, family, negated, min_count)
+        family_matrix(pipeline, FeatureFamily.POLARIZED_BIGRAM, min_count=min_count)
+        family_matrix(pipeline, FeatureFamily.TRANSITION, min_count=min_count)
     assert calls == {"tag_stream": 1, "negation_scopes": 1,
                      "tag_bits": len(pipeline._tokens.tags)}
 
@@ -173,7 +173,7 @@ def test_int64_scratch_gives_the_same_window_matrices(golden_pipeline, monkeypat
     """Below ``vectorize._INT32_LIMIT`` positions, window keys, negation
     positions and matrix cells are int32; lowering the limit makes some or all
     of them int64, and every ``Window`` row still gives the same matrix."""
-    expected = {(family, negated): golden_pipeline.family_matrix(family, negated, 2)
+    expected = {(family, negated): family_matrix(golden_pipeline, family, negated, 2)
                 for family, negated in VARIANTS}
     words, tokens = len(golden_pipeline._tokens.words), len(golden_pipeline._tokens.ids)
     assert words ** 3 > vectorize._INT32_LIMIT > words ** 2 > tokens > 2 * words
@@ -191,7 +191,7 @@ def test_int64_scratch_gives_the_same_window_matrices(golden_pipeline, monkeypat
     monkeypatch.setattr(features._TokenStream, "_keyed_matrix", spy)
     pipeline = FeaturePipeline(load_corpus(CORPUS))
     for (family, negated), matrix in expected.items():
-        built = pipeline.family_matrix(family, negated, 2)
+        built = family_matrix(pipeline, family, negated, 2)
         assert built.features == matrix.features
         assert (to_scipy(built.counts) != to_scipy(matrix.counts)).nnz == 0
     bits = {True: "int32", False: "int64"}
@@ -209,7 +209,7 @@ def test_negated_windows_wider_than_one_word_are_refused():
     bigram = FAMILIES[FeatureFamily.BIGRAM]
     assert "b:NOT_very_NOT_good" in extract_window(preprocess_document(raw), bigram, True)
     pipeline = FeaturePipeline(Corpus(documents=[raw]))
-    pipeline.family_matrix(FeatureFamily.UNIGRAM, negation_variant=True)
+    family_matrix(pipeline, FeatureFamily.UNIGRAM, negation_variant=True)
     for row in FAMILIES.values():
         if isinstance(row, Window) and row.n > 1:
             with pytest.raises(ValueError):
@@ -269,7 +269,7 @@ def polarized_corpora(tmp_path_factory):
 def test_polarized_family_matrix_matches_bags(polarized_corpora, corpus_name, family):
     corpus, lexicon, tagger = polarized_corpora[corpus_name]
     pipeline = FeaturePipeline(corpus, lexicon=lexicon, tagger=tagger)
-    assert pipeline.family_matrix(family).features
+    assert family_matrix(pipeline, family).features
     for min_count in MIN_COUNTS:
         assert_matches_bags(pipeline, family, False, min_count)
 
@@ -282,9 +282,9 @@ def test_word_and_tag_that_spell_one_pb_feature_merge(polarized_corpora):
     assert corpus.documents[0].read().startswith("jj_NN good_jj")
     pipeline = FeaturePipeline(Corpus(documents=corpus.documents[:1]), lexicon=lexicon,
                                tagger=tagger)
-    matrix = pipeline.family_matrix(FeatureFamily.POLARIZED_BIGRAM, min_count=2)
+    matrix = family_matrix(pipeline, FeatureFamily.POLARIZED_BIGRAM, min_count=2)
     assert to_scipy(matrix.counts)[0, matrix.features.index("pb:jj_POS/jj")] == 2
-    pruned = pipeline.family_matrix(FeatureFamily.POLARIZED_BIGRAM, min_count=3)
+    pruned = family_matrix(pipeline, FeatureFamily.POLARIZED_BIGRAM, min_count=3)
     assert "pb:jj_POS/jj" not in pruned.features
     for min_count in (2, 3):
         assert_matches_bags(pipeline, FeatureFamily.POLARIZED_BIGRAM, False, min_count)
@@ -296,7 +296,7 @@ def test_polarity_looked_up_once_per_word_and_tag(polarized_corpora, corpus_name
     counting = CountingLexicon(entries=lexicon.entries)
     pipeline = FeaturePipeline(corpus, lexicon=counting, tagger=tagger)
     for family in POLARIZED:
-        pipeline.family_matrix(family)
+        family_matrix(pipeline, family)
     assert counting.calls
     assert max(counting.calls.values()) == 1
 
@@ -319,7 +319,7 @@ def test_trigram_build_scratch_grows_with_occurrences_not_distinct_keys():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        matrix = pipeline.family_matrix(FeatureFamily.TRIGRAM, min_count=5)
+        matrix = family_matrix(pipeline, FeatureFamily.TRIGRAM, min_count=5)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

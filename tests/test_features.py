@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import to_scipy
+from conftest import family_matrix, to_scipy
 
 from polarity.corpus import Corpus, Label, RawDocument
 from polarity.errors import ConfigError
@@ -18,10 +18,12 @@ from polarity.features import (
     FAMILIES,
     FeatureFamily,
     FeatureSpec,
+    Window,
     check_resources,
     parse_feature_spec,
 )
 from polarity.lexicon import LexiconEntry, Polarity, SubjectivityLexicon, load_transitions
+from polarity.vectorize import FeatureMatrix
 
 
 def raw_from(text):
@@ -35,7 +37,7 @@ def pipeline_from(text, lexicon=None, transitions=None):
 
 def family_bag(family, text, lexicon=None, transitions=None, negation_variant=False):
     """The one document's row of *family*'s matrix, as a bag of feature strings."""
-    matrix = pipeline_from(text, lexicon, transitions).family_matrix(family, negation_variant)
+    matrix = family_matrix(pipeline_from(text, lexicon, transitions), family, negation_variant)
     row = to_scipy(matrix.counts)[0]
     return Counter({matrix.features[j]: int(count) for j, count in zip(row.indices, row.data)})
 
@@ -189,15 +191,16 @@ class TestExtractUnion:
     def test_singleton_union_is_family(self, tiny_lexicon):
         pipeline = pipeline_from("a good movie")
         spec = FeatureSpec(families=frozenset({FeatureFamily.UNIGRAM}))
-        matrix = pipeline.matrix_for_spec(spec)
-        assert matrix is pipeline.family_matrix(FeatureFamily.UNIGRAM)
+        matrix = FeatureMatrix.union(pipeline.family_matrices(spec, 1))
+        assert matrix is family_matrix(pipeline, FeatureFamily.UNIGRAM)
         assert matrix.features == sorted(window_bag(FeatureFamily.UNIGRAM, "a good movie"))
 
     def test_disjoint_namespaces_sum_sizes(self, tiny_lexicon):
         pipeline = pipeline_from("i highly recommend this movie", tiny_lexicon)
-        u = pipeline.family_matrix(FeatureFamily.UNIGRAM)
-        pb = pipeline.family_matrix(FeatureFamily.POLARIZED_BIGRAM)
-        combined = pipeline.matrix_for_spec(parse_feature_spec("unigram+pb"))
+        u = family_matrix(pipeline, FeatureFamily.UNIGRAM)
+        pb = family_matrix(pipeline, FeatureFamily.POLARIZED_BIGRAM)
+        combined = FeatureMatrix.union(
+            pipeline.family_matrices(parse_feature_spec("unigram+pb"), 1))
         assert len(combined.features) == len(u.features) + len(pb.features)
         assert to_scipy(combined.counts).sum() == (to_scipy(u.counts).sum()
                                                    + to_scipy(pb.counts).sum())
@@ -235,6 +238,26 @@ class TestSpecParsing:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_feature_spec("unigram+u")
 
+    @pytest.mark.parametrize("text", ["bigram", "3adjadv+pb+t"])
+    def test_negation_variant_needs_unigram(self, text):
+        with pytest.raises(ConfigError, match="negation variant needs unigram"):
+            parse_feature_spec(text, negation=True)
+
+    def test_rows_in_family_order(self):
+        expected = [FAMILIES[FeatureFamily.UNIGRAM], FAMILIES[FeatureFamily.ADJECTIVE],
+                    FAMILIES[FeatureFamily.TRANSITION]]
+        assert parse_feature_spec("t+adj+unigram").rows() == expected
+        negated = parse_feature_spec("t+adj+unigram", negation=True).rows()
+        assert negated == [Window("u", 1, negated=True), *expected[1:]]
+
+    def test_rows_are_distinct_as_plain_tuples(self):
+        """The pipeline caches a matrix under (row, floor), and NamedTuple rows
+        compare as plain tuples: every row, the negated unigram included, must
+        differ from every other by value."""
+        every = FeatureSpec(frozenset(FeatureFamily), negation_variant=True).rows()
+        rows = {tuple(row) for row in [*FAMILIES.values(), *every]}
+        assert len(rows) == len(FAMILIES) + 1
+
 
 _SENTENCES = st.lists(
     st.lists(
@@ -256,7 +279,7 @@ def test_namespace_disjointness(sentences):
         "recommend": [LexiconEntry(Polarity.POS, "verb")],
     })
     pipeline = pipeline_from(text, lex, load_transitions())
-    supports = [set(pipeline.family_matrix(family).features) for family in FAMILIES]
+    supports = [set(family_matrix(pipeline, family).features) for family in FAMILIES]
     assert len(supports) == len(FeatureFamily)
     for i in range(len(supports)):
         for j in range(i + 1, len(supports)):
@@ -266,12 +289,13 @@ def test_namespace_disjointness(sentences):
 @given(_SENTENCES)
 def test_union_is_monotone_and_deterministic(sentences):
     text = "\n".join(" ".join(s) for s in sentences)
-    small = pipeline_from(text).matrix_for_spec(parse_feature_spec("unigram"))
+    small = FeatureMatrix.union(
+        pipeline_from(text).family_matrices(parse_feature_spec("unigram"), 1))
     spec = parse_feature_spec("unigram+bigram+adj")
-    large = pipeline_from(text).matrix_for_spec(spec)
+    large = FeatureMatrix.union(pipeline_from(text).family_matrices(spec, 1))
     columns = [large.features.index(f) for f in small.features]
     assert (to_scipy(large.counts)[:, columns] != to_scipy(small.counts)).nnz == 0
-    again = pipeline_from(text).matrix_for_spec(spec)
+    again = FeatureMatrix.union(pipeline_from(text).family_matrices(spec, 1))
     assert again.features == large.features
     assert (to_scipy(again.counts) != to_scipy(large.counts)).nnz == 0
 

@@ -113,12 +113,22 @@ FOLD_SCOPE_CELLS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(FOLD_SCOPE_CELLS))
-def test_fold_scope_evaluate(name, capsys):
-    code = main(["evaluate", "--corpus", str(CORPUS), *FOLD_SCOPE_CELLS[name],
-                 "--format", "json"])
-    assert code == 0
+def _evaluate_without_wall_time(args, capsys) -> str:
+    assert main(["evaluate", "--corpus", str(CORPUS), *args, "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     report.pop("wall_time")
-    got = json.dumps(report, sort_keys=True, indent=1) + "\n"
+    return json.dumps(report, sort_keys=True, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_SCOPE_CELLS))
+def test_fold_scope_evaluate(name, capsys):
+    got = _evaluate_without_wall_time(FOLD_SCOPE_CELLS[name], capsys)
     assert got == (GOLDEN / f"evaluate_{name}.json").read_text(encoding="utf-8")
+
+
+def test_evaluate_rep_defaults_to_presence(capsys):
+    """``evaluate`` without ``--rep`` is the ``--rep presence`` cell, as for ``extract``."""
+    args = [arg for arg in FOLD_SCOPE_CELLS["unigram-presence-svm"]
+            if arg not in ("--rep", "presence")]
+    got = _evaluate_without_wall_time(args, capsys)
+    assert got == (GOLDEN / "evaluate_unigram-presence-svm.json").read_text(encoding="utf-8")

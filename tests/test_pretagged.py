@@ -14,13 +14,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import corpus_of, to_scipy
+from conftest import corpus_of, family_matrix, to_scipy
 from polarity.corpus import load_corpus
 from polarity.evaluation import FeaturePipeline
 from polarity.features import FeatureFamily, FeatureSpec
 from polarity.lexicon import ANYPOS, LexiconEntry, Polarity, SubjectivityLexicon
 from polarity.lexicon import load_lexicon, load_transitions
 from polarity.tagging import get_tagger
+from polarity.vectorize import FeatureMatrix
 from reference import from_bags, pipeline_bags, preprocess_document
 
 CORPUS = Path(__file__).parent / "golden" / "corpus"
@@ -61,8 +62,8 @@ def pretagged(builtin, resources, tmp_path_factory):
 @pytest.mark.parametrize("family,negation", VARIANTS,
                          ids=[f"{f.value}{'-neg' if n else ''}" for f, n in VARIANTS])
 def test_pretagged_bags_match_builtin(builtin, pretagged, family, negation):
-    expected = builtin.family_matrix(family, negation)
-    matrix = pretagged.family_matrix(family, negation)
+    expected = family_matrix(builtin, family, negation)
+    matrix = family_matrix(pretagged, family, negation)
     assert matrix.features == expected.features
     assert matrix.counts.shape == expected.counts.shape
     assert (to_scipy(matrix.counts) != to_scipy(expected.counts)).nnz == 0
@@ -79,7 +80,7 @@ def test_extract_matches_pipeline_bags(builtin, negation):
             total.update(bag)
     expected = from_bags(merged)
     every = FeatureSpec(families=frozenset(FeatureFamily), negation_variant=negation)
-    union = builtin.matrix_for_spec(every)
+    union = FeatureMatrix.union(builtin.family_matrices(every, 1))
     assert union.features == expected.features
     assert (to_scipy(union.counts) != to_scipy(expected.counts)).nnz == 0
 
@@ -93,10 +94,10 @@ def test_underscore_words_merge_into_one_feature(tmp_path):
     (tmp_path / "neg" / "cv001_2.txt").write_text("a_JJ b_c_NN\na_JJ b_c_NN\n", encoding="utf-8")
     pipeline = FeaturePipeline(load_corpus(tmp_path), tagger=get_tagger("pretagged"))
     for family, namespace in [(FeatureFamily.BIGRAM, "b"), (FeatureFamily.ADJADV_BIGRAM, "aab")]:
-        matrix = pipeline.family_matrix(family, min_count=3)
+        matrix = family_matrix(pipeline, family, min_count=3)
         assert matrix.features == [f"{namespace}:a_b_c"]
         assert to_scipy(matrix.counts).toarray().tolist() == [[1.0], [2.0]]
-        assert pipeline.family_matrix(family, min_count=4).features == []
+        assert family_matrix(pipeline, family, min_count=4).features == []
 
 
 def test_lowercase_tags_take_their_class():
@@ -120,7 +121,7 @@ def test_lowercase_tags_take_their_class():
         ],
     }
     for family, rows in expected.items():
-        matrix = pipeline.family_matrix(family)
+        matrix = family_matrix(pipeline, family)
         got = [{matrix.features[j]: count for j, count in zip(row.indices, row.data)}
                for row in to_scipy(matrix.counts)]
         assert got == rows, family

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import corpus_of, to_scipy
+from conftest import corpus_of, family_matrix, to_scipy
 from polarity.corpus import load_corpus
 from polarity.evaluation import FeaturePipeline
 from polarity.features import FAMILIES, FeatureFamily, _TokenStream
@@ -131,12 +131,12 @@ def test_empty_and_punctuation_only_documents(texts, tagger):
     pipeline = FeaturePipeline(corpus, lexicon=LEXICON, transitions=load_transitions(),
                                tagger=get_tagger(tagger))
     for family in FAMILIES:
-        matrix = pipeline.family_matrix(family)
+        matrix = family_matrix(pipeline, family)
         expected = from_bags(pipeline_bags(pipeline, family))
         assert matrix.features == expected.features
         assert matrix.counts.shape == expected.counts.shape == (len(texts), len(expected.features))
         assert (to_scipy(matrix.counts) != to_scipy(expected.counts)).nnz == 0
-    assert bool(pipeline.family_matrix(FeatureFamily.POLARIZED_BIGRAM).features) == has_words
+    assert bool(family_matrix(pipeline, FeatureFamily.POLARIZED_BIGRAM).features) == has_words
 
 
 @pytest.mark.parametrize("tagger", ["builtin", "pretagged"])
@@ -164,12 +164,12 @@ def test_a_family_asked_for_after_release_tokens_equals_one_built_before():
     it builds the stream again, from the same documents, to the same matrix."""
     corpus = load_corpus(GOLDEN_CORPUS)
     built = FeaturePipeline(corpus, lexicon=LEXICON, transitions=load_transitions())
-    expected = {family: built.family_matrix(family, min_count=2) for family in FAMILIES}
+    expected = {family: family_matrix(built, family, min_count=2) for family in FAMILIES}
     pipeline = FeaturePipeline(corpus, lexicon=LEXICON, transitions=load_transitions())
-    unigram = pipeline.family_matrix(FeatureFamily.UNIGRAM, min_count=2)
+    unigram = family_matrix(pipeline, FeatureFamily.UNIGRAM, min_count=2)
     pipeline.release_tokens()
-    assert pipeline.family_matrix(FeatureFamily.UNIGRAM, min_count=2) is unigram
+    assert family_matrix(pipeline, FeatureFamily.UNIGRAM, min_count=2) is unigram
     for family in FAMILIES:
-        matrix = pipeline.family_matrix(family, min_count=2)
+        matrix = family_matrix(pipeline, family, min_count=2)
         assert matrix.features == expected[family].features
         assert (to_scipy(matrix.counts) != to_scipy(expected[family].counts)).nnz == 0

@@ -1,6 +1,6 @@
 """The ``t`` family matrix, counted from the token stream, against the bag reference.
 
-``FeaturePipeline.family_matrix`` for ``t`` must equal ``reference.from_bags``
+``FeaturePipeline.family_matrices`` for ``t`` must equal ``reference.from_bags``
 over ``reference.extract_transitions`` bags pruned the same way, at every
 floor of ``MIN_COUNTS``, for the built-in and the pretagged tagger. The
 generated text and transition lists hold repeated, overlapping and
@@ -14,7 +14,7 @@ phrase ``a`` with the word ``b_c`` and from the phrase ``a_b`` with the word
 
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import MIN_COUNTS, assert_matches_bags, corpus_of, to_scipy
+from conftest import MIN_COUNTS, assert_matches_bags, corpus_of, family_matrix, to_scipy
 from polarity.evaluation import FeaturePipeline
 from polarity.features import FeatureFamily
 from polarity.lexicon import ANYPOS, LexiconEntry, Polarity, SubjectivityLexicon
@@ -95,6 +95,6 @@ def test_underscore_phrase_and_word_spell_one_feature():
     pipeline = FeaturePipeline(corpus_of(["a_DT b_c_NN but_CC a_b_DT c_NN"]), lexicon=LEXICON,
                                transitions=TransitionList(["a", "a_b"]),
                                tagger=PretaggedReader())
-    matrix = pipeline.family_matrix(FeatureFamily.TRANSITION, min_count=2)
+    matrix = family_matrix(pipeline, FeatureFamily.TRANSITION, min_count=2)
     assert to_scipy(matrix.counts)[0, matrix.features.index("tr:a_b_c")] == 2
-    assert "tr:a_b_c" not in pipeline.family_matrix(FeatureFamily.TRANSITION, min_count=3).features
+    assert "tr:a_b_c" not in family_matrix(pipeline, FeatureFamily.TRANSITION, min_count=3).features
