@@ -32,7 +32,8 @@ from .errors import ConfigError, DataError, one_of
 from .features import FeatureSpec, _TokenStream, check_resources, parse_feature_spec
 from .lexicon import SubjectivityLexicon, TransitionList
 from .tagging import RuleTagger
-from .vectorize import FeatureMatrix, Representation, column_mask, represent, require_vocabulary
+from .vectorize import (FeatureMatrix, Representation, check_min_count, column_mask, represent,
+                        require_vocabulary)
 
 try:
     # CPython's own SHA-256 module: hashlib maps OpenSSL's libcrypto, a few
@@ -78,8 +79,7 @@ class ExperimentConfig:
     def __post_init__(self):
         one_of("classifier", self.classifier, CLASSIFIERS)
         one_of("prune scope", self.prune_scope, PRUNE_SCOPES)
-        if self.min_count < 1:
-            raise ConfigError(f"min_count must be at least 1, got {self.min_count}")
+        check_min_count(self.min_count)
         linear_svm.check_solver_limits(self.tol, self.max_epochs, self.C)
         object.__setattr__(self, "representation", parse_representation(self.representation))
         # Normalizes the family string and rejects unknown tokens up front.
@@ -164,8 +164,7 @@ class FeaturePipeline:
         training total exceeds the corpus total. A floor below 1, or a
         missing lexicon or transition list, fails before any family is built.
         """
-        if min_count < 1:
-            raise ConfigError(f"min_count must be at least 1, got {min_count}")
+        check_min_count(min_count)
         check_resources(spec, self.lexicon, self.transitions)
         keys = [(row, min_count) for row in spec.rows()]
         for key in keys:
@@ -180,7 +179,7 @@ _BLOCK_RUNS = 16
 
 
 def _training_gram(gram: np.ndarray, train: np.ndarray) -> np.ndarray:
-    """The rows and columns *train* selects of *gram*, column-major, as
+    """The rows and columns *train* selects of *gram*, row-major, as
     train_svm reads it.
 
     Filename folds leave the training rows in one or two runs, so the result
@@ -190,12 +189,10 @@ def _training_gram(gram: np.ndarray, train: np.ndarray) -> np.ndarray:
     edges = np.flatnonzero(np.diff(train, prepend=False, append=False))
     starts, ends = edges[::2], edges[1::2]
     if len(starts) > _BLOCK_RUNS:
-        # Slicing the transpose and transposing back keeps the result
-        # column-major without a second copy.
-        return gram.T[np.ix_(train, train)].T
+        return gram[np.ix_(train, train)]
     offsets = np.concatenate(([0], np.cumsum(ends - starts))).tolist()
     spans = list(zip(offsets, offsets[1:], starts.tolist(), ends.tolist()))
-    out = np.empty((offsets[-1], offsets[-1]), dtype=gram.dtype, order="F")
+    out = np.empty((offsets[-1], offsets[-1]), dtype=gram.dtype)
     for lo, hi, start, end in spans:
         for lo2, hi2, start2, end2 in spans:
             out[lo:hi, lo2:hi2] = gram[start:end, start2:end2]

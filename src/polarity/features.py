@@ -37,7 +37,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import RawDocument
-from .errors import ConfigError
+from .errors import ConfigError, one_of
 from .lexicon import SubjectivityLexicon, TransitionList, coarse_pos
 from .preprocess import NEGATION_PREFIX, negation_scopes, tokenize_document, tokenize_pretagged
 from .tagging import ADJECTIVE_TAGS, ADVERB_TAGS, PretaggedReader
@@ -54,25 +54,6 @@ class FeatureFamily(Enum):
     ADJADV_BIGRAM = "adjadv"
     ADJADV_TRIGRAM = "3adjadv"
     TRANSITION = "t"
-
-
-_SPEC_ALIASES = {
-    "unigram": FeatureFamily.UNIGRAM,
-    "u": FeatureFamily.UNIGRAM,
-    "bigram": FeatureFamily.BIGRAM,
-    "trigram": FeatureFamily.TRIGRAM,
-    "pu": FeatureFamily.POLARIZED_UNIGRAM,
-    "pb": FeatureFamily.POLARIZED_BIGRAM,
-    "adj": FeatureFamily.ADJECTIVE,
-    "adjective": FeatureFamily.ADJECTIVE,
-    "adjadv": FeatureFamily.ADJADV_BIGRAM,
-    "aab": FeatureFamily.ADJADV_BIGRAM,
-    "3adjadv": FeatureFamily.ADJADV_TRIGRAM,
-    "aat": FeatureFamily.ADJADV_TRIGRAM,
-    "t": FeatureFamily.TRANSITION,
-    "tr": FeatureFamily.TRANSITION,
-    "transition": FeatureFamily.TRANSITION,
-}
 
 
 @dataclass(frozen=True)
@@ -108,14 +89,12 @@ class FeatureSpec:
 
 
 def parse_feature_spec(spec_string: str, negation: bool = False) -> FeatureSpec:
-    """Parse a ``+``-joined family string like ``unigram+pb+t`` or ``3adjadv+pb``."""
+    """Parse a ``+``-joined string of ``FeatureFamily`` values, in any case, like
+    ``unigram+pb+t`` or ``3adjadv+PB``."""
     families = []
     for token in spec_string.lower().split("+"):
         token = token.strip()
-        family = _SPEC_ALIASES.get(token)
-        if family is None:
-            valid = ", ".join(sorted(_SPEC_ALIASES))
-            raise ConfigError(f"unknown feature family {token!r}; valid tokens: {valid}")
+        family = FeatureFamily(one_of("feature family", token, [f.value for f in FeatureFamily]))
         if family in families:
             raise ConfigError(f"duplicate feature family {token!r} in {spec_string!r}")
         families.append(family)
@@ -372,10 +351,10 @@ class _TokenStream:
         parts = []
         for names, of, shared in [(self.words, self.ids, word_shared),
                                   (self.tags, self.tag_ids, tag_shared)]:
-            parts.append((before, of[before - 1].astype(np.int64) * len(cores) + core_before,
-                          _pair_names(ns, names, cores), _pair_shares(shared, core_shared)))
-            parts.append((after, core_after * len(names) + of[after + 1],
-                          _pair_names(ns, cores, names), _pair_shares(core_shared, shared)))
+            parts.append(_pair(ns, before, (of[before - 1], names, shared),
+                               (core_before, cores, core_shared)))
+            parts.append(_pair(ns, after, (core_after, cores, core_shared),
+                               (of[after + 1], names, shared)))
         return self._keyed_matrix(parts, floor)
 
     def transition_matrix(self, row: Transition, floor: int) -> FeatureMatrix:
@@ -419,12 +398,9 @@ class _TokenStream:
         polar = np.append(pos, len(self.ids))[slot] == at
         ns, keys = row.namespace, [p.replace(" ", "_") for p in self.transitions.phrases]
         (key_shared,), (word_shared, core_shared) = _shared([keys], [self.words, cores])
-        parts = [
-            (at, phrase * len(self.words) + self.ids[at], _pair_names(ns, keys, self.words),
-             _pair_shares(key_shared, word_shared)),
-            (at[polar], phrase[polar] * len(cores) + core[slot[polar]],
-             _pair_names(ns, keys, cores), _pair_shares(key_shared, core_shared)),
-        ]
+        parts = [_pair(ns, at, (phrase, keys, key_shared), (self.ids[at], self.words, word_shared)),
+                 _pair(ns, at[polar], (phrase[polar], keys, key_shared),
+                       (core[slot[polar]], cores, core_shared))]
         del at, phrase, slot, polar
         return self._keyed_matrix(parts, floor)
 
@@ -562,12 +538,30 @@ class _TokenStream:
         return pos[hit], core[hit], list(cores)
 
 
-def _pair_names(namespace: str, first: list[str], second: list[str]):
-    """Spells a key ``i * len(second) + j`` as ``namespace:first[i]_second[j]``."""
+def _pair(namespace: str, at: np.ndarray, first: tuple, second: tuple) -> tuple:
+    """The ``_TokenStream._keyed_matrix`` part of the pairs ``namespace:a_b`` at
+    positions *at*.
+
+    *first* and *second* are each (ids, names, shared): per occurrence the
+    id of its name on that side, the names, and the ``_shared`` flag of
+    each name. An occurrence is keyed ``first id * len(second names) +
+    second id``; a key is marked when either of its names is shared, and
+    *shares* is False when no name is.
+    """
+    first_ids, first_names, first_shared = first
+    second_ids, second_names, second_shared = second
+    width = len(second_names)
+
     def spell(keys: np.ndarray, _) -> list[str]:
-        return [f"{namespace}:{first[i]}_{second[j]}"
-                for i, j in (divmod(key, len(second)) for key in keys.tolist())]
-    return spell
+        return [f"{namespace}:{first_names[i]}_{second_names[j]}"
+                for i, j in (divmod(key, width) for key in keys.tolist())]
+
+    def shares(keys: np.ndarray, _) -> np.ndarray:
+        i, j = np.divmod(keys, width)
+        return first_shared[i] | second_shared[j]
+
+    keys = first_ids.astype(np.int64, copy=False) * width + second_ids
+    return at, keys, spell, shares if first_shared.any() or second_shared.any() else False
 
 
 def _shared(left: list[list[str]], right: list[list[str]]) -> tuple[list, list]:
@@ -586,15 +580,6 @@ def _shared(left: list[list[str]], right: list[list[str]]) -> tuple[list, list]:
         return [np.array([seen[name] > 1 or (underscores and "_" in name) for name in names],
                          dtype=bool) for names in side]
     return flags(left, right), flags(right, left)
-
-
-def _pair_shares(first: np.ndarray, second: np.ndarray):
-    """Marks a key ``i * len(second) + j`` when ``first[i]`` or ``second[j]`` is
-    shared; False when no name is."""
-    def shares(keys: np.ndarray, _) -> np.ndarray:
-        i, j = np.divmod(keys, len(second))
-        return first[i] | second[j]
-    return shares if first.any() or second.any() else False
 
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:

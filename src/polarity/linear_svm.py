@@ -4,13 +4,13 @@ Solves the L1-loss dual with the bias equality constraint, picking the
 maximal violating pair at each step (Keerthi et al. 2001). A step changes
 two multipliers, so the index sets of examples that may still rise or fall
 are updated in place at those two entries, and the gradient is kept up to
-date from two Gram columns in O(n). The intercept is explicit, not an
+date from two Gram rows in O(n). The intercept is explicit, not an
 appended constant feature.
 
-The Gram matrix is materialized densely and column-major, so those columns
-are contiguous; that is comfortable up to a few thousand training documents,
-and ``gram_matrix`` refuses more than ``MAX_GRAM_ROWS`` rows. It is computed
-in two parts:
+The Gram matrix is materialized densely, in NumPy's default row-major
+order; that is comfortable up to a few thousand training documents, and
+``gram_matrix`` refuses more than ``MAX_GRAM_ROWS`` rows. It is computed in
+two parts:
   pairs   every column j adds X[r, j] * X[s, j] to K[r, s] for each pair of
           its stored entries; the pairs of a block of rows are summed by one
           ``np.bincount`` in the order of row r's entries, so by ascending j,
@@ -22,8 +22,8 @@ in two parts:
           of those columns, and the pairs cover the rest.
 Either way K is the same bits as the sparse product. Other input (a
 real-valued svmlight file) takes the pairs over every column, which is
-several times slower on columns that most rows hold. K is symmetric, so its
-transpose is its column-major form.
+several times slower on columns that most rows hold. K is exactly
+symmetric, so its rows are its columns.
 
 Besides K, the scratch is the stored entries split once into a dense and
 a sparse part, 16 bytes per entry (an 8-byte value, an int32 row and an
@@ -138,7 +138,7 @@ class LinearSvmModel:
 
 
 def gram_matrix(X: CsrMatrix) -> np.ndarray:
-    """Dense X X' of the rows of *X*, column-major so that columns are contiguous.
+    """Dense X X' of the rows of *X*, exactly symmetric.
 
     Raises DataError above MAX_GRAM_ROWS rows, before allocating, and when
     an entry is not finite.
@@ -169,7 +169,7 @@ def gram_matrix(X: CsrMatrix) -> np.ndarray:
     if not np.isfinite(K).all():
         raise DataError("the Gram matrix of the training vectors is not finite "
                         "(their dot products overflow)")
-    return K.T
+    return K
 
 
 def _add_pair_products(K: np.ndarray, data: np.ndarray, cols: np.ndarray, rows: np.ndarray,
@@ -275,9 +275,10 @@ def train_svm(X: CsrMatrix, y: Sequence[int], C: float | None = None,
     One epoch is n pair updates. *y* must pass ``check_training_labels``, and a given
     *C* must be finite and above 0 (ConfigError); without one, ``default_C(X)`` is
     used. *gram*, when given, must equal ``gram_matrix(X)``; cross-validation passes
-    every fold's Gram, made by ``evaluation._Cell``. A row-major *gram* is copied once
-    into column order. On hitting the epoch cap the best iterate is returned with
-    ``meta.converged`` False and the reason in ``meta.warning``.
+    every fold's Gram, made by ``evaluation._Cell``. A *gram* that is not row-major is
+    copied once into that order, as SMO reads its rows. On hitting the epoch cap the
+    best iterate is returned with ``meta.converged`` False and the reason in
+    ``meta.warning``.
     """
     check_solver_limits(tol, max_epochs, C)
     check_training_labels(y)
@@ -288,10 +289,10 @@ def train_svm(X: CsrMatrix, y: Sequence[int], C: float | None = None,
         X = fit_columns(X, 1)
 
     n = X.shape[0]
-    K = gram_matrix(X) if gram is None else np.asfortranarray(gram)
+    K = gram_matrix(X) if gram is None else np.ascontiguousarray(gram)
     diag = K.diagonal().copy()
     # |K_ij| <= max(diag), so this bounds every step's K_ii + K_jj - 2 K_ij
-    # and K_ki - K_kj.
+    # and K_ik - K_jk.
     if not math.isfinite(4.0 * float(diag.max())):
         raise DataError("the Gram matrix of the training vectors is too large to train on "
                         "(its pair differences overflow)")
@@ -341,7 +342,7 @@ def train_svm(X: CsrMatrix, y: Sequence[int], C: float | None = None,
             alpha[k] = a_k
             up[k] = a_k < C if pos[k] else a_k > 0.0
             low[k] = a_k > 0.0 if pos[k] else a_k < C
-        v -= t * (K[:, i] - K[:, j])
+        v -= t * (K[i] - K[j])
 
         it += 1
         if it % n == 0:

@@ -176,6 +176,12 @@ class FeatureMatrix:
         return cls(counts=counts, features=[f for block in blocks for f in block.features])
 
 
+def check_min_count(min_count: int) -> None:
+    """Raise ConfigError for a count floor below 1."""
+    if min_count < 1:
+        raise ConfigError(f"min_count must be at least 1, got {min_count}")
+
+
 def column_mask(counts: CsrMatrix, min_count: int) -> np.ndarray:
     """Columns whose count summed over the rows of *counts* is >= min_count.
 

@@ -130,7 +130,7 @@ class TestExtract:
         code = main(["extract", "--corpus", str(corpus_dir), "--features", "bogus+pb",
                      "--out", str(tmp_path / "v.svml")])
         assert code == 2
-        assert "valid tokens" in capsys.readouterr().err
+        assert "(expected 'unigram'" in capsys.readouterr().err
 
     def test_lexicon_required_exits_2(self, corpus_dir, tmp_path, capsys):
         code = main(["extract", "--corpus", str(corpus_dir), "--features", "pu",

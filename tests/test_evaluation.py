@@ -251,18 +251,18 @@ class TestMatrixCore:
     @pytest.mark.parametrize("mode", ["filename", "seeded"])
     def test_training_gram_equals_the_gather(self, synth_corpus, monkeypatch, mode, block_runs):
         """Block copies (few runs of training rows) and the gather (many)
-        give the same column-major matrix; filename folds give at most two runs."""
+        give the same row-major matrix; filename folds give at most two runs."""
         monkeypatch.setattr(evaluation, "_BLOCK_RUNS", block_runs)
         corpus = assign_folds(synth_corpus, mode=mode, seed=3)
         folds = np.array([corpus.folds[doc.id] for doc in corpus.documents])
         A = np.random.default_rng(0).standard_normal((len(folds), 7))
-        gram = np.asfortranarray(A @ A.T)
+        gram = A @ A.T
         for train in [folds != k for k in range(5)] + [np.arange(len(folds)) >= 30]:
             runs = np.count_nonzero(np.diff(train.astype(int), prepend=0) == 1)
             assert runs <= 2 or mode == "seeded"
             result = evaluation._training_gram(gram, train)
             assert np.array_equal(result, gram[np.ix_(train, train)])
-            assert result.flags.f_contiguous
+            assert result.flags.c_contiguous
 
     @pytest.mark.parametrize("representation", ["presence", "frequency"])
     @pytest.mark.parametrize("scope", ["corpus", "fold"])
@@ -286,7 +286,7 @@ class TestMatrixCore:
         assert len(received) == 5
         for X_train, gram in received:
             assert gram is not None
-            assert gram.flags.f_contiguous  # train_svm reads it without a copy
+            assert gram.flags.c_contiguous  # train_svm reads it without a copy
             assert np.array_equal(gram, gram_matrix(X_train))
 
 

@@ -227,16 +227,20 @@ class TestExtractUnion:
 
 class TestSpecParsing:
     def test_aliases(self):
-        assert parse_feature_spec("u").families == {FeatureFamily.UNIGRAM}
+        """The tokens are the FeatureFamily values, in any case; no alias parses."""
+        for alias in ["u", "aab"]:
+            with pytest.raises(ConfigError, match=f"unknown feature family '{alias}' "
+                                                  r"\(expected 'unigram', 'bigram', "):
+                parse_feature_spec(alias)
         assert parse_feature_spec("UNIGRAM+PB").canonical() == "unigram+pb"
 
     def test_unknown_token_lists_valid(self):
-        with pytest.raises(ConfigError, match="valid tokens"):
+        with pytest.raises(ConfigError, match=r"\(expected 'unigram'"):
             parse_feature_spec("bogus+pb")
 
     def test_duplicate_family_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
-            parse_feature_spec("unigram+u")
+            parse_feature_spec("unigram+UNIGRAM")
 
     @pytest.mark.parametrize("text", ["bigram", "3adjadv+pb+t"])
     def test_negation_variant_needs_unigram(self, text):

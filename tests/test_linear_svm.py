@@ -174,9 +174,11 @@ class TestGramInput:
     def test_precomputed_gram_gives_identical_model(self):
         X, y = labeled_matrix(_random_instance(seed=6, n=30))
         plain = train_svm(X, y, C=0.5, tol=1e-4)
-        given = train_svm(X, y, C=0.5, tol=1e-4, gram=gram_matrix(X))
-        assert np.array_equal(plain.weights, given.weights)
-        assert plain.bias == given.bias and plain.meta.iterations == given.meta.iterations
+        # A column-major Gram is copied once into row order.
+        for gram in [gram_matrix(X), np.asfortranarray(gram_matrix(X))]:
+            given = train_svm(X, y, C=0.5, tol=1e-4, gram=gram)
+            assert np.array_equal(plain.weights, given.weights)
+            assert plain.bias == given.bias and plain.meta.iterations == given.meta.iterations
 
     def test_sliced_gram_equals_subset_gram(self):
         X, _ = labeled_matrix(_random_instance(seed=8, n=25))
@@ -254,7 +256,8 @@ class TestGramMatrix:
         X = _mixed_counts(seed=41)
         K = gram_matrix(X)
         assert np.array_equal(K, scipy_gram(X))
-        assert K.flags.f_contiguous
+        assert np.array_equal(K, K.T)
+        assert K.flags.c_contiguous
         assert 0 < slab_entries[0] < X.nnz
 
     def test_scratch_is_bounded_above_the_result(self, slab_entries):
@@ -334,7 +337,9 @@ class TestGramMatrix:
 
     @given(csr_matrices())
     def test_matches_scipy(self, X):
-        assert np.array_equal(gram_matrix(X), scipy_gram(X))
+        K = gram_matrix(X)
+        assert np.array_equal(K, scipy_gram(X))
+        assert np.array_equal(K, K.T)
 
     def test_overflow_raises(self):
         X, _ = labeled_matrix([sv([(0, 1e308)]), sv([(1, 1e308)])])
