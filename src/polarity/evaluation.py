@@ -7,9 +7,10 @@ family, not per cell. ``family_matrices`` is the one way in: every family's
 matrix holds only the columns whose corpus total reaches the ``min_count``
 floor, which it refuses below 1. A cell takes the union of its families'
 columns and trains on row slices. Under corpus scope the union is the
-vocabulary as it is and the SVM Gram matrix is computed once per cell and
-sliced per fold; under fold scope each fold prunes the union with a column
-mask over its training rows and makes its own Gram.
+vocabulary as it is and the SVM Gram matrix is computed once per cell; every
+fold trains on it in place, its held-out rows outside both of SMO's index
+sets, so no fold's Gram is copied. Under fold scope each fold prunes the
+union with a column mask over its training rows and makes its own Gram.
 The pipeline is the harness's one handle: ``run_experiment(pipeline, config)``
 and ``run_grid(pipeline, configs)`` read the corpus, its folds, the lexicon,
 the transitions and the tagger from it and from nowhere else.
@@ -173,40 +174,15 @@ class FeaturePipeline:
         return [self._matrices[key] for key in keys]
 
 
-# Up to this many runs of training rows, a fold's Gram is copied as runs²
-# contiguous blocks; past about 48 runs (2000 rows) one gather is faster.
-_BLOCK_RUNS = 16
-
-
-def _training_gram(gram: np.ndarray, train: np.ndarray) -> np.ndarray:
-    """The rows and columns *train* selects of *gram*, row-major, as
-    train_svm reads it.
-
-    Filename folds leave the training rows in one or two runs, so the result
-    is at most four block copies; seeded folds scatter them, and one
-    element-wise gather serves.
-    """
-    edges = np.flatnonzero(np.diff(train, prepend=False, append=False))
-    starts, ends = edges[::2], edges[1::2]
-    if len(starts) > _BLOCK_RUNS:
-        return gram[np.ix_(train, train)]
-    offsets = np.concatenate(([0], np.cumsum(ends - starts))).tolist()
-    spans = list(zip(offsets, offsets[1:], starts.tolist(), ends.tolist()))
-    out = np.empty((offsets[-1], offsets[-1]), dtype=gram.dtype)
-    for lo, hi, start, end in spans:
-        for lo2, hi2, start2, end2 in spans:
-            out[lo:hi, lo2:hi2] = gram[start:end, start2:end2]
-    return out
-
-
 class _Cell:
     """One configuration over a pipeline's corpus, trained fold by fold.
 
     The cell makes every Gram matrix its SVM folds train on. Under
     prune_scope="corpus" the union is the vocabulary as it is (every family
     matrix holds only the columns that reach the floor), and the Gram is
-    computed once here and sliced per fold; under "fold" each fold prunes
-    on its own training rows and computes its own. Nothing outlives the cell.
+    computed once here and every fold trains on it, passing its training
+    rows; under "fold" each fold prunes on its own training rows and
+    computes its own. Nothing outlives the cell.
     """
 
     def __init__(self, pipeline: FeaturePipeline, config: ExperimentConfig):
@@ -234,7 +210,6 @@ class _Cell:
         if train.all() or not train.any():
             raise DataError(f"fold {fold} leaves an empty train or test split")
         config, counts = self.config, self.matrix.counts
-        gram = None if self.gram is None else _training_gram(self.gram, train)
         X_train, X_test = counts.select_rows(train), counts.select_rows(~train)
         mask = None
         if config.prune_scope == "fold":
@@ -245,10 +220,11 @@ class _Cell:
         if config.classifier == "nb":
             model = naive_bayes.train_nb(X_train, self.y[train])
         else:
+            gram, rows = self.gram, train
             if gram is None:
-                gram = linear_svm.gram_matrix(X_train)
+                gram, rows = linear_svm.gram_matrix(X_train), None
             model = linear_svm.train_svm(X_train, self.y[train], C=config.C, tol=config.tol,
-                                         max_epochs=config.max_epochs, gram=gram)
+                                         max_epochs=config.max_epochs, gram=gram, rows=rows)
         return model, train, mask, X_test
 
 

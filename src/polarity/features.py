@@ -338,10 +338,11 @@ class _TokenStream:
         and, for ``pb``, the neighbor's word or tag id.
         """
         pos, core, cores = self._polarized
-        ns, core = row.namespace, core.astype(np.int64)
-        if not row.neighbors:
+        ns = row.namespace
+        if not row.neighbors:  # _keyed_matrix sorts the keys in place: pu copies the cores
             return self._keyed_matrix(
-                [(pos, core, lambda keys, _: [f"{ns}:{cores[k]}" for k in keys.tolist()], False)],
+                [(pos, core.astype(np.int64),
+                  lambda keys, _: [f"{ns}:{cores[k]}" for k in keys.tolist()], False)],
                 floor)
         continues = np.append(~self.starts[1:], False)  # the next token is in the sentence
         before, after = pos[~self.starts[pos]], pos[continues[pos]]

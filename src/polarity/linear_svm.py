@@ -269,16 +269,20 @@ def check_solver_limits(tol: float, max_epochs: int, C: float | None = None) -> 
 
 def train_svm(X: CsrMatrix, y: Sequence[int], C: float | None = None,
               tol: float = 1e-3, max_epochs: int = 1000,
-              gram: np.ndarray | None = None) -> LinearSvmModel:
+              gram: np.ndarray | None = None,
+              rows: np.ndarray | None = None) -> LinearSvmModel:
     """Train on the rows of *X* with +1/-1 labels *y* to KKT tolerance *tol*.
 
-    One epoch is n pair updates. *y* must pass ``check_training_labels``, and a given
-    *C* must be finite and above 0 (ConfigError); without one, ``default_C(X)`` is
-    used. *gram*, when given, must equal ``gram_matrix(X)``; cross-validation passes
-    every fold's Gram, made by ``evaluation._Cell``. A *gram* that is not row-major is
-    copied once into that order, as SMO reads its rows. On hitting the epoch cap the
-    best iterate is returned with ``meta.converged`` False and the reason in
-    ``meta.warning``.
+    One epoch is ``X.shape[0]`` pair updates. *y* must pass ``check_training_labels``,
+    and a given *C* must be finite and above 0 (ConfigError); without one,
+    ``default_C(X)`` is used. *gram*, when given, must equal ``gram_matrix(X)``; with
+    *rows*, a boolean mask over *gram*'s rows that picks X's rows in order, its
+    ``gram[np.ix_(rows, rows)]`` must. The rows left out lie outside both index sets,
+    so they never move. Cross-validation passes every fold's Gram, made by
+    ``evaluation._Cell``: under corpus scope the cell's own, with the fold's rows. A
+    *gram* that is not row-major is copied once into that order, as SMO reads its rows.
+    On hitting the epoch cap the best iterate is returned with ``meta.converged`` False
+    and the reason in ``meta.warning``.
     """
     check_solver_limits(tol, max_epochs, C)
     check_training_labels(y)
@@ -290,21 +294,28 @@ def train_svm(X: CsrMatrix, y: Sequence[int], C: float | None = None,
 
     n = X.shape[0]
     K = gram_matrix(X) if gram is None else np.ascontiguousarray(gram)
+    # The state spans K's rows; those outside *rows* get label 0, in neither index
+    # set. The results read the training rows alone, so every dot sums X's arrays.
+    if rows is None:
+        rows, labels = slice(None), y
+    else:
+        labels = np.zeros(len(K))
+        labels[rows] = y
     diag = K.diagonal().copy()
-    # |K_ij| <= max(diag), so this bounds every step's K_ii + K_jj - 2 K_ij
-    # and K_ik - K_jk.
-    if not math.isfinite(4.0 * float(diag.max())):
+    # |K_ij| <= max(diag) over the training rows, so this bounds every step's
+    # K_ii + K_jj - 2 K_ij and, for a training row k, K_ik - K_jk.
+    if not math.isfinite(4.0 * float(diag[rows].max())):
         raise DataError("the Gram matrix of the training vectors is too large to train on "
                         "(its pair differences overflow)")
 
     # v = -y * G, where G is the gradient of (1/2) a'Qa - e'a. As y = +-1,
     # stepping v by t * (K_i - K_j) rounds exactly as stepping G would.
-    alpha = np.zeros(n)
-    v = y.copy()
+    alpha = np.zeros(len(K))
+    v = labels.copy()
     # The index sets: y_k * alpha_k can rise in up and fall in low. At
     # alpha = 0, up holds every positive example and low every negative one.
-    up = y > 0
-    low = ~up
+    up = labels > 0
+    low = labels < 0
     pos = up.tolist()
     meta = SvmTrainingMeta()
     max_iterations = max_epochs * n
@@ -346,8 +357,9 @@ def train_svm(X: CsrMatrix, y: Sequence[int], C: float | None = None,
 
         it += 1
         if it % n == 0:
-            meta.objective_history.append(_dual_objective(alpha, y, v))
+            meta.objective_history.append(_dual_objective(alpha[rows], y, v[rows]))
 
+    alpha, v, up, low = alpha[rows], v[rows], up[rows], low[rows]
     meta.iterations = it
     meta.dual_objective = _dual_objective(alpha, y, v)
     meta.objective_history.append(meta.dual_objective)

@@ -247,35 +247,20 @@ class TestMatrixCore:
             _, _, mask, _ = cell.train_fold(k)
             assert list(compress(cell.matrix.features, mask)) == list(expected)
 
-    @pytest.mark.parametrize("block_runs", [0, evaluation._BLOCK_RUNS, 10**9])
-    @pytest.mark.parametrize("mode", ["filename", "seeded"])
-    def test_training_gram_equals_the_gather(self, synth_corpus, monkeypatch, mode, block_runs):
-        """Block copies (few runs of training rows) and the gather (many)
-        give the same row-major matrix; filename folds give at most two runs."""
-        monkeypatch.setattr(evaluation, "_BLOCK_RUNS", block_runs)
-        corpus = assign_folds(synth_corpus, mode=mode, seed=3)
-        folds = np.array([corpus.folds[doc.id] for doc in corpus.documents])
-        A = np.random.default_rng(0).standard_normal((len(folds), 7))
-        gram = A @ A.T
-        for train in [folds != k for k in range(5)] + [np.arange(len(folds)) >= 30]:
-            runs = np.count_nonzero(np.diff(train.astype(int), prepend=0) == 1)
-            assert runs <= 2 or mode == "seeded"
-            result = evaluation._training_gram(gram, train)
-            assert np.array_equal(result, gram[np.ix_(train, train)])
-            assert result.flags.c_contiguous
-
     @pytest.mark.parametrize("representation", ["presence", "frequency"])
     @pytest.mark.parametrize("scope", ["corpus", "fold"])
     def test_every_svm_fold_gram_comes_from_the_cell(self, synth_corpus, monkeypatch,
                                                      scope, representation):
         """Every fold reaches train_svm with the Gram of its training matrix:
-        a slice of the cell's corpus Gram, or the Gram of the fold's pruned rows."""
+        under corpus scope the cell's own Gram, uncopied, with the fold's
+        training mask, which picks that Gram out of it; under fold scope the
+        Gram of the fold's pruned rows."""
         received = []
         train_svm = linear_svm.train_svm
 
-        def spy(X, y, C=None, tol=1e-3, max_epochs=1000, gram=None):
-            received.append((X, gram))
-            return train_svm(X, y, C=C, tol=tol, max_epochs=max_epochs, gram=gram)
+        def spy(X, y, C=None, tol=1e-3, max_epochs=1000, gram=None, rows=None):
+            received.append((X, gram, rows))
+            return train_svm(X, y, C=C, tol=tol, max_epochs=max_epochs, gram=gram, rows=rows)
 
         monkeypatch.setattr(linear_svm, "train_svm", spy)
         cell = _Cell(FeaturePipeline(synth_corpus),
@@ -284,10 +269,16 @@ class TestMatrixCore:
         for k in range(5):
             cell.train_fold(k)
         assert len(received) == 5
-        for X_train, gram in received:
+        for k, (X_train, gram, rows) in enumerate(received):
             assert gram is not None
             assert gram.flags.c_contiguous  # train_svm reads it without a copy
-            assert np.array_equal(gram, gram_matrix(X_train))
+            if scope == "corpus":
+                assert gram is cell.gram
+                assert np.array_equal(rows, cell.folds != k)
+                assert np.array_equal(gram[np.ix_(rows, rows)], gram_matrix(X_train))
+            else:
+                assert rows is None
+                assert np.array_equal(gram, gram_matrix(X_train))
 
 
 class TestLabelShuffledControl:

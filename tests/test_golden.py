@@ -14,6 +14,11 @@ build before the negated unigram became a ``Window`` row. ``table2.md``,
 (every ``reproduce`` output but ``results.jsonl``, without ``--lexicon``, so
 the polarized rows are skipped) were written by ``reproduce --jobs 1`` while
 the Table 2 rows were still listed in ``cli.py`` beside the reference file.
+``seeded/`` holds ``table2.csv`` and ``deviation.csv`` of ``reproduce --folds
+seeded --seed 3 --only table2``, whose folds scatter the held-out rows between
+training rows; they were written while each corpus-scope SVM fold still
+trained on a copy of its training block of the cell's Gram, before SMO took
+that Gram in place.
 """
 
 import json
@@ -41,6 +46,19 @@ def test_table2_csv(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["cells_run"] == 36
     for name in ["table2.csv", "table2.md", "deviation.csv", "deviation.md"]:
         assert (out_dir / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_seeded_folds_table2_csv(tmp_path, capsys):
+    """Table 2 under seeded folds, which hold out rows scattered among the
+    training rows of every corpus-scope Gram."""
+    out_dir = tmp_path / "out"
+    code = main(["reproduce", "--corpus", str(CORPUS), *LEXICON, "--only", "table2",
+                 "--folds", "seeded", "--seed", "3", "--out-dir", str(out_dir),
+                 "--format", "json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["cells_run"] == 36
+    for name in ["table2.csv", "deviation.csv"]:
+        assert (out_dir / name).read_bytes() == (GOLDEN / "seeded" / name).read_bytes(), name
 
 
 def test_combination_grid_csvs(tmp_path, capsys):

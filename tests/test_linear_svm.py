@@ -9,9 +9,12 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given
 
-from conftest import csr_matrices, from_scipy, labeled_matrix, to_scipy
+from conftest import csr_matrices, family_matrix, from_scipy, labeled_matrix, to_scipy
 from polarity import linear_svm
+from polarity.corpus import assign_folds
 from polarity.errors import ConfigError, DataError
+from polarity.evaluation import FeaturePipeline
+from polarity.features import FeatureFamily
 from polarity.linear_svm import (
     LinearSvmModel,
     default_C,
@@ -19,6 +22,7 @@ from polarity.linear_svm import (
     predict_svm,
     train_svm,
 )
+from polarity.vectorize import Representation, represent
 
 
 def sv(pairs, label=None):
@@ -179,6 +183,35 @@ class TestGramInput:
             given = train_svm(X, y, C=0.5, tol=1e-4, gram=gram)
             assert np.array_equal(plain.weights, given.weights)
             assert plain.bias == given.bias and plain.meta.iterations == given.meta.iterations
+
+    @pytest.mark.parametrize("mode", ["filename", "seeded"])
+    def test_training_rows_of_the_corpus_gram_give_identical_model(self, synth_corpus, mode):
+        """Each fold trained on the corpus Gram, its held-out rows left in place
+        and masked out by *rows*, is the model of the fold's own Gram, bit for
+        bit. Filename folds hold out one block of rows; seeded folds scatter
+        the held-out rows between training rows."""
+        corpus = assign_folds(synth_corpus, mode=mode, seed=3)
+        pipeline = FeaturePipeline(corpus)
+        X_all = represent(family_matrix(pipeline, FeatureFamily.UNIGRAM, min_count=2).counts,
+                          Representation.FREQUENCY)
+        y_all = np.array(pipeline.labels())
+        folds = np.array([corpus.folds[doc.id] for doc in corpus.documents])
+        gram = gram_matrix(X_all)
+        epochs = []
+        for k in range(5):
+            rows = folds != k
+            runs = np.count_nonzero(np.diff(rows.astype(int), prepend=0) == 1)
+            assert (runs > 2) == (mode == "seeded")
+            X, y = X_all.select_rows(rows), y_all[rows]
+            plain = train_svm(X, y, tol=1e-4)
+            given = train_svm(X, y, tol=1e-4, gram=gram, rows=rows)
+            for name in ["alphas", "objective_history"]:
+                assert np.array_equal(getattr(plain.meta, name), getattr(given.meta, name))
+            for name in ["iterations", "dual_objective", "duality_gap", "final_objective"]:
+                assert getattr(plain.meta, name) == getattr(given.meta, name), name
+            assert np.array_equal(plain.weights, given.weights) and plain.bias == given.bias
+            epochs.append(len(plain.meta.objective_history))
+        assert max(epochs) > 2  # the per-epoch history is compared, not only its last entry
 
     def test_sliced_gram_equals_subset_gram(self):
         X, _ = labeled_matrix(_random_instance(seed=8, n=25))
