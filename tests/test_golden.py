@@ -126,6 +126,7 @@ def test_extract_negated_unigram_and_pu_files(tmp_path, capsys):
 
 FOLD_SCOPE_CELLS = {
     "unigram-presence-svm": ["--features", "unigram", "--rep", "presence", "--clf", "svm"],
+    "unigram-frequency-svm": ["--features", "unigram", "--rep", "frequency", "--clf", "svm"],
     "bigram+adj-frequency-nb": ["--features", "bigram+adj", "--rep", "frequency",
                                 "--clf", "nb"],
 }
