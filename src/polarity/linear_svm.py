@@ -17,20 +17,26 @@ two parts:
           the order of a CSR sparse product ``X @ X.T``.
   slabs   when every value is an integer and every squared row norm is below
           2^53, every partial sum in any order is an integer below 2^53, so
-          exact. Then the columns held by at least 1/32 of the rows go
-          through BLAS, as ``K += S @ S.T`` over dense slabs S of up to 512
-          of those columns, and the pairs cover the rest.
-Either way K is the same bits as the sparse product. Other input (a
-real-valued svmlight file) takes the pairs over every column, which is
+          exact: by Cauchy-Schwarz a partial sum of K[r, s] is at most the
+          larger squared norm of rows r and s. Then the columns held by at
+          least 1/32 of the rows go through BLAS, as ``K += S @ S.T`` over
+          dense slabs S of up to 512 of those columns, and the pairs cover
+          the rest.
+Either way K holds the values of the sparse product exactly. Other input
+(a real-valued svmlight file) takes the pairs over every column, which is
 several times slower on columns that most rows hold. K is exactly
 symmetric, so its rows are its columns.
 
-Besides K, the scratch is the stored entries split once into a dense and
-a sparse part, 16 bytes per entry (an 8-byte value, an int32 row and an
-int32 column or slab rank), plus bounded buffers: a block of pairs takes
-about 2.6 MB, and a slab and the product of one band of its rows take
-8 * 512 * n bytes each (4 MB each at 1,000 rows), so no n x n temporary is
-made.
+K's type follows the same bound. When the values are integers and every
+squared row norm is below 2^24, K is int32 (4 n^2 bytes) and the slabs are
+float32, which holds and adds every integer below 2^24 exactly; otherwise K
+and the slabs are float64 (8 n^2 bytes). Besides K, the scratch is the
+stored entries split once into a dense and a sparse part, 16 bytes per
+entry (an 8-byte value, an int32 row and an int32 column or slab rank),
+plus bounded buffers: a block of pairs takes about 2.6 MB, and a slab and
+the product of one band of its rows take 4 * 512 * n bytes each in float32
+and 8 * 512 * n in float64 (2 or 4 MB each at 1,000 rows), so no n x n
+temporary is made.
 """
 
 from __future__ import annotations
@@ -50,8 +56,8 @@ MODEL_FORMAT = "polarity-svm/1"
 
 _SNAP = 1e-12
 
-# Most training rows the dense n x n Gram may have: 8 n^2 bytes, 2 GiB at
-# 16,384 rows, 64x the 32 MB Gram of the 2000-document Table-1 corpus.
+# Most training rows the dense n x n Gram may have: 64x the 2000 rows of the
+# Table-1 corpus. At 16,384 rows an int32 Gram takes 1 GiB, a float64 one 2 GiB.
 MAX_GRAM_ROWS = 1 << 14
 
 # A column is dense, and goes through BLAS, when at least 1/_DENSE_SHARE of
@@ -138,15 +144,16 @@ class LinearSvmModel:
 
 
 def gram_matrix(X: CsrMatrix) -> np.ndarray:
-    """Dense X X' of the rows of *X*, exactly symmetric.
+    """Dense X X' of the rows of *X*, exactly symmetric: int32 when the values are
+    integers and every squared row norm is below 2^24, else float64.
 
     Raises DataError above MAX_GRAM_ROWS rows, before allocating, and when
     an entry is not finite.
     """
     n = X.shape[0]
     if n > MAX_GRAM_ROWS:
-        raise DataError(f"{n} training vectors need a {8 * n * n / 2**30:.1f} GiB dense Gram "
-                        f"matrix; the limit is {MAX_GRAM_ROWS} vectors")
+        raise DataError(f"{n} training vectors need a dense Gram matrix of {n * n} entries "
+                        f"(4 or 8 bytes each); the limit is {MAX_GRAM_ROWS} vectors")
     # Rows and dense-column ranks are below MAX_GRAM_ROWS and the column
     # count, so int32 holds them.
     rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(X.indptr))
@@ -162,11 +169,12 @@ def gram_matrix(X: CsrMatrix) -> np.ndarray:
                 rows[dense])
         pairs = (X.data[~dense], X.indices[~dense], rows[~dense])
         del rows, dense
-        K = np.zeros((n, n))
+        narrow = exact and (not n or float(norms.max()) < 2.0**24)
+        K = np.zeros((n, n), dtype=np.int32 if narrow else np.float64)
         _add_slab_products(K, *slab)
         del slab
         _add_pair_products(K, *pairs, X.shape[1])
-    if not np.isfinite(K).all():
+    if K.dtype.kind == "f" and not np.isfinite(K).all():
         raise DataError("the Gram matrix of the training vectors is not finite "
                         "(their dot products overflow)")
     return K
@@ -202,7 +210,8 @@ def _add_pair_products(K: np.ndarray, data: np.ndarray, cols: np.ndarray, rows: 
         # Cell numbers in intp, which bincount reads without a copy.
         cells = np.repeat((rows[a:b] - lo).astype(np.intp) * n, block_fan) + column_rows[partner]
         products = np.repeat(data[a:b], block_fan) * column_data[partner]
-        K[lo:hi] += np.bincount(cells, products, minlength=(hi - lo) * n).reshape(hi - lo, n)
+        block = np.bincount(cells, products, minlength=(hi - lo) * n).reshape(hi - lo, n)
+        np.add(K[lo:hi], block, out=K[lo:hi], casting="unsafe")
 
 
 def _add_slab_products(K: np.ndarray, data: np.ndarray, slot: np.ndarray,
@@ -221,8 +230,9 @@ def _add_slab_products(K: np.ndarray, data: np.ndarray, slot: np.ndarray,
     width = int(slot.max()) + 1 if len(slot) else 0
     if not width:
         return
-    slabs = np.empty((n, min(_SLAB_COLUMNS, width)))
-    bands = np.empty((min(_SLAB_COLUMNS, n), n))
+    dtype = np.float32 if K.dtype.kind == "i" else K.dtype
+    slabs = np.empty((n, min(_SLAB_COLUMNS, width)), dtype=dtype)
+    bands = np.empty((min(_SLAB_COLUMNS, n), n), dtype=dtype)
     for lo in range(0, width, _SLAB_COLUMNS):
         hit = (slot >= lo) & (slot < lo + _SLAB_COLUMNS)
         S = slabs[:, :min(_SLAB_COLUMNS, width - lo)]
@@ -232,7 +242,7 @@ def _add_slab_products(K: np.ndarray, data: np.ndarray, slot: np.ndarray,
         for top in range(0, n, _SLAB_COLUMNS):
             bottom = min(top + _SLAB_COLUMNS, n)
             band = np.matmul(S[top:bottom], S[:bottom].T, out=bands[:bottom - top, :bottom])
-            K[top:bottom, :bottom] += band
+            np.add(K[top:bottom, :bottom], band, out=K[top:bottom, :bottom], casting="unsafe")
     for top in range(_SLAB_COLUMNS, n, _SLAB_COLUMNS):
         K[:top, top:top + _SLAB_COLUMNS] = K[top:top + _SLAB_COLUMNS, :top].T
 
@@ -275,10 +285,10 @@ def train_svm(X: CsrMatrix, y: Sequence[int], C: float | None = None,
 
     One epoch is ``X.shape[0]`` pair updates. *y* must pass ``check_training_labels``,
     and a given *C* must be finite and above 0 (ConfigError); without one,
-    ``default_C(X)`` is used. *gram*, when given, must equal ``gram_matrix(X)``; with
-    *rows*, a boolean mask over *gram*'s rows that picks X's rows in order, its
-    ``gram[np.ix_(rows, rows)]`` must. The rows left out lie outside both index sets,
-    so they never move. Cross-validation passes every fold's Gram, made by
+    ``default_C(X)`` is used. *gram*, when given, must equal ``gram_matrix(X)``, in int32
+    or float64; with *rows*, a boolean mask over *gram*'s rows that picks X's rows in
+    order, its ``gram[np.ix_(rows, rows)]`` must. The rows left out lie outside both
+    index sets, so they never move. Cross-validation passes every fold's Gram, made by
     ``evaluation._Cell``: under corpus scope the cell's own, with the fold's rows. A
     *gram* that is not row-major is copied once into that order, as SMO reads its rows.
     On hitting the epoch cap the best iterate is returned with ``meta.converged`` False
@@ -301,7 +311,7 @@ def train_svm(X: CsrMatrix, y: Sequence[int], C: float | None = None,
     else:
         labels = np.zeros(len(K))
         labels[rows] = y
-    diag = K.diagonal().copy()
+    diag = K.diagonal().astype(np.float64)
     # |K_ij| <= max(diag) over the training rows, so this bounds every step's
     # K_ii + K_jj - 2 K_ij and, for a training row k, K_ik - K_jk.
     if not math.isfinite(4.0 * float(diag[rows].max())):

@@ -213,6 +213,33 @@ class TestGramInput:
             epochs.append(len(plain.meta.objective_history))
         assert max(epochs) > 2  # the per-epoch history is compared, not only its last entry
 
+    @pytest.mark.parametrize("mode", ["filename", "seeded"])
+    def test_int32_gram_gives_the_float64_gram_model(self, synth_corpus, mode):
+        """SMO reads an int32 K, and every fold's model on it is the one on
+        the same K in float64, bit for bit: NumPy promotes each step's int32
+        row difference to float64 exactly."""
+        corpus = assign_folds(synth_corpus, mode=mode, seed=3)
+        pipeline = FeaturePipeline(corpus)
+        X_all = represent(family_matrix(pipeline, FeatureFamily.UNIGRAM, min_count=2).counts,
+                          Representation.FREQUENCY)
+        y_all = np.array(pipeline.labels())
+        folds = np.array([corpus.folds[doc.id] for doc in corpus.documents])
+        gram = gram_matrix(X_all)
+        assert gram.dtype == np.int32
+        wide = gram.astype(np.float64)
+        epochs = []
+        for k in range(5):
+            rows = folds != k
+            X, y = X_all.select_rows(rows), y_all[rows]
+            narrow = train_svm(X, y, tol=1e-4, gram=gram, rows=rows)
+            given = train_svm(X, y, tol=1e-4, gram=wide, rows=rows)
+            for name in ["alphas", "objective_history"]:
+                assert np.array_equal(getattr(narrow.meta, name), getattr(given.meta, name))
+            assert narrow.meta.iterations == given.meta.iterations
+            assert np.array_equal(narrow.weights, given.weights) and narrow.bias == given.bias
+            epochs.append(len(narrow.meta.objective_history))
+        assert max(epochs) > 2  # the per-epoch history is compared, not only its last entry
+
     def test_sliced_gram_equals_subset_gram(self):
         X, _ = labeled_matrix(_random_instance(seed=8, n=25))
         rows = np.arange(25) % 5 != 2
@@ -295,10 +322,11 @@ class TestGramMatrix:
 
     def test_scratch_is_bounded_above_the_result(self, slab_entries):
         """Besides K, gram_matrix holds either a slab and one band's product
-        of 8 * _SLAB_COLUMNS * n bytes each, or one block of pairs (about 40
-        bytes per pair), and a few arrays of one value per entry; no n x n
-        temporary, which alone would pass the bound here. The matrix spans
-        two slabs, three bands and more than ten blocks of pairs."""
+        of 4 * _SLAB_COLUMNS * n bytes each (float32, as K is int32 here), or
+        one block of pairs (about 40 bytes per pair), and a few arrays of one
+        value per entry; no n x n float64 temporary, which alone would pass
+        the bound here. The matrix spans two slabs, three bands and more than
+        ten blocks of pairs."""
         n = 1536
         rng = np.random.default_rng(44)
         held = [n // 16] * 600 + [n // 40] * 600  # 600 dense columns, then sparse ones
@@ -315,17 +343,18 @@ class TestGramMatrix:
             tracemalloc.stop()
         assert np.array_equal(K, scipy_gram(X))
         assert slab_entries == [600 * (n // 16)]
-        bound = (max(2 * 8 * linear_svm._SLAB_COLUMNS * n, 40 * linear_svm._PAIR_BLOCK)
+        assert K.dtype == np.int32
+        bound = (max(2 * 4 * linear_svm._SLAB_COLUMNS * n, 40 * linear_svm._PAIR_BLOCK)
                  + 48 * X.nnz)
-        assert scratch < bound < K.nbytes
+        assert scratch < bound < 8 * n * n
 
     def test_scratch_holds_each_entry_once_in_16_bytes(self, slab_entries):
         """The entries are split once into a dense and a sparse part of 16
         bytes each (a float64 value, an int32 row and an int32 column or
         slab rank), and filling a slab gathers about 20 bytes per entry it
-        holds; beside the slab and band buffers that stays under 36 bytes
-        per entry. Int64 rows and ranks beside the full-length rows and mask
-        took 42 on this matrix, the one of the test above."""
+        holds; beside the float32 slab and band buffers that stays under 36
+        bytes per entry. Int64 rows and ranks beside the full-length rows and
+        mask took 42 on this matrix, the one of the test above."""
         n = 1536
         rng = np.random.default_rng(44)
         held = [n // 16] * 600 + [n // 40] * 600
@@ -341,12 +370,15 @@ class TestGramMatrix:
             tracemalloc.stop()
         assert np.array_equal(K, scipy_gram(X))
         assert slab_entries == [600 * (n // 16)]
-        assert scratch < 2 * 8 * linear_svm._SLAB_COLUMNS * n + 36 * X.nnz
+        assert K.dtype == np.int32
+        assert scratch < 2 * 4 * linear_svm._SLAB_COLUMNS * n + 36 * X.nnz
 
     def test_real_values_take_the_pair_path(self, slab_entries):
         X = _mixed_counts(seed=42)
         X = from_scipy(to_scipy(X) * 0.3)
-        assert np.array_equal(gram_matrix(X), scipy_gram(X))
+        K = gram_matrix(X)
+        assert np.array_equal(K, scipy_gram(X))
+        assert K.dtype == np.float64
         assert slab_entries == [0]
 
     def test_squared_norm_at_2_53_takes_the_pair_path(self, slab_entries):
@@ -355,8 +387,29 @@ class TestGramMatrix:
         counts[:, 0] = 2.0**26 + 1  # every partial sum in the 2^53 range
         counts[5, 1] = 2.0**26 + 3
         X = from_scipy(counts)
-        assert np.array_equal(gram_matrix(X), scipy_gram(X))
+        K = gram_matrix(X)
+        assert np.array_equal(K, scipy_gram(X))
+        assert K.dtype == np.float64
         assert slab_entries == [0]
+
+    @pytest.mark.parametrize("big, dtype", [((4095, 90, 9, 3), np.int32), ((4096,), np.float64)],
+                             ids=["norm-below-2^24", "norm-at-2^24"])
+    def test_int32_below_a_squared_norm_of_2_24(self, big, dtype, slab_entries, monkeypatch):
+        """Counts give an int32 K, built from float32 slabs, while every squared
+        row norm is below 2^24, and float64 from one at 2^24 up. Rows 3 and 10
+        lead with *big*, whose squares sum to 2^24 - 1 or to 2^24, and the
+        first two-column slab alone sums their products to 2^24 - 90."""
+        monkeypatch.setattr(linear_svm, "_SLAB_COLUMNS", 2)
+        rng = np.random.default_rng(45)
+        counts = np.hstack([rng.integers(1, 4, size=(48, 6)), np.eye(48, 30, -5)])
+        counts[[3, 10]] = 0.0
+        counts[[3, 10], :len(big)] = big
+        X = from_scipy(counts.astype(np.float64))
+        K = gram_matrix(X)
+        assert K.dtype == dtype
+        assert K[3, 10] == sum(value * value for value in big) == 2**24 - (dtype == np.int32)
+        assert np.array_equal(K, scipy_gram(X))
+        assert slab_entries[0] > 0
 
     @pytest.mark.parametrize("dense", [
         np.zeros((3, 0)), np.zeros((0, 4)), np.zeros((4, 5)), np.array([[1.0, 0.0, 2.0]]),
