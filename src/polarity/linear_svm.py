@@ -27,7 +27,7 @@ Either way K holds the values of the sparse product exactly. Other input
 several times slower on columns that most rows hold. K is exactly
 symmetric, so its rows are its columns.
 
-K's type follows the same bound. When the values are integers and every
+K's type rests on the same argument. When the values are integers and every
 squared row norm is below 2^24, K is int32 (4 n^2 bytes) and the slabs are
 float32, which holds and adds every integer below 2^24 exactly; otherwise K
 and the slabs are float64 (8 n^2 bytes). Besides K, the scratch is the
@@ -224,7 +224,7 @@ def _add_slab_products(K: np.ndarray, data: np.ndarray, slot: np.ndarray,
     The bands add to the lower triangle of K and its diagonal blocks, and
     the upper triangle is copied from the lower one after the last slab, so
     K must be zero on entry. One slab buffer and one band buffer serve every
-    slab and band.
+    slab and band; for an int32 K they are float32, exact below 2^24.
     """
     n = K.shape[0]
     width = int(slot.max()) + 1 if len(slot) else 0

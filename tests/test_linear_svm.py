@@ -232,11 +232,12 @@ class TestGramInput:
             rows = folds != k
             X, y = X_all.select_rows(rows), y_all[rows]
             narrow = train_svm(X, y, tol=1e-4, gram=gram, rows=rows)
-            given = train_svm(X, y, tol=1e-4, gram=wide, rows=rows)
+            widened = train_svm(X, y, tol=1e-4, gram=wide, rows=rows)
             for name in ["alphas", "objective_history"]:
-                assert np.array_equal(getattr(narrow.meta, name), getattr(given.meta, name))
-            assert narrow.meta.iterations == given.meta.iterations
-            assert np.array_equal(narrow.weights, given.weights) and narrow.bias == given.bias
+                assert np.array_equal(getattr(narrow.meta, name), getattr(widened.meta, name))
+            assert narrow.meta.iterations == widened.meta.iterations
+            assert np.array_equal(narrow.weights, widened.weights)
+            assert narrow.bias == widened.bias
             epochs.append(len(narrow.meta.objective_history))
         assert max(epochs) > 2  # the per-epoch history is compared, not only its last entry
 
@@ -392,13 +393,15 @@ class TestGramMatrix:
         assert K.dtype == np.float64
         assert slab_entries == [0]
 
-    @pytest.mark.parametrize("big, dtype", [((4095, 90, 9, 3), np.int32), ((4096,), np.float64)],
-                             ids=["norm-below-2^24", "norm-at-2^24"])
-    def test_int32_below_a_squared_norm_of_2_24(self, big, dtype, slab_entries, monkeypatch):
+    @pytest.mark.parametrize("big, norm, dtype", [
+        ((4095, 90, 9, 3), 2**24 - 1, np.int32), ((4096,), 2**24, np.float64),
+    ], ids=["norm-below-2^24", "norm-at-2^24"])
+    def test_int32_below_a_squared_norm_of_2_24(self, big, norm, dtype, slab_entries,
+                                                monkeypatch):
         """Counts give an int32 K, built from float32 slabs, while every squared
         row norm is below 2^24, and float64 from one at 2^24 up. Rows 3 and 10
-        lead with *big*, whose squares sum to 2^24 - 1 or to 2^24, and the
-        first two-column slab alone sums their products to 2^24 - 90."""
+        lead with *big*, whose squares sum to *norm*; below 2^24 the first
+        two-column slab alone sums their products to 2^24 - 91."""
         monkeypatch.setattr(linear_svm, "_SLAB_COLUMNS", 2)
         rng = np.random.default_rng(45)
         counts = np.hstack([rng.integers(1, 4, size=(48, 6)), np.eye(48, 30, -5)])
@@ -407,7 +410,7 @@ class TestGramMatrix:
         X = from_scipy(counts.astype(np.float64))
         K = gram_matrix(X)
         assert K.dtype == dtype
-        assert K[3, 10] == sum(value * value for value in big) == 2**24 - (dtype == np.int32)
+        assert K[3, 10] == sum(value * value for value in big) == norm
         assert np.array_equal(K, scipy_gram(X))
         assert slab_entries[0] > 0
 
